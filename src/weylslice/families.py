@@ -23,7 +23,13 @@ from .linalg import (
     scalar_shift,
 )
 from .matgroups import GroupContext
-from .sheetcat import SheetDescriptor, catalog_w_S, sheet_catalog
+from .sheetcat import (
+    SheetDescriptor,
+    _min_quadratic_mu,
+    _solve_cubic_mu,
+    catalog_w_S,
+    sheet_catalog,
+)
 
 
 class ExtensionRequired(ValueError):
@@ -67,42 +73,6 @@ def _sqrt_sign(field, e: int):
 
 def _rank_pow(field, m, k):
     return mat_rank(field, mat_pow(field, m, k))
-
-
-def _solve_mu_quadratic(field, g):
-    """mu with g^2 - mu*g + 1 = 0, else None."""
-    try:
-        ginv = inverse(field, g)
-    except ZeroDivisionError:
-        return None
-    n = len(g)
-    s = [[field.add(g[i][j], ginv[i][j]) for j in range(n)] for i in range(n)]
-    mu = s[0][0]
-    ok = all(s[i][j] == (mu if i == j else field.zero)
-             for i in range(n) for j in range(n))
-    return mu if ok else None
-
-
-def _solve_mu_cubic(field, g):
-    """mu with (g - 1)(g^2 - mu*g + 1) = 0, else None."""
-    n = len(g)
-    k = scalar_shift(field, g, field.one)
-    gsq = mat_mul(field, g, g)
-    lhs = mat_mul(field, k, scalar_shift(field, gsq, field.neg(field.one)))
-    kg = mat_mul(field, k, g)
-    mu = None
-    for i in range(n):
-        for j in range(n):
-            if not field.is_zero(kg[i][j]):
-                mu = field.div(lhs[i][j], kg[i][j])
-                break
-        if mu is not None:
-            break
-    if mu is None:
-        return None
-    if lhs == tuple(tuple(field.mul(mu, x) for x in row) for row in kg):
-        return mu
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +159,7 @@ class BFamilyS:
                     t = ("unipotent (3,2^(n-1)) member" if lam == field.one
                          else "rho-twisted unipotent member")
                 return MembershipResult(True, f"rk((X-{lam})^2)=1", t)
-        mu = _solve_mu_cubic(field, X)
+        mu = _solve_cubic_mu(field, X)
         if mu is not None and mu != field.of(2) and mu != field.of(-2):
             if mat_rank(field, scalar_shift(field, X, field.one)) == 2 * n:
                 return MembershipResult(
@@ -439,7 +409,7 @@ class CFamilyS2:
                 return MembershipResult(
                     True, f"rk(X-({lam}))=n and square zero",
                     "unipotent (2^n) member up to sign")
-        mu = _solve_mu_quadratic(field, X)
+        mu = _min_quadratic_mu(field, X)
         if mu is not None and mu != field.of(2) and mu != field.of(-2):
             return MembershipResult(
                 True, "X + X^-1 = mu with mu != +-2",
@@ -529,7 +499,7 @@ class DFamilyS:
                 return MembershipResult(
                     True, f"rk(X-({lam}))=n and square zero",
                     "very even unipotent (2^n) member up to sign")
-        mu = _solve_mu_quadratic(field, X)
+        mu = _min_quadratic_mu(field, X)
         if mu is not None and mu != field.of(2) and mu != field.of(-2):
             return MembershipResult(
                 True, "X + X^-1 = mu with mu != +-2",
@@ -620,7 +590,7 @@ class DFamilyR:
                 return MembershipResult(
                     True, f"rk(X-({lam}))=n-1 and square zero",
                     "unipotent (2^(n-1),1^2) member up to sign")
-        mu = _solve_mu_quadratic(field, X)
+        mu = _min_quadratic_mu(field, X)
         if mu is not None and mu != field.of(2) and mu != field.of(-2):
             return MembershipResult(
                 True, "X + X^-1 = mu with mu != +-2",

@@ -95,12 +95,6 @@ class OracleGroup:
     mul: object
     order: int
 
-    def element_set(self):
-        return self._set
-
-    def __post_init__(self):
-        self._set = frozenset(self.elements)
-
 
 def _generators(ctx: GroupContext, field) -> list[tuple]:
     gens = []
@@ -462,37 +456,6 @@ def slice_points(ctx: GroupContext, field, w: WeylElement,
             yield mat_mul(field, base, u)
 
 
-def gamma_elements_for(ctx: GroupContext, w: WeylElement, field) -> list:
-    """Gamma_w(F) as diagonal matrices; [] if the 4th root of 1 is missing."""
-    from .toruslat import TorusData, gamma_w as gamma_w_op
-
-    torus = TorusData(ctx.system, w, "matrix")
-    _, gens = gamma_w_op(torus)
-    omega = field.fourth_root_of_unity()
-    if omega is None:
-        return []
-    out = set()
-    n = len(gens)
-    for mask in range(4**n):
-        exps = []
-        m = mask
-        for _ in range(n):
-            exps.append(m % 4)
-            m //= 4
-        coords = [0] * torus.n
-        for g, e in zip(gens, exps):
-            coords = [c + e * x for c, x in zip(coords, g.lattice_coords)]
-        vals = []
-        for c in coords:
-            v = field.one
-            x = omega if c >= 0 else field.inv(omega)
-            for _ in range(abs(c)):
-                v = field.mul(v, x)
-            vals.append(v)
-        out.add(ctx.torus(field, vals))
-    return sorted(out)
-
-
 def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
                       w: WeylElement, class_budget: int = 300_000,
                       wdot: Optional[Matrix] = None,
@@ -527,7 +490,7 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
                 ctx, field, cls, w, proposals, wdot=wdot)
         caveats.append(note)
         extension_used = geometric_nonempty
-    gammas = gamma_elements_for(ctx, w, field)
+    gammas = ctx.gamma_elements(field, w)
     closed = True
     orbits_base = None
     if gammas:
@@ -548,7 +511,7 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
     if not transitive and len(inter) > 1:
         # relate all points through extension-field Gamma elements
         ext = gf(q * q)
-        gammas2 = gamma_elements_for(ctx, w, ext)
+        gammas2 = ctx.gamma_elements(ext, w)
         mul2 = _mul_factory(ext, ctx.size)
         gflats2 = [_flat(g) for g in gammas2]
         ginvs2 = [_inv_flat(ext, g, ctx.size) for g in gflats2]

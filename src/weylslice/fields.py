@@ -300,10 +300,6 @@ class ExtField:
             return None
         return self.sqrt(self.of(-1)) if (self.order - 1) % 4 == 0 else None
 
-    def embed(self, base_elt: int) -> int:
-        """Image of an F_p element under F_p -> F_{p^k}."""
-        return base_elt % self.p
-
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
 
@@ -337,17 +333,6 @@ def gf(q: int):
             raise ValueError(f"{q} is not a prime power")
     _FIELD_CACHE[q] = fld
     return fld
-
-
-def quadratic_extension(field):
-    """F_{q^2} over F_q together with the embedding map."""
-    if isinstance(field, PrimeField):
-        ext = gf(field.p**2)
-        return ext, ext.embed
-    if isinstance(field, ExtField):
-        ext = gf(field.p ** (2 * field.k))
-        raise NotImplementedError("compatible embedding beyond prime base not required")
-    raise TypeError(f"no quadratic extension for {field!r}")
 
 
 def default_verification_prime(minimum: int = 1000) -> int:

@@ -1,8 +1,10 @@
 """Dense exact matrices over a field-ops object.
 
-Matrices are immutable tuples of tuples.  Elimination over the rationals
-uses fraction-free Bareiss pivoting on cleared integer rows; over finite
-fields plain Gaussian elimination.  Characteristic polynomials use the
+Matrices are immutable tuples of tuples.  Rank over the rationals uses
+fraction-free Bareiss pivoting on cleared integer rows.  Every other
+elimination (rank over finite fields, inverses, and the exact solver
+`solve` / `kernel` the rest of the package uses over Q) goes through the
+one Gauss-Jordan routine `rref`.  Characteristic polynomials use the
 division-free Berkowitz algorithm so they are valid over any field,
 including small characteristic.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .fields import QQ, Rationals
+from .fields import Rationals
 
 Matrix = tuple[tuple[object, ...], ...]
 
@@ -87,14 +89,17 @@ def mat_vec(field, a: Matrix, v: Sequence) -> tuple:
 
 
 def mat_pow(field, a: Matrix, k: int) -> Matrix:
-    out = identity(field, len(a))
-    base = a
-    while k:
+    """a^k by binary powering: no product with the identity, no spare square."""
+    if k == 0:
+        return identity(field, len(a))
+    out = None
+    while True:
         if k & 1:
-            out = mat_mul(field, out, base)
-        base = mat_mul(field, base, base)
+            out = a if out is None else mat_mul(field, out, a)
         k >>= 1
-    return out
+        if not k:
+            return out
+        a = mat_mul(field, a, a)
 
 
 def scalar_shift(field, a: Matrix, c) -> Matrix:
@@ -117,12 +122,12 @@ def _clear_denominators(row):
 
 
 def rank(field, a: Matrix) -> int:
-    """Exact rank: Bareiss over the rationals, Gaussian over F_q."""
+    """Exact rank: Bareiss over the rationals, Gauss-Jordan over F_q."""
     if not a or not a[0]:
         return 0
     if isinstance(field, Rationals):
         return _rank_bareiss([_clear_denominators(r) for r in a])
-    return _rank_gauss(field, [list(r) for r in a])
+    return len(rref(field, a)[1])
 
 
 def _rank_bareiss(m: list[list[int]]) -> int:
@@ -149,51 +154,79 @@ def _rank_bareiss(m: list[list[int]]) -> int:
     return r
 
 
-def _rank_gauss(field, m: list[list]) -> int:
-    rows, cols = len(m), len(m[0])
-    r = 0
+def rref(field, a) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form of `a` (new rows) and its pivot columns.
+
+    Gauss-Jordan elimination, exact over any field.  The form is unique,
+    so bases read off it are canonical.
+    """
+    is_zero, mul, sub = field.is_zero, field.mul, field.sub
+    m = [list(row) for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         piv = None
         for i in range(r, rows):
-            if not field.is_zero(m[i][c]):
+            if not is_zero(m[i][c]):
                 piv = i
                 break
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
+        prow = m[r] = [mul(inv, x) for x in m[r]]
         for i in range(rows):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+            f = m[i][c]
+            if i != r and not is_zero(f):
+                # zeros of the pivot row leave x as it is: skip their products
+                m[i] = [x if is_zero(y) else sub(x, mul(f, y))
+                        for x, y in zip(m[i], prow)]
+        pivots.append(c)
+    return m, pivots
+
+
+def solve(field, a, b) -> tuple | None:
+    """The x with a x = b, or None when b is off the column span of a.
+
+    The columns of `a` must be independent, so that x is unique.
+    """
+    n = len(a[0])
+    m, pivots = rref(field, [list(row) + [y] for row, y in zip(a, b)])
+    if pivots and pivots[-1] == n:
+        return None
+    if len(pivots) != n:
+        raise ValueError("solve needs a matrix with independent columns")
+    return tuple(m[i][n] for i in range(n))
+
+
+def kernel(field, a) -> list[tuple]:
+    """Canonical basis of {x : a x = 0}: one vector per free column of the
+    reduced row echelon form, 1 in that column and 0 in the other free ones."""
+    m, pivots = rref(field, a)
+    cols = len(m[0]) if m else 0
+    basis = []
+    for c in range(cols):
+        if c in pivots:
+            continue
+        vec = [field.zero] * cols
+        vec[c] = field.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = field.neg(m[r][c])
+        basis.append(tuple(vec))
+    return basis
 
 
 def inverse(field, a: Matrix) -> Matrix:
     n = len(a)
-    m = [list(row) + [field.one if i == j else field.zero for j in range(n)]
-         for i, row in enumerate(a)]
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if not field.is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(n):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        r += 1
+    m, pivots = rref(field, [
+        list(row) + [field.one if i == j else field.zero for j in range(n)]
+        for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
     return tuple(tuple(row[n:]) for row in m)
 
 
@@ -340,24 +373,10 @@ def poly_eval_matrix(field, coeffs, a: Matrix) -> Matrix:
     return acc
 
 
-def eigenvalues_in_field(field, a: Matrix) -> list:
-    """Roots in the base field of the characteristic polynomial (with
-    multiplicity ignored), by scanning.  Finite fields only."""
-    if field.order is None:
-        raise TypeError("root scan requires a finite field")
-    cp = charpoly(field, a)
-    return [x for x in field.elements() if field.is_zero(poly_eval(field, cp, x))]
-
-
 def kernel_dimension(field, a: Matrix) -> int:
     if not a:
         return 0
     return len(a[0]) - rank(field, a)
-
-
-def is_unipotent(field, a: Matrix) -> bool:
-    n = len(a)
-    return rank(field, mat_pow(field, scalar_shift(field, a, field.one), n)) == 0
 
 
 def unipotent_partition(field, u: Matrix) -> tuple[int, ...]:
@@ -436,7 +455,3 @@ def parse_matrix(field, text: str) -> Matrix:
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix literal")
     return tuple(rows)
-
-
-def format_matrix(a: Matrix) -> str:
-    return "\n".join(" ".join(str(x) for x in row) for row in a)

@@ -13,6 +13,7 @@ positive system after the fixed flag reordering of coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -25,6 +26,7 @@ from .linalg import (
     transpose,
 )
 from .rootsys import Vector, WeylElement, build_root_system
+from .toruslat import TorusData, gamma_w
 
 Coord = tuple[str, int]  # ("z",0) | ("u",i) | ("w",i), i zero-based
 
@@ -109,13 +111,6 @@ class GroupContext:
         rho = tuple(Fraction(0) for _ in range(self.system.dim))
         for r in self.system.positive_roots:
             rho = tuple(a + b for a, b in zip(rho, r))
-        if self.label in ("SL", "GL"):
-            # epsilon-weights already sorted by the rho-functional
-            keyed = []
-            for idx, c in enumerate(self.coords):
-                w = self.weight_of(c)
-                keyed.append((-sum(a * b for a, b in zip(w, rho)), idx))
-            return tuple(idx for _, idx in sorted(keyed))
         keyed = []
         for idx, c in enumerate(self.coords):
             w = self.weight_of(c)
@@ -145,6 +140,23 @@ class GroupContext:
             if self.label == "SO-odd":
                 m[self._pos[("z", 0)]][self._pos[("z", 0)]] = field.one
         return tuple(tuple(row) for row in m)
+
+    def gamma_elements(self, field, w: WeylElement) -> list[Matrix]:
+        """Gamma_w(F) as sorted diagonal matrices; [] if F lacks a primitive
+        4th root of 1."""
+        omega = field.fourth_root_of_unity()
+        if omega is None:
+            return []
+        omega2 = field.mul(omega, omega)
+        powers = (field.one, omega, omega2, field.mul(omega2, omega))
+        torus = TorusData(self.system, w, "matrix")
+        gens = [g.lattice_coords for g in gamma_w(torus)[1]]
+        out = set()
+        for exps in product(range(4), repeat=len(gens)):
+            coords = [sum(e * g[i] for e, g in zip(exps, gens))
+                      for i in range(torus.n)]
+            out.add(self.torus(field, [powers[c % 4] for c in coords]))
+        return sorted(out)
 
     def root_element(self, field, root: Vector, c) -> Matrix:
         """The one-parameter root subgroup element x_root(c)."""
@@ -261,12 +273,9 @@ class GroupContext:
                 if nu != zero:
                     raise AssertionError("cell permutation moved the null weight")
                 continue
-            images[self._weight_key(mu)] = nu
+            images[mu] = nu
         w = self._weyl_from_eps_images(images)
         return w
-
-    def _weight_key(self, mu: Vector) -> tuple:
-        return tuple(mu)
 
     def _weyl_from_eps_images(self, images: dict) -> WeylElement:
         sys = self.system
@@ -277,7 +286,7 @@ class GroupContext:
             for i, coef in enumerate(a):
                 if coef:
                     e = tuple(Fraction(int(k == i)) for k in range(dim))
-                    target = images[self._weight_key(e)]
+                    target = images[e]
                     img = tuple(x + coef * y for x, y in zip(img, target))
             try:
                 cols.append(sys.coefficients(img))
@@ -396,14 +405,3 @@ def _prod(field, values):
     for v in values:
         out = field.mul(out, v)
     return out
-
-
-def group_context(label: str, rank: int) -> GroupContext:
-    return GroupContext(label, rank)
-
-
-def sl_class_dimension(field, g: Matrix) -> int:
-    """Class dimension inside SL via the GL centralizer (char-robust)."""
-    N = len(g)
-    ctx = GroupContext("SL", N - 1)
-    return ctx.class_dimension(field, g)

@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 from .fields import gf
@@ -164,6 +164,8 @@ def _cmd_verify_slice(config: RunConfig):
 def _cmd_sev_check(config: RunConfig):
     import random
 
+    from .fields import QQ
+    from .linalg import rank
     from .rootsys import build_root_system, involution_conjugacy_classes
     from .sevslice import (EigenBasisChoice, check_max_length,
                            minus_one_eigenbasis, positive_system)
@@ -187,15 +189,13 @@ def _cmd_sev_check(config: RunConfig):
                 while True:
                     coeffs = [[Fraction(rng.randint(-3, 3)) for _ in range(r)]
                               for _ in range(r)]
-                    from .sevslice import _rational_rank
-
                     vecs = []
                     for row in coeffs:
                         v = tuple(
                             sum(c * b[i] for c, b in zip(row, base))
                             for i in range(system.dim))
                         vecs.append(v)
-                    if _rational_rank(vecs) == r:
+                    if rank(QQ, vecs) == r:
                         break
                 choice = EigenBasisChoice(w, tuple(vecs))
                 ps = positive_system(choice)

@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .linalg import rank as _rank
 from .fields import QQ
+from .linalg import inverse, rank as _rank, solve
 
 Vector = tuple[Fraction, ...]
 
@@ -160,7 +160,11 @@ class RootSystem:
         self._simple_refl_mats = tuple(
             self._simple_reflection_matrix(i) for i in range(rank)
         )
-        self._gram_inv = self._span_projector()
+        #: inverse Gram matrix of the simple roots; row j holds the
+        #: simple-root coefficients of the fundamental coweight j
+        self.gram_inverse = inverse(QQ, tuple(
+            tuple(dot(a, b) for b in self.simple_roots)
+            for a in self.simple_roots))
 
     # -- construction helpers -------------------------------------------
 
@@ -190,29 +194,8 @@ class RootSystem:
 
     def _expand(self, root: Vector) -> tuple[int, ...]:
         """Integer coefficients of a root in the simple-root basis."""
-        cols = list(self.simple_roots)
-        aug = [[cols[j][i] for j in range(self.rank)] + [root[i]]
-               for i in range(self.dim)]
-        # Gaussian elimination over Q; the system is consistent by construction.
-        r = 0
-        pivots = []
-        for c in range(self.rank):
-            piv = next((i for i in range(r, self.dim) if aug[i][c] != 0), None)
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            pv = aug[r][c]
-            aug[r] = [x / pv for x in aug[r]]
-            for i in range(self.dim):
-                if i != r and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-            pivots.append(c)
-            r += 1
-        coeffs = [Fraction(0)] * self.rank
-        for row, c in enumerate(pivots):
-            coeffs[c] = aug[row][-1]
-        if any(x.denominator != 1 for x in coeffs):
+        coeffs = solve(QQ, tuple(zip(*self.simple_roots)), root)
+        if coeffs is None or any(x.denominator != 1 for x in coeffs):
             raise AssertionError("root with non-integer simple-root expansion")
         return tuple(int(x) for x in coeffs)
 
@@ -222,23 +205,6 @@ class RootSystem:
         for j in range(n):
             m[i][j] -= self.cartan[j][i]  # s_i(a_j) = a_j - <a_j, a_i^vee> a_i
         return tuple(tuple(row) for row in m)
-
-    def _span_projector(self):
-        """Data for exact projection of ambient vectors onto the root span."""
-        g = [[dot(a, b) for b in self.simple_roots] for a in self.simple_roots]
-        n = self.rank
-        aug = [list(map(Fraction, g[i])) + [Fraction(int(i == j)) for j in range(n)]
-               for i in range(n)]
-        for c in range(n):
-            piv = next(i for i in range(c, n) if aug[i][c] != 0)
-            aug[c], aug[piv] = aug[piv], aug[c]
-            pv = aug[c][c]
-            aug[c] = [x / pv for x in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-        return tuple(tuple(row[n:]) for row in aug)
 
     # -- basic queries ---------------------------------------------------
 
@@ -261,7 +227,7 @@ class RootSystem:
         """Rational coordinates of the span-component of v in the simple basis."""
         rhs = [dot(v, a) for a in self.simple_roots]
         return tuple(
-            sum((self._gram_inv[i][j] * rhs[j] for j in range(self.rank)),
+            sum((self.gram_inverse[i][j] * rhs[j] for j in range(self.rank)),
                 Fraction(0))
             for i in range(self.rank)
         )
@@ -379,8 +345,6 @@ class WeylElement:
         return WeylElement(self.system, out)
 
     def inv(self) -> "WeylElement":
-        from .linalg import inverse
-
         frac = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
         return WeylElement(self.system, tuple(
             tuple(int(x) for x in row) for row in inverse(QQ, frac)))
@@ -477,10 +441,6 @@ class WeylElement:
 @lru_cache(maxsize=None)
 def build_root_system(label: str, rank: int) -> RootSystem:
     return RootSystem(label, rank)
-
-
-def length(w: WeylElement) -> int:
-    return w.length()
 
 
 def longest_element(system: RootSystem, pi: Iterable[int]) -> WeylElement:
@@ -610,33 +570,16 @@ def subsystem_highest_root(system: RootSystem, roots: Iterable[Vector]) -> Vecto
     """Highest root of an irreducible root subsystem of `system`."""
     roots = list(roots)
     simples = subsystem_simples(system, roots)
+    gram = [[dot(a, b) for b in simples] for a in simples]
     best = None
     best_ht = None
     for r in subsystem_positive(system, roots):
         # height within the subsystem
-        coeffs = _sub_expand(r, simples)
-        ht = sum(coeffs)
+        ht = sum(solve(QQ, gram, [dot(r, a) for a in simples]))
         if best_ht is None or ht > best_ht:
             best, best_ht = r, ht
     assert best is not None
     return best
-
-
-def _sub_expand(root: Vector, simples: list[Vector]) -> list[Fraction]:
-    g = [[dot(a, b) for b in simples] for a in simples]
-    rhs = [dot(root, a) for a in simples]
-    n = len(simples)
-    aug = [list(map(Fraction, g[i])) + [rhs[i]] for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [aug[i][-1] for i in range(n)]
 
 
 def orthogonal_subsystem(system: RootSystem, v: Vector) -> list[Vector]:

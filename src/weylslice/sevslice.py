@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
+from .fields import QQ
+from .linalg import kernel, rank
 from .rootsys import RootSystem, Vector, WeylElement, conjugacy_class, dot
 
 
@@ -46,27 +48,8 @@ class EigenBasisChoice:
             img = self.w.apply_vector(v)
             if img != tuple(-x for x in v):
                 raise ValueError(f"basis vector {v} is not in the (-1)-eigenspace")
-        if _rational_rank(self.basis) != len(self.basis):
+        if rank(QQ, self.basis) != len(self.basis):
             raise ValueError("basis vectors are linearly dependent")
-
-
-def _rational_rank(vectors: Sequence[Vector]) -> int:
-    rows = [list(map(Fraction, v)) for v in vectors]
-    r = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
 
 
 @dataclass(frozen=True)
@@ -169,30 +152,4 @@ def minus_one_eigenbasis(w: WeylElement) -> tuple[Vector, ...]:
         e = tuple(Fraction(int(j == i)) for j in range(dim))
         img = w.apply_vector(e)
         cols.append(tuple(x + y for x, y in zip(e, img)))
-    rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    # kernel by elimination
-    m = [list(map(Fraction, row)) for row in rows]
-    piv_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(dim):
-        piv = next((i for i in range(r, dim) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(dim):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_of_col[c] = r
-        r += 1
-    free = [c for c in range(dim) if c not in piv_of_col]
-    basis = []
-    for c in free:
-        vec = [Fraction(0)] * dim
-        vec[c] = Fraction(1)
-        for pc, pr in piv_of_col.items():
-            vec[pc] = -m[pr][c]
-        basis.append(tuple(vec))
-    return tuple(basis)
+    return tuple(kernel(QQ, tuple(zip(*cols))))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .linalg import (
+    inverse,
     mat_mul,
     mat_pow,
     rank as mat_rank,
@@ -477,10 +478,6 @@ class SmoothnessVerdict:
     witness: Optional[str] = None
 
 
-def all_stratum_ids(group_type: str, rank: int) -> list[str]:
-    return sorted({d.stratum_id for d in sheet_catalog(group_type, rank)})
-
-
 def smoothness_verdict(group_type: str, rank: int, stratum_id: str) -> SmoothnessVerdict:
     """Smooth/singular verdict for a stratum of spherical classes.
 
@@ -595,10 +592,8 @@ def _classify_sl3(field, g):
     return None
 
 
-def _min_quadratic_mu(ctx, field, g):
+def _min_quadratic_mu(field, g):
     """mu with g + g^{-1} = mu * I, if it exists."""
-    from .linalg import inverse
-
     try:
         ginv = inverse(field, g)
     except ZeroDivisionError:
@@ -628,7 +623,7 @@ def _classify_sp4(ctx, field, g):
     gsq = mat_mul(field, g, g)
     if _is_scalar(field, gsq) and gsq[0][0] == one:
         return SphericalTag("involution diag(-1,-1,1,1)", 4, None, None)
-    mu = _min_quadratic_mu(ctx, field, g)
+    mu = _min_quadratic_mu(field, g)
     if mu is not None and mu != field.of(2) and mu != field.of(-2):
         return SphericalTag("semisimple (l,l,1/l,1/l)", 6, "B2-sheet", "w0")
     # semisimple (1,1,l,1/l) up to the centre:

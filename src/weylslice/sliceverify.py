@@ -17,7 +17,6 @@ from .families import (
     AFamily,
     BFamilyS,
     CFamilyS2,
-    Component,
     DFamilyR,
     DFamilyS,
     ETuplePoint,
@@ -29,14 +28,7 @@ from .families import (
     family_for,
 )
 from .fields import QQ, gf
-from .linalg import (
-    identity,
-    inverse,
-    mat_mul,
-    rank as mat_rank,
-    scalar_shift,
-    unipotent_partition,
-)
+from .linalg import inverse, mat_mul, solve, unipotent_partition
 from .rootsys import (
     build_root_system,
     dot,
@@ -272,28 +264,10 @@ def certify_components(
 
 def gamma_group_elements(fam, field):
     """All elements of Gamma_{w_S} realized as diagonal matrices over field."""
-    ctx = fam.ctx
-    torus = TorusData(ctx.system, fam.w, "matrix")
-    _, gens = gamma_w(torus)
-    omega = field.fourth_root_of_unity()
-    if omega is None:
+    gammas = fam.ctx.gamma_elements(field, fam.w)
+    if not gammas:
         raise ExtensionRequired("Gamma_w needs a primitive 4th root of unity")
-    out = []
-    n = len(gens)
-    for mask in range(4**n):
-        exps = []
-        m = mask
-        for _ in range(n):
-            exps.append(m % 4)
-            m //= 4
-        coords = [0] * torus.n
-        for g, e in zip(gens, exps):
-            coords = [c + e * x for c, x in zip(coords, g.lattice_coords)]
-        vals = []
-        for c in coords:
-            vals.append(_power(field, omega, c))
-        out.append(ctx.torus(field, vals))
-    return sorted(set(out))
+    return gammas
 
 
 def _power(field, x, k: int):
@@ -682,34 +656,10 @@ def _lattice_equal(gens_a, gens_b) -> bool:
 
     def contains(basis, vectors):
         # solve basis * x = v over Q and require integer solutions
-        rows = len(basis[0])
+        cols = tuple(zip(*basis))
         for v in vectors:
-            aug = [[Fraction(basis[j][i]) for j in range(len(basis))]
-                   + [Fraction(v[i])] for i in range(rows)]
-            r = 0
-            piv = []
-            for c in range(len(basis)):
-                p = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-                if p is None:
-                    continue
-                aug[r], aug[p] = aug[p], aug[r]
-                pv = aug[r][c]
-                aug[r] = [x / pv for x in aug[r]]
-                for i in range(rows):
-                    if i != r and aug[i][c] != 0:
-                        f = aug[i][c]
-                        aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-                piv.append(c)
-                r += 1
-            sol = [Fraction(0)] * len(basis)
-            for row, c in enumerate(piv):
-                sol[c] = aug[row][-1]
-            for i in range(rows):
-                acc = sum(Fraction(basis[j][i]) * sol[j]
-                          for j in range(len(basis)))
-                if acc != v[i]:
-                    return False
-            if any(s.denominator != 1 for s in sol):
+            sol = solve(QQ, cols, v)
+            if sol is None or any(x.denominator != 1 for x in sol):
                 return False
         return True
 

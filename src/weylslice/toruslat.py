@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .fields import QQ
+from .linalg import solve
 from .rootsys import RootSystem, WeylElement, dot
 
 IntMatrix = list[list[int]]
@@ -243,20 +245,8 @@ def _int_mat_mul(a, b):
 
 def _solve_in_basis(basis, target) -> list[int]:
     """Integer coordinates of `target` in `basis` (exact; rejects non-lattice)."""
-    g = [[dot(a, b) for b in basis] for a in basis]
-    rhs = [dot(target, a) for a in basis]
-    n = len(basis)
-    aug = [list(map(Fraction, g[i])) + [rhs[i]] for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    coords = [aug[i][-1] for i in range(n)]
+    coords = solve(QQ, [[dot(a, b) for b in basis] for a in basis],
+                   [dot(target, a) for a in basis])
     if any(x.denominator != 1 for x in coords):
         raise ValueError("vector is not in the lattice")
     return [int(x) for x in coords]
@@ -269,24 +259,7 @@ def _cocharacter_basis(system: RootSystem, isogeny: str):
         ]
     if isogeny == "ad":
         # fundamental coweights: (alpha_i, pi_j) = delta_ij within the span
-        n = system.rank
-        out = []
-        for j in range(n):
-            g = [[dot(a, b) for b in system.simple_roots] for a in system.simple_roots]
-            rhs = [Fraction(int(i == j)) for i in range(n)]
-            aug = [list(map(Fraction, g[i])) + [rhs[i]] for i in range(n)]
-            for c in range(n):
-                piv = next(i for i in range(c, n) if aug[i][c] != 0)
-                aug[c], aug[piv] = aug[piv], aug[c]
-                pv = aug[c][c]
-                aug[c] = [x / pv for x in aug[c]]
-                for i in range(n):
-                    if i != c and aug[i][c] != 0:
-                        f = aug[i][c]
-                        aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-            coeffs = [aug[i][-1] for i in range(n)]
-            out.append(system.from_coefficients(coeffs))
-        return out
+        return [system.from_coefficients(row) for row in system.gram_inverse]
     # natural diagonal lattice of the standard matrix group
     if system.label in ("B", "C", "D"):
         n = system.rank

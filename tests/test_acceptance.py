@@ -78,10 +78,12 @@ def test_criterion_3_sevostyanov_suite():
     import random
     from fractions import Fraction
 
+    from weylslice.fields import QQ
+    from weylslice.linalg import rank
     from weylslice.rootsys import involution_conjugacy_classes
     from weylslice.sevslice import (EigenBasisChoice, check_max_length,
                                     fixed_roots, minus_one_eigenbasis,
-                                    positive_system, _rational_rank)
+                                    positive_system)
 
     rng = random.Random(0)
     for t, n in [("A", 3), ("B", 3), ("B", 4), ("D", 4)]:
@@ -98,7 +100,7 @@ def test_criterion_3_sevostyanov_suite():
                     vecs = [tuple(sum(c * b[i] for c, b in zip(row, base))
                                   for i in range(system.dim))
                             for row in rows]
-                    if _rational_rank(vecs) == r:
+                    if rank(QQ, vecs) == r:
                         break
                 ps = positive_system(EigenBasisChoice(w, tuple(vecs)))
                 ps.validate()

@@ -11,13 +11,16 @@ from weylslice.linalg import (
     det,
     identity,
     inverse,
+    kernel,
     mat,
     mat_mul,
+    mat_pow,
     parse_matrix,
     poly_divmod,
     poly_eval,
     poly_gcd,
     rank,
+    solve,
     squarefree_part,
     unipotent_partition,
 )
@@ -79,6 +82,48 @@ def test_rank_and_inverse():
     assert rank(F, mat([[1, 2], [2, 4]])) == 1
     assert rank(QQ, identity(QQ, 4)) == 4
     assert rank(QQ, mat([[Fraction(0)] * 3] * 3)) == 0
+
+
+def test_solve_over_q():
+    a = mat([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)],
+             [Fraction(1), Fraction(-2)]])
+    x = solve(QQ, a, (Fraction(1), Fraction(2), Fraction(-1)))
+    assert x == (Fraction(1, 5), Fraction(3, 5))
+    assert all(type(c) is Fraction for c in x)
+    # (1, 0, 0) is off the column span of a
+    assert solve(QQ, a, (Fraction(1), Fraction(0), Fraction(0))) is None
+    with pytest.raises(ValueError):
+        solve(QQ, mat([[1, 2], [2, 4]]), (1, 2))
+
+
+def test_kernel_canonical_basis():
+    a = mat([[1, 2, 0, -1], [2, 4, 1, 1], [3, 6, 1, 0]])
+    assert kernel(QQ, a) == [
+        (Fraction(-2), Fraction(1), Fraction(0), Fraction(0)),
+        (Fraction(1), Fraction(0), Fraction(-3), Fraction(1)),
+    ]
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    min_size=1, max_size=4)))
+@settings(max_examples=60, deadline=None)
+def test_kernel_is_complement_of_rank(rows):
+    a = mat([[Fraction(x) for x in r] for r in rows])
+    ker = kernel(QQ, a)
+    assert len(ker) + rank(QQ, a) == len(rows[0])
+    zero = (Fraction(0),) * len(rows)
+    assert all(tuple(sum(x * y for x, y in zip(r, v)) for r in a) == zero
+               for v in ker)
+
+
+@pytest.mark.parametrize("field", [gf(7), QQ], ids=["F7", "QQ"])
+def test_mat_pow_matches_repeated_products(field):
+    m = mat([[field.of(x) for x in r] for r in [[1, 2, 0], [3, 1, 1], [0, 2, 5]]])
+    power = identity(field, 3)
+    for k in range(7):
+        assert mat_pow(field, m, k) == power
+        power = mat_mul(field, power, m)
 
 
 @given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3),

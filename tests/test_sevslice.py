@@ -124,7 +124,8 @@ def test_unfixed_positives_are_inverted():
 
 
 def _random_recombination(rng, base, dim):
-    from weylslice.sevslice import _rational_rank
+    from weylslice.fields import QQ
+    from weylslice.linalg import rank
 
     r = len(base)
     while True:
@@ -132,7 +133,7 @@ def _random_recombination(rng, base, dim):
                 for _ in range(r)]
         vecs = [tuple(sum(c * b[i] for c, b in zip(row, base))
                       for i in range(dim)) for row in rows]
-        if _rational_rank(vecs) == r:
+        if rank(QQ, vecs) == r:
             return tuple(vecs)
 
 
