@@ -2,9 +2,15 @@
 
 Enumerates SL2/SL3/Sp4/SO5 over small fields by generator closure, expands
 conjugacy classes, decodes Bruhat cells, and replays the dimension formula
-and slice-orbit claims pointwise.  All group arithmetic here runs on flat
-integer tuples with its own modular loops; the only shared machinery is
-the element constructors and the Weyl-group combinatorics being tested.
+and slice-orbit claims pointwise.  Group elements are flat tuples multiplied
+by this module's own loops (`_mul_factory`); every orbit (the group itself,
+its classes, B(F_q)-orbits, Gamma_w-orbits) is `rootsys.closure` under a
+generator step.  Shared with the code under test: the `matgroups`
+constructors and Bruhat decoding (`linalg.det`, `linalg.bruhat_permutation`),
+the Weyl-group combinatorics, and `linalg` `inverse`, `mat_mul`, `charpoly`
+and `rank` (class dimensions).  Closed forms guard the oracle itself:
+enumeration must hit the order formula, the classes must partition the
+group, and every cell must have |BwB| = |B| q^l(w).
 """
 
 from __future__ import annotations
@@ -14,9 +20,11 @@ from functools import lru_cache
 from typing import Optional
 
 from .fields import ExtField, PrimeField, gf
-from .linalg import Matrix
+from .linalg import (Matrix, charpoly, inverse, mat_mul, poly_eval_matrix,
+                     squarefree_part)
 from .matgroups import GroupContext
-from .rootsys import WeylElement, bruhat_leq, minus_one_rank
+from .rootsys import (BudgetError, WeylElement, bruhat_leq, closure,
+                      conjugacy_class as weyl_class, minus_one_rank)
 from .sheetcat import classify_spherical, expected_w_element
 
 ENUMERATION_BUDGET = 2_000_000
@@ -27,10 +35,6 @@ ORDER_FORMULAS = {
     ("Sp", 2): lambda q: q**4 * (q**2 - 1) * (q**4 - 1),
     ("SO-odd", 2): lambda q: q**4 * (q**2 - 1) * (q**4 - 1),
 }
-
-
-class BudgetError(ValueError):
-    pass
 
 
 def _flat(m: Matrix) -> tuple:
@@ -76,10 +80,11 @@ def _mul_factory(field, n: int):
     return mul
 
 
-def _inv_flat(field, flat: tuple, n: int) -> tuple:
-    from .linalg import inverse
-
-    return _flat(inverse(field, _unflat(flat, n)))
+def _conjugation(field, n: int, gens):
+    """The orbit step x -> [g x g^-1 for g in gens] on flat n x n matrices."""
+    mul = _mul_factory(field, n)
+    pairs = [(g, _flat(inverse(field, _unflat(g, n)))) for g in gens]
+    return lambda x: [mul(mul(g, x), gi) for g, gi in pairs]
 
 
 @dataclass
@@ -92,7 +97,6 @@ class OracleGroup:
     size: int
     elements: tuple
     generators: tuple
-    mul: object
     order: int
 
 
@@ -126,13 +130,7 @@ def _generators(ctx: GroupContext, field) -> list[tuple]:
         if ctx.label == "SL":
             vals[(slot + 1) % nvals] = field.inv(gen_unit)
         gens.append(_flat(ctx.torus(field, vals)))
-    out = []
-    seen = set()
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
-    return out
+    return list(dict.fromkeys(gens))
 
 
 @lru_cache(maxsize=None)
@@ -160,25 +158,14 @@ def enumerate_group(label: str, rank: int, q: int) -> OracleGroup:
     ident = _flat(tuple(
         tuple(field.one if i == j else field.zero for j in range(ctx.size))
         for i in range(ctx.size)))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    if len(seen) != expected:
+    elements = closure([ident], lambda x: [mul(x, g) for g in gens])
+    if len(elements) != expected:
         raise AssertionError(
-            f"enumerated {len(seen)} elements of {label}{rank}(F_{q}), "
+            f"enumerated {len(elements)} elements of {label}{rank}(F_{q}), "
             f"order formula gives {expected}")
     return OracleGroup(
         label=label, rank=rank, q=q, field=field, ctx=ctx, size=ctx.size,
-        elements=tuple(sorted(seen)), generators=gens, mul=mul,
-        order=expected)
+        elements=tuple(sorted(elements)), generators=gens, order=expected)
 
 
 @dataclass(frozen=True)
@@ -191,52 +178,23 @@ class ClassData:
 def expand_class(ctx: GroupContext, field, rep: Matrix,
                  budget: int = 300_000) -> ClassData:
     """Full conjugation orbit of `rep` under the group, by generator closure."""
-    mul = _mul_factory(field, ctx.size)
-    gens = _generators(ctx, field)
-    gen_invs = [_inv_flat(field, g, ctx.size) for g in gens]
-    start = _flat(rep)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, gi in zip(gens, gen_invs):
-                y = mul(mul(g, x), gi)
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) > budget:
-                        raise BudgetError("class expansion exceeded budget")
-                    nxt.append(y)
-        frontier = nxt
-    return ClassData(rep=start, elements=frozenset(seen), size=len(seen))
+    step = _conjugation(field, ctx.size, _generators(ctx, field))
+    orbit = closure([_flat(rep)], step, budget)
+    return ClassData(rep=orbit[0], elements=frozenset(orbit), size=len(orbit))
 
 
 def conjugacy_classes(group: OracleGroup) -> list[ClassData]:
     """All conjugacy classes; sizes sum to the group order."""
-    gens = group.generators
-    gen_invs = [_inv_flat(group.field, g, group.size) for g in gens]
-    mul = group.mul
-    assigned = {}
+    step = _conjugation(group.field, group.size, group.generators)
+    assigned: set = set()
     classes = []
     for e in group.elements:
         if e in assigned:
             continue
-        seen = {e}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, gi in zip(gens, gen_invs):
-                    y = mul(mul(g, x), gi)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        cls = ClassData(rep=min(seen), elements=frozenset(seen),
-                        size=len(seen))
-        classes.append(cls)
-        for x in seen:
-            assigned[x] = True
+        orbit = closure([e], step)
+        classes.append(ClassData(rep=min(orbit), elements=frozenset(orbit),
+                                 size=len(orbit)))
+        assigned.update(orbit)
     total = sum(c.size for c in classes)
     if total != group.order:
         raise AssertionError("classes do not partition the group")
@@ -245,32 +203,16 @@ def conjugacy_classes(group: OracleGroup) -> list[ClassData]:
 
 # -- Bruhat cells -----------------------------------------------------------
 
-def _cell_decoder(group_or_ctx, field):
-    """Returns flat -> WeylElement, caching by decoded permutation."""
-    ctx = group_or_ctx.ctx if isinstance(group_or_ctx, OracleGroup) else group_or_ctx
-    cache: dict = {}
-
-    def decode(flat):
-        w = ctx.bruhat_word(field, _unflat(flat, ctx.size))
-        key = w.matrix
-        if key not in cache:
-            cache[key] = w
-        return cache[key]
-
-    return decode
-
-
 def cell_partition_check(group: OracleGroup) -> dict:
     """|BwB| = |B| q^{l(w)} for every cell, and the cells partition G."""
-    decode = _cell_decoder(group, group.field)
+    ctx, field, n = group.ctx, group.field, group.size
     counts: dict = {}
     for e in group.elements:
-        w = decode(e)
+        w = ctx.bruhat_word(field, _unflat(e, n))
         counts[w] = counts.get(w, 0) + 1
     q = group.q
-    n_pos = len(group.ctx.system.positive_roots)
-    torus_order = (q - 1) ** (group.rank if group.label != "SL"
-                              else group.rank)
+    n_pos = len(ctx.system.positive_roots)
+    torus_order = (q - 1) ** group.rank
     b_order = torus_order * q**n_pos
     mismatches = []
     for w, size in counts.items():
@@ -295,12 +237,9 @@ class WOfClassReport:
 
 def w_of_class(group_ctx, field, cls: ClassData) -> WOfClassReport:
     """Bruhat-maximal cell among those meeting the class."""
-    decode = _cell_decoder(group_ctx, field)
-    incident = {}
-    for e in cls.elements:
-        w = decode(e)
-        incident[w.matrix] = w
-    ws = list(incident.values())
+    ctx = group_ctx.ctx if isinstance(group_ctx, OracleGroup) else group_ctx
+    ws = list(dict.fromkeys(ctx.bruhat_word(field, _unflat(e, ctx.size))
+                            for e in cls.elements))
     best = max(ws, key=lambda w: w.length())
     unique = all(bruhat_leq(w, best) for w in ws)
     return WOfClassReport(w_max=best, incident=ws, unique_max=unique)
@@ -338,8 +277,6 @@ def verify_dimension_formula(group: OracleGroup, cls: ClassData) -> DimensionRep
     expected_match = None
     if tag is not None and tag.w_class is not None:
         expected = expected_w_element(ctx.system, tag.w_class)
-        from .rootsys import conjugacy_class as weyl_class
-
         expected_match = w_max in weyl_class(expected)
         if tag.w_class in ("w0", "identity"):
             expected_match = w_max == expected
@@ -364,56 +301,30 @@ def borel_orbit_report(group: OracleGroup, cls: ClassData,
     into several B(F_q)-orbits; this reports the split and the share of the
     class sitting in the top cell, and never asserts a single orbit.
     """
-    ctx, field = group.ctx, group.field
-    decode = _cell_decoder(group, field)
-    top = frozenset(e for e in cls.elements if decode(e) == w)
+    ctx, field, n = group.ctx, group.field, group.size
+
+    def cell(e):
+        return ctx.bruhat_word(field, _unflat(e, n))
+
+    top = frozenset(e for e in cls.elements if cell(e) == w)
     if not top:
         return {"top_cell_points": 0, "orbit_sizes": [], "top_share": 0.0}
-    mul = group.mul
-    bgens = []
-    units = [u for u in field.elements() if not field.is_zero(u)]
-    nvals = ctx.rank + 1 if ctx.label == "SL" else ctx.rank
-    gen_unit = units[1] if len(units) > 1 else units[0]
-    for slot in range(nvals):
-        vals = [field.one] * nvals
-        vals[slot] = gen_unit
-        if ctx.label == "SL":
-            vals[(slot + 1) % nvals] = field.inv(gen_unit)
-        bgens.append(_flat(ctx.torus(field, vals)))
-    # all of T(F_q) is generated once root subgroups are closed over; add the
-    # full generator list restricted to B to be safe
-    for g in _generators(ctx, field):
-        if decode(g).is_identity():
-            bgens.append(g)
+    # the identity-cell generators (torus and positive simple root elements)
+    # already generate T(F_q); add every positive root subgroup
+    bgens = [g for g in _generators(ctx, field) if cell(g).is_identity()]
+    coeffs = list(field.units()) if isinstance(field, ExtField) else [field.one]
     for root in ctx.system.positive_roots:
-        coeffs = [field.one]
-        if isinstance(field, ExtField):
-            coeffs = list(field.units())
         for c in coeffs:
             bgens.append(_flat(ctx.root_element(field, root, c)))
-    bgens = list(dict.fromkeys(bgens))
-    bgen_invs = [_inv_flat(field, g, ctx.size) for g in bgens]
+    step = _conjugation(field, n, dict.fromkeys(bgens))
     remaining = set(top)
     sizes = []
     while remaining:
-        start = min(remaining)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, gi in zip(bgens, bgen_invs):
-                    y = mul(mul(g, x), gi)
-                    if y not in seen:
-                        seen.add(y)
-                        if len(seen) > budget:
-                            raise BudgetError("Borel orbit exceeded budget")
-                        nxt.append(y)
-            frontier = nxt
-        if not seen <= top:
+        orbit = closure([min(remaining)], step, budget)
+        if not top.issuperset(orbit):
             raise AssertionError("B-conjugation left the top cell")
-        sizes.append(len(seen))
-        remaining -= seen
+        sizes.append(len(orbit))
+        remaining.difference_update(orbit)
     return {
         "top_cell_points": len(top),
         "orbit_sizes": sorted(sizes, reverse=True),
@@ -445,8 +356,6 @@ class SliceOrbitReport:
 def slice_points(ctx: GroupContext, field, w: WeylElement,
                  wdot: Optional[Matrix] = None):
     """All F_q points of wdot T^w U^w, with the U^w coefficient order fixed."""
-    from .linalg import mat_mul
-
     if wdot is None:
         wdot = ctx.weyl_representative(field, w)
     roots = ctx.inverted_positive_roots(w)
@@ -494,15 +403,10 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
     closed = True
     orbits_base = None
     if gammas:
-        mul = _mul_factory(field, ctx.size)
-        gflats = [_flat(g) for g in gammas]
-        ginvs = [_inv_flat(field, g, ctx.size) for g in gflats]
+        step = _conjugation(field, ctx.size, [_flat(g) for g in gammas])
         inter_set = set(inter)
-        for x in inter:
-            for g, gi in zip(gflats, ginvs):
-                if mul(mul(g, x), gi) not in inter_set:
-                    closed = False
-        orbits_base = _orbit_count(inter, gflats, ginvs, mul)
+        closed = all(y in inter_set for x in inter for y in step(x))
+        orbits_base = _orbit_count(inter, step)
     else:
         extension_used = True
         caveats.append(
@@ -511,24 +415,14 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
     if not transitive and len(inter) > 1:
         # relate all points through extension-field Gamma elements
         ext = gf(q * q)
-        gammas2 = ctx.gamma_elements(ext, w)
-        mul2 = _mul_factory(ext, ctx.size)
-        gflats2 = [_flat(g) for g in gammas2]
-        ginvs2 = [_inv_flat(ext, g, ctx.size) for g in gflats2]
-        base = inter[0]  # base-field ints embed as constant digits
-        reached = {mul2(mul2(g, base), gi)
-                   for g, gi in zip(gflats2, ginvs2)}
+        step2 = _conjugation(ext, ctx.size,
+                             [_flat(g) for g in ctx.gamma_elements(ext, w)])
+        # base-field ints embed as constant digits
+        reached = step2(inter[0])
         if gammas:
             # closure under the full extension group of the base orbit
-            frontier = list(reached)
-            while frontier:
-                z = frontier.pop()
-                for g, gi in zip(gflats2, ginvs2):
-                    y = mul2(mul2(g, z), gi)
-                    if y not in reached:
-                        reached.add(y)
-                        frontier.append(y)
-        transitive = all(x in reached for x in inter)
+            reached = closure(reached, step2)
+        transitive = set(inter) <= set(reached)
         if transitive and orbits_base != 1:
             extension_used = True
             caveats.append("transitivity needed Gamma points over the "
@@ -561,9 +455,6 @@ def _nonempty_over_extension(ctx: GroupContext, field, cls: ClassData,
     result is certified at the invariant level (characteristic polynomial
     plus the squarefree minimal-polynomial annihilator).
     """
-    from .linalg import (charpoly, inverse, mat_mul, poly_eval_matrix,
-                         squarefree_part)
-
     q = field.order
     if wdot is None:
         wdot = ctx.weyl_representative(field, w)
@@ -623,9 +514,6 @@ def _verify_extension_proposals(ctx: GroupContext, field, cls: ClassData,
                                 w: WeylElement, proposals,
                                 wdot=None) -> tuple[bool, str]:
     """Check caller-proposed F_{q^2} slice points structurally and by invariants."""
-    from .linalg import (charpoly, inverse, mat_mul, poly_eval_matrix,
-                         squarefree_part)
-
     q = field.order
     ext = gf(q * q)
     if wdot is None:
@@ -659,21 +547,15 @@ def _verify_extension_proposals(ctx: GroupContext, field, cls: ClassData,
                    "proposal verified")
 
 
-def _orbit_count(points, gflats, ginvs, mul) -> int:
+def _orbit_count(points, step) -> int:
+    """Number of classes of `points` under the moves of `step` that stay
+    inside `points`."""
     unassigned = set(points)
     orbits = 0
     while unassigned:
-        start = min(unassigned)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            z = frontier.pop()
-            for g, gi in zip(gflats, ginvs):
-                y = mul(mul(g, z), gi)
-                if y in unassigned and y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        unassigned -= orbit
+        unassigned.difference_update(closure(
+            [min(unassigned)],
+            lambda z: [y for y in step(z) if y in unassigned]))
         orbits += 1
     return orbits
 
@@ -735,8 +617,6 @@ def normalize_to_fixed_torus(ctx: GroupContext, field, x: Matrix,
     Searches the F_q points of (T_w)deg; reports the quadratic extension
     when no square root exists rationally.
     """
-    from .linalg import inverse, mat_mul
-
     tu = mat_mul(field, inverse(field, wdot), x)
     n = ctx.size
     t_diag = [tu[i][i] for i in range(n)]

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .fields import QQ
-from .linalg import inverse, rank as _rank, solve
+from .linalg import inverse, rank as _rank, rref, solve
 
 Vector = tuple[Fraction, ...]
 
@@ -49,6 +49,36 @@ _VALID = {
     "F": lambda n: n == 4,
     "G": lambda n: n == 2,
 }
+
+
+class BudgetError(ValueError):
+    pass
+
+
+def closure(seeds: Iterable[Hashable],
+            step: Callable[[Hashable], Iterable[Hashable]],
+            budget: Optional[int] = None) -> list:
+    """Everything reachable from `seeds` under `step`, in breadth-first order.
+
+    `step(x)` lists the neighbours of x; repeats (seeds included) are dropped
+    at first sight.  Raises BudgetError once more than `budget` elements
+    are found.  This is the orbit algorithm of Holt-Eick-O'Brien,
+    *Handbook of Computational Group Theory*, ch. 4.
+    """
+    limit = float("inf") if budget is None else budget
+    seen = dict.fromkeys(seeds)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in step(x):
+                if y not in seen:
+                    seen[y] = None
+                    nxt.append(y)
+            if len(seen) > limit:
+                raise BudgetError(f"orbit exceeded its budget of {budget}")
+        frontier = nxt
+    return list(seen)
 
 
 def _frac_vec(entries) -> Vector:
@@ -141,9 +171,10 @@ class RootSystem:
         simples, dim = _simple_roots(label, rank)
         self.dim = dim
         self.simple_roots: tuple[Vector, ...] = tuple(simples)
-        self.roots: tuple[Vector, ...] = self._generate_roots()
+        self.roots: tuple[Vector, ...] = tuple(sorted(closure(
+            simples, lambda r: [self.reflect(r, s) for s in simples])))
         self._index = {r: i for i, r in enumerate(self.roots)}
-        self._coeffs = tuple(self._expand(r) for r in self.roots)
+        self._coeffs = self._expand_all()
         self.positive_roots: tuple[Vector, ...] = tuple(
             r for r, c in zip(self.roots, self._coeffs) if all(x >= 0 for x in c)
         )
@@ -178,26 +209,17 @@ class RootSystem:
     def reflect(self, v: Vector, root: Vector) -> Vector:
         return _sub(v, _scale(2 * dot(v, root) / dot(root, root), root))
 
-    def _generate_roots(self) -> tuple[Vector, ...]:
-        found = set(self.simple_roots)
-        frontier = list(self.simple_roots)
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for s in self.simple_roots:
-                    img = self.reflect(r, s)
-                    if img not in found:
-                        found.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return tuple(sorted(found))
-
-    def _expand(self, root: Vector) -> tuple[int, ...]:
-        """Integer coefficients of a root in the simple-root basis."""
-        coeffs = solve(QQ, tuple(zip(*self.simple_roots)), root)
-        if coeffs is None or any(x.denominator != 1 for x in coeffs):
+    def _expand_all(self) -> tuple[tuple[int, ...], ...]:
+        """Integer simple-root coefficients of every root, from one rref of
+        the matrix with columns [simple roots | roots]."""
+        n = self.rank
+        m, pivots = rref(QQ, tuple(zip(*self.simple_roots, *self.roots)))
+        coeffs = tuple(tuple(m[i][n + j] for i in range(n))
+                       for j in range(len(self.roots)))
+        if pivots != list(range(n)) or any(
+                x.denominator != 1 for c in coeffs for x in c):
             raise AssertionError("root with non-integer simple-root expansion")
-        return tuple(int(x) for x in coeffs)
+        return tuple(tuple(int(x) for x in c) for c in coeffs)
 
     def _simple_reflection_matrix(self, i: int) -> tuple[tuple[int, ...], ...]:
         n = self.rank
@@ -273,34 +295,14 @@ class RootSystem:
         rho = tuple(Fraction(0) for _ in range(self.dim))
         for r in self.positive_roots:
             rho = _add(rho, r)
-        seen = {rho}
-        frontier = [rho]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for a in self.simple_roots:
-                    img = self.reflect(v, a)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return len(seen)
+        return len(closure(
+            [rho], lambda v: [self.reflect(v, a) for a in self.simple_roots]))
 
     def all_elements(self) -> list["WeylElement"]:
         """Every Weyl group element, by closure (small ranks only)."""
-        e = self.identity_element()
-        seen = {e.matrix: e}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in range(self.rank):
-                    ws = w.mul(self.simple_reflection(i))
-                    if ws.matrix not in seen:
-                        seen[ws.matrix] = ws
-                        nxt.append(ws)
-            frontier = nxt
-        return list(seen.values())
+        refl = [self.simple_reflection(i) for i in range(self.rank)]
+        return closure([self.identity_element()],
+                       lambda w: [w.mul(s) for s in refl])
 
     def debug_dump(self) -> str:
         """Root list in coordinate form, one root per line."""
@@ -510,18 +512,7 @@ def conjugacy_class(w: WeylElement) -> tuple[WeylElement, ...]:
         return _CLASS_CACHE[key]
     sys = w.system
     refl = [sys.simple_reflection(i) for i in range(sys.rank)]
-    seen = {w.matrix: w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in refl:
-                y = s.mul(x).mul(s)
-                if y.matrix not in seen:
-                    seen[y.matrix] = y
-                    nxt.append(y)
-        frontier = nxt
-    out = tuple(seen.values())
+    out = tuple(closure([w], lambda x: [s.mul(x).mul(s) for s in refl]))
     _CLASS_CACHE[key] = out
     return out
 

@@ -89,6 +89,26 @@ def test_borel_orbit_report():
     assert sum(rep["orbit_sizes"]) == rep["top_cell_points"]
 
 
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_borel_orbits_of_regular_unipotent_sl2(q):
+    # the class of ((1,1),(0,1)) has (q^2-1)/2 elements; q(q-1)/2 of them
+    # lie in the top cell, and B(F_q) acts on those transitively
+    g = enumerate_group("SL", 1, q)
+    cls = expand_class(g.ctx, g.field, ((1, 1), (0, 1)))
+    assert cls.size == (q * q - 1) // 2
+    top = build_root_system("A", 1).simple_reflection(0)
+    rep = borel_orbit_report(g, cls, top)
+    assert rep["top_cell_points"] == q * (q - 1) // 2
+    assert rep["orbit_sizes"] == [q * (q - 1) // 2]
+
+
+def test_expand_class_budget():
+    g = enumerate_group("SL", 1, 5)
+    assert expand_class(g.ctx, g.field, ((1, 1), (0, 1))).size == 12
+    with pytest.raises(BudgetError):
+        expand_class(g.ctx, g.field, ((1, 1), (0, 1)), budget=5)
+
+
 def test_slice_orbit_sl2_f5():
     a1 = build_root_system("A", 1)
     s1 = a1.simple_reflection(0)

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylslice.rootsys import (
+    BudgetError,
     bruhat_leq,
     build_root_system,
+    closure,
     conjugacy_class,
     dot,
     involution_conjugacy_classes,
@@ -257,3 +259,15 @@ def test_debug_dump():
     dump = rs.debug_dump()
     assert dump.splitlines()[0] == "B2 roots (8)"
     assert len(dump.splitlines()) == 9
+
+
+def test_closure_breadth_first():
+    def step(x):
+        return [(x + 1) % 5, 2 * x % 5]
+
+    assert closure([0], step) == [0, 1, 2, 3, 4]
+    # seeds first, repeats dropped, then level by level
+    assert closure([3, 0, 3], step) == [3, 0, 4, 1, 2]
+    assert closure([0], step, budget=5) == [0, 1, 2, 3, 4]
+    with pytest.raises(BudgetError):
+        closure([0], step, budget=4)
