@@ -121,10 +121,8 @@ class BFamilyS:
         for j in range(n):
             X[0][1 + n + j] = field.mul(u0, v[j])
         EQ = [[field.mul(E[i], Q[i][j]) for j in range(n)] for i in range(n)]
-        EQv = [fsum(field, (field.mul(EQ[i][j], v[j]) for j in range(n)))
-               for i in range(n)]
-        EQM = [[fsum(field, (field.mul(EQ[i][k], M[k][j]) for k in range(n)))
-                for j in range(n)] for i in range(n)]
+        EQv = [field.dot(row, v) for row in EQ]
+        EQM = mat_mul(field, EQ, M)
         for i in range(n):
             for j in range(n):
                 X[1 + i][1 + n + j] = field.mul(E[i], Qt_inv[i][j])
@@ -374,8 +372,7 @@ class CFamilyS2:
         N = 2 * n
         out = [[zero] * N for _ in range(N)]
         EV = [[field.mul(E[i], V[i][j]) for j in range(n)] for i in range(n)]
-        EVX = [[fsum(field, (field.mul(EV[i][k], Xs[k][j]) for k in range(n)))
-                for j in range(n)] for i in range(n)]
+        EVX = mat_mul(field, EV, Xs)
         for i in range(n):
             for j in range(n):
                 out[i][n + j] = field.mul(E[i], Vt_inv[i][j])

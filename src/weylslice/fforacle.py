@@ -236,11 +236,15 @@ class WOfClassReport:
 
 
 def w_of_class(group_ctx, field, cls: ClassData) -> WOfClassReport:
-    """Bruhat-maximal cell among those meeting the class."""
+    """Bruhat-maximal cell among those meeting the class.
+
+    Cells are sorted by (length, reduced word), so ties in length go to the
+    larger word and the report does not depend on the frozenset's order."""
     ctx = group_ctx.ctx if isinstance(group_ctx, OracleGroup) else group_ctx
-    ws = list(dict.fromkeys(ctx.bruhat_word(field, _unflat(e, ctx.size))
-                            for e in cls.elements))
-    best = max(ws, key=lambda w: w.length())
+    ws = sorted(set(ctx.bruhat_word(field, _unflat(e, ctx.size))
+                    for e in cls.elements),
+                key=lambda w: (w.length(), w.reduced_word()))
+    best = ws[-1]
     unique = all(bruhat_leq(w, best) for w in ws)
     return WOfClassReport(w_max=best, incident=ws, unique_max=unique)
 

@@ -3,11 +3,20 @@
 Field elements are plain Python values (``Fraction`` for the rationals,
 ints in ``range(q)`` for F_q) and every field is an ops object passed to
 the matrix routines.  Nothing here ever rounds.
+
+Besides the scalar operations, each field supplies the two vector
+operations that carry all of `linalg`'s products and row updates:
+``dot(xs, ys)`` (the sum of the products) and ``sub_scaled(xs, f, ys)``
+(the list ``[x - f*y]``).  F_p computes both on plain ints and reduces
+once per entry; Q and F_{p^k} skip the zero terms, whose Fraction or
+table products are what the skipping saves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from operator import mul as _int_mul
 from typing import Iterable, Optional
 
 
@@ -45,6 +54,12 @@ class Rationals:
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    def dot(self, xs, ys):
+        return sum((x * y for x, y in zip(xs, ys) if x and y), self.zero)
+
+    def sub_scaled(self, xs, f, ys) -> list:
+        return [x - f * y if y else x for x, y in zip(xs, ys)]
 
     def elements(self) -> Iterable:
         raise TypeError("the rational field is infinite")
@@ -120,25 +135,27 @@ class PrimeField:
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
+    def dot(self, xs, ys) -> int:
+        return sum(map(_int_mul, xs, ys)) % self.p
+
+    def sub_scaled(self, xs, f, ys) -> list:
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(xs, ys)]
+
     def elements(self):
         return range(self.p)
 
     def units(self):
         return range(1, self.p)
 
+    @cached_property
+    def _roots(self) -> dict:
+        """Each square mod p mapped to its smallest root."""
+        p = self.p
+        return {r * r % p: r for r in range(p - 1, -1, -1)}
+
     def sqrt(self, a) -> Optional[int]:
-        a %= self.p
-        if a == 0:
-            return 0
-        if self.p == 2:
-            return a
-        if pow(a, (self.p - 1) // 2, self.p) != 1:
-            return None
-        # p is tiny throughout; scan.
-        for r in range(1, self.p):
-            if r * r % self.p == a:
-                return r
-        return None
+        return self._roots.get(a % self.p)
 
     def fourth_root_of_unity(self) -> Optional[int]:
         """A primitive 4th root of 1, when q = 1 mod 4."""
@@ -282,6 +299,17 @@ class ExtField:
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    def dot(self, xs, ys) -> int:
+        acc = 0
+        for x, y in zip(xs, ys):
+            if x and y:
+                acc = self.add(acc, self._mul[x][y])
+        return acc
+
+    def sub_scaled(self, xs, f, ys) -> list:
+        row = self._mul[f]
+        return [self.sub(x, row[y]) if y else x for x, y in zip(xs, ys)]
 
     def elements(self):
         return range(self.order)

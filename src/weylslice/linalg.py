@@ -1,12 +1,15 @@
 """Dense exact matrices over a field-ops object.
 
-Matrices are immutable tuples of tuples.  Rank over the rationals uses
-fraction-free Bareiss pivoting on cleared integer rows.  Every other
-elimination (rank over finite fields, inverses, and the exact solver
-`solve` / `kernel` the rest of the package uses over Q) goes through the
-one Gauss-Jordan routine `rref`.  Characteristic polynomials use the
-division-free Berkowitz algorithm so they are valid over any field,
-including small characteristic.
+Matrices are immutable tuples of tuples.  Every product and row update
+goes through the field's two vector operations, ``field.dot`` and
+``field.sub_scaled``, so each routine has one code path for every field;
+over F_p both run on plain ints and reduce once per entry.  Rank over
+the rationals uses fraction-free Bareiss pivoting on cleared integer
+rows.  Every other elimination (rank over finite fields, inverses, and
+the exact solver `solve` / `kernel` the rest of the package uses over Q)
+goes through the one Gauss-Jordan routine `rref`.  Characteristic
+polynomials use the division-free Berkowitz algorithm so they are valid
+over any field, including small characteristic.
 """
 
 from __future__ import annotations
@@ -38,35 +41,9 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
-def mat_add(field, a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(field.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-def mat_sub(field, a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(field.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def mat_scale(field, c, a: Matrix) -> Matrix:
-    return tuple(tuple(field.mul(c, x) for x in row) for row in a)
-
-
 def mat_mul(field, a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
-    add, mul, zero = field.add, field.mul, field.zero
-    out = []
-    for ra in a:
-        row = []
-        for cb in bt:
-            acc = zero
-            for x, y in zip(ra, cb):
-                if not field.is_zero(x) and not field.is_zero(y):
-                    acc = add(acc, mul(x, y))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(field.dot(ra, cb) for cb in bt) for ra in a)
 
 
 def fsum(field, items) -> object:
@@ -75,17 +52,6 @@ def fsum(field, items) -> object:
     for x in items:
         acc = field.add(acc, x)
     return acc
-
-
-def mat_vec(field, a: Matrix, v: Sequence) -> tuple:
-    add, mul, zero = field.add, field.mul, field.zero
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            acc = add(acc, mul(x, y))
-        out.append(acc)
-    return tuple(out)
 
 
 def mat_pow(field, a: Matrix, k: int) -> Matrix:
@@ -160,7 +126,7 @@ def rref(field, a) -> tuple[list[list], list[int]]:
     Gauss-Jordan elimination, exact over any field.  The form is unique,
     so bases read off it are canonical.
     """
-    is_zero, mul, sub = field.is_zero, field.mul, field.sub
+    is_zero, mul, sub_scaled = field.is_zero, field.mul, field.sub_scaled
     m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -182,9 +148,7 @@ def rref(field, a) -> tuple[list[list], list[int]]:
         for i in range(rows):
             f = m[i][c]
             if i != r and not is_zero(f):
-                # zeros of the pivot row leave x as it is: skip their products
-                m[i] = [x if is_zero(y) else sub(x, mul(f, y))
-                        for x, y in zip(m[i], prow)]
+                m[i] = sub_scaled(m[i], f, prow)
         pivots.append(c)
     return m, pivots
 
@@ -250,8 +214,7 @@ def det(field, a: Matrix):
         inv = field.inv(m[c][c])
         for i in range(c + 1, n):
             if not field.is_zero(m[i][c]):
-                f = field.mul(inv, m[i][c])
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[c])]
+                m[i] = field.sub_scaled(m[i], field.mul(inv, m[i][c]), m[c])
     return out
 
 
@@ -277,17 +240,8 @@ def charpoly(field, a: Matrix) -> tuple:
         toep = [field.one, field.neg(akk)]
         vec = col
         for _ in range(k):
-            acc = field.zero
-            for x, y in zip(row, vec):
-                acc = field.add(acc, field.mul(x, y))
-            toep.append(field.neg(acc))
-            nxt = []
-            for i in range(k):
-                s = field.zero
-                for j in range(k):
-                    s = field.add(s, field.mul(sub[i][j], vec[j]))
-                nxt.append(s)
-            vec = nxt
+            toep.append(field.neg(field.dot(row, vec)))
+            vec = [field.dot(r, vec) for r in sub]
         new = [field.zero] * (k + 2)
         for i, t in enumerate(toep[: k + 2]):
             if field.is_zero(t):
@@ -325,8 +279,7 @@ def poly_divmod(field, num, den):
         shift = len(num) - len(den)
         factor = field.mul(num[-1], inv_lead)
         quot[shift] = factor
-        for i, d in enumerate(den):
-            num[shift + i] = field.sub(num[shift + i], field.mul(factor, d))
+        num[shift:] = field.sub_scaled(num[shift:], factor, den)
         num = list(poly_trim(field, num))
         if not num:
             break
@@ -425,8 +378,7 @@ def bruhat_permutation(field, g: Matrix) -> tuple[int, ...]:
         # clear the pivot column upward (row ops from above are upper-tri B)
         for i in range(piv):
             if i not in used_rows and not field.is_zero(m[i][j]):
-                f = field.mul(inv, m[i][j])
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[piv])]
+                m[i] = field.sub_scaled(m[i], field.mul(inv, m[i][j]), m[piv])
         # clear the pivot row rightward (column ops to the right)
         for jj in range(j + 1, n):
             if not field.is_zero(m[piv][jj]):

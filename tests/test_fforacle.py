@@ -2,6 +2,7 @@ import pytest
 
 from weylslice.fforacle import (
     BudgetError,
+    ClassData,
     borel_orbit_report,
     cell_partition_check,
     conjugacy_classes,
@@ -11,6 +12,7 @@ from weylslice.fforacle import (
     slice_orbit_check,
     verify_dimension_formula,
     w_of_class,
+    _flat,
     _unflat,
 )
 from weylslice.fields import gf
@@ -67,6 +69,24 @@ def test_w_of_class_examples():
     # split regular semisimple diag(2,3) hits the s1 cell densely
     cls = expand_class(g.ctx, g.field, ((2, 0), (0, 3)))
     assert w_of_class(g, g.field, cls).w_max == s1
+
+
+def test_w_of_class_breaks_length_ties_by_reduced_word():
+    # elements of SL3(F_3) in the two length-1 cells only: w_max is the
+    # cell with the larger reduced word, whatever the frozenset order
+    F3 = gf(3)
+    ctx = GroupContext("SL", 2)
+    swaps = [((0, 1, 0), (2, 0, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1), (0, 2, 0))]
+    uppers = [((1, a, b), (0, 1, c), (0, 0, 1))
+              for a in range(3) for b in range(3) for c in range(3)]
+    elements = frozenset(_flat(mat_mul(F3, u, s)) for s in swaps for u in uppers)
+    cls = ClassData(rep=next(iter(elements)), elements=elements,
+                    size=len(elements))
+    rep = w_of_class(ctx, F3, cls)
+    words = [w.reduced_word() for w in rep.incident]
+    assert [w.length() for w in rep.incident] == [1, 1]
+    assert words == sorted(words) and words[0] != words[1]
+    assert rep.w_max.reduced_word() == words[1]
 
 
 def test_dimension_formula_sl2_f5():

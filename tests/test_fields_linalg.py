@@ -200,3 +200,94 @@ def test_matrix_parse_and_format():
     assert mq[0][0] == Fraction(1, 2) and mq[1][1] == Fraction(5, 3)
     with pytest.raises(ValueError):
         parse_matrix(F, "1 2\n3")
+
+
+KERNEL_FIELDS = [QQ, gf(2), gf(3), gf(1009), gf(4), gf(9)]
+KERNEL_IDS = ["QQ", "F2", "F3", "F1009", "F4", "F9"]
+
+
+def _elements(field):
+    if field is QQ:
+        values = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    else:
+        values = st.integers(0, field.order - 1)
+    # zeros often, so the zero-skipping paths of QQ and F_{p^k} run
+    return st.one_of(st.just(field.zero), values)
+
+
+def _vector_pairs(field):
+    return st.integers(0, 6).flatmap(lambda n: st.tuples(
+        st.lists(_elements(field), min_size=n, max_size=n),
+        st.lists(_elements(field), min_size=n, max_size=n)))
+
+
+def _square_pairs(field):
+    def matrices(n):
+        return st.lists(st.lists(_elements(field), min_size=n, max_size=n),
+                        min_size=n, max_size=n).map(mat)
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(matrices(n), matrices(n)))
+
+
+def _fold_products(field, pairs):
+    acc = field.zero
+    for x, y in pairs:
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dot_and_sub_scaled_match_scalar_ops(field, data):
+    xs, ys = data.draw(_vector_pairs(field))
+    f = data.draw(_elements(field))
+    assert field.dot(xs, ys) == _fold_products(field, zip(xs, ys))
+    assert field.sub_scaled(xs, f, ys) == [
+        field.sub(x, field.mul(f, y)) for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_matrix_kernel_identities(field, data):
+    a, b = data.draw(_square_pairs(field))
+    n = len(a)
+    naive = tuple(
+        tuple(_fold_products(field, [(a[i][k], b[k][j]) for k in range(n)])
+              for j in range(n)) for i in range(n))
+    assert mat_mul(field, a, b) == naive
+    assert det(field, mat_mul(field, a, b)) == field.mul(det(field, a), det(field, b))
+    if rank(field, a) == n:
+        assert mat_mul(field, inverse(field, a), a) == identity(field, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 1009])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rank_ignores_unreduced_entries(p, data):
+    F = gf(p)
+    rows = data.draw(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+        min_size=1, max_size=5)))
+    shifts = st.integers(-3, 3)
+    unreduced = mat([[x + p * data.draw(shifts) for x in r] for r in rows])
+    assert rank(F, unreduced) == rank(F, mat(rows))
+
+
+def _scan_sqrt(p, a):
+    """The square root by scanning, smallest root first."""
+    a %= p
+    if a == 0:
+        return 0
+    if p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    return next((r for r in range(1, p) if r * r % p == a), None)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1009])
+def test_prime_sqrt_table_matches_scan(p):
+    F = PrimeField(p)
+    for a in range(-p, 2 * p):
+        assert F.sqrt(a) == _scan_sqrt(p, a)
