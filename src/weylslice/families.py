@@ -431,36 +431,12 @@ class DFamilyS:
         self.w = catalog_w_S("D", n, label)
 
     def representative(self, field) -> Matrix:
-        n, N = self.n, 2 * self.n
-        m = [[field.zero] * N for _ in range(N)]
-        for b in range(self.h):
-            i, j = 2 * b, 2 * b + 1
-            # block J = [[0,1],[-1,0]] in both off-diagonal positions
-            m[i][n + j] = field.one
-            m[j][n + i] = field.neg(field.one)
-            m[n + i][j] = field.one
-            m[n + j][i] = field.neg(field.one)
-        out = tuple(tuple(r) for r in m)
-        if self.label == "thetaS":
-            out = _theta_swap(field, out, self.n)
-        return out
+        return self.point(field, (1,) * self.h, [field.zero] * self.h)
 
     def point(self, field, e: Sequence[int], x: Sequence) -> Matrix:
         if len(e) != self.h or len(x) != self.h:
             raise ValueError("need h signs and h coordinates")
-        n, N = self.n, 2 * self.n
-        m = [[field.zero] * N for _ in range(N)]
-        for b in range(self.h):
-            i, j = 2 * b, 2 * b + 1
-            eb = field.of(e[b])
-            m[i][n + j] = eb
-            m[j][n + i] = field.neg(eb)
-            m[n + i][j] = eb
-            m[n + j][i] = field.neg(eb)
-            d = field.neg(field.mul(eb, x[b]))
-            m[n + i][n + i] = d
-            m[n + j][n + j] = d
-        out = tuple(tuple(r) for r in m)
+        out = tuple(tuple(r) for r in _d_blocks(field, self.n, e, x))
         if self.label == "thetaS":
             out = _theta_swap(field, out, self.n)
         return out
@@ -504,6 +480,25 @@ class DFamilyS:
         return MembershipResult(False, "no S membership condition holds")
 
 
+def _d_blocks(field, n: int, e: Sequence[int], x: Sequence) -> list[list]:
+    """Rows of the SO_2n matrix [[0, E], [E, D]] in 2x2 sign blocks: block b
+    carries e_b J, J = [[0,1],[-1,0]], off the diagonal and -e_b x_b I on it,
+    for b < n // 2; every other entry is zero."""
+    N = 2 * n
+    m = [[field.zero] * N for _ in range(N)]
+    for b in range(n // 2):
+        i, j = 2 * b, 2 * b + 1
+        eb = field.of(e[b])
+        m[i][n + j] = eb
+        m[j][n + i] = field.neg(eb)
+        m[n + i][j] = eb
+        m[n + j][i] = field.neg(eb)
+        d = field.neg(field.mul(eb, x[b]))
+        m[n + i][n + i] = d
+        m[n + j][n + j] = d
+    return m
+
+
 def _theta_swap(field, m: Matrix, n: int) -> Matrix:
     """Conjugate by the coordinate swap u_n <-> w_n (the graph twist)."""
     N = 2 * n
@@ -527,31 +522,12 @@ class DFamilyR:
         self.w = catalog_w_S("D", n, label)
 
     def representative(self, field) -> Matrix:
-        n, N = self.n, 2 * self.n
-        m = [[field.zero] * N for _ in range(N)]
-        for b in range(self.h):
-            i, j = 2 * b, 2 * b + 1
-            m[i][n + j] = field.one
-            m[j][n + i] = field.neg(field.one)
-            m[n + i][j] = field.one
-            m[n + j][i] = field.neg(field.one)
-        m[n - 1][n - 1] = field.one
-        m[N - 1][N - 1] = field.one
-        return tuple(tuple(r) for r in m)
+        return self.point(field, (1,) * self.h, [field.zero] * self.h,
+                          field.one)
 
     def point(self, field, e: Sequence[int], x: Sequence, zeta) -> Matrix:
         n, N = self.n, 2 * self.n
-        m = [[field.zero] * N for _ in range(N)]
-        for b in range(self.h):
-            i, j = 2 * b, 2 * b + 1
-            eb = field.of(e[b])
-            m[i][n + j] = eb
-            m[j][n + i] = field.neg(eb)
-            m[n + i][j] = eb
-            m[n + j][i] = field.neg(eb)
-            d = field.neg(field.mul(eb, x[b]))
-            m[n + i][n + i] = d
-            m[n + j][n + j] = d
+        m = _d_blocks(field, n, e, x)
         m[n - 1][n - 1] = zeta
         m[N - 1][N - 1] = field.inv(zeta)
         out = tuple(tuple(r) for r in m)

@@ -17,15 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import product
 from typing import Optional
 
 from .fields import ExtField, PrimeField, gf
 from .linalg import (Matrix, charpoly, inverse, mat_mul, poly_eval_matrix,
                      squarefree_part)
-from .matgroups import GroupContext
+from .matgroups import GroupContext, is_w_fixed
 from .rootsys import (BudgetError, WeylElement, bruhat_leq, closure,
                       conjugacy_class as weyl_class, minus_one_rank)
 from .sheetcat import classify_spherical, expected_w_element
+from .toruslat import TorusData, gamma_w
 
 ENUMERATION_BUDGET = 2_000_000
 
@@ -486,13 +488,14 @@ def _nonempty_over_extension(ctx: GroupContext, field, cls: ClassData,
     # base-field matrices embed entrywise (constant digits)
     cand_ext = candidate
     wdot_ext = wdot
+    sp = w.signed_permutation()
     for s_coords in _anti_fixed_torus_points(ctx, ext, w):
         t_diag = [mat_mul(ext, inverse(ext, wdot_ext), cand_ext)[i][i]
                   for i in range(ctx.size)]
         t_coords = _torus_coord_values(ctx, ext, t_diag)
         shifted = [ext.mul(ext.inv(ext.mul(s, s)), t)
                    for s, t in zip(s_coords, t_coords)]
-        if not _is_w_fixed_coords(ctx, ext, w, shifted):
+        if not is_w_fixed(ext, sp, shifted):
             continue
         s = ctx.torus(ext, s_coords)
         x_new = mat_mul(ext, mat_mul(ext, s, cand_ext), inverse(ext, s))
@@ -529,6 +532,7 @@ def _verify_extension_proposals(ctx: GroupContext, field, cls: ClassData,
     rep_ann_zero = all(
         field.is_zero(v) for row in
         poly_eval_matrix(field, sf, _unflat(cls.rep, ctx.size)) for v in row)
+    sp = w.signed_permutation()
     for y in proposals:
         tu = mat_mul(ext, wdot_inv, y)
         flagged = [[tu[order[i]][order[j]] for j in range(ctx.size)]
@@ -538,7 +542,7 @@ def _verify_extension_proposals(ctx: GroupContext, field, cls: ClassData,
             continue
         t_coords = _torus_coord_values(ctx, ext, [tu[i][i]
                                                   for i in range(ctx.size)])
-        if not _is_w_fixed_coords(ctx, ext, w, t_coords):
+        if not is_w_fixed(ext, sp, t_coords):
             continue
         if tuple(charpoly(ext, y)) != cp_rep:
             continue
@@ -581,28 +585,13 @@ def _torus_coord_values(ctx: GroupContext, field, diag_vals):
     return vals
 
 
-def _is_w_fixed_coords(ctx, field, w: WeylElement, coords) -> bool:
-    sp = w.signed_permutation()
-    for i, c in enumerate(coords):
-        j, s = sp[i]
-        target = coords[j] if s > 0 else field.inv(coords[j])
-        if c != target:
-            return False
-    return True
-
-
 def _anti_fixed_torus_points(ctx: GroupContext, field, w: WeylElement):
     """Coordinate tuples of the F_q points of (T_w)deg."""
-    from itertools import product as iproduct
-
-    from .toruslat import TorusData, integer_kernel_basis, _identity as _tid
-    from .toruslat import _int_mat_add
-
     torus = TorusData(ctx.system, w, "matrix")
-    kernel = integer_kernel_basis(_int_mat_add(_tid(torus.n), torus.action))
+    kernel = [g.lattice_coords for g in gamma_w(torus)[1]]
     units = [u for u in field.elements() if not field.is_zero(u)]
     pts = set()
-    for choices in iproduct(units, repeat=len(kernel)):
+    for choices in product(units, repeat=len(kernel)):
         coords = [field.one] * torus.n
         for vec, c in zip(kernel, choices):
             cinv = field.inv(c)
@@ -627,12 +616,13 @@ def normalize_to_fixed_torus(ctx: GroupContext, field, x: Matrix,
     if any(field.is_zero(v) for v in t_diag):
         raise ValueError("x is not in the open cell wdot T U")
     t_coords = _torus_coord_values(ctx, field, t_diag)
-    if _is_w_fixed_coords(ctx, field, w, t_coords):
+    sp = w.signed_permutation()
+    if is_w_fixed(field, sp, t_coords):
         return NormalizeResult(x, None, False, "already in wdot T^w U")
     for s_coords in _anti_fixed_torus_points(ctx, field, w):
         shifted = [field.mul(field.inv(field.mul(s, s)), t)
                    for s, t in zip(s_coords, t_coords)]
-        if _is_w_fixed_coords(ctx, field, w, shifted):
+        if is_w_fixed(field, sp, shifted):
             # s in (T_w)deg needs no SL determinant fix: det = 1 on the kernel
             if ctx.label == "SL":
                 prod = field.one

@@ -262,46 +262,28 @@ class GroupContext:
             for i in range(self.size)
         )
         perm = bruhat_permutation(field, flagged)
-        # perm[j] = i means the cell permutation sends flag coord j to i,
-        # i.e. the Weyl element maps weight mu_j to mu_{perm[j]}
-        images: dict[int, Vector] = {}
-        zero = tuple(Fraction(0) for _ in range(self.system.dim))
-        for jj in range(self.size):
-            mu = self.weight_of(self.coords[order[jj]])
-            nu = self.weight_of(self.coords[order[perm[jj]]])
-            if mu == zero:
-                if nu != zero:
-                    raise AssertionError("cell permutation moved the null weight")
-                continue
-            images[mu] = nu
-        w = self._weyl_from_eps_images(images)
-        return w
+        # perm[j] = i means the cell permutation sends flag coord j to i, so
+        # w maps the weight of the first coordinate to that of the second:
+        # read off as the signed coordinate map e_a -> +e_b (plus) or -e_b
+        signed = {}
+        for j, i in enumerate(perm):
+            kind, a = self.coords[order[j]]
+            kind_to, b = self.coords[order[i]]
+            if (kind == "z") != (kind_to == "z"):
+                raise AssertionError("cell permutation moved the null weight")
+            if kind == "u":
+                signed[a] = (b, kind_to == "u")
+        flips = sum(not plus for _, plus in signed.values())
+        if self.label == "SO-even" and flips % 2:
+            raise AssertionError("decoded permutation lies outside W(D_n)")
 
-    def _weyl_from_eps_images(self, images: dict) -> WeylElement:
-        sys = self.system
-        dim = sys.dim
-        cols = []
-        for a in sys.simple_roots:
-            img = tuple(Fraction(0) for _ in range(dim))
-            for i, coef in enumerate(a):
-                if coef:
-                    e = tuple(Fraction(int(k == i)) for k in range(dim))
-                    target = images[e]
-                    img = tuple(x + coef * y for x, y in zip(img, target))
-            try:
-                cols.append(sys.coefficients(img))
-            except KeyError as exc:
-                raise AssertionError(
-                    "cell permutation does not normalise the root system"
-                ) from exc
-        n = sys.rank
-        matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        w = WeylElement(sys, matrix)
-        if self.label == "SO-even":
-            flips = sum(1 for _, s in w.signed_permutation() if s < 0)
-            if flips % 2:
-                raise AssertionError("decoded permutation lies outside W(D_n)")
-        return w
+        def image(r: Vector) -> Vector:
+            out = [0] * len(r)
+            for a, (b, plus) in signed.items():
+                out[b] = r[a] if plus else -r[a]
+            return tuple(out)
+
+        return self.system.element(image)
 
     # -- slice building blocks ----------------------------------------------
 
@@ -332,14 +314,7 @@ class GroupContext:
         for combo in _tuples(units, n):
             if self.label == "SL" and _prod(field, combo) != field.one:
                 continue
-            ok = True
-            for i in range(n):
-                j, s = sp[i]
-                target = combo[j] if s > 0 else field.inv(combo[j])
-                if combo[i] != target:
-                    ok = False
-                    break
-            if ok:
+            if is_w_fixed(field, sp, combo):
                 out.append(self.torus(field, combo))
         return out
 
@@ -389,6 +364,13 @@ class GroupContext:
                 rows.append(row)
         d = kernel_dimension(field, tuple(tuple(r) for r in rows))
         return self.dimension() - d
+
+
+def is_w_fixed(field, sp, coords) -> bool:
+    """Whether the torus point with epsilon-coordinates `coords` is fixed by
+    the Weyl element with signed permutation `sp`."""
+    return all(c == (coords[j] if s > 0 else field.inv(coords[j]))
+               for c, (j, s) in zip(coords, sp))
 
 
 def _tuples(values, n):

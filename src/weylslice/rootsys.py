@@ -1,9 +1,11 @@
 """Root systems of all simple types and their Weyl groups.
 
 Roots live in the standard orthonormal coordinate models, as tuples of
-``Fraction``; Weyl elements are exact integer matrices on the root
-lattice (basis: the simple roots).  Lengths, reduced words, Bruhat order
-and parabolic longest elements are all computed combinatorially.
+``Fraction``; a Weyl element is the permutation it induces on the root
+indices (Casselman, "Machine calculations in Weyl groups", 1994), built
+by `RootSystem.element`.  Products are index composition; lengths and
+descents are lookups on the permutation, and reduced words, Bruhat order
+and parabolic longest elements are computed from them.
 """
 
 from __future__ import annotations
@@ -175,9 +177,9 @@ class RootSystem:
             simples, lambda r: [self.reflect(r, s) for s in simples])))
         self._index = {r: i for i, r in enumerate(self.roots)}
         self._coeffs = self._expand_all()
+        self._positive = tuple(all(x >= 0 for x in c) for c in self._coeffs)
         self.positive_roots: tuple[Vector, ...] = tuple(
-            r for r, c in zip(self.roots, self._coeffs) if all(x >= 0 for x in c)
-        )
+            r for r, pos in zip(self.roots, self._positive) if pos)
         expected = ROOT_COUNTS[label]
         expected = expected(rank) if callable(expected) else expected[rank]
         if len(self.roots) != expected:
@@ -188,9 +190,13 @@ class RootSystem:
             tuple(self.pair(a, b) for b in self.simple_roots)
             for a in self.simple_roots
         )
-        self._simple_refl_mats = tuple(
-            self._simple_reflection_matrix(i) for i in range(rank)
-        )
+        self._simple_index = tuple(self._index[a] for a in simples)
+        self._identity = WeylElement(self, tuple(range(len(self.roots))))
+        by_coeffs = {c: k for k, c in enumerate(self._coeffs)}
+        self._simple_reflections = tuple(
+            WeylElement(self, tuple(by_coeffs[self._reflect_coeffs(c, i)]
+                                    for c in self._coeffs))
+            for i in range(rank))
         #: inverse Gram matrix of the simple roots; row j holds the
         #: simple-root coefficients of the fundamental coweight j
         self.gram_inverse = inverse(QQ, tuple(
@@ -221,23 +227,19 @@ class RootSystem:
             raise AssertionError("root with non-integer simple-root expansion")
         return tuple(tuple(int(x) for x in c) for c in coeffs)
 
-    def _simple_reflection_matrix(self, i: int) -> tuple[tuple[int, ...], ...]:
-        n = self.rank
-        m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        for j in range(n):
-            m[i][j] -= self.cartan[j][i]  # s_i(a_j) = a_j - <a_j, a_i^vee> a_i
-        return tuple(tuple(row) for row in m)
+    def _reflect_coeffs(self, c: Sequence[int], i: int) -> tuple[int, ...]:
+        """s_i on simple-root coordinates: c - <c, alpha_i^vee> e_i."""
+        out = list(c)
+        out[i] -= sum(x * row[i] for x, row in zip(c, self.cartan))
+        return tuple(out)
 
     # -- basic queries ---------------------------------------------------
-
-    def root_index(self, root: Vector) -> int:
-        return self._index[root]
 
     def coefficients(self, root: Vector) -> tuple[int, ...]:
         return self._coeffs[self._index[root]]
 
     def is_positive_root(self, root: Vector) -> bool:
-        return all(c >= 0 for c in self.coefficients(root))
+        return self._positive[self._index[root]]
 
     def height(self, root: Vector) -> int:
         return sum(self.coefficients(root))
@@ -262,22 +264,28 @@ class RootSystem:
 
     # -- Weyl elements ---------------------------------------------------
 
+    def element(self, image: Callable[[Vector], Vector]) -> "WeylElement":
+        """The Weyl element that acts on the roots as `image`.
+
+        `image` must be the restriction of a Weyl-group element; raises
+        ValueError when it does not permute the roots.
+        """
+        try:
+            perm = tuple(self._index[image(r)] for r in self.roots)
+        except KeyError:
+            raise ValueError("image does not map roots to roots") from None
+        if len(set(perm)) != len(perm):
+            raise ValueError("image is not a permutation of the roots")
+        return WeylElement(self, perm)
+
     def identity_element(self) -> "WeylElement":
-        n = self.rank
-        return WeylElement(self, tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return self._identity
 
     def simple_reflection(self, i: int) -> "WeylElement":
-        return WeylElement(self, self._simple_refl_mats[i])
+        return self._simple_reflections[i]
 
     def reflection(self, root: Vector) -> "WeylElement":
-        cols = []
-        for a in self.simple_roots:
-            img = self.reflect(a, root)
-            cols.append(self.coefficients(img))
-        n = self.rank
-        matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        return WeylElement(self, matrix)
+        return self.element(lambda r: self.reflect(r, root))
 
     def weyl_order(self) -> int:
         degs = WEYL_DEGREES[self.label]
@@ -292,11 +300,10 @@ class RootSystem:
 
         Independent of the degree table; exponential in rank, use <= E6.
         """
-        rho = tuple(Fraction(0) for _ in range(self.dim))
-        for r in self.positive_roots:
-            rho = _add(rho, r)
-        return len(closure(
-            [rho], lambda v: [self.reflect(v, a) for a in self.simple_roots]))
+        rho = tuple(map(sum, zip(*map(self.coefficients,
+                                      self.positive_roots))))
+        return len(closure([rho], lambda c: [self._reflect_coeffs(c, i)
+                                             for i in range(self.rank)]))
 
     def all_elements(self) -> list["WeylElement"]:
         """Every Weyl group element, by closure (small ranks only)."""
@@ -317,13 +324,14 @@ class RootSystem:
 
 
 class WeylElement:
-    """An orthogonal root-lattice automorphism with cached length data."""
+    """A Weyl group element as the permutation it induces on the roots:
+    perm[k] is the index of w(roots[k]).  Built by `RootSystem.element`."""
 
-    __slots__ = ("system", "matrix", "_length", "_word")
+    __slots__ = ("system", "perm", "_length", "_word")
 
-    def __init__(self, system: RootSystem, matrix):
+    def __init__(self, system: RootSystem, perm: tuple[int, ...]):
         self.system = system
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        self.perm = perm
         self._length: Optional[int] = None
         self._word: Optional[tuple[int, ...]] = None
 
@@ -331,45 +339,38 @@ class WeylElement:
         return (
             isinstance(other, WeylElement)
             and self.system is other.system
-            and self.matrix == other.matrix
+            and self.perm == other.perm
         )
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self.perm)
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Integer matrix on the simple-root basis; column j holds the
+        coefficients of w(alpha_j)."""
+        sys = self.system
+        return tuple(zip(*(sys._coeffs[self.perm[k]]
+                           for k in sys._simple_index)))
 
     def mul(self, other: "WeylElement") -> "WeylElement":
-        n = self.system.rank
-        a, b = self.matrix, other.matrix
-        out = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        return WeylElement(self.system, out)
-
-    def inv(self) -> "WeylElement":
-        frac = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
-        return WeylElement(self.system, tuple(
-            tuple(int(x) for x in row) for row in inverse(QQ, frac)))
+        p = self.perm
+        return WeylElement(self.system, tuple(p[k] for k in other.perm))
 
     def is_identity(self) -> bool:
-        n = self.system.rank
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0)
-            for i in range(n) for j in range(n)
-        )
+        return self.perm == self.system._identity.perm
 
     def is_involution(self) -> bool:
-        return self.mul(self).is_identity()
+        p = self.perm
+        return all(p[j] == k for k, j in enumerate(p))
 
     def apply_coeffs(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        n = self.system.rank
-        return tuple(
-            sum(self.matrix[i][j] * coeffs[j] for j in range(n)) for i in range(n)
-        )
+        return tuple(sum(x * c for x, c in zip(row, coeffs))
+                     for row in self.matrix)
 
     def apply_root(self, root: Vector) -> Vector:
-        return self.system.from_coefficients(
-            self.apply_coeffs(self.system.coefficients(root)))
+        sys = self.system
+        return sys.roots[self.perm[sys._index[root]]]
 
     def apply_vector(self, v: Vector) -> Vector:
         """Action on an ambient vector (identity on the span-orthogonal part)."""
@@ -381,24 +382,15 @@ class WeylElement:
 
     def sends_simple_negative(self, i: int) -> bool:
         """True iff w(alpha_i) < 0, i.e. i is a right descent."""
-        col = [self.matrix[a][i] for a in range(self.system.rank)]
-        for x in col:
-            if x > 0:
-                return False
-            if x < 0:
-                return True
-        raise AssertionError("zero column in a Weyl matrix")
+        sys = self.system
+        return not sys._positive[self.perm[sys._simple_index[i]]]
 
     def length(self) -> int:
         """l(w) = #{positive roots sent to negative roots}."""
         if self._length is None:
-            sys = self.system
-            count = 0
-            for r in sys.positive_roots:
-                img = self.apply_coeffs(sys.coefficients(r))
-                if any(x < 0 for x in img):
-                    count += 1
-            self._length = count
+            pos = self.system._positive
+            self._length = sum(1 for k, j in enumerate(self.perm)
+                               if pos[k] and not pos[j])
         return self._length
 
     def reduced_word(self) -> tuple[int, ...]:
@@ -427,12 +419,9 @@ class WeylElement:
         return tuple(out)
 
     def fixed_simples(self) -> tuple[int, ...]:
-        sys = self.system
-        out = []
-        for i, a in enumerate(sys.simple_roots):
-            if self.apply_coeffs(sys.coefficients(a)) == sys.coefficients(a):
-                out.append(i)
-        return tuple(out)
+        p = self.perm
+        return tuple(i for i, k in enumerate(self.system._simple_index)
+                     if p[k] == k)
 
     def __repr__(self):
         return f"WeylElement({self.system.label}{self.system.rank}, len={self.length()})"
@@ -481,10 +470,9 @@ def w0_wPi(system: RootSystem, pi: Iterable[int]) -> WeylElement:
 
 def minus_one_rank(w: WeylElement) -> int:
     """rank(1 - w) on the reflection representation, exactly."""
-    n = w.system.rank
     frac = tuple(
-        tuple(Fraction((1 if i == j else 0) - w.matrix[i][j]) for j in range(n))
-        for i in range(n)
+        tuple(Fraction(int(i == j) - x) for j, x in enumerate(row))
+        for i, row in enumerate(w.matrix)
     )
     return _rank(QQ, frac)
 
@@ -507,7 +495,7 @@ _CLASS_CACHE: dict[tuple, tuple] = {}
 
 def conjugacy_class(w: WeylElement) -> tuple[WeylElement, ...]:
     """The W-conjugacy class of w, by closure under simple conjugations."""
-    key = (w.system.label, w.system.rank, w.matrix)
+    key = (w.system.label, w.system.rank, w.perm)
     if key in _CLASS_CACHE:
         return _CLASS_CACHE[key]
     sys = w.system
@@ -533,11 +521,10 @@ def involution_conjugacy_classes(system: RootSystem) -> list[tuple[WeylElement, 
     classes = []
     seen: set = set()
     for w in system.all_elements():
-        if w.matrix in seen or w.is_identity() or not w.is_involution():
+        if w in seen or w.is_identity() or not w.is_involution():
             continue
         cls = conjugacy_class(w)
-        for x in cls:
-            seen.add(x.matrix)
+        seen.update(cls)
         classes.append(cls)
     return classes
 

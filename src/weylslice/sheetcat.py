@@ -131,12 +131,7 @@ def _theta_conjugate(system: RootSystem, w: WeylElement) -> WeylElement:
     def flip(v):
         return tuple(-x if i == n - 1 else x for i, x in enumerate(v))
 
-    cols = []
-    for a in system.simple_roots:
-        img = flip(w.apply_vector(flip(a)))
-        cols.append(system.coefficients(img))
-    matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return WeylElement(system, matrix)
+    return system.element(lambda r: flip(w.apply_root(flip(r))))
 
 
 def sheet_catalog(group_type: str, rank: int, isogeny: str = "natural"):

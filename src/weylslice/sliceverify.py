@@ -270,16 +270,6 @@ def gamma_group_elements(fam, field):
     return gammas
 
 
-def _power(field, x, k: int):
-    out = field.one
-    if k < 0:
-        x = field.inv(x)
-        k = -k
-    for _ in range(k):
-        out = field.mul(out, x)
-    return out
-
-
 def gamma_stability_check(descriptor, field=None, seed: int = 0,
                           samples: int = 6) -> dict:
     """Conjugating certified points by Gamma_w generators keeps membership."""
@@ -497,8 +487,7 @@ def verify_sl_restriction(n: int, m: int, p: int, samples: int = 16,
         pts = []
         for a in field.units():
             for b in field.units():
-                lhs = field.mul(_power(field, a, e1), _power(field, b, e2))
-                if lhs == field.one:
+                if pow(a, e1, p) * pow(b, e2, p) % p == 1:
                     pts.append((field.of(a), field.of(b)))
                 if len(pts) >= samples:
                     break
@@ -514,7 +503,7 @@ def verify_sl_restriction(n: int, m: int, p: int, samples: int = 16,
         if dv != field.one:
             continue
         checked += 1
-        curve = field.mul(_power(field, a, e1), _power(field, b, e2))
+        curve = field.of(a ** e1 * b ** e2)
         if curve != field.one and curve != field.neg(field.one):
             contained = False
             notes.append(f"det-1 point off the curves at {(a, b)}")
@@ -532,15 +521,11 @@ def verify_sl_restriction(n: int, m: int, p: int, samples: int = 16,
         count = 0
         for a in field.units():
             for b in field.units():
-                val = field.mul(_power(field, a, f1), _power(field, b, f2))
-                if val == field.one or val == field.neg(field.one):
-                    da = field.mul(field.of(f1),
-                                   field.mul(_power(field, a, f1 - 1),
-                                             _power(field, b, f2)))
-                    db = field.mul(field.of(f2),
-                                   field.mul(_power(field, a, f1),
-                                             _power(field, b, f2 - 1)))
-                    if field.is_zero(da) and field.is_zero(db):
+                val = pow(a, f1, p) * pow(b, f2, p) % p
+                if val == 1 or val == p - 1:
+                    da = f1 * pow(a, f1 - 1, p) * pow(b, f2, p) % p
+                    db = f2 * pow(a, f1, p) * pow(b, f2 - 1, p) % p
+                    if da == 0 and db == 0:
                         smooth = False
                     count += 1
                 if count >= samples:

@@ -271,3 +271,40 @@ def test_closure_breadth_first():
     assert closure([0], step, budget=5) == [0, 1, 2, 3, 4]
     with pytest.raises(BudgetError):
         closure([0], step, budget=4)
+
+
+def _simple_reflection_matrix(rs, i):
+    """s_i on the simple-root basis: s_i(a_j) = a_j - <a_j, a_i^vee> a_i."""
+    n = rs.rank
+    m = [[int(a == b) for b in range(n)] for a in range(n)]
+    for j in range(n):
+        m[i][j] -= rs.cartan[j][i]
+    return m
+
+
+def _int_mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+@pytest.mark.parametrize("label,n", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                     ("G", 2)])
+def test_root_permutations_match_reflections(label, n):
+    rs = build_root_system(label, n)
+    simple_mats = [_simple_reflection_matrix(rs, i) for i in range(n)]
+    for w in rs.all_elements():
+        word = w.reduced_word()
+        for r in rs.roots:
+            img = r
+            for i in reversed(word):
+                img = rs.reflect(img, rs.simple_roots[i])
+            assert w.apply_root(r) == img
+        m = [[int(a == b) for b in range(n)] for a in range(n)]
+        for i in word:
+            m = _int_mat_mul(m, simple_mats[i])
+        assert w.matrix == tuple(tuple(row) for row in m)
+        assert w.is_involution() == w.mul(w).is_identity()
+        assert w.fixed_simples() == tuple(
+            i for i, a in enumerate(rs.simple_roots) if w.apply_root(a) == a)
+    with pytest.raises(ValueError):
+        rs.element(lambda r: tuple(2 * x for x in r))
