@@ -108,9 +108,8 @@ def _generators(ctx: GroupContext, field) -> list[tuple]:
     if isinstance(field, ExtField):
         coeffs = [c for c in field.units()]
     sys = ctx.system
-    for i in range(sys.rank):
-        for root in (sys.simple_roots[i],
-                     tuple(-x for x in sys.simple_roots[i])):
+    for a in sys.simple_roots:
+        for root in (a, sys.roots[sys.neg[sys.index[a]]]):
             for c in coeffs:
                 gens.append(_flat(ctx.root_element(field, root, c)))
     # torus generators: one multiplicative generator in each slot
@@ -486,30 +485,25 @@ def _nonempty_over_extension(ctx: GroupContext, field, cls: ClassData,
                        "enumerated slice missed it; inspect manually")
     ext = gf(q * q)
     # base-field matrices embed entrywise (constant digits)
-    cand_ext = candidate
-    wdot_ext = wdot
     sp = w.signed_permutation()
+    tu = mat_mul(ext, inverse(ext, wdot), candidate)
+    t_coords = _torus_coord_values(ctx, ext, [tu[i][i] for i in range(ctx.size)])
+    rep = _unflat(cls.rep, ctx.size)
+    cp_rep = charpoly(field, rep)
+    sf = squarefree_part(field, cp_rep)
+    ann_rep = poly_eval_matrix(field, sf, rep)
+    rep_annihilated = all(field.is_zero(v) for row in ann_rep for v in row)
     for s_coords in _anti_fixed_torus_points(ctx, ext, w):
-        t_diag = [mat_mul(ext, inverse(ext, wdot_ext), cand_ext)[i][i]
-                  for i in range(ctx.size)]
-        t_coords = _torus_coord_values(ctx, ext, t_diag)
         shifted = [ext.mul(ext.inv(ext.mul(s, s)), t)
                    for s, t in zip(s_coords, t_coords)]
         if not is_w_fixed(ext, sp, shifted):
             continue
         s = ctx.torus(ext, s_coords)
-        x_new = mat_mul(ext, mat_mul(ext, s, cand_ext), inverse(ext, s))
-        cp_rep = charpoly(field, _unflat(cls.rep, ctx.size))
-        cp_new = charpoly(ext, x_new)
-        if tuple(cp_rep) != tuple(cp_new):
+        x_new = mat_mul(ext, mat_mul(ext, s, candidate), inverse(ext, s))
+        if tuple(cp_rep) != tuple(charpoly(ext, x_new)):
             continue
-        sf = squarefree_part(field, cp_rep)
         ann = poly_eval_matrix(ext, sf, x_new)
-        ann_rep = poly_eval_matrix(field, sf, _unflat(cls.rep, ctx.size))
-        same_annihilation = (
-            all(ext.is_zero(v) for row in ann for v in row)
-            == all(field.is_zero(v) for row in ann_rep for v in row))
-        if same_annihilation:
+        if all(ext.is_zero(v) for row in ann for v in row) == rep_annihilated:
             return True, (f"intersection empty over F_{q}; slice point with "
                           f"matching invariants found over F_{q * q} "
                           "(rational-point caveat, not a refutation)")

@@ -3,21 +3,18 @@
 Matrices are immutable tuples of tuples.  Every product and row update
 goes through the field's two vector operations, ``field.dot`` and
 ``field.sub_scaled``, so each routine has one code path for every field;
-over F_p both run on plain ints and reduce once per entry.  Rank over
-the rationals uses fraction-free Bareiss pivoting on cleared integer
-rows.  Every other elimination (rank over finite fields, inverses, and
-the exact solver `solve` / `kernel` the rest of the package uses over Q)
-goes through the one Gauss-Jordan routine `rref`.  Characteristic
-polynomials use the division-free Berkowitz algorithm so they are valid
-over any field, including small characteristic.
+over F_p both run on plain ints and reduce once per entry.  Every
+elimination (rank over any field, inverses, and the exact solver
+`solve` / `kernel` the rest of the package uses over Q) goes through the
+one Gauss-Jordan routine `rref`.  Characteristic polynomials use the
+division-free Berkowitz algorithm so they are valid over any field,
+including small characteristic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
-
-from .fields import Rationals
 
 Matrix = tuple[tuple[object, ...], ...]
 
@@ -77,47 +74,11 @@ def scalar_shift(field, a: Matrix, c) -> Matrix:
     )
 
 
-def _clear_denominators(row):
-    from math import lcm
-
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = lcm(den, x.denominator)
-    return [int(x * den) if isinstance(x, Fraction) else int(x) * den for x in row]
-
-
 def rank(field, a: Matrix) -> int:
-    """Exact rank: Bareiss over the rationals, Gauss-Jordan over F_q."""
+    """Exact rank, by Gauss-Jordan elimination."""
     if not a or not a[0]:
         return 0
-    if isinstance(field, Rationals):
-        return _rank_bareiss([_clear_denominators(r) for r in a])
     return len(rref(field, a)[1])
-
-
-def _rank_bareiss(m: list[list[int]]) -> int:
-    rows, cols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
 
 
 def rref(field, a) -> tuple[list[list], list[int]]:

@@ -219,9 +219,10 @@ class GroupContext:
     def weyl_representative(self, field, w: WeylElement) -> Matrix:
         """Monomial lift of w: product of x_a(1)x_{-a}(-1)x_a(1) over a word."""
         out = identity(field, self.size)
+        sys = self.system
         for i in w.reduced_word():
-            a = self.system.simple_roots[i]
-            na = tuple(-x for x in a)
+            a = sys.simple_roots[i]
+            na = sys.roots[sys.neg[sys.index[a]]]
             s = mat_mul(
                 field,
                 mat_mul(
@@ -295,13 +296,6 @@ class GroupContext:
             if not sys.is_positive_root(w.apply_root(r))
         ]
         return sorted(out, key=lambda r: (sys.height(r), r))
-
-    def negated_positive_roots(self, w: WeylElement) -> list[Vector]:
-        """{a > 0 : w(a) = -a}; the slice's unipotent directions."""
-        return [
-            r for r in self.system.positive_roots
-            if w.apply_root(r) == tuple(-x for x in r)
-        ]
 
     def torus_fixed_points(self, field, w: WeylElement) -> list[Matrix]:
         """All F_q-points of T^w = {t : w(t) = t}."""

@@ -1,11 +1,14 @@
 """Root systems of all simple types and their Weyl groups.
 
-Roots live in the standard orthonormal coordinate models, as tuples of
-``Fraction``; a Weyl element is the permutation it induces on the root
-indices (Casselman, "Machine calculations in Weyl groups", 1994), built
-by `RootSystem.element`.  Products are index composition; lengths and
+Roots are stored in the standard orthonormal coordinate models, as tuples
+of ``Fraction``, but root arithmetic goes by index: negatives, sums and
+indecomposables are lookups on the integer simple-root coefficients.  A
+Weyl element is the permutation it induces on the root indices
+(Casselman, "Machine calculations in Weyl groups", 1994), built by
+`RootSystem.element`.  Products are index composition; lengths and
 descents are lookups on the permutation, and reduced words, Bruhat order
-and parabolic longest elements are computed from them.
+and parabolic longest elements are computed from them.  On ambient
+vectors an element acts by one cached rational matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .fields import QQ
-from .linalg import inverse, rank as _rank, rref, solve
+from .linalg import inverse, mat_mul, rank as _rank, rref, solve
 
 Vector = tuple[Fraction, ...]
 
@@ -175,7 +178,8 @@ class RootSystem:
         self.simple_roots: tuple[Vector, ...] = tuple(simples)
         self.roots: tuple[Vector, ...] = tuple(sorted(closure(
             simples, lambda r: [self.reflect(r, s) for s in simples])))
-        self._index = {r: i for i, r in enumerate(self.roots)}
+        #: root -> its position in `roots`
+        self.index = {r: i for i, r in enumerate(self.roots)}
         self._coeffs = self._expand_all()
         self._positive = tuple(all(x >= 0 for x in c) for c in self._coeffs)
         self.positive_roots: tuple[Vector, ...] = tuple(
@@ -190,18 +194,21 @@ class RootSystem:
             tuple(self.pair(a, b) for b in self.simple_roots)
             for a in self.simple_roots
         )
-        self._simple_index = tuple(self._index[a] for a in simples)
+        self._simple_index = tuple(self.index[a] for a in simples)
         self._identity = WeylElement(self, tuple(range(len(self.roots))))
-        by_coeffs = {c: k for k, c in enumerate(self._coeffs)}
+        self._by_coeffs = {c: k for k, c in enumerate(self._coeffs)}
+        #: neg[k] is the index of -roots[k]
+        self.neg = tuple(self._by_coeffs[tuple(-x for x in c)]
+                         for c in self._coeffs)
         self._simple_reflections = tuple(
-            WeylElement(self, tuple(by_coeffs[self._reflect_coeffs(c, i)]
+            WeylElement(self, tuple(self._by_coeffs[self._reflect_coeffs(c, i)]
                                     for c in self._coeffs))
             for i in range(rank))
-        #: inverse Gram matrix of the simple roots; row j holds the
-        #: simple-root coefficients of the fundamental coweight j
-        self.gram_inverse = inverse(QQ, tuple(
+        #: the dual basis of the simple roots inside their span: row i is the
+        #: fundamental coweight with (row i, alpha_j) = delta_ij
+        self.dual_basis = mat_mul(QQ, inverse(QQ, tuple(
             tuple(dot(a, b) for b in self.simple_roots)
-            for a in self.simple_roots))
+            for a in self.simple_roots)), self.simple_roots)
 
     # -- construction helpers -------------------------------------------
 
@@ -227,6 +234,19 @@ class RootSystem:
             raise AssertionError("root with non-integer simple-root expansion")
         return tuple(tuple(int(x) for x in c) for c in coeffs)
 
+    def _sum_index(self, k: int, l: int) -> int:
+        """The index of roots[k] + roots[l], or -1 when the sum is no root."""
+        return self._by_coeffs.get(
+            tuple(a + b for a, b in zip(self._coeffs[k], self._coeffs[l])), -1)
+
+    def indecomposables(self, indices: Iterable[int]) -> list[int]:
+        """The members of `indices` that are not the sum of two members, in
+        index order: the simple roots of a positive system, or of the
+        positive part of a root subsystem."""
+        pos = set(indices)
+        return sorted(k for k in pos if not any(
+            self._sum_index(k, self.neg[s]) in pos for s in pos))
+
     def _reflect_coeffs(self, c: Sequence[int], i: int) -> tuple[int, ...]:
         """s_i on simple-root coordinates: c - <c, alpha_i^vee> e_i."""
         out = list(c)
@@ -236,31 +256,16 @@ class RootSystem:
     # -- basic queries ---------------------------------------------------
 
     def coefficients(self, root: Vector) -> tuple[int, ...]:
-        return self._coeffs[self._index[root]]
+        return self._coeffs[self.index[root]]
 
     def is_positive_root(self, root: Vector) -> bool:
-        return self._positive[self._index[root]]
+        return self._positive[self.index[root]]
 
     def height(self, root: Vector) -> int:
         return sum(self.coefficients(root))
 
     def highest_root(self) -> Vector:
         return max(self.positive_roots, key=self.height)
-
-    def span_coefficients(self, v: Vector) -> tuple[Fraction, ...]:
-        """Rational coordinates of the span-component of v in the simple basis."""
-        rhs = [dot(v, a) for a in self.simple_roots]
-        return tuple(
-            sum((self.gram_inverse[i][j] * rhs[j] for j in range(self.rank)),
-                Fraction(0))
-            for i in range(self.rank)
-        )
-
-    def from_coefficients(self, coeffs: Sequence) -> Vector:
-        v = tuple(Fraction(0) for _ in range(self.dim))
-        for c, a in zip(coeffs, self.simple_roots):
-            v = _add(v, _scale(c, a))
-        return v
 
     # -- Weyl elements ---------------------------------------------------
 
@@ -271,7 +276,7 @@ class RootSystem:
         ValueError when it does not permute the roots.
         """
         try:
-            perm = tuple(self._index[image(r)] for r in self.roots)
+            perm = tuple(self.index[image(r)] for r in self.roots)
         except KeyError:
             raise ValueError("image does not map roots to roots") from None
         if len(set(perm)) != len(perm):
@@ -327,13 +332,14 @@ class WeylElement:
     """A Weyl group element as the permutation it induces on the roots:
     perm[k] is the index of w(roots[k]).  Built by `RootSystem.element`."""
 
-    __slots__ = ("system", "perm", "_length", "_word")
+    __slots__ = ("system", "perm", "_length", "_word", "_ambient")
 
     def __init__(self, system: RootSystem, perm: tuple[int, ...]):
         self.system = system
         self.perm = perm
         self._length: Optional[int] = None
         self._word: Optional[tuple[int, ...]] = None
+        self._ambient = None
 
     def __eq__(self, other):
         return (
@@ -364,21 +370,29 @@ class WeylElement:
         p = self.perm
         return all(p[j] == k for k, j in enumerate(p))
 
-    def apply_coeffs(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sum(x * c for x, c in zip(row, coeffs))
-                     for row in self.matrix)
+    @property
+    def ambient(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The action on ambient coordinates, A = I + B (M - I) D: B holds
+        the simple roots as columns, M is `matrix` and D is `dual_basis`,
+        so A is w on the root span and the identity on its complement."""
+        if self._ambient is None:
+            sys = self.system
+            shift = tuple(tuple(x - (i == j) for j, x in enumerate(row))
+                          for i, row in enumerate(self.matrix))
+            a = mat_mul(QQ, mat_mul(QQ, tuple(zip(*sys.simple_roots)), shift),
+                        sys.dual_basis)
+            self._ambient = tuple(
+                tuple(x + (i == j) for j, x in enumerate(row))
+                for i, row in enumerate(a))
+        return self._ambient
 
     def apply_root(self, root: Vector) -> Vector:
         sys = self.system
-        return sys.roots[self.perm[sys._index[root]]]
+        return sys.roots[self.perm[sys.index[root]]]
 
     def apply_vector(self, v: Vector) -> Vector:
         """Action on an ambient vector (identity on the span-orthogonal part)."""
-        sys = self.system
-        c = sys.span_coefficients(v)
-        span_part = sys.from_coefficients(c)
-        perp = _sub(v, span_part)
-        return _add(sys.from_coefficients(self.apply_coeffs(c)), perp)
+        return tuple(QQ.dot(row, v) for row in self.ambient)
 
     def sends_simple_negative(self, i: int) -> bool:
         """True iff w(alpha_i) < 0, i.e. i is a right descent."""
@@ -408,10 +422,8 @@ class WeylElement:
 
     def signed_permutation(self) -> tuple[tuple[int, int], ...]:
         """For coordinate-model types: (j, sign) with w(e_i) = sign * e_j."""
-        sys = self.system
         out = []
-        for i in range(sys.dim):
-            img = self.apply_vector(_unit(sys.dim, i))
+        for img in zip(*self.ambient):
             nz = [(j, x) for j, x in enumerate(img) if x != 0]
             if len(nz) != 1 or abs(nz[0][1]) != 1:
                 raise ValueError("element is not a signed permutation in this model")
@@ -457,9 +469,8 @@ def w0_wPi(system: RootSystem, pi: Iterable[int]) -> WeylElement:
     """
     pi = tuple(sorted(set(pi)))
     w0 = longest_element(system, range(system.rank))
-    pi_roots = {system.simple_roots[i] for i in pi}
-    image = {_scale(-1, w0.apply_root(a)) for a in pi_roots}
-    if image != pi_roots:
+    pi_index = {system._simple_index[i] for i in pi}
+    if {system.neg[w0.perm[k]] for k in pi_index} != pi_index:
         raise ValueError(
             f"Pi={pi} is not stable under the longest-element symmetry")
     w = w0.mul(longest_element(system, pi))
@@ -529,30 +540,17 @@ def involution_conjugacy_classes(system: RootSystem) -> list[tuple[WeylElement, 
     return classes
 
 
-def subsystem_positive(system: RootSystem, roots: Iterable[Vector]) -> list[Vector]:
-    return [r for r in roots if system.is_positive_root(r)]
-
-
-def subsystem_simples(system: RootSystem, roots: Iterable[Vector]) -> list[Vector]:
-    """Indecomposable positive elements of a root subsystem."""
-    pos = subsystem_positive(system, roots)
-    pos_set = set(pos)
-    simples = []
-    for r in pos:
-        if not any(_sub(r, s) in pos_set for s in pos if s != r):
-            simples.append(r)
-    return simples
-
-
 def subsystem_highest_root(system: RootSystem, roots: Iterable[Vector]) -> Vector:
     """Highest root of an irreducible root subsystem of `system`."""
-    roots = list(roots)
-    simples = subsystem_simples(system, roots)
+    indices = [system.index[r] for r in roots]
+    positive = [k for k in indices if system._positive[k]]
+    simples = [system.roots[k] for k in system.indecomposables(positive)]
     gram = [[dot(a, b) for b in simples] for a in simples]
     best = None
     best_ht = None
-    for r in subsystem_positive(system, roots):
+    for k in positive:
         # height within the subsystem
+        r = system.roots[k]
         ht = sum(solve(QQ, gram, [dot(r, a) for a in simples]))
         if best_ht is None or ht > best_ht:
             best, best_ht = r, ht

@@ -9,8 +9,7 @@ to the result, w has maximal length in its conjugacy class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .fields import QQ
@@ -58,42 +57,46 @@ class PositiveSystem:
 
     system: RootSystem
     positive: frozenset[Vector]
+    #: the root indices of `positive`
+    _indices: frozenset[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index = self.system.index
+        object.__setattr__(self, "_indices",
+                           frozenset(index[r] for r in self.positive))
 
     def is_positive(self, root: Vector) -> bool:
         return root in self.positive
 
     def length_of(self, w: WeylElement) -> int:
-        return sum(1 for r in self.positive if w.apply_root(r) not in self.positive)
+        pos, perm = self._indices, w.perm
+        return sum(1 for k in pos if perm[k] not in pos)
 
     def inverted_roots(self, w: WeylElement) -> list[Vector]:
-        return [r for r in self.positive if w.apply_root(r) not in self.positive]
+        pos, perm = self._indices, w.perm
+        return [self.system.roots[k] for k in sorted(pos) if perm[k] not in pos]
 
     def simples(self) -> list[Vector]:
-        pos = self.positive
-        out = []
-        for r in pos:
-            if not any(
-                tuple(a - b for a, b in zip(r, s)) in pos for s in pos if s != r
-            ):
-                out.append(r)
-        return sorted(out)
+        return [self.system.roots[k]
+                for k in self.system.indecomposables(self._indices)]
 
     def validate(self) -> None:
-        roots = set(self.system.roots)
-        for r in roots:
-            neg = tuple(-x for x in r)
-            if (r in self.positive) == (neg in self.positive):
-                raise AssertionError(f"not exactly one of +-{r} is positive")
-        for a in self.positive:
-            for b in self.positive:
-                s = tuple(x + y for x, y in zip(a, b))
-                if s in roots and s not in self.positive:
-                    raise AssertionError(f"positive set not closed: {a} + {b}")
+        sys, pos = self.system, self._indices
+        for k, n in enumerate(sys.neg):
+            if (k in pos) == (n in pos):
+                raise AssertionError(
+                    f"not exactly one of +-{sys.roots[k]} is positive")
+        for a in pos:
+            for b in pos:
+                s = sys._sum_index(a, b)
+                if s >= 0 and s not in pos:
+                    raise AssertionError(
+                        f"positive set not closed: {sys.roots[a]} + {sys.roots[b]}")
 
 
 def fixed_roots(w: WeylElement) -> list[Vector]:
     """Psi = roots lying in the fixed space of w."""
-    return [r for r in w.system.roots if w.apply_root(r) == r]
+    return [r for k, r in enumerate(w.system.roots) if w.perm[k] == k]
 
 
 def standard_system(system: RootSystem) -> PositiveSystem:
@@ -102,17 +105,19 @@ def standard_system(system: RootSystem) -> PositiveSystem:
 
 def positive_system(choice: EigenBasisChoice) -> PositiveSystem:
     """Positive system from an eigenbasis, by the last-nonzero-pairing rule."""
-    system = choice.w.system
-    psi = set(fixed_roots(choice.w))
+    w = choice.w
+    system = w.system
+    psi = {k for k, j in enumerate(w.perm) if j == k}
     if choice.psi_positive is not None:
-        psi_pos = set(choice.psi_positive)
-        if psi_pos | {tuple(-x for x in r) for r in psi_pos} != psi:
+        # a vector that is no root maps to -1, which psi never contains
+        psi_pos = {system.index.get(r, -1) for r in choice.psi_positive}
+        if psi_pos | {system.neg[k] for k in psi_pos} != psi:
             raise ValueError("psi_positive must pick one of each +- pair in Psi")
     else:
-        psi_pos = {r for r in psi if system.is_positive_root(r)}
+        psi_pos = {k for k in psi if system.is_positive_root(system.roots[k])}
     positive = set(psi_pos)
-    for beta in system.roots:
-        if beta in psi:
+    for k, beta in enumerate(system.roots):
+        if k in psi:
             continue
         val = None
         for v in reversed(choice.basis):  # i maximal first
@@ -123,14 +128,11 @@ def positive_system(choice: EigenBasisChoice) -> PositiveSystem:
         if val is None:
             raise DegenerateBasisError(beta)
         if val > 0:
-            positive.add(beta)
-    out = PositiveSystem(system, frozenset(positive))
+            positive.add(k)
+    out = PositiveSystem(system, frozenset(system.roots[k] for k in positive))
     out.validate()
     # the defining property: the unfixed positives are exactly those inverted
-    bad = {
-        r for r in out.positive - psi
-        if choice.w.apply_root(r) in out.positive
-    }
+    bad = [system.roots[k] for k in positive - psi if w.perm[k] in positive]
     if bad:
         raise AssertionError(f"construction violated w(Phi+ \\ Psi) < 0 on {bad}")
     return out
@@ -143,13 +145,8 @@ def check_max_length(w: WeylElement, system: PositiveSystem) -> bool:
 
 
 def minus_one_eigenbasis(w: WeylElement) -> tuple[Vector, ...]:
-    """A canonical rational basis of the (-1)-eigenspace of w."""
-    sys = w.system
-    dim = sys.dim
-    # rows of (1 + action) on ambient coordinates; kernel = (-1)-eigenspace
-    cols = []
-    for i in range(dim):
-        e = tuple(Fraction(int(j == i)) for j in range(dim))
-        img = w.apply_vector(e)
-        cols.append(tuple(x + y for x, y in zip(e, img)))
-    return tuple(kernel(QQ, tuple(zip(*cols))))
+    """A canonical rational basis of the (-1)-eigenspace of w: the kernel
+    of 1 + w on ambient coordinates."""
+    one_plus = tuple(tuple(x + (i == j) for j, x in enumerate(row))
+                     for i, row in enumerate(w.ambient))
+    return tuple(kernel(QQ, one_plus))

@@ -292,13 +292,30 @@ def _int_mat_mul(a, b):
 def test_root_permutations_match_reflections(label, n):
     rs = build_root_system(label, n)
     simple_mats = [_simple_reflection_matrix(rs, i) for i in range(n)]
+    # A3 and G2 live in a larger space: v has a component off the root span
+    v = tuple(Fraction(k + 1, k + 2) for k in range(rs.dim))
+    units = [tuple(Fraction(int(j == i)) for j in range(rs.dim))
+             for i in range(rs.dim)]
     for w in rs.all_elements():
         word = w.reduced_word()
-        for r in rs.roots:
-            img = r
+
+        def reflected(x):
             for i in reversed(word):
-                img = rs.reflect(img, rs.simple_roots[i])
-            assert w.apply_root(r) == img
+                x = rs.reflect(x, rs.simple_roots[i])
+            return x
+
+        for r in rs.roots:
+            assert w.apply_root(r) == reflected(r)
+        assert w.apply_vector(v) == reflected(v)
+        images = [reflected(e) for e in units]
+        signed = [[(j, int(x)) for j, x in enumerate(img) if x]
+                  for img in images]
+        if all(len(nz) == 1 and abs(nz[0][1]) == 1 for nz in signed):
+            assert w.signed_permutation() == tuple(nz[0] for nz in signed)
+        else:
+            assert label == "G"
+            with pytest.raises(ValueError):
+                w.signed_permutation()
         m = [[int(a == b) for b in range(n)] for a in range(n)]
         for i in word:
             m = _int_mat_mul(m, simple_mats[i])

@@ -152,3 +152,26 @@ def test_simples_contain_psi_choice_simples():
     }
     system_simples = set(ps.simples())
     assert psi_simples <= system_simples
+
+
+@pytest.mark.parametrize("label,n", [("B", 3), ("G", 2), ("F", 4), ("E", 6)])
+def test_root_index_tables(label, n):
+    rs = build_root_system(label, n)
+    roots = rs.roots
+    for k, r in enumerate(roots):
+        assert roots[rs.neg[k]] == tuple(-x for x in r)
+        for l, s in enumerate(roots):
+            total = tuple(a + b for a, b in zip(r, s))
+            assert rs._sum_index(k, l) == rs.index.get(total, -1)
+    std = standard_system(rs)
+    assert std.simples() == sorted(rs.simple_roots)
+    std.validate()
+    theta = rs.highest_root()
+    minus_theta = tuple(-x for x in theta)
+    # both +-theta positive
+    with pytest.raises(AssertionError, match="exactly one"):
+        PositiveSystem(rs, std.positive | {minus_theta}).validate()
+    # theta swapped for -theta: one of each pair, but theta = a + b with
+    # a, b positive is no longer positive
+    with pytest.raises(AssertionError, match="not closed"):
+        PositiveSystem(rs, (std.positive - {theta}) | {minus_theta}).validate()
