@@ -16,6 +16,10 @@ Areas:
            and the fixed roots
   torus    for the same elements: the TorusData action and gamma_w for
            the sc, ad and (types A-D) matrix lattices
+  oracle   for each of ORACLE_GROUPS: every conjugacy class (rep, size,
+           sorted elements), cell_partition_check, and per class the
+           verify_dimension_formula report and the w_of_class cells
+           (w_max, incident, unique_max; cells as root permutations)
   report:* the printed reports of the REPORTS command lines
 
 Usage: python3 scripts/parity_digest.py
@@ -30,6 +34,9 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from weylslice.fforacle import (cell_partition_check, conjugacy_classes,
+                                enumerate_group, verify_dimension_formula,
+                                w_of_class)
 from weylslice.reportcli import main as cli_main
 from weylslice.rootsys import build_root_system, involution_conjugacy_classes
 from weylslice.sevslice import (EigenBasisChoice, fixed_roots,
@@ -39,6 +46,7 @@ from weylslice.toruslat import TorusData, gamma_w
 TYPES = [("A", 3), ("A", 4), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
          ("D", 4), ("D", 5), ("G", 2), ("F", 4)]
 MEMBERS = 3  # elements per involution class
+ORACLE_GROUPS = [("SL", 1, 3), ("SL", 1, 5), ("SL", 1, 7), ("SL", 2, 3)]
 REPORTS = [
     ["all", "--format", "jsonl", "--seed", "1"],
     ["sev-check", "--trials", "20"],
@@ -87,6 +95,18 @@ def torus_records():
                    [(g.lattice_coords, g.cocharacter, g.order) for g in gens])
 
 
+def oracle_records():
+    for label, rank, q in ORACLE_GROUPS:
+        group = enumerate_group(label, rank, q)
+        classes = conjugacy_classes(group)
+        yield [(c.rep, c.size, sorted(c.elements)) for c in classes]
+        yield cell_partition_check(group)
+        for c in classes:
+            cells = w_of_class(group, group.field, c)
+            yield (verify_dimension_formula(group, c), cells.w_max.perm,
+                   [w.perm for w in cells.incident], cells.unique_max)
+
+
 def report_text(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -106,6 +126,7 @@ def main():
     print("weyl", digest(weyl_records()))
     print("sevslice", digest(sevslice_records()))
     print("torus", digest(torus_records()))
+    print("oracle", digest(oracle_records()))
     for argv in REPORTS:
         print("report:" + " ".join(argv), digest([report_text(argv)]))
     return 0

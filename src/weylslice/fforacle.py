@@ -5,16 +5,30 @@ conjugacy classes, decodes Bruhat cells, and replays the dimension formula
 and slice-orbit claims pointwise.  Group elements are flat tuples multiplied
 by this module's own loops (`_mul_factory`); every orbit (the group itself,
 its classes, B(F_q)-orbits, Gamma_w-orbits) is `rootsys.closure` under a
-generator step.  Shared with the code under test: the `matgroups`
-constructors and Bruhat decoding (`linalg.det`, `linalg.bruhat_permutation`),
-the Weyl-group combinatorics, and `linalg` `inverse`, `mat_mul`, `charpoly`
-and `rank` (class dimensions).  Closed forms guard the oracle itself:
-enumeration must hit the order formula, the classes must partition the
-group, and every cell must have |BwB| = |B| q^l(w).
+generator step.
+
+An enumerated group (`OracleGroup`) holds its elements by index.  The
+enumeration records each product x g as an index, and conjugation by a
+generator is a table of indices derived from those products with no further
+matrix product, so its classes are closures over ints.  Each element's
+Bruhat cell is decoded once and kept in a list aligned with the elements.
+Enumerated elements are products of generators of the group, so their
+decoding skips `GroupContext.in_group`, which would cost two products per
+element to re-prove membership; the public `bruhat_word` keeps the check
+for everything else.
+
+Shared with the code under test: the `matgroups` constructors and Bruhat
+decoding (`linalg.det`, `linalg.bruhat_permutation`), the Weyl-group
+combinatorics, and `linalg` `inverse`, `mat_mul`, `charpoly` and `rank`
+(class dimensions).  Closed forms guard the oracle itself: enumeration must
+hit the order formula, the classes must partition the group, every cell
+must have |BwB| = |B| q^l(w), and every cell's monomial representative
+must decode to that cell.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import product
@@ -91,6 +105,13 @@ def _conjugation(field, n: int, gens):
 
 @dataclass
 class OracleGroup:
+    """An enumerated group, its elements by index.
+
+    `elements` is sorted and `index` maps each element to its position.
+    With g = generators[k] and x = elements[i], `right[k][i]` is the index
+    of x g and `conj[k][i]` that of g x g^-1.  The Bruhat cells are decoded
+    on first use and kept.
+    """
     label: str
     rank: int
     q: int
@@ -100,6 +121,31 @@ class OracleGroup:
     elements: tuple
     generators: tuple
     order: int
+    index: dict = dc_field(repr=False)
+    right: tuple = dc_field(repr=False)
+    conj: tuple = dc_field(repr=False)
+    _cells: Optional[list] = dc_field(default=None, init=False, repr=False)
+
+    def cells(self) -> list:
+        """The Bruhat cell of every element, aligned with `elements`.
+
+        Enumerated elements lie in the group by construction, so each is
+        decoded once by `GroupContext._cell`, without the `in_group` test.
+        The monomial representative of every cell found goes through the
+        public `bruhat_word` and must decode to that cell: the size check in
+        `cell_partition_check` cannot tell apart two cells of equal length.
+        """
+        if self._cells is None:
+            ctx, field, n = self.ctx, self.field, self.size
+            cells = [ctx._cell(field, _unflat(e, n)) for e in self.elements]
+            for w in dict.fromkeys(cells):
+                wdot = ctx.weyl_representative(field, w)
+                if ctx.bruhat_word(field, wdot) != w:
+                    raise AssertionError(
+                        f"representative of {w.reduced_word()} decodes to "
+                        "another cell")
+            self._cells = cells
+        return self._cells
 
 
 def _generators(ctx: GroupContext, field) -> list[tuple]:
@@ -159,14 +205,67 @@ def enumerate_group(label: str, rank: int, q: int) -> OracleGroup:
     ident = _flat(tuple(
         tuple(field.one if i == j else field.zero for j in range(ctx.size))
         for i in range(ctx.size)))
-    elements = closure([ident], lambda x: [mul(x, g) for g in gens])
+    # discovery index of every element and, in generator order, those of
+    # its right products: closure calls `step` in discovery order
+    found = {ident: 0}
+    products = array("i")
+
+    def step(x):
+        ys = [mul(x, g) for g in gens]
+        products.extend([found.setdefault(y, len(found)) for y in ys])
+        return ys
+
+    elements = closure([ident], step)
     if len(elements) != expected:
         raise AssertionError(
             f"enumerated {len(elements)} elements of {label}{rank}(F_{q}), "
             f"order formula gives {expected}")
+    elements.sort()
+    disc = [0] * expected  # sorted index -> discovery index
+    pos = [0] * expected   # discovery index -> sorted index
+    for i, e in enumerate(elements):
+        disc[i] = d = found[e]
+        pos[d] = i
+        found[e] = i       # `found` becomes the element -> index map
+    right, conj = _index_tables(products, len(gens), disc, pos)
     return OracleGroup(
         label=label, rank=rank, q=q, field=field, ctx=ctx, size=ctx.size,
-        elements=tuple(sorted(elements)), generators=gens, order=expected)
+        elements=tuple(elements), generators=gens, order=expected,
+        index=found, right=right, conj=conj)
+
+
+def _index_tables(products, n_gens: int, disc, pos) -> tuple:
+    """The `right` and `conj` tables of `OracleGroup`, by index lookups only.
+
+    In discovery indices, products[d * n_gens + k] is the index of
+    x_d g_k.  Every x_d but the identity x_0 first appears at some position
+    p, as x_a g_j with a = p // n_gens and j = p % n_gens; closure numbers
+    new elements in the order they appear, so a < d.  That is a Schreier
+    tree: g x_d = (g x_a) g_j gives left[d] = products[left[a] * n_gens + j]
+    from left[0] = index of g.  Right multiplication by g permutes the
+    elements, and x g^-1 is x_{rinv[d]} for the inverse permutation rinv, so
+    g x_d g^-1 = x_{left[rinv[d]]}.
+    """
+    n = len(disc)
+    first = [0] * n
+    new = 1
+    for p, d in enumerate(products):
+        if d == new:
+            first[d] = p
+            new += 1
+    right, conj = [], []
+    for k in range(n_gens):
+        rk = products[k::n_gens]
+        left = [rk[0]] * n
+        for d in range(1, n):
+            a, j = divmod(first[d], n_gens)
+            left[d] = products[left[a] * n_gens + j]
+        rinv = [0] * n
+        for d, r in enumerate(rk):
+            rinv[r] = d
+        right.append(array("i", [pos[rk[d]] for d in disc]))
+        conj.append(array("i", [pos[left[rinv[d]]] for d in disc]))
+    return tuple(right), tuple(conj)
 
 
 @dataclass(frozen=True)
@@ -186,16 +285,18 @@ def expand_class(ctx: GroupContext, field, rep: Matrix,
 
 def conjugacy_classes(group: OracleGroup) -> list[ClassData]:
     """All conjugacy classes; sizes sum to the group order."""
-    step = _conjugation(group.field, group.size, group.generators)
-    assigned: set = set()
+    conj, elements = group.conj, group.elements
+    assigned = bytearray(group.order)
     classes = []
-    for e in group.elements:
-        if e in assigned:
+    for i in range(group.order):
+        if assigned[i]:
             continue
-        orbit = closure([e], step)
-        classes.append(ClassData(rep=min(orbit), elements=frozenset(orbit),
+        orbit = closure([i], lambda x: [t[x] for t in conj])
+        members = frozenset(elements[j] for j in orbit)
+        classes.append(ClassData(rep=elements[min(orbit)], elements=members,
                                  size=len(orbit)))
-        assigned.update(orbit)
+        for j in orbit:
+            assigned[j] = 1
     total = sum(c.size for c in classes)
     if total != group.order:
         raise AssertionError("classes do not partition the group")
@@ -204,12 +305,28 @@ def conjugacy_classes(group: OracleGroup) -> list[ClassData]:
 
 # -- Bruhat cells -----------------------------------------------------------
 
+def _cell_lookup(group_ctx, field):
+    """Flat element -> its Bruhat cell: read off `OracleGroup.cells` for an
+    enumerated group, decoded by `bruhat_word` otherwise."""
+    if not isinstance(group_ctx, OracleGroup):
+        return lambda e: group_ctx.bruhat_word(field,
+                                               _unflat(e, group_ctx.size))
+    ctx, cells, index = group_ctx.ctx, group_ctx.cells(), group_ctx.index
+
+    def cell(e):
+        i = index.get(e)
+        if i is None:  # not one of the enumerated elements
+            return ctx.bruhat_word(field, _unflat(e, ctx.size))
+        return cells[i]
+
+    return cell
+
+
 def cell_partition_check(group: OracleGroup) -> dict:
     """|BwB| = |B| q^{l(w)} for every cell, and the cells partition G."""
-    ctx, field, n = group.ctx, group.field, group.size
+    ctx = group.ctx
     counts: dict = {}
-    for e in group.elements:
-        w = ctx.bruhat_word(field, _unflat(e, n))
+    for w in group.cells():
         counts[w] = counts.get(w, 0) + 1
     q = group.q
     n_pos = len(ctx.system.positive_roots)
@@ -241,9 +358,7 @@ def w_of_class(group_ctx, field, cls: ClassData) -> WOfClassReport:
 
     Cells are sorted by (length, reduced word), so ties in length go to the
     larger word and the report does not depend on the frozenset's order."""
-    ctx = group_ctx.ctx if isinstance(group_ctx, OracleGroup) else group_ctx
-    ws = sorted(set(ctx.bruhat_word(field, _unflat(e, ctx.size))
-                    for e in cls.elements),
+    ws = sorted(set(map(_cell_lookup(group_ctx, field), cls.elements)),
                 key=lambda w: (w.length(), w.reduced_word()))
     best = ws[-1]
     unique = all(bruhat_leq(w, best) for w in ws)
@@ -307,10 +422,7 @@ def borel_orbit_report(group: OracleGroup, cls: ClassData,
     class sitting in the top cell, and never asserts a single orbit.
     """
     ctx, field, n = group.ctx, group.field, group.size
-
-    def cell(e):
-        return ctx.bruhat_word(field, _unflat(e, n))
-
+    cell = _cell_lookup(group, field)
     top = frozenset(e for e in cls.elements if cell(e) == w)
     if not top:
         return {"top_cell_points": 0, "orbit_sizes": [], "top_share": 0.0}

@@ -317,11 +317,13 @@ class ExtField:
     def units(self):
         return range(1, self.order)
 
+    @cached_property
+    def _roots(self) -> dict:
+        """Each square mapped to its smallest root."""
+        return {self._mul[r][r]: r for r in range(self.order - 1, -1, -1)}
+
     def sqrt(self, a) -> Optional[int]:
-        for r in range(self.order):
-            if self._mul[r][r] == a:
-                return r
-        return None
+        return self._roots.get(a)
 
     def fourth_root_of_unity(self) -> Optional[int]:
         if self.char == 2:

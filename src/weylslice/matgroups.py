@@ -63,6 +63,8 @@ class GroupContext:
             ]
         self._pos = {c: i for i, c in enumerate(self.coords)}
         self.flag_order = self._flag_order()
+        # decoded cells by signed coordinate map; at most |W| entries
+        self._weyl_by_signed: dict = {}
 
     # -- structure -------------------------------------------------------
 
@@ -255,6 +257,10 @@ class GroupContext:
         """The Weyl element w with g in BwB for the standard Borel."""
         if self.label not in ("SL", "GL") and not self.in_group(field, g):
             raise ValueError("matrix does not preserve the tagged form")
+        return self._cell(field, g)
+
+    def _cell(self, field, g: Matrix) -> WeylElement:
+        """`bruhat_word` for a g already known to lie in the group."""
         if field.is_zero(det(field, g)):
             raise ValueError("matrix is singular")
         order = self.flag_order
@@ -277,14 +283,17 @@ class GroupContext:
         flips = sum(not plus for _, plus in signed.values())
         if self.label == "SO-even" and flips % 2:
             raise AssertionError("decoded permutation lies outside W(D_n)")
+        key = tuple(sorted(signed.items()))
+        w = self._weyl_by_signed.get(key)
+        if w is None:
+            def image(r: Vector) -> Vector:
+                out = [0] * len(r)
+                for a, (b, plus) in signed.items():
+                    out[b] = r[a] if plus else -r[a]
+                return tuple(out)
 
-        def image(r: Vector) -> Vector:
-            out = [0] * len(r)
-            for a, (b, plus) in signed.items():
-                out[b] = r[a] if plus else -r[a]
-            return tuple(out)
-
-        return self.system.element(image)
+            w = self._weyl_by_signed[key] = self.system.element(image)
+        return w
 
     # -- slice building blocks ----------------------------------------------
 

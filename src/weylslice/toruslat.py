@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fields import QQ
-from .linalg import solve
+from .linalg import rref, solve
 from .rootsys import RootSystem, WeylElement, dot
 
 IntMatrix = list[list[int]]
@@ -207,11 +207,18 @@ class TorusData:
             raise ValueError("Weyl element does not act as a lattice involution")
 
     def _action_matrix(self) -> IntMatrix:
-        cols = []
-        for b in self.basis:
-            img = self.w.apply_vector(b)
-            cols.append(_solve_in_basis(self.basis, img))
-        return [[cols[j][i] for j in range(self.n)] for i in range(self.n)]
+        """Column j holds the lattice coordinates of w(basis[j]): one Gram
+        system G x = (b_i . w b_j)_i, solved for all n right-hand sides by
+        a single elimination."""
+        basis, n = self.basis, self.n
+        images = [self.w.apply_vector(b) for b in basis]
+        reduced, _ = rref(QQ, [[dot(a, b) for b in basis]
+                               + [dot(img, a) for img in images]
+                               for a in basis])
+        action = [row[n:] for row in reduced]
+        if any(x.denominator != 1 for row in action for x in row):
+            raise ValueError("vector is not in the lattice")
+        return [[int(x) for x in row] for row in action]
 
     def to_ambient(self, coords: Sequence[int]) -> tuple[Fraction, ...]:
         out = tuple(Fraction(0) for _ in range(self.system.dim))

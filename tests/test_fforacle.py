@@ -243,3 +243,48 @@ def test_oracle_slice_points_have_family_shape():
                     assert pt[2 + i][j] == (-pt[i][2 + j]) % 3
                 else:
                     assert pt[i][2 + j] == 0 and pt[2 + i][j] == 0
+
+
+TABLE_GROUPS = [("SL", 1, 3), ("SL", 1, 5), ("SL", 1, 7), ("SL", 2, 3)]
+
+
+@pytest.mark.parametrize("label,rank,q", TABLE_GROUPS)
+def test_index_tables_match_products(label, rank, q):
+    # right and conjugation tables against products from linalg, and the
+    # decoded cells against the public bruhat_word
+    g = enumerate_group(label, rank, q)
+    F, n, els = g.field, g.size, g.elements
+    assert list(els) == sorted(els) and len(els) == g.order
+    assert all(g.index[e] == i for i, e in enumerate(els))
+    conj = g.conj
+    assert len(g.right) == len(conj) == len(g.generators)
+    for k, gen in enumerate(g.generators):
+        gm = _unflat(gen, n)
+        gi = inverse(F, gm)
+        for i, x in enumerate(els):
+            xm = _unflat(x, n)
+            assert els[g.right[k][i]] == _flat(mat_mul(F, xm, gm))
+            assert els[conj[k][i]] == _flat(mat_mul(F, mat_mul(F, gm, xm), gi))
+    cells = g.cells()
+    assert len(cells) == g.order
+    for e, w in zip(els, cells):
+        assert w == g.ctx.bruhat_word(F, _unflat(e, n))
+
+
+def test_conjugacy_classes_match_conjugation_by_every_element():
+    g = enumerate_group("SL", 1, 5)
+    F, n = g.field, g.size
+    mats = [_unflat(e, n) for e in g.elements]
+    pairs = [(m, inverse(F, m)) for m in mats]
+    want, covered = [], set()
+    for e, m in zip(g.elements, mats):
+        if e in covered:
+            continue
+        cls = frozenset(_flat(mat_mul(F, mat_mul(F, h, m), hi))
+                        for h, hi in pairs)
+        want.append(cls)
+        covered |= cls
+    got = conjugacy_classes(g)
+    assert [c.elements for c in got] == want
+    assert [c.rep for c in got] == [min(c) for c in want]
+    assert [c.size for c in got] == [len(c) for c in want]

@@ -291,3 +291,12 @@ def test_prime_sqrt_table_matches_scan(p):
     F = PrimeField(p)
     for a in range(-p, 2 * p):
         assert F.sqrt(a) == _scan_sqrt(p, a)
+
+
+@pytest.mark.parametrize("q", [4, 9, 25, 49])
+def test_ext_sqrt_table_matches_scan(q):
+    F = gf(q)
+    assert isinstance(F, ExtField)
+    for a in F.elements():
+        scan = next((r for r in F.elements() if F.mul(r, r) == a), None)
+        assert F.sqrt(a) == scan

@@ -69,6 +69,26 @@ def test_bruhat_word_basics():
         sp.bruhat_word(F, identity(F, 3))
 
 
+def test_bruhat_word_memo_keeps_checks():
+    # once a cell is cached, matrices that would decode to it must still be
+    # refused: one off the form, one singular
+    F = gf(5)
+    sp = GroupContext("Sp", 2)
+    w = sp.system.reflection(sp.system.highest_root())
+    wd = sp.weyl_representative(F, w)
+    assert sp.bruhat_word(F, wd) is sp.bruhat_word(F, wd) == w
+    scaled = tuple(tuple(2 * x % 5 if i == 0 else x for x in row)
+                   for i, row in enumerate(wd))
+    singular = (tuple(0 for _ in wd[0]),) + wd[1:]
+    for bad in (scaled, singular):
+        with pytest.raises(ValueError):
+            sp.bruhat_word(F, bad)
+    sl2 = GroupContext("SL", 1)
+    assert sl2.bruhat_word(F, ((0, 1), (4, 0))).length() == 1
+    with pytest.raises(ValueError, match="singular"):
+        sl2.bruhat_word(F, ((0, 1), (0, 0)))
+
+
 def test_bruhat_biinvariance_sampled():
     F = gf(5)
     ctx = GroupContext("Sp", 2)

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import group_order_statistics, torsion_brute_force
-from weylslice.rootsys import build_root_system, longest_element, w0_wPi
+from weylslice.rootsys import (build_root_system, involution_conjugacy_classes,
+                               longest_element, w0_wPi)
 from weylslice.sheetcat import sheet_catalog
 from weylslice.toruslat import (
     FiniteAbelianGroupShape,
@@ -17,6 +18,7 @@ from weylslice.toruslat import (
     s_w_group,
     smith_normal_form,
     smith_with_transforms,
+    _solve_in_basis,
 )
 
 
@@ -160,3 +162,18 @@ def test_gamma_contains_via_counts():
     shape, gens = gamma_w(t)
     r = len(gens)
     assert shape.order == 2**r * 2**r
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                        ("G", 2)])
+def test_action_matrix_matches_per_vector_solve(label, rank):
+    system = build_root_system(label, rank)
+    for cls in involution_conjugacy_classes(system):
+        for w in cls:
+            for iso in TorusData.ISOGENIES:
+                if iso == "matrix" and label == "G":
+                    continue
+                torus = TorusData(system, w, iso)
+                cols = [_solve_in_basis(torus.basis, w.apply_vector(b))
+                        for b in torus.basis]
+                assert torus.action == [list(r) for r in zip(*cols)]
