@@ -20,6 +20,10 @@ Areas:
            sorted elements), cell_partition_check, and per class the
            verify_dimension_formula report and the w_of_class cells
            (w_max, incident, unique_max; cells as root permutations)
+  slice    the SliceOrbitReport of every criterion-5 case (the six
+           Sp4(F_5) reps, the sigma class, SL3(F_q) for q = 3, 5, 7
+           unipotent and semisimple with F_{q^2} proposals) and the
+           NormalizeResult of three SL2 points over F_5 and F_13
   report:* the printed reports of the REPORTS command lines
 
 Usage: python3 scripts/parity_digest.py
@@ -34,11 +38,18 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from weylslice.families import AFamily
 from weylslice.fforacle import (cell_partition_check, conjugacy_classes,
-                                enumerate_group, verify_dimension_formula,
-                                w_of_class)
+                                enumerate_group, expand_class,
+                                normalize_to_fixed_torus, slice_orbit_check,
+                                verify_dimension_formula, w_of_class)
+from weylslice.fields import gf
+from weylslice.linalg import mat_mul
+from weylslice.matgroups import GroupContext
 from weylslice.reportcli import main as cli_main
-from weylslice.rootsys import build_root_system, involution_conjugacy_classes
+from weylslice.rootsys import (build_root_system, involution_conjugacy_classes,
+                               longest_element)
+from weylslice.sheetcat import catalog_w_S
 from weylslice.sevslice import (EigenBasisChoice, fixed_roots,
                                 minus_one_eigenbasis, positive_system)
 from weylslice.toruslat import TorusData, gamma_w
@@ -107,6 +118,48 @@ def oracle_records():
                    [w.perm for w in cells.incident], cells.unique_max)
 
 
+def slice_records():
+    f5, sp4 = gf(5), GroupContext("Sp", 2)
+    c2 = sp4.system
+    w0 = longest_element(c2, range(2))
+    long_root = c2.highest_root()
+    s_long = c2.reflection(long_root)
+    wd = ((0, 0, 1, 0), (0, 0, 0, 1), (4, 0, 0, 0), (0, 4, 0, 0))
+    sigma = sp4.torus(f5, [4, 1])
+    x_long = sp4.root_element(f5, long_root, 1)
+    for rep, w, wdot in [
+            (sp4.torus(f5, [2, 2]), w0, wd),
+            (sp4.torus(f5, [2, 1]), w0, wd),
+            (mat_mul(f5, x_long, sp4.root_element(f5, (0, 2), 1)), w0, wd),
+            (x_long, s_long, None),
+            (sp4.root_element(f5, long_root, 2), s_long, None),
+            (mat_mul(f5, sigma, x_long), w0, wd)]:
+        yield slice_orbit_check("Sp", 2, 5, rep, w, wdot=wdot)
+    w_sigma = w_of_class(sp4, f5, expand_class(sp4, f5, sigma)).w_max
+    yield slice_orbit_check("Sp", 2, 5, sigma, w_sigma)
+    w_s, fam = catalog_w_S("A", 2, "S_1"), AFamily(2, 1)
+    for q in (3, 5, 7):
+        fq, ext = gf(q), gf(q * q)
+        wdot = fam.representative(fq)
+        unip = ((1, 0, 1), (0, 1, 0), (0, 0, 1))
+        yield slice_orbit_check("SL", 2, q, unip, w_s, wdot=wdot)
+        a = 2 if q in (3, 5) else 3
+        b = pow(a, -2, q)
+        root = ext.sqrt(ext.mul(ext.of(b), ext.of(a)))
+        props = () if root is None else (
+            fam.components()[0].point(ext, (root, ext.of(a))),)
+        yield slice_orbit_check("SL", 2, q, ((a, 0, 0), (0, a, 0), (0, 0, b)),
+                                w_s, wdot=wdot, proposals=props)
+    sl2 = GroupContext("SL", 1)
+    s1 = sl2.system.simple_reflection(0)
+    for q, t, c in [(5, [4, 4], 2), (5, [2, 3], 1), (13, [4, 10], 1)]:
+        fq = gf(q)
+        wdot = sl2.weyl_representative(fq, s1)
+        x = mat_mul(fq, mat_mul(fq, wdot, sl2.torus(fq, t)),
+                    sl2.root_element(fq, sl2.system.simple_roots[0], c))
+        yield normalize_to_fixed_torus(sl2, fq, x, s1, wdot)
+
+
 def report_text(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -127,6 +180,7 @@ def main():
     print("sevslice", digest(sevslice_records()))
     print("torus", digest(torus_records()))
     print("oracle", digest(oracle_records()))
+    print("slice", digest(slice_records()))
     for argv in REPORTS:
         print("report:" + " ".join(argv), digest([report_text(argv)]))
     return 0

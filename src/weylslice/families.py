@@ -299,30 +299,6 @@ class TwoFlipFamily:
 
         return point
 
-    def display_point(self, field, eps, eta, c, a, b, x, m) -> Matrix:
-        """Point from the catalog's display coordinates (a, b, x, m).
-
-        The fifth display letter l is pinned by the group condition to
-        l = -a^2/2 - x*q with q = m + a*b + x*b^2/2.
-        """
-        if self.group_type == "D":
-            p, q = x, m
-            return self.point(field, eps, eta, c, [p, q])
-        r = field.neg(a)
-        s = field.neg(b)
-        half = field.inv(field.of(2))
-        q = field.add(m, field.add(
-            field.mul(a, b), field.mul(x, field.mul(half, field.mul(b, b)))))
-        return self.point(field, eps, eta, c, [x, q, r, s])
-
-    def display_l(self, field, a, b, x, m):
-        """The determined value of the display coordinate l."""
-        half = field.inv(field.of(2))
-        q = field.add(m, field.add(
-            field.mul(a, b), field.mul(x, field.mul(half, field.mul(b, b)))))
-        return field.neg(field.add(
-            field.mul(half, field.mul(a, a)), field.mul(x, q)))
-
     def membership(self, field, X) -> MembershipResult:
         z = field.of(self.central)
         shifted = scalar_shift(field, X, z)

@@ -17,13 +17,14 @@ decoding skips `GroupContext.in_group`, which would cost two products per
 element to re-prove membership; the public `bruhat_word` keeps the check
 for everything else.
 
-Shared with the code under test: the `matgroups` constructors and Bruhat
-decoding (`linalg.det`, `linalg.bruhat_permutation`), the Weyl-group
-combinatorics, and `linalg` `inverse`, `mat_mul`, `charpoly` and `rank`
-(class dimensions).  Closed forms guard the oracle itself: enumeration must
-hit the order formula, the classes must partition the group, every cell
-must have |BwB| = |B| q^l(w), and every cell's monomial representative
-must decode to that cell.
+Shared with the code under test: the `matgroups` constructors, Bruhat
+decoding (`linalg.det`, `linalg.bruhat_permutation`), the Borel reader
+`borel_torus` and the (T_w)deg points `anti_fixed_points` (which also list
+`gamma_elements`), the Weyl-group combinatorics, and `linalg` `inverse`,
+`mat_mul`, `charpoly` and `rank` (class dimensions).  Closed forms guard
+the oracle itself: enumeration must hit the order formula, the classes
+must partition the group, every cell must have |BwB| = |B| q^l(w), and
+every cell's monomial representative must decode to that cell.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import product
 from typing import Optional
 
 from .fields import ExtField, PrimeField, gf
@@ -41,7 +41,6 @@ from .matgroups import GroupContext, is_w_fixed
 from .rootsys import (BudgetError, WeylElement, bruhat_leq, closure,
                       conjugacy_class as weyl_class, minus_one_rank)
 from .sheetcat import classify_spherical, expected_w_element
-from .toruslat import TorusData, gamma_w
 
 ENUMERATION_BUDGET = 2_000_000
 
@@ -150,9 +149,7 @@ class OracleGroup:
 
 def _generators(ctx: GroupContext, field) -> list[tuple]:
     gens = []
-    coeffs = [field.one]
-    if isinstance(field, ExtField):
-        coeffs = [c for c in field.units()]
+    coeffs = field.units() if isinstance(field, ExtField) else [field.one]
     sys = ctx.system
     for a in sys.simple_roots:
         for root in (a, sys.roots[sys.neg[sys.index[a]]]):
@@ -277,7 +274,14 @@ class ClassData:
 
 def expand_class(ctx: GroupContext, field, rep: Matrix,
                  budget: int = 300_000) -> ClassData:
-    """Full conjugation orbit of `rep` under the group, by generator closure."""
+    """Full conjugation orbit of `rep` under the group, by generator closure.
+
+    The integer entries of `rep` are reduced by `field.of`; a `rep` outside
+    the group raises ValueError.
+    """
+    rep = tuple(tuple(field.of(x) for x in row) for row in rep)
+    if not ctx.in_group(field, rep):
+        raise ValueError(f"{rep} is not in {ctx.label}{ctx.rank}")
     step = _conjugation(field, ctx.size, _generators(ctx, field))
     orbit = closure([_flat(rep)], step, budget)
     return ClassData(rep=orbit[0], elements=frozenset(orbit), size=len(orbit))
@@ -500,20 +504,20 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
     ctx = GroupContext(label, rank)
     cls = expand_class(ctx, field, rep, budget=class_budget)
     caveats = []
-    if wdot is not None and ctx.bruhat_word(field, wdot) != w:
+    if wdot is None:
+        wdot = ctx.weyl_representative(field, w)
+    elif ctx.bruhat_word(field, wdot) != w:
         raise ValueError("wdot does not represent w")
-    inter = sorted({
-        _flat(pt) for pt in slice_points(ctx, field, w, wdot=wdot)
-        if _flat(pt) in cls.elements
-    })
+    inter = sorted(cls.elements.intersection(
+        map(_flat, slice_points(ctx, field, w, wdot=wdot))))
     extension_used = False
     geometric_nonempty = False
     if not inter:
         geometric_nonempty, note = _nonempty_over_extension(
-            ctx, field, cls, w, wdot=wdot)
+            ctx, field, cls, w, wdot)
         if not geometric_nonempty and proposals:
             geometric_nonempty, note = _verify_extension_proposals(
-                ctx, field, cls, w, proposals, wdot=wdot)
+                ctx, field, cls, w, wdot, proposals)
         caveats.append(note)
         extension_used = geometric_nonempty
     gammas = ctx.gamma_elements(field, w)
@@ -528,26 +532,19 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
         extension_used = True
         caveats.append(
             f"Gamma_w has no 4th root of 1 over F_{q}; escalated to F_{q * q}")
-    transitive = orbits_base == 1 if orbits_base is not None else False
-    if not transitive and len(inter) > 1:
+    transitive = orbits_base == 1 or len(inter) <= 1
+    if not transitive:
         # relate all points through extension-field Gamma elements
         ext = gf(q * q)
         step2 = _conjugation(ext, ctx.size,
                              [_flat(g) for g in ctx.gamma_elements(ext, w)])
-        # base-field ints embed as constant digits
-        reached = step2(inter[0])
-        if gammas:
-            # closure under the full extension group of the base orbit
-            reached = closure(reached, step2)
-        transitive = set(inter) <= set(reached)
-        if transitive and orbits_base != 1:
+        # base-field ints embed as constant digits; Gamma_w(F_{q^2}) is the
+        # whole group, so one conjugation pass is the orbit
+        transitive = set(inter) <= set(step2(inter[0]))
+        if transitive:
             extension_used = True
             caveats.append("transitivity needed Gamma points over the "
                            "quadratic extension")
-    if len(inter) <= 1:
-        transitive = True
-    if not gammas:
-        closed = True  # closure checked through the extension orbit above
     return SliceOrbitReport(
         group=f"{label}{rank}",
         q=q,
@@ -555,7 +552,7 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
         w_word=w.reduced_word(),
         intersection_size=len(inter),
         nonempty=bool(inter) or geometric_nonempty,
-        gamma_points=len(gammas) if gammas else 0,
+        gamma_points=len(gammas),
         gamma_closed=closed,
         gamma_transitive=transitive,
         extension_used=extension_used,
@@ -564,101 +561,69 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
 
 
 def _nonempty_over_extension(ctx: GroupContext, field, cls: ClassData,
-                             w: WeylElement, wdot=None) -> tuple[bool, str]:
+                             w: WeylElement, wdot: Matrix) -> tuple[bool, str]:
     """Rational-point caveat path: exhibit a slice point over F_{q^2}.
 
-    Finds a class element in wdot T U form, then applies the square-root
-    conjugation on (T_w)deg over the quadratic extension; membership of the
-    result is certified at the invariant level (characteristic polynomial
-    plus the squarefree minimal-polynomial annihilator).
+    Finds a class element in wdot T U form and normalizes it into
+    wdot T^w U, over F_q and then over the quadratic extension; the
+    result is certified at the invariant level (`_invariants_match`).
     """
     q = field.order
-    if wdot is None:
-        wdot = ctx.weyl_representative(field, w)
     wdot_inv = inverse(field, wdot)
-    order = ctx.flag_order
-    candidate = None
     for e in sorted(cls.elements):
-        m = _unflat(e, ctx.size)
-        tu = mat_mul(field, wdot_inv, m)
-        flagged = [[tu[order[i]][order[j]] for j in range(ctx.size)]
-                   for i in range(ctx.size)]
-        if all(field.is_zero(flagged[i][j])
-               for i in range(ctx.size) for j in range(i)) and all(
-                   not field.is_zero(flagged[i][i]) for i in range(ctx.size)):
-            candidate = m
+        candidate = _unflat(e, ctx.size)
+        if ctx.borel_torus(field, mat_mul(field, wdot_inv, candidate)):
             break
-    if candidate is None:
+    else:
         return False, ("no class point in the open cell wdot T U over the "
                        "base field")
-    base_norm = normalize_to_fixed_torus(ctx, field, candidate, w, wdot)
-    if not base_norm.extension_needed:
+    if not normalize_to_fixed_torus(ctx, field, candidate, w,
+                                    wdot).extension_needed:
         return False, ("class point normalized over the base field but the "
                        "enumerated slice missed it; inspect manually")
-    ext = gf(q * q)
     # base-field matrices embed entrywise (constant digits)
-    sp = w.signed_permutation()
-    tu = mat_mul(ext, inverse(ext, wdot), candidate)
-    t_coords = _torus_coord_values(ctx, ext, [tu[i][i] for i in range(ctx.size)])
-    rep = _unflat(cls.rep, ctx.size)
-    cp_rep = charpoly(field, rep)
-    sf = squarefree_part(field, cp_rep)
-    ann_rep = poly_eval_matrix(field, sf, rep)
-    rep_annihilated = all(field.is_zero(v) for row in ann_rep for v in row)
-    for s_coords in _anti_fixed_torus_points(ctx, ext, w):
-        shifted = [ext.mul(ext.inv(ext.mul(s, s)), t)
-                   for s, t in zip(s_coords, t_coords)]
-        if not is_w_fixed(ext, sp, shifted):
-            continue
-        s = ctx.torus(ext, s_coords)
-        x_new = mat_mul(ext, mat_mul(ext, s, candidate), inverse(ext, s))
-        if tuple(cp_rep) != tuple(charpoly(ext, x_new)):
-            continue
-        ann = poly_eval_matrix(ext, sf, x_new)
-        if all(ext.is_zero(v) for row in ann for v in row) == rep_annihilated:
-            return True, (f"intersection empty over F_{q}; slice point with "
-                          f"matching invariants found over F_{q * q} "
-                          "(rational-point caveat, not a refutation)")
+    ext = gf(q * q)
+    x_new = normalize_to_fixed_torus(ctx, ext, candidate, w, wdot).normalized
+    if x_new is not None and _invariants_match(
+            field, _unflat(cls.rep, ctx.size), ext, x_new):
+        return True, (f"intersection empty over F_{q}; slice point with "
+                      f"matching invariants found over F_{q * q} "
+                      "(rational-point caveat, not a refutation)")
     return False, (f"intersection empty over F_{q} and the quadratic "
                    "extension search failed")
 
 
 def _verify_extension_proposals(ctx: GroupContext, field, cls: ClassData,
-                                w: WeylElement, proposals,
-                                wdot=None) -> tuple[bool, str]:
+                                w: WeylElement, wdot: Matrix,
+                                proposals) -> tuple[bool, str]:
     """Check caller-proposed F_{q^2} slice points structurally and by invariants."""
     q = field.order
     ext = gf(q * q)
-    if wdot is None:
-        wdot = ctx.weyl_representative(field, w)
     wdot_inv = inverse(ext, wdot)
-    order = ctx.flag_order
-    cp_rep = tuple(charpoly(field, _unflat(cls.rep, ctx.size)))
-    sf = squarefree_part(field, cp_rep)
-    rep_ann_zero = all(
-        field.is_zero(v) for row in
-        poly_eval_matrix(field, sf, _unflat(cls.rep, ctx.size)) for v in row)
     sp = w.signed_permutation()
+    rep = _unflat(cls.rep, ctx.size)
     for y in proposals:
-        tu = mat_mul(ext, wdot_inv, y)
-        flagged = [[tu[order[i]][order[j]] for j in range(ctx.size)]
-                   for i in range(ctx.size)]
-        if any(not ext.is_zero(flagged[i][j])
-               for i in range(ctx.size) for j in range(i)):
-            continue
-        t_coords = _torus_coord_values(ctx, ext, [tu[i][i]
-                                                  for i in range(ctx.size)])
-        if not is_w_fixed(ext, sp, t_coords):
-            continue
-        if tuple(charpoly(ext, y)) != cp_rep:
-            continue
-        ann = poly_eval_matrix(ext, sf, y)
-        if all(ext.is_zero(v) for row in ann for v in row) == rep_ann_zero:
+        t_coords = ctx.borel_torus(ext, mat_mul(ext, wdot_inv, y))
+        if (t_coords is not None and is_w_fixed(ext, sp, t_coords)
+                and _invariants_match(field, rep, ext, y)):
             return True, (f"intersection empty over F_{q}; proposed slice "
                           f"point over F_{q * q} verified structurally and "
                           "by invariants (rational-point caveat)")
     return False, (f"intersection empty over F_{q} and no extension "
                    "proposal verified")
+
+
+def _invariants_match(field, rep: Matrix, ext, y: Matrix) -> bool:
+    """Whether y over `ext` has the characteristic polynomial of `rep` and
+    is killed by its squarefree part exactly when `rep` is."""
+    cp_rep = tuple(charpoly(field, rep))
+    if tuple(charpoly(ext, y)) != cp_rep:
+        return False
+    sf = squarefree_part(field, cp_rep)
+    return (all(ext.is_zero(v) for row in poly_eval_matrix(ext, sf, y)
+                for v in row)
+            == all(field.is_zero(v) for row in poly_eval_matrix(field, sf, rep)
+                   for v in row))
 
 
 def _orbit_count(points, step) -> int:
@@ -682,65 +647,28 @@ class NormalizeResult:
     note: str
 
 
-def _torus_coord_values(ctx: GroupContext, field, diag_vals):
-    """Epsilon-coordinate values of a diagonal torus element."""
-    n_coords = ctx.rank + 1 if ctx.label in ("SL", "GL") else ctx.rank
-    vals = []
-    for i in range(n_coords):
-        vals.append(diag_vals[ctx._pos[("u", i)]])
-    return vals
-
-
-def _anti_fixed_torus_points(ctx: GroupContext, field, w: WeylElement):
-    """Coordinate tuples of the F_q points of (T_w)deg."""
-    torus = TorusData(ctx.system, w, "matrix")
-    kernel = [g.lattice_coords for g in gamma_w(torus)[1]]
-    units = [u for u in field.elements() if not field.is_zero(u)]
-    pts = set()
-    for choices in product(units, repeat=len(kernel)):
-        coords = [field.one] * torus.n
-        for vec, c in zip(kernel, choices):
-            cinv = field.inv(c)
-            for i, e in enumerate(vec):
-                base = c if e >= 0 else cinv
-                for _ in range(abs(e)):
-                    coords[i] = field.mul(coords[i], base)
-        pts.add(tuple(coords))
-    return sorted(pts)
-
-
 def normalize_to_fixed_torus(ctx: GroupContext, field, x: Matrix,
                              w: WeylElement, wdot: Matrix) -> NormalizeResult:
     """Conjugate x = wdot t u into wdot T^w U by s in (T_w)deg with s^-2 = t_w.
 
     Searches the F_q points of (T_w)deg; reports the quadratic extension
-    when no square root exists rationally.
+    when no square root exists rationally.  For SL no determinant check is
+    needed: on the matrix lattice of type A, w permutes the coordinates, so
+    every lambda in ker(1 + w) has coordinate sum 0 and det s = 1.
     """
-    tu = mat_mul(field, inverse(field, wdot), x)
-    n = ctx.size
-    t_diag = [tu[i][i] for i in range(n)]
-    if any(field.is_zero(v) for v in t_diag):
+    t_coords = ctx.borel_torus(field, mat_mul(field, inverse(field, wdot), x))
+    if t_coords is None:
         raise ValueError("x is not in the open cell wdot T U")
-    t_coords = _torus_coord_values(ctx, field, t_diag)
     sp = w.signed_permutation()
     if is_w_fixed(field, sp, t_coords):
         return NormalizeResult(x, None, False, "already in wdot T^w U")
-    for s_coords in _anti_fixed_torus_points(ctx, field, w):
+    for s_coords in ctx.anti_fixed_points(field, w, field.units()):
         shifted = [field.mul(field.inv(field.mul(s, s)), t)
                    for s, t in zip(s_coords, t_coords)]
         if is_w_fixed(field, sp, shifted):
-            # s in (T_w)deg needs no SL determinant fix: det = 1 on the kernel
-            if ctx.label == "SL":
-                prod = field.one
-                for c in s_coords:
-                    prod = field.mul(prod, c)
-                if prod != field.one:
-                    continue
             s = ctx.torus(field, s_coords)
             x_new = mat_mul(field, mat_mul(field, s, x), inverse(field, s))
-            return NormalizeResult(
-                normalized=x_new, conjugator=s, extension_needed=False,
-                note="normalized over the base field")
-    return NormalizeResult(
-        normalized=None, conjugator=None, extension_needed=True,
-        note=f"square root requires F_{field.order ** 2}")
+            return NormalizeResult(x_new, s, False,
+                                   "normalized over the base field")
+    return NormalizeResult(None, None, True,
+                           f"square root requires F_{field.order ** 2}")

@@ -13,6 +13,7 @@ positive system after the fixed flag reordering of coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Optional, Sequence
 
@@ -150,15 +151,31 @@ class GroupContext:
         if omega is None:
             return []
         omega2 = field.mul(omega, omega)
-        powers = (field.one, omega, omega2, field.mul(omega2, omega))
+        fourth_roots = (field.one, omega, omega2, field.mul(omega2, omega))
+        return [self.torus(field, c)
+                for c in self.anti_fixed_points(field, w, fourth_roots)]
+
+    def anti_fixed_points(self, field, w: WeylElement,
+                          values) -> list[tuple]:
+        """Sorted epsilon-coordinate tuples of prod_k lambda_k(c_k) over all
+        choices c_k in `values`, where lambda_k runs over the `gamma_w` basis
+        of ker(1 + w) on the matrix lattice.
+
+        With `values` all units of F these are the F-points of (T_w)deg;
+        with the 4th roots of 1, Gamma_w(F).
+        """
         torus = TorusData(self.system, w, "matrix")
-        gens = [g.lattice_coords for g in gamma_w(torus)[1]]
-        out = set()
-        for exps in product(range(4), repeat=len(gens)):
-            coords = [sum(e * g[i] for e, g in zip(exps, gens))
-                      for i in range(torus.n)]
-            out.add(self.torus(field, [powers[c % 4] for c in coords]))
-        return sorted(out)
+        kernel = [g.lattice_coords for g in gamma_w(torus)[1]]
+        # lambda_k(c) for every basis vector and value: c^e coordinatewise
+        lambdas = [[tuple(_power(field, c, e) for e in vec) for c in values]
+                   for vec in kernel]
+        points = set()
+        for choice in product(*lambdas):
+            coords = (field.one,) * torus.n
+            for lam in choice:
+                coords = tuple(map(field.mul, coords, lam))
+            points.add(coords)
+        return sorted(points)
 
     def root_element(self, field, root: Vector, c) -> Matrix:
         """The one-parameter root subgroup element x_root(c)."""
@@ -253,6 +270,20 @@ class GroupContext:
 
     # -- Bruhat decoding ----------------------------------------------------
 
+    def borel_torus(self, field, b: Matrix) -> Optional[tuple]:
+        """Epsilon-coordinates of the torus part of b when b lies in the
+        standard Borel (upper triangular in `flag_order`, nonzero diagonal);
+        None otherwise."""
+        order, N = self.flag_order, self.size
+        if any(not field.is_zero(b[order[i]][order[j]])
+               for i in range(N) for j in range(i)):
+            return None
+        if any(field.is_zero(b[i][i]) for i in range(N)):
+            return None
+        n = self.rank + 1 if self.label in ("SL", "GL") else self.rank
+        return tuple(b[self._pos[("u", i)]][self._pos[("u", i)]]
+                     for i in range(n))
+
     def bruhat_word(self, field, g: Matrix) -> WeylElement:
         """The Weyl element w with g in BwB for the standard Borel."""
         if self.label not in ("SL", "GL") and not self.in_group(field, g):
@@ -312,10 +343,9 @@ class GroupContext:
             raise TypeError("enumeration needs a finite field")
         sp = w.signed_permutation()
         n = self.rank if self.label not in ("SL", "GL") else self.rank + 1
-        units = [x for x in field.elements() if not field.is_zero(x)]
         out = []
-        for combo in _tuples(units, n):
-            if self.label == "SL" and _prod(field, combo) != field.one:
+        for combo in product(field.units(), repeat=n):
+            if self.label == "SL" and reduce(field.mul, combo) != field.one:
                 continue
             if is_w_fixed(field, sp, combo):
                 out.append(self.torus(field, combo))
@@ -376,17 +406,10 @@ def is_w_fixed(field, sp, coords) -> bool:
                for c, (j, s) in zip(coords, sp))
 
 
-def _tuples(values, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _tuples(values, n - 1):
-        for v in values:
-            yield rest + (v,)
-
-
-def _prod(field, values):
+def _power(field, c, e: int):
+    """c^e in the field, for any integer e."""
+    base = c if e >= 0 else field.inv(c)
     out = field.one
-    for v in values:
-        out = field.mul(out, v)
+    for _ in range(abs(e)):
+        out = field.mul(out, base)
     return out

@@ -65,9 +65,6 @@ class PositiveSystem:
         object.__setattr__(self, "_indices",
                            frozenset(index[r] for r in self.positive))
 
-    def is_positive(self, root: Vector) -> bool:
-        return root in self.positive
-
     def length_of(self, w: WeylElement) -> int:
         pos, perm = self._indices, w.perm
         return sum(1 for k in pos if perm[k] not in pos)

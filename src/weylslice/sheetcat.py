@@ -395,77 +395,6 @@ def _e_catalog(rank: int):
     return []
 
 
-class RootDatumOnly(ValueError):
-    """E-type slice elements exist only at the root-datum level here."""
-
-
-def slice_representative(descriptor: SheetDescriptor, field=None):
-    """(wdot_S, family schema) for a classical descriptor.
-
-    wdot_S is the displayed monomial matrix, checked to preserve the tagged
-    form and decode to w_S; the schema names the free parameters and their
-    domains.  E-type requests raise RootDatumOnly.
-    """
-    from .families import build_family, E6Family, E7Family
-    from .fields import QQ
-
-    if field is None:
-        field = QQ
-    fam = build_family(descriptor)
-    if isinstance(fam, (E6Family, E7Family)):
-        raise RootDatumOnly(
-            f"E{descriptor.rank} slice elements are recorded at the "
-            "root-datum level only; request the tuple family instead")
-    wdot = fam.representative(field)
-    if not fam.ctx.in_group(field, wdot):
-        raise AssertionError("representative escaped the tagged group")
-    schema = _family_schema(descriptor)
-    return wdot, schema
-
-
-def _family_schema(d: SheetDescriptor) -> str:
-    n = d.rank
-    if d.group_type == "B" and d.label == "S":
-        return (f"E in {{+-1}}^{n}; v in k^{n}; Q unipotent upper "
-                f"triangular; M = -(1/2) v v^T + A with A skew")
-    if d.group_type == "C" and d.label == "S2":
-        return (f"E in {{+-1}}^{n}; V unipotent upper triangular; "
-                "X symmetric")
-    if d.group_type == "D" and d.label in ("S", "thetaS"):
-        return (f"signs e in {{+-1}}^{n // 2}; x in k^{n // 2} "
-                "(D = diag(-e_b x_b I_2))")
-    if d.group_type == "D" and d.label in ("R", "thetaR"):
-        return (f"signs e in {{+-1}}^{(n - 1) // 2}; "
-                f"x in k^{(n - 1) // 2}; zeta in k^*")
-    if d.group_type == "A":
-        m = int(d.label.split("_")[1])
-        return (f"a in (k^*)^{m}; b in k^*; zeta in k^{m}")
-    return ("eps, eta in {+-1}; c in k^*; one coefficient per negated "
-            "positive root")
-
-
-def catalog_table(group_type: str, rank: int) -> str:
-    """Plain structured-text report: one row per sheet."""
-    from .rootsys import minus_one_rank
-
-    rows = [f"{group_type}{rank} sheets of spherical conjugacy classes"]
-    header = (f"{'sheet':10s} {'Pi':18s} {'l(w_S)':>7s} {'rk(1-w_S)':>10s} "
-              f"{'components':>11s} {'sheet':>6s} {'stratum':>8s}")
-    rows.append(header)
-    for d in sheet_catalog(group_type, rank):
-        w = d.w_S()
-        pi = ",".join(str(i + 1) for i in d.pi) or "-"
-        rows.append(
-            f"{d.label:10s} {pi:18s} {w.length():7d} "
-            f"{minus_one_rank(w):10d} {d.expected_components:11d} "
-            f"{'smooth' if d.sheet_smooth else 'sing':>6s} "
-            f"{'smooth' if d.stratum_smooth else 'sing':>8s}")
-        members = list(d.unipotent_members) + list(d.isolated_members)
-        rows.append(f"  classes: {d.semisimple_members}; " +
-                    "; ".join(members))
-    return "\n".join(rows)
-
-
 @dataclass(frozen=True)
 class SmoothnessVerdict:
     smooth: bool

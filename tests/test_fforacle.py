@@ -129,6 +129,16 @@ def test_expand_class_budget():
         expand_class(g.ctx, g.field, ((1, 1), (0, 1)), budget=5)
 
 
+def test_expand_class_reduces_and_checks_rep():
+    ctx, F5 = GroupContext("SL", 1), gf(5)
+    # -I is central: its class is itself, read with entries reduced mod 5
+    cls = expand_class(ctx, F5, ((-1, 0), (0, -1)))
+    assert cls.elements == frozenset({(4, 0, 0, 4)})
+    assert cls.rep == (4, 0, 0, 4) and cls.size == 1
+    with pytest.raises(ValueError):
+        expand_class(ctx, F5, ((2, 0), (0, 2)))  # det 4, not in SL2(F_5)
+
+
 def test_slice_orbit_sl2_f5():
     a1 = build_root_system("A", 1)
     s1 = a1.simple_reflection(0)

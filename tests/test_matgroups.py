@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from weylslice.fields import QQ, gf
 from weylslice.linalg import identity, inverse, mat_mul, unipotent_partition
 from weylslice.matgroups import GroupContext
-from weylslice.rootsys import build_root_system, longest_element
+from weylslice.rootsys import (build_root_system,
+                               involution_conjugacy_classes, longest_element)
+from weylslice.toruslat import TorusData, gamma_w
 
 CONTEXTS = [("SL", 2), ("Sp", 2), ("Sp", 3), ("SO-odd", 2), ("SO-odd", 3),
             ("SO-even", 4)]
@@ -176,3 +179,96 @@ def test_form_matrices():
                 tuple(F.neg(x) for x in row) for row in j)
         else:
             assert t == j
+
+
+# -- (T_w)deg points and the Borel reader ------------------------------------
+
+SMALL_CONTEXTS = [("SL", 1), ("SL", 2), ("SO-odd", 2), ("Sp", 2)]  # A1 A2 B2 C2
+
+
+def _involutions(ctx):
+    return [w for cls in involution_conjugacy_classes(ctx.system)
+            for w in cls]
+
+
+def _kernel(ctx, w):
+    torus = TorusData(ctx.system, w, "matrix")
+    return torus.n, [g.lattice_coords for g in gamma_w(torus)[1]]
+
+
+def _reference_gamma_elements(ctx, F, w):
+    """Gamma_w(F) by exponent sums mod 4 over the kernel basis."""
+    omega = F.fourth_root_of_unity()
+    if omega is None:
+        return []
+    powers = [F.one]
+    for _ in range(3):
+        powers.append(F.mul(powers[-1], omega))
+    n, gens = _kernel(ctx, w)
+    out = set()
+    for exps in product(range(4), repeat=len(gens)):
+        coords = [sum(e * g[i] for e, g in zip(exps, gens)) for i in range(n)]
+        out.add(ctx.torus(F, [powers[c % 4] for c in coords]))
+    return sorted(out)
+
+
+def _reference_anti_fixed_points(ctx, F, w):
+    """F-points of (T_w)deg by repeated multiplication per kernel vector."""
+    n, kernel = _kernel(ctx, w)
+    units = [u for u in F.elements() if not F.is_zero(u)]
+    pts = set()
+    for choices in product(units, repeat=len(kernel)):
+        coords = [F.one] * n
+        for vec, c in zip(kernel, choices):
+            cinv = F.inv(c)
+            for i, e in enumerate(vec):
+                for _ in range(abs(e)):
+                    coords[i] = F.mul(coords[i], c if e >= 0 else cinv)
+        pts.add(tuple(coords))
+    return sorted(pts)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 13])
+@pytest.mark.parametrize("label,rank", SMALL_CONTEXTS)
+def test_anti_fixed_points_match_references(label, rank, q):
+    ctx = GroupContext(label, rank)
+    F = gf(q)
+    for w in _involutions(ctx):
+        # same list in the same order: gamma_stability_check strides it
+        assert ctx.gamma_elements(F, w) == _reference_gamma_elements(ctx, F, w)
+        points = ctx.anti_fixed_points(F, w, F.units())
+        assert points == _reference_anti_fixed_points(ctx, F, w)
+        if label == "SL":
+            # w permutes the coordinates, so every kernel vector has
+            # coordinate sum 0 and every point has determinant 1
+            for c in points:
+                det = F.one
+                for x in c:
+                    det = F.mul(det, x)
+                assert det == F.one
+
+
+@pytest.mark.parametrize("label,rank", CONTEXTS)
+def test_borel_torus(label, rank):
+    ctx = GroupContext(label, rank)
+    F = gf(7)
+    vals = [F.of(k + 2) for k in range(rank)]
+    if label == "SL":
+        prod = F.one
+        for v in vals:
+            prod = F.mul(prod, v)
+        vals.append(F.inv(prod))
+    b = ctx.torus(F, vals)
+    for k, r in enumerate(ctx.system.positive_roots):
+        b = mat_mul(F, b, ctx.root_element(F, r, F.of(k + 1)))
+    assert ctx.borel_torus(F, b) == tuple(vals)
+    for r in ctx.system.positive_roots:
+        # one nonzero entry below the flag diagonal
+        below = mat_mul(F, b, ctx.root_element(F, ctx.system.roots[
+            ctx.system.neg[ctx.system.index[r]]], F.one))
+        assert ctx.borel_torus(F, below) is None
+    singular = tuple(tuple(F.zero if i == j == 0 else x
+                           for j, x in enumerate(row))
+                     for i, row in enumerate(ctx.torus(F, vals)))
+    assert ctx.borel_torus(F, singular) is None
+

@@ -160,30 +160,3 @@ def test_catalog_report_strings():
     for d in sheet_catalog("B", 3):
         assert d.semisimple_members
         assert d.unipotent_members
-
-
-def test_slice_representative_and_schema():
-    from weylslice.sheetcat import RootDatumOnly, slice_representative
-
-    F = gf(7)
-    d = next(x for x in sheet_catalog("C", 3) if x.label == "S2")
-    wd, schema = slice_representative(d, F)
-    assert "V unipotent" in schema
-    ctx = GroupContext("Sp", 3)
-    assert ctx.in_group(F, wd)
-    assert ctx.bruhat_word(F, wd) == d.w_S()
-    for t, n, label in [("B", 3, "S"), ("D", 4, "S"), ("D", 5, "R"),
-                        ("B", 4, "Sprime"), ("A", 3, "S_2")]:
-        d = next(x for x in sheet_catalog(t, n) if x.label == label)
-        wd, schema = slice_representative(d, F)
-        assert schema
-    with pytest.raises(RootDatumOnly):
-        slice_representative(sheet_catalog("E", 6)[0])
-
-
-def test_catalog_table_export():
-    from weylslice.sheetcat import catalog_table
-
-    table = catalog_table("C", 3)
-    assert "S2" in table and "components" in table
-    assert "(2^3)" in table
