@@ -24,6 +24,8 @@ Areas:
            Sp4(F_5) reps, the sigma class, SL3(F_q) for q = 3, 5, 7
            unipotent and semisimple with F_{q^2} proposals) and the
            NormalizeResult of three SL2 points over F_5 and F_13
+  chain    the ChainReport of the big B_n cell equation chain for every
+           sign datum of n = 2 and n = 3, plus the PERTURBED controls
   report:* the printed reports of the REPORTS command lines
 
 Usage: python3 scripts/parity_digest.py
@@ -35,6 +37,7 @@ import io
 import os
 import sys
 from fractions import Fraction
+from itertools import product
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -50,6 +53,7 @@ from weylslice.reportcli import main as cli_main
 from weylslice.rootsys import (build_root_system, involution_conjugacy_classes,
                                longest_element)
 from weylslice.sheetcat import catalog_w_S
+from weylslice.sliceverify import verify_equation_chain_Bn
 from weylslice.sevslice import (EigenBasisChoice, fixed_roots,
                                 minus_one_eigenbasis, positive_system)
 from weylslice.toruslat import TorusData, gamma_w
@@ -58,6 +62,8 @@ TYPES = [("A", 3), ("A", 4), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
          ("D", 4), ("D", 5), ("G", 2), ("F", 4)]
 MEMBERS = 3  # elements per involution class
 ORACLE_GROUPS = [("SL", 1, 3), ("SL", 1, 5), ("SL", 1, 7), ("SL", 2, 3)]
+PERTURBED = [(2, (1, 1), (1, 1)), (3, (1, -1, 1), (1, 1, -1)),
+             (3, (1, 1, 1), (1, 1, 1))]
 REPORTS = [
     ["all", "--format", "jsonl", "--seed", "1"],
     ["sev-check", "--trials", "20"],
@@ -160,6 +166,15 @@ def slice_records():
         yield normalize_to_fixed_torus(sl2, fq, x, s1, wdot)
 
 
+def chain_records():
+    for n in (2, 3):
+        for e in product((1, -1), repeat=n):
+            for eta_tail in product((1, -1), repeat=n - 1):
+                yield verify_equation_chain_Bn(n, e, (1,) + eta_tail)
+    for n, e, eta in PERTURBED:
+        yield verify_equation_chain_Bn(n, e, eta, perturb_q=True)
+
+
 def report_text(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -181,6 +196,7 @@ def main():
     print("torus", digest(torus_records()))
     print("oracle", digest(oracle_records()))
     print("slice", digest(slice_records()))
+    print("chain", digest(chain_records()))
     for argv in REPORTS:
         print("report:" + " ".join(argv), digest([report_text(argv)]))
     return 0

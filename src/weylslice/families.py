@@ -18,7 +18,6 @@ from .linalg import (
     identity,
     inverse,
     mat_mul,
-    mat_pow,
     rank as mat_rank,
     scalar_shift,
 )
@@ -26,6 +25,7 @@ from .matgroups import GroupContext
 from .sheetcat import (
     SheetDescriptor,
     _min_quadratic_mu,
+    _rank_shift,
     _solve_cubic_mu,
     catalog_w_S,
     sheet_catalog,
@@ -71,8 +71,19 @@ def _sqrt_sign(field, e: int):
     return _fourth_root(field)
 
 
-def _rank_pow(field, m, k):
-    return mat_rank(field, mat_pow(field, m, k))
+def _square_zero_or_mu(field, X, r, r_text, unipotent, semisimple, failure):
+    """Membership shared by the C and D families: X = +-(1 + N) with N of
+    rank r and N^2 = 0, or X + X^-1 = mu with mu != +-2."""
+    for lam in (field.one, field.neg(field.one)):
+        if (_rank_shift(field, X, lam) == r
+                and _rank_shift(field, X, lam, 2) == 0):
+            return MembershipResult(
+                True, f"rk(X-({lam}))={r_text} and square zero", unipotent)
+    mu = _min_quadratic_mu(field, X)
+    if mu is not None and mu != field.of(2) and mu != field.of(-2):
+        return MembershipResult(True, "X + X^-1 = mu with mu != +-2",
+                                semisimple)
+    return MembershipResult(False, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +159,7 @@ class BFamilyS:
         n = self.n
         u0 = field.of(self.sign)
         for lam, tag_pos in ((field.one, True), (field.neg(field.one), False)):
-            shifted = scalar_shift(field, X, lam)
-            if _rank_pow(field, shifted, 2) == 1:
+            if _rank_shift(field, X, lam, 2) == 1:
                 if lam == u0:
                     t = ("unipotent (3,2^(n-2),1^2) member" if self.sign == 1
                          else "rho-twisted unipotent member")
@@ -301,9 +311,8 @@ class TwoFlipFamily:
 
     def membership(self, field, X) -> MembershipResult:
         z = field.of(self.central)
-        shifted = scalar_shift(field, X, z)
-        if mat_rank(field, shifted) == 2:
-            if _rank_pow(field, shifted, 2) == 0:
+        if _rank_shift(field, X, z) == 2:
+            if _rank_shift(field, X, z, 2) == 0:
                 t = "unipotent member" + (" (times -1)" if self.central < 0 else "")
             else:
                 t = "semisimple or mixed member"
@@ -375,19 +384,9 @@ class CFamilyS2:
         return point
 
     def membership(self, field, X) -> MembershipResult:
-        n = self.n
-        for lam in (field.one, field.neg(field.one)):
-            sh = scalar_shift(field, X, lam)
-            if mat_rank(field, sh) == n and _rank_pow(field, sh, 2) == 0:
-                return MembershipResult(
-                    True, f"rk(X-({lam}))=n and square zero",
-                    "unipotent (2^n) member up to sign")
-        mu = _min_quadratic_mu(field, X)
-        if mu is not None and mu != field.of(2) and mu != field.of(-2):
-            return MembershipResult(
-                True, "X + X^-1 = mu with mu != +-2",
-                "semisimple O_lambda member")
-        return MembershipResult(False, "no S2 membership condition holds")
+        return _square_zero_or_mu(
+            field, X, self.n, "n", "unipotent (2^n) member up to sign",
+            "semisimple O_lambda member", "no S2 membership condition holds")
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +440,10 @@ class DFamilyS:
         return len(vals) == 1
 
     def membership(self, field, X) -> MembershipResult:
-        n = self.n
-        for lam in (field.one, field.neg(field.one)):
-            sh = scalar_shift(field, X, lam)
-            if mat_rank(field, sh) == n and _rank_pow(field, sh, 2) == 0:
-                return MembershipResult(
-                    True, f"rk(X-({lam}))=n and square zero",
-                    "very even unipotent (2^n) member up to sign")
-        mu = _min_quadratic_mu(field, X)
-        if mu is not None and mu != field.of(2) and mu != field.of(-2):
-            return MembershipResult(
-                True, "X + X^-1 = mu with mu != +-2",
-                "semisimple member")
-        return MembershipResult(False, "no S membership condition holds")
+        return _square_zero_or_mu(
+            field, X, self.n, "n",
+            "very even unipotent (2^n) member up to sign",
+            "semisimple member", "no S membership condition holds")
 
 
 def _d_blocks(field, n: int, e: Sequence[int], x: Sequence) -> list[list]:
@@ -532,19 +522,10 @@ class DFamilyR:
         return point
 
     def membership(self, field, X) -> MembershipResult:
-        n = self.n
-        for lam in (field.one, field.neg(field.one)):
-            sh = scalar_shift(field, X, lam)
-            if mat_rank(field, sh) == n - 1 and _rank_pow(field, sh, 2) == 0:
-                return MembershipResult(
-                    True, f"rk(X-({lam}))=n-1 and square zero",
-                    "unipotent (2^(n-1),1^2) member up to sign")
-        mu = _min_quadratic_mu(field, X)
-        if mu is not None and mu != field.of(2) and mu != field.of(-2):
-            return MembershipResult(
-                True, "X + X^-1 = mu with mu != +-2",
-                "semisimple member")
-        return MembershipResult(False, "no R membership condition holds")
+        return _square_zero_or_mu(
+            field, X, self.n - 1, "n-1",
+            "unipotent (2^(n-1),1^2) member up to sign",
+            "semisimple member", "no R membership condition holds")
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +624,8 @@ class AFamily:
         for z in cands:
             if field.is_zero(z):
                 continue
-            sh = scalar_shift(field, X, z)
-            if mat_rank(field, sh) == m and _rank_pow(field, sh, 2) == 0:
+            if (_rank_shift(field, X, z) == m
+                    and _rank_shift(field, X, z, 2) == 0):
                 return MembershipResult(
                     True, f"X = z*(unipotent (2^{m},1^{n1 - 2 * m}))",
                     "unipotent member up to scalar")

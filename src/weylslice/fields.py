@@ -1,15 +1,17 @@
-"""Exact scalar arithmetic: big rationals and small finite fields.
+"""Exact scalar arithmetic: rationals, Q(i), rational functions K(t) and
+small finite fields.
 
 Field elements are plain Python values (``Fraction`` for the rationals,
-ints in ``range(q)`` for F_q) and every field is an ops object passed to
-the matrix routines.  Nothing here ever rounds.
+pairs of Fractions for Q(i), canonical ``(num, den)`` coefficient tuples
+for K(t), ints in ``range(q)`` for F_q) and every field is an ops object
+passed to the matrix routines.  Nothing here ever rounds.
 
 Besides the scalar operations, each field supplies the two vector
 operations that carry all of `linalg`'s products and row updates:
 ``dot(xs, ys)`` (the sum of the products) and ``sub_scaled(xs, f, ys)``
 (the list ``[x - f*y]``).  F_p computes both on plain ints and reduces
-once per entry; Q and F_{p^k} skip the zero terms, whose Fraction or
-table products are what the skipping saves.
+once per entry; the other fields skip the zero terms, whose Fraction,
+polynomial or table products are what the skipping saves.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul as _int_mul
 from typing import Iterable, Optional
+
+from .linalg import fsum, poly_add, poly_divmod, poly_gcd, poly_mul
 
 
 class Rationals:
@@ -80,6 +84,130 @@ class Rationals:
 
 
 QQ = Rationals()
+
+
+class GaussianRationals:
+    """Q(i), each element a pair (a, b) of Fractions standing for a + b i."""
+
+    zero = (Fraction(0), Fraction(0))
+    one = (Fraction(1), Fraction(0))
+
+    def of(self, n):
+        return (Fraction(n), Fraction(0))
+
+    def add(self, a, b):
+        return (a[0] + b[0], a[1] + b[1])
+
+    def sub(self, a, b):
+        return (a[0] - b[0], a[1] - b[1])
+
+    def mul(self, a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def neg(self, a):
+        return (-a[0], -a[1])
+
+    def inv(self, a):
+        norm = a[0] * a[0] + a[1] * a[1]
+        if not norm:
+            raise ZeroDivisionError("inverse of 0")
+        return (a[0] / norm, -a[1] / norm)
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def is_zero(self, a) -> bool:
+        return not (a[0] or a[1])
+
+    def dot(self, xs, ys):
+        return fsum(self, (self.mul(x, y) for x, y in zip(xs, ys)
+                           if (x[0] or x[1]) and (y[0] or y[1])))
+
+    def sub_scaled(self, xs, f, ys) -> list:
+        return [self.sub(x, self.mul(f, y)) if y[0] or y[1] else x
+                for x, y in zip(xs, ys)]
+
+    def fourth_root_of_unity(self):
+        return (Fraction(0), Fraction(1))
+
+
+QQI = GaussianRationals()
+
+
+class RationalFunctions:
+    """K(t) over an exact base field K, elements (num, den) in lowest terms.
+
+    num and den are low-first coefficient tuples over K with den monic and
+    gcd(num, den) = 1, so ``==`` is equality of functions (von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 3).
+    """
+
+    def __init__(self, base):
+        self.base = base
+        one = (base.one,)
+        self.zero = ((), one)
+        self.one = (one, one)
+        self.t = ((base.zero, base.one), one)
+
+    def _reduce(self, num, den):
+        """num/den in lowest terms; both must be trimmed, den nonzero."""
+        base = self.base
+        if not num:
+            return self.zero
+        if len(den) > 1:
+            g = poly_gcd(base, num, den)
+            if len(g) > 1:
+                num, den = poly_divmod(base, num, g)[0], poly_divmod(base, den, g)[0]
+        if den[-1] != base.one:
+            lead = base.inv(den[-1])
+            num = tuple(base.mul(lead, c) for c in num)
+            den = tuple(base.mul(lead, c) for c in den)
+        return (num, den)
+
+    def of(self, n):
+        c = self.base.of(n)
+        return self.zero if self.base.is_zero(c) else ((c,), self.one[1])
+
+    def add(self, a, b):
+        base = self.base
+        if a[1] == b[1]:
+            return self._reduce(poly_add(base, a[0], b[0]), a[1])
+        return self._reduce(
+            poly_add(base, poly_mul(base, a[0], b[1]), poly_mul(base, b[0], a[1])),
+            poly_mul(base, a[1], b[1]))
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        base = self.base
+        return self._reduce(poly_mul(base, a[0], b[0]), poly_mul(base, a[1], b[1]))
+
+    def neg(self, a):
+        return (tuple(self.base.neg(c) for c in a[0]), a[1])
+
+    def inv(self, a):
+        if not a[0]:
+            raise ZeroDivisionError("inverse of 0")
+        return self._reduce(a[1], a[0])
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def is_zero(self, a) -> bool:
+        return not a[0]
+
+    def dot(self, xs, ys):
+        return fsum(self, (self.mul(x, y) for x, y in zip(xs, ys)
+                           if x[0] and y[0]))
+
+    def sub_scaled(self, xs, f, ys) -> list:
+        return [self.sub(x, self.mul(f, y)) if y[0] else x
+                for x, y in zip(xs, ys)]
+
+    def fourth_root_of_unity(self):
+        w = self.base.fourth_root_of_unity()
+        return None if w is None else ((w,), self.one[1])
 
 
 def _is_prime(n: int) -> bool:

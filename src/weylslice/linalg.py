@@ -8,7 +8,8 @@ elimination (rank over any field, inverses, and the exact solver
 `solve` / `kernel` the rest of the package uses over Q) goes through the
 one Gauss-Jordan routine `rref`.  Characteristic polynomials use the
 division-free Berkowitz algorithm so they are valid over any field,
-including small characteristic.
+including small characteristic.  Polynomials are low-first coefficient
+tuples; the ``poly_*`` helpers are also the arithmetic of K(t).
 """
 
 from __future__ import annotations
@@ -229,6 +230,24 @@ def poly_trim(field, coeffs):
     return tuple(out)
 
 
+def poly_add(field, a, b):
+    """Sum of two low-first coefficient sequences, trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    return poly_trim(field, [field.add(x, y) for x, y in zip(a, b)]
+                     + list(a[len(b):]))
+
+
+def poly_mul(field, a, b):
+    """Product of two low-first coefficient sequences, trimmed."""
+    out = [field.zero] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not field.is_zero(x):
+            out[i:i + len(b)] = field.sub_scaled(out[i:i + len(b)],
+                                                 field.neg(x), b)
+    return poly_trim(field, out)
+
+
 def poly_divmod(field, num, den):
     num = list(poly_trim(field, num))
     den = poly_trim(field, den)
@@ -236,15 +255,13 @@ def poly_divmod(field, num, den):
         raise ZeroDivisionError("polynomial division by zero")
     quot = [field.zero] * max(0, len(num) - len(den) + 1)
     inv_lead = field.inv(den[-1])
-    while len(num) >= len(den) and any(not field.is_zero(c) for c in num):
+    while len(num) >= len(den):
         shift = len(num) - len(den)
         factor = field.mul(num[-1], inv_lead)
         quot[shift] = factor
         num[shift:] = field.sub_scaled(num[shift:], factor, den)
         num = list(poly_trim(field, num))
-        if not num:
-            break
-    return tuple(quot), poly_trim(field, num)
+    return tuple(quot), tuple(num)
 
 
 def poly_gcd(field, a, b):

@@ -460,7 +460,7 @@ def _is_scalar(field, g):
 
 def _rank_shift(field, g, c, power=1):
     m = scalar_shift(field, g, c)
-    return mat_rank(field, mat_pow(field, m, power))
+    return mat_rank(field, m if power == 1 else mat_pow(field, m, power))
 
 
 def classify_spherical(ctx: GroupContext, field, g) -> Optional[SphericalTag]:

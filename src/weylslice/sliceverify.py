@@ -3,7 +3,8 @@
 Certify, don't solve: the catalog's closed-form component parametrizations
 are sampled bidirectionally (claimed points in, off-locus points out) over
 a large prime field; the 2n+1-dimensional equation chain for the big-cell
-family is additionally checked symbolically in the eigenvalue variable.
+family is additionally checked exactly, as identities in Q(i)(t) with the
+eigenvalue as t.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .families import (
     build_family,
     family_for,
 )
-from .fields import QQ, gf
-from .linalg import inverse, mat_mul, solve, unipotent_partition
+from .fields import QQ, QQI, RationalFunctions, gf
+from .linalg import inverse, mat_mul, solve, transpose, unipotent_partition
 from .rootsys import (
     build_root_system,
     dot,
@@ -352,7 +353,7 @@ def gamma_transitivity_check(group_type: str, rank: int, label: str,
 
 
 # ---------------------------------------------------------------------------
-# the symbolic equation chain for the big B_n cell
+# the exact equation chain for the big B_n cell
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -370,75 +371,77 @@ class ChainReport:
 
 def verify_equation_chain_Bn(n: int, e: tuple, eta: tuple,
                              perturb_q: bool = False) -> ChainReport:
-    """Check the big-cell identities symbolically in the eigenvalue variable.
+    """Check the big-cell identities exactly in the eigenvalue variable.
 
-    All discrete data (sign vectors) is fixed; lambda stays symbolic over
-    the Gaussian rationals, with a^2 eliminated through the diagonal
-    relation.  Optionally perturbs one entry of Q as a negative control.
+    All discrete data (sign vectors) is fixed; the eigenvalue lambda is
+    the variable t of Q(i)(t), with a^2 eliminated through the diagonal
+    relation.  Elements of Q(i)(t) are canonical, so each identity is an
+    exact zero test of rational functions.  Optionally perturbs one entry
+    of Q as a negative control.
     """
-    import sympy
-
-    lam = sympy.Symbol("lam")
     if eta[0] != 1:
         raise ValueError("eta_1 = 1 by convention")
-    u0 = sympy.Integer((-1) ** n)
-    phi = (u0 + lam) / (2 * (u0 - lam))
-    a2 = sympy.cancel((lam - 1 / lam) / phi)
-    zeta = [sympy.Integer(1) if ei == 1 else sympy.I for ei in e]
-    E = sympy.diag(*[sympy.Integer(ei) for ei in e])
-    vv = sympy.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            vv[i, j] = a2 * eta[i] * eta[j] / (zeta[i] * zeta[j])
-    qinv = sympy.eye(n)
+    F = RationalFunctions(QQI)
+    lam, inv_lam, half = F.t, F.inv(F.t), F.of(Fraction(1, 2))
+    u0 = F.of((-1) ** n)
+    minus, plus = F.sub(lam, inv_lam), F.add(lam, inv_lam)
+    phi = F.div(F.add(u0, lam), F.mul(F.of(2), F.sub(u0, lam)))
+    a2 = F.div(minus, phi)
+    mu = F.sub(F.mul(F.of(2), u0), F.mul(half, a2))
+    zeta = [F.one if ei == 1 else F.fourth_root_of_unity() for ei in e]
+    sign = [[F.div(F.of(eta[i] * eta[j]), F.mul(zeta[i], zeta[j]))
+             for j in range(n)] for i in range(n)]
+    E = tuple(tuple(F.of(ei) if i == j else F.zero for j in range(n))
+              for i, ei in enumerate(e))
+    vv = [[F.mul(a2, sign[i][j]) for j in range(n)] for i in range(n)]
+    qinv = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            qinv[i, j] = 2 * eta[i] * eta[j] * zeta[j] / zeta[i]
+            qinv[i][j] = F.div(F.mul(F.of(2 * eta[i] * eta[j]), zeta[j]),
+                               zeta[i])
     if perturb_q:
-        qinv[0, n - 1] = qinv[0, n - 1] + 1
-    mu = 2 * u0 - a2 / 2
-    A = sympy.zeros(n, n)
+        qinv[0][n - 1] = F.add(qinv[0][n - 1], F.one)
+    A = [[F.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            A[i, j] = mu / (zeta[i] * zeta[j]) * eta[i] * eta[j]
-            A[j, i] = -A[i, j]
-    M = -vv / 2 + A
-    qinv_t = qinv.T
+            A[i][j] = F.mul(mu, sign[i][j])
+            A[j][i] = F.neg(A[i][j])
+    qe = mat_mul(F, qinv, E)
+    eqt = mat_mul(F, E, transpose(qinv))
 
-    def is_zero(expr_matrix):
-        for x in expr_matrix:
-            if sympy.simplify(sympy.cancel(sympy.expand(x))) != 0:
-                return False
-        return True
+    def vanishes(*terms):
+        """Whether the matrix sum of c * X over the (c, X) terms is 0."""
+        cs = [c for c, _ in terms]
+        return all(F.is_zero(F.dot(cs, [x[i][j] for _, x in terms]))
+                   for i in range(n) for j in range(n))
 
     results = []
-    sym = phi * vv - sympy.Rational(1, 2) * (lam - 1 / lam) * (
-        qinv * E + E * qinv_t)
-    results.append(("symmetric part", is_zero(sym)))
-    skew = A - sympy.Rational(1, 2) * (lam + 1 / lam) * (qinv * E - E * qinv_t)
-    results.append(("skew part", is_zero(skew)))
-    diag_ok = all(
-        sympy.simplify(sympy.cancel(
-            phi * e[i] * (a2 * eta[i] ** 2 / zeta[i] ** 2) - (lam - 1 / lam)
-        )) == 0
-        for i in range(n)
-    )
-    results.append(("diagonal relation", diag_ok))
-    quad = sympy.simplify(sympy.cancel(lam**2 - (2 * u0 - a2 / 2) * lam + 1))
-    results.append(("eigenvalue quadratic", quad == 0))
+    half_minus, half_plus = F.mul(half, minus), F.mul(half, plus)
+    results.append(("symmetric part", vanishes(
+        (phi, vv), (F.neg(half_minus), qe), (F.neg(half_minus), eqt))))
+    results.append(("skew part", vanishes(
+        (F.one, A), (F.neg(half_plus), qe), (half_plus, eqt))))
+    results.append(("diagonal relation", all(
+        F.is_zero(F.sub(F.mul(F.mul(phi, F.of(e[i])),
+                              F.div(F.mul(a2, F.of(eta[i] ** 2)),
+                                    F.mul(zeta[i], zeta[i]))), minus))
+        for i in range(n))))
+    results.append(("eigenvalue quadratic", F.is_zero(
+        F.add(F.sub(F.mul(lam, lam), F.mul(mu, lam)), F.one))))
     entries_ok = True
     for i in range(n):
         for j in range(i + 1, n):
-            want_q = 2 * zeta[j] / zeta[i] * eta[i] * eta[j]
-            want_a = (2 * u0 - a2 / 2) / (zeta[i] * zeta[j]) * eta[i] * eta[j]
-            if sympy.simplify(qinv[i, j] - want_q) != 0:
-                entries_ok = False
-            if sympy.simplify(sympy.cancel(A[i, j] - want_a)) != 0:
+            want_q = F.mul(F.div(F.mul(F.of(2), zeta[j]), zeta[i]),
+                           F.of(eta[i] * eta[j]))
+            want_a = F.mul(F.div(mu, F.mul(zeta[i], zeta[j])),
+                           F.of(eta[i] * eta[j]))
+            if not (F.is_zero(F.sub(qinv[i][j], want_q))
+                    and F.is_zero(F.sub(A[i][j], want_a))):
                 entries_ok = False
     results.append(("entry formulas", entries_ok))
-    glob = M - lam * qinv * E + (1 / lam) * E * qinv_t + (
-        u0 / (u0 - lam)) * vv
-    results.append(("assembled cell equation", is_zero(glob)))
+    results.append(("assembled cell equation", vanishes(
+        (F.neg(half), vv), (F.one, A), (F.neg(lam), qe), (inv_lam, eqt),
+        (F.div(u0, F.sub(u0, lam)), vv))))
     first = next((name for name, ok in results if not ok), None)
     return ChainReport(n=n, e=tuple(e), eta=tuple(eta), results=results,
                        first_failure=first)
@@ -683,11 +686,8 @@ def etype_root_checks(rank: int, field=None, curve_samples: int = 12,
                        for i, a in enumerate(extra_roots)
                        for b in extra_roots[i + 1:])))
     # dimension of the unipotent class via the sl2-triple grading
-    def grade(alpha):
-        return sum(sys.pair(alpha, t) for t in extra_roots)
-
-    n0 = sum(1 for r in sys.roots if grade(r) == 0)
-    n1 = sum(1 for r in sys.roots if grade(r) == 1)
+    grades = [sum(sys.pair(r, t) for t in extra_roots) for r in sys.roots]
+    n0, n1 = grades.count(0), grades.count(1)
     dim_cent = sys.rank + n0 + n1
     dim_class = (sys.rank + len(sys.roots)) - dim_cent
     checks.append((
@@ -699,11 +699,9 @@ def etype_root_checks(rank: int, field=None, curve_samples: int = 12,
     # Gamma_w generated by the 4th-root points of the orthogonal coroots
     torus = TorusData(sys, w, "sc")
     shape, gens = gamma_w(torus)
-    coroots = []
-    for r in extra_roots:
-        cv = tuple(2 * x / dot(r, r) for x in r)
-        coroots.append(
-            tuple(int(c) for c in _coroot_coords(sys, cv)))
+    # E6 and E7 are simply laced with (r, r) = 2 for every root, so each
+    # coroot has its root's coordinates in the simple (co)root basis
+    coroots = [sys.coefficients(r) for r in extra_roots]
     gen_coords = [g.lattice_coords for g in gens]
     checks.append((
         "Gamma_w = <h_beta(w4), h_gamma(w4)" + (", h_alpha7(w4)>" if rank == 7
@@ -718,15 +716,6 @@ def etype_root_checks(rank: int, field=None, curve_samples: int = 12,
     report = EtypeReport(rank=rank, checks=checks,
                          passed=all(ok for _, ok in checks))
     return report
-
-
-def _coroot_coords(sys, coroot_vec):
-    """Coordinates of a coroot in the simple-coroot basis."""
-    simple_coroots = [tuple(2 * x / dot(a, a) for x in a)
-                      for a in sys.simple_roots]
-    from .toruslat import _solve_in_basis
-
-    return _solve_in_basis(simple_coroots, coroot_vec)
 
 
 def _e6_curve_identity(field, samples: int, seed: int) -> bool:

@@ -165,6 +165,29 @@ def test_d_families():
     assert famR.membership(F, famR.components()[0].point(F, F.inv(z))).member
 
 
+def _unipotent(parts):
+    """1 + N for the nilpotent N with Jordan blocks of the given sizes."""
+    n = sum(parts)
+    rows = [[F.of(i == j) for j in range(n)] for i in range(n)]
+    start = 0
+    for p in parts:
+        for k in range(start, start + p - 1):
+            rows[k][k + 1] = F.one
+        start += p
+    return tuple(map(tuple, rows))
+
+
+def test_square_zero_branch_needs_both_ranks():
+    # (3,2,2,1) has rk(X - 1) = 4 like (2,2,2,2), but (X - 1)^2 != 0
+    fam = DFamilyS(4)
+    assert fam.membership(F, _unipotent((2, 2, 2, 2))).member
+    assert not fam.membership(F, _unipotent((3, 2, 2, 1))).member
+    famR = DFamilyR(5)
+    assert famR.membership(F, _unipotent((2, 2, 2, 2, 1, 1))).member
+    assert not famR.membership(F, _unipotent((3, 2, 2, 1, 1, 1))).member
+    assert not famR.membership(F, _unipotent((2, 2, 2, 2, 2))).member
+
+
 def test_a_family():
     fam = AFamily(3, 2)
     assert len(fam.components()) == 2

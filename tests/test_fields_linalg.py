@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylslice.fields import QQ, ExtField, PrimeField, gf
+from weylslice.fields import QQ, QQI, ExtField, PrimeField, RationalFunctions, gf
 from weylslice.linalg import (
     bruhat_permutation,
     charpoly,
@@ -16,9 +16,11 @@ from weylslice.linalg import (
     mat_mul,
     mat_pow,
     parse_matrix,
+    poly_add,
     poly_divmod,
     poly_eval,
     poly_gcd,
+    poly_mul,
     rank,
     solve,
     squarefree_part,
@@ -202,13 +204,35 @@ def test_matrix_parse_and_format():
         parse_matrix(F, "1 2\n3")
 
 
-KERNEL_FIELDS = [QQ, gf(2), gf(3), gf(1009), gf(4), gf(9)]
-KERNEL_IDS = ["QQ", "F2", "F3", "F1009", "F4", "F9"]
+QQIT = RationalFunctions(QQI)
+KERNEL_FIELDS = [QQ, gf(2), gf(3), gf(1009), gf(4), gf(9), QQI, QQIT]
+KERNEL_IDS = ["QQ", "F2", "F3", "F1009", "F4", "F9", "QQI", "QQIT"]
+
+
+def _function(F, coeffs):
+    """sum (a_k + b_k i) t^k, built by field operations only."""
+    i = F.fourth_root_of_unity()
+    acc = F.zero
+    for a, b in reversed(coeffs):
+        acc = F.add(F.mul(acc, F.t), F.add(F.of(a), F.mul(F.of(b), i)))
+    return acc
+
+
+def _quotient(F, num, den):
+    den = _function(F, den)
+    return _function(F, num) if F.is_zero(den) else F.div(_function(F, num), den)
 
 
 def _elements(field):
+    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
     if field is QQ:
-        values = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        values = rationals
+    elif field is QQI:
+        values = st.tuples(rationals, rationals)
+    elif field is QQIT:
+        coeffs = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                          max_size=2)
+        values = st.tuples(coeffs, coeffs).map(lambda nd: _quotient(QQIT, *nd))
     else:
         values = st.integers(0, field.order - 1)
     # zeros often, so the zero-skipping paths of QQ and F_{p^k} run
@@ -259,6 +283,57 @@ def test_matrix_kernel_identities(field, data):
     assert det(field, mat_mul(field, a, b)) == field.mul(det(field, a), det(field, b))
     if rank(field, a) == n:
         assert mat_mul(field, inverse(field, a), a) == identity(field, n)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_field_laws(field, data):
+    a, b, c = (data.draw(_elements(field)) for _ in range(3))
+    add, mul = field.add, field.mul
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert field.is_zero(field.sub(a, a)) and add(a, field.neg(a)) == field.zero
+    if not field.is_zero(b):
+        assert mul(b, field.inv(b)) == field.one
+        assert mul(field.div(a, b), b) == a
+
+
+def test_gaussian_rational_functions_are_canonical():
+    F, t = QQIT, QQIT.t
+    one = F.one
+    i = F.fourth_root_of_unity()
+    assert F.mul(i, i) == F.of(-1)
+    assert QQI.mul(QQI.fourth_root_of_unity(), QQI.fourth_root_of_unity()) == QQI.of(-1)
+    # (t^2 - 1)/(t - 1) is t + 1, and (2t - 2)/(4t + 4) has a monic denominator
+    assert F.div(F.sub(F.mul(t, t), one), F.sub(t, one)) == F.add(t, one)
+    num, den = F.div(F.sub(F.mul(F.of(2), t), F.of(2)),
+                     F.add(F.mul(F.of(4), t), F.of(4)))
+    assert den == (QQI.one, QQI.one)
+    assert num == (QQI.of(Fraction(-1, 2)), QQI.of(Fraction(1, 2)))
+    assert F.is_zero(F.sub(F.div(one, t), F.div(F.mul(i, i), F.neg(t))))
+    for field in (QQI, F):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(field.zero)
+    a = mat([[t, one], [one, t]])
+    assert det(F, a) == F.sub(F.mul(t, t), one)
+    assert mat_mul(F, inverse(F, a), a) == identity(F, 2)
+
+
+@pytest.mark.parametrize("field", [QQ, gf(7)], ids=["QQ", "F7"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_poly_add_and_mul_by_evaluation(field, data):
+    polys = st.lists(_elements(field), max_size=4)
+    a, b = data.draw(polys), data.draw(polys)
+    total, prod = poly_add(field, a, b), poly_mul(field, a, b)
+    assert not total or not field.is_zero(total[-1])
+    assert not prod or not field.is_zero(prod[-1])
+    for x in map(field.of, range(-2, 4)):
+        ea, eb = poly_eval(field, a, x), poly_eval(field, b, x)
+        assert poly_eval(field, total, x) == field.add(ea, eb)
+        assert poly_eval(field, prod, x) == field.mul(ea, eb)
 
 
 @pytest.mark.parametrize("p", [2, 3, 1009])

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from weylslice.fields import gf
@@ -81,6 +85,41 @@ def test_equation_chain_perturbation_control():
     assert rep.first_failure == "symmetric part"
     rep3 = verify_equation_chain_Bn(3, (1, -1, 1), (1, 1, -1), perturb_q=True)
     assert not rep3.passed
+
+
+def test_equation_chain_n4():
+    rep = verify_equation_chain_Bn(4, (1, -1, -1, 1), (1, -1, 1, 1))
+    assert rep.passed, rep.results
+    bad = verify_equation_chain_Bn(4, (1, -1, -1, 1), (1, -1, 1, 1),
+                                   perturb_q=True)
+    assert bad.first_failure == "symmetric part"
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+NO_SYMPY = """
+import importlib, pkgutil, sys
+import weylslice
+for mod in pkgutil.iter_modules(weylslice.__path__):
+    importlib.import_module("weylslice." + mod.name)
+from weylslice.sliceverify import verify_equation_chain_Bn
+assert verify_equation_chain_Bn(2, (1, -1), (1, 1)).passed
+print("sympy" in sys.modules)
+"""
+
+
+def test_no_runtime_dependency():
+    # a fresh interpreter: the test session itself may have sympy loaded
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_SYMPY],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
 
 
 def test_equation_chain_requires_eta1():
