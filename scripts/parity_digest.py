@@ -24,6 +24,10 @@ Areas:
            Sp4(F_5) reps, the sigma class, SL3(F_q) for q = 3, 5, 7
            unipotent and semisimple with F_{q^2} proposals) and the
            NormalizeResult of three SL2 points over F_5 and F_13
+  expand   the sorted class elements from expand_class of the seven
+           Sp4(F_5) reps and the SL3(F_q) reps of `slice`, and the
+           borel_orbit_report of the top cell of every class of
+           BOREL_GROUPS
   chain    the ChainReport of the big B_n cell equation chain for every
            sign datum of n = 2 and n = 3, plus the PERTURBED controls
   report:* the printed reports of the REPORTS command lines
@@ -42,8 +46,9 @@ from itertools import product
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from weylslice.families import AFamily
-from weylslice.fforacle import (cell_partition_check, conjugacy_classes,
-                                enumerate_group, expand_class,
+from weylslice.fforacle import (borel_orbit_report, cell_partition_check,
+                                conjugacy_classes, enumerate_group,
+                                expand_class,
                                 normalize_to_fixed_torus, slice_orbit_check,
                                 verify_dimension_formula, w_of_class)
 from weylslice.fields import gf
@@ -62,6 +67,7 @@ TYPES = [("A", 3), ("A", 4), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
          ("D", 4), ("D", 5), ("G", 2), ("F", 4)]
 MEMBERS = 3  # elements per involution class
 ORACLE_GROUPS = [("SL", 1, 3), ("SL", 1, 5), ("SL", 1, 7), ("SL", 2, 3)]
+BOREL_GROUPS = [("SL", 1, 5), ("SL", 2, 3)]
 PERTURBED = [(2, (1, 1), (1, 1)), (3, (1, -1, 1), (1, 1, -1)),
              (3, (1, 1, 1), (1, 1, 1))]
 REPORTS = [
@@ -124,7 +130,8 @@ def oracle_records():
                    [w.perm for w in cells.incident], cells.unique_max)
 
 
-def slice_records():
+def _sp4_cases():
+    """(rep, w, wdot) of the seven criterion-5 Sp4(F_5) checks, sigma last."""
     f5, sp4 = gf(5), GroupContext("Sp", 2)
     c2 = sp4.system
     w0 = longest_element(c2, range(2))
@@ -133,29 +140,40 @@ def slice_records():
     wd = ((0, 0, 1, 0), (0, 0, 0, 1), (4, 0, 0, 0), (0, 4, 0, 0))
     sigma = sp4.torus(f5, [4, 1])
     x_long = sp4.root_element(f5, long_root, 1)
-    for rep, w, wdot in [
-            (sp4.torus(f5, [2, 2]), w0, wd),
-            (sp4.torus(f5, [2, 1]), w0, wd),
-            (mat_mul(f5, x_long, sp4.root_element(f5, (0, 2), 1)), w0, wd),
-            (x_long, s_long, None),
-            (sp4.root_element(f5, long_root, 2), s_long, None),
-            (mat_mul(f5, sigma, x_long), w0, wd)]:
-        yield slice_orbit_check("Sp", 2, 5, rep, w, wdot=wdot)
+    cases = [
+        (sp4.torus(f5, [2, 2]), w0, wd),
+        (sp4.torus(f5, [2, 1]), w0, wd),
+        (mat_mul(f5, x_long, sp4.root_element(f5, (0, 2), 1)), w0, wd),
+        (x_long, s_long, None),
+        (sp4.root_element(f5, long_root, 2), s_long, None),
+        (mat_mul(f5, sigma, x_long), w0, wd)]
     w_sigma = w_of_class(sp4, f5, expand_class(sp4, f5, sigma)).w_max
-    yield slice_orbit_check("Sp", 2, 5, sigma, w_sigma)
-    w_s, fam = catalog_w_S("A", 2, "S_1"), AFamily(2, 1)
+    return cases + [(sigma, w_sigma, None)]
+
+
+def _sl3_cases():
+    """Per q = 3, 5, 7: q, wdot, the unipotent and the semisimple rep, and
+    the F_{q^2} proposals for the semisimple one."""
+    fam = AFamily(2, 1)
     for q in (3, 5, 7):
         fq, ext = gf(q), gf(q * q)
-        wdot = fam.representative(fq)
-        unip = ((1, 0, 1), (0, 1, 0), (0, 0, 1))
-        yield slice_orbit_check("SL", 2, q, unip, w_s, wdot=wdot)
         a = 2 if q in (3, 5) else 3
         b = pow(a, -2, q)
         root = ext.sqrt(ext.mul(ext.of(b), ext.of(a)))
         props = () if root is None else (
             fam.components()[0].point(ext, (root, ext.of(a))),)
-        yield slice_orbit_check("SL", 2, q, ((a, 0, 0), (0, a, 0), (0, 0, b)),
-                                w_s, wdot=wdot, proposals=props)
+        yield (q, fam.representative(fq), ((1, 0, 1), (0, 1, 0), (0, 0, 1)),
+               ((a, 0, 0), (0, a, 0), (0, 0, b)), props)
+
+
+def slice_records():
+    for rep, w, wdot in _sp4_cases():
+        yield slice_orbit_check("Sp", 2, 5, rep, w, wdot=wdot)
+    w_s = catalog_w_S("A", 2, "S_1")
+    for q, wdot, unip, semi, props in _sl3_cases():
+        yield slice_orbit_check("SL", 2, q, unip, w_s, wdot=wdot)
+        yield slice_orbit_check("SL", 2, q, semi, w_s, wdot=wdot,
+                                proposals=props)
     sl2 = GroupContext("SL", 1)
     s1 = sl2.system.simple_reflection(0)
     for q, t, c in [(5, [4, 4], 2), (5, [2, 3], 1), (13, [4, 10], 1)]:
@@ -164,6 +182,21 @@ def slice_records():
         x = mat_mul(fq, mat_mul(fq, wdot, sl2.torus(fq, t)),
                     sl2.root_element(fq, sl2.system.simple_roots[0], c))
         yield normalize_to_fixed_torus(sl2, fq, x, s1, wdot)
+
+
+def expand_records():
+    sp4 = GroupContext("Sp", 2)
+    for rep, _, _ in _sp4_cases():
+        yield sorted(expand_class(sp4, gf(5), rep).elements)
+    sl3 = GroupContext("SL", 2)
+    for q, _, unip, semi, _ in _sl3_cases():
+        for rep in (unip, semi):
+            yield sorted(expand_class(sl3, gf(q), rep).elements)
+    for label, rank, q in BOREL_GROUPS:
+        group = enumerate_group(label, rank, q)
+        for c in conjugacy_classes(group):
+            w = w_of_class(group, group.field, c).w_max
+            yield borel_orbit_report(group, c, w)
 
 
 def chain_records():
@@ -196,6 +229,7 @@ def main():
     print("torus", digest(torus_records()))
     print("oracle", digest(oracle_records()))
     print("slice", digest(slice_records()))
+    print("expand", digest(expand_records()))
     print("chain", digest(chain_records()))
     for argv in REPORTS:
         print("report:" + " ".join(argv), digest([report_text(argv)]))

@@ -2,10 +2,14 @@
 
 Enumerates SL2/SL3/Sp4/SO5 over small fields by generator closure, expands
 conjugacy classes, decodes Bruhat cells, and replays the dimension formula
-and slice-orbit claims pointwise.  Group elements are flat tuples multiplied
-by this module's own loops (`_mul_factory`); every orbit (the group itself,
-its classes, B(F_q)-orbits, Gamma_w-orbits) is `rootsys.closure` under a
-generator step.
+and slice-orbit claims pointwise.  Group elements are flat tuples; every
+orbit (the group itself, its classes, B(F_q)-orbits, Gamma_w-orbits) is
+`rootsys.closure` under a generator step.  Each generator's action
+(x -> x g, x -> g x g^-1) is a sparse map compiled once (`_sparse_products`),
+so a step costs the map's nonzero terms, not two n^3 products.  A map is
+built by `eval` of a source made of int literals, indices into x and the
+names `add`, `mul` and `C` (the field's operations and coefficients), with
+no builtins in reach, so it can do nothing but field arithmetic on x.
 
 An enumerated group (`OracleGroup`) holds its elements by index.  The
 enumeration records each product x g as an index, and conjugation by a
@@ -60,46 +64,48 @@ def _unflat(flat: tuple, n: int) -> Matrix:
     return tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
 
 
-def _mul_factory(field, n: int):
-    """Flat matrix multiplication specialized to the field."""
-    if isinstance(field, PrimeField):
-        p = field.p
-        rng_n = range(n)
+def _sparse_products(field, n: int, pairs) -> list:
+    """One function x -> a x b on flat n x n tuples for each invertible pair
+    (a, b).
 
-        def mul(a, b):
-            out = []
-            for i in rng_n:
-                base = i * n
-                for j in rng_n:
-                    acc = 0
-                    for k in rng_n:
-                        acc += a[base + k] * b[k * n + j]
-                    out.append(acc % p)
-            return tuple(out)
-
-        return mul
-    fadd, fmul, zero = field.add, field.mul, field.zero
-    rng_n = range(n)
-
-    def mul(a, b):
-        out = []
-        for i in rng_n:
-            base = i * n
-            for j in rng_n:
-                acc = zero
-                for k in rng_n:
-                    acc = fadd(acc, fmul(a[base + k], b[k * n + j]))
-                out.append(acc)
-        return tuple(out)
-
-    return mul
+    Entry (i, j) of a x b is the sum of a[i][k] b[l][j] x[k][l] over the
+    nonzero a[i][k] and b[l][j]: each source x[k][l] occurs once, and the
+    product of two nonzero field elements is nonzero, so nothing is merged
+    or dropped.  Each map is compiled once by `eval`.  Over F_p an entry is
+    `(c*x[s] + ...) % p` with integer literals (a c of 1 omitted); over any
+    other field it nests the field's `add` and `mul` over coefficients `C`.
+    """
+    prime = isinstance(field, PrimeField)
+    maps = []
+    for a, b in pairs:
+        coeffs, entries = [], []
+        for i in range(n):
+            for j in range(n):
+                terms = [(field.mul(a[i * n + k], b[l * n + j]), k * n + l)
+                         for k in range(n) if not field.is_zero(a[i * n + k])
+                         for l in range(n) if not field.is_zero(b[l * n + j])]
+                if prime:
+                    total = " + ".join(f"x[{s}]" if c == 1 else f"{c}*x[{s}]"
+                                       for c, s in terms)
+                    entries.append(f"({total}) % {field.p}")
+                    continue
+                expr = None
+                for c, s in terms:
+                    coeffs.append(c)
+                    term = f"mul(C[{len(coeffs) - 1}], x[{s}])"
+                    expr = term if expr is None else f"add({expr}, {term})"
+                entries.append(expr)
+        maps.append(eval(f"lambda x: ({', '.join(entries)},)",
+                         {"__builtins__": {}, "add": field.add,
+                          "mul": field.mul, "C": tuple(coeffs)}))
+    return maps
 
 
 def _conjugation(field, n: int, gens):
     """The orbit step x -> [g x g^-1 for g in gens] on flat n x n matrices."""
-    mul = _mul_factory(field, n)
-    pairs = [(g, _flat(inverse(field, _unflat(g, n)))) for g in gens]
-    return lambda x: [mul(mul(g, x), gi) for g, gi in pairs]
+    maps = _sparse_products(field, n, [
+        (g, _flat(inverse(field, _unflat(g, n)))) for g in gens])
+    return lambda x: [f(x) for f in maps]
 
 
 @dataclass
@@ -197,22 +203,22 @@ def enumerate_group(label: str, rank: int, q: int) -> OracleGroup:
             f"{ENUMERATION_BUDGET}")
     field = gf(q)
     ctx = GroupContext(label, rank)
-    mul = _mul_factory(field, ctx.size)
     gens = tuple(_generators(ctx, field))
     ident = _flat(tuple(
         tuple(field.one if i == j else field.zero for j in range(ctx.size))
         for i in range(ctx.size)))
+    maps = _sparse_products(field, ctx.size, [(ident, g) for g in gens])
     # discovery index of every element and, in generator order, those of
     # its right products: closure calls `step` in discovery order
     found = {ident: 0}
     products = array("i")
 
     def step(x):
-        ys = [mul(x, g) for g in gens]
+        ys = [f(x) for f in maps]
         products.extend([found.setdefault(y, len(found)) for y in ys])
         return ys
 
-    elements = closure([ident], step)
+    elements = closure([ident], step, expected)  # a wrong step fails fast
     if len(elements) != expected:
         raise AssertionError(
             f"enumerated {len(elements)} elements of {label}{rank}(F_{q}), "

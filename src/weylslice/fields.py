@@ -158,6 +158,11 @@ class RationalFunctions:
             g = poly_gcd(base, num, den)
             if len(g) > 1:
                 num, den = poly_divmod(base, num, g)[0], poly_divmod(base, den, g)[0]
+        return self._monic(num, den)
+
+    def _monic(self, num, den):
+        """num/den scaled so that den is monic."""
+        base = self.base
         if den[-1] != base.one:
             lead = base.inv(den[-1])
             num = tuple(base.mul(lead, c) for c in num)
@@ -189,7 +194,7 @@ class RationalFunctions:
     def inv(self, a):
         if not a[0]:
             raise ZeroDivisionError("inverse of 0")
-        return self._reduce(a[1], a[0])
+        return self._monic(a[1], a[0])  # already coprime: no gcd
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

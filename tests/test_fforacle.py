@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from weylslice.fforacle import (
@@ -12,7 +14,9 @@ from weylslice.fforacle import (
     slice_orbit_check,
     verify_dimension_formula,
     w_of_class,
+    _conjugation,
     _flat,
+    _generators,
     _unflat,
 )
 from weylslice.fields import gf
@@ -255,7 +259,8 @@ def test_oracle_slice_points_have_family_shape():
                     assert pt[i][2 + j] == 0 and pt[2 + i][j] == 0
 
 
-TABLE_GROUPS = [("SL", 1, 3), ("SL", 1, 5), ("SL", 1, 7), ("SL", 2, 3)]
+TABLE_GROUPS = [("SL", 1, 3), ("SL", 1, 5), ("SL", 1, 7), ("SL", 2, 3),
+                ("SL", 1, 4), ("SL", 1, 9)]
 
 
 @pytest.mark.parametrize("label,rank,q", TABLE_GROUPS)
@@ -298,3 +303,42 @@ def test_conjugacy_classes_match_conjugation_by_every_element():
     assert [c.elements for c in got] == want
     assert [c.rep for c in got] == [min(c) for c in want]
     assert [c.size for c in got] == [len(c) for c in want]
+
+
+SPARSE_GROUPS = [(label, rank, q) for label, rank in
+                 [("SL", 1), ("SL", 2), ("Sp", 2), ("SO-odd", 2)]
+                 for q in (3, 5)] + [("SL", 1, 4), ("SL", 1, 9)]
+
+
+@pytest.mark.parametrize("label,rank,q", SPARSE_GROUPS)
+def test_compiled_conjugation_matches_mat_mul(label, rank, q):
+    # the compiled maps against g x g^-1 from linalg, on seeded group
+    # elements: conjugation by the group's generators, by every positive
+    # root element (the B-generators of borel_orbit_report) and by
+    # Gamma_w(F_{q^2}) for w0 (F_q prime; gf(q^4) has no tables)
+    ctx, F = GroupContext(label, rank), gf(q)
+    n = ctx.size
+    gens = _generators(ctx, F)
+    rng = random.Random(10 * q + rank)
+    xs = []
+    for _ in range(4):
+        x = _unflat(rng.choice(gens), n)
+        for _ in range(6):
+            x = mat_mul(F, x, _unflat(rng.choice(gens), n))
+        xs.append(_flat(x))
+    steps = [(F, gens), (F, [_flat(ctx.root_element(F, root, c))
+                             for root in ctx.system.positive_roots
+                             for c in F.units()])]
+    if q in (3, 5):
+        ext = gf(q * q)
+        w0 = longest_element(ctx.system, range(rank))
+        gammas = [_flat(g) for g in ctx.gamma_elements(ext, w0)]
+        assert gammas
+        steps.append((ext, gammas))
+    for field, gs in steps:
+        step = _conjugation(field, n, gs)
+        mats = [(_unflat(g, n), inverse(field, _unflat(g, n))) for g in gs]
+        for x in xs:
+            xm = _unflat(x, n)
+            assert step(x) == [_flat(mat_mul(field, mat_mul(field, g, xm), gi))
+                               for g, gi in mats]

@@ -313,6 +313,14 @@ def test_gaussian_rational_functions_are_canonical():
     assert den == (QQI.one, QQI.one)
     assert num == (QQI.of(Fraction(-1, 2)), QQI.of(Fraction(1, 2)))
     assert F.is_zero(F.sub(F.div(one, t), F.div(F.mul(i, i), F.neg(t))))
+    # inv only swaps and rescales a pair that is already coprime: it agrees
+    # with the full reduction, also when the numerator leads with 2 + 3i
+    c = (((Fraction(2), Fraction(3)),), F.one[1])
+    skew = F.div(F.add(F.mul(c, F.mul(t, t)), i), F.sub(t, F.of(5)))
+    for a in ((num, den), skew):
+        assert a[0][-1] != QQI.one
+        assert F.inv(a) == F._reduce(a[1], a[0])
+        assert F.mul(a, F.inv(a)) == one
     for field in (QQI, F):
         with pytest.raises(ZeroDivisionError):
             field.inv(field.zero)
