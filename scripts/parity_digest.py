@@ -30,12 +30,18 @@ Areas:
            BOREL_GROUPS
   chain    the ChainReport of the big B_n cell equation chain for every
            sign datum of n = 2 and n = 3, plus the PERTURBED controls
+  certify  the ComponentCertificate of the CRITERION1 sheets (n_in = n_out
+           = 64, seed 0) and of every sheet of CERTIFY_TYPES (n_in = 6,
+           n_out = 12, seeds 0 and 11), with gamma_stability_check at both
+           seeds and gamma_transitivity_check at each of CERTIFY_MUS (or
+           the error either raises)
   report:* the printed reports of the REPORTS command lines
 
 Usage: python3 scripts/parity_digest.py
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -57,8 +63,10 @@ from weylslice.matgroups import GroupContext
 from weylslice.reportcli import main as cli_main
 from weylslice.rootsys import (build_root_system, involution_conjugacy_classes,
                                longest_element)
-from weylslice.sheetcat import catalog_w_S
-from weylslice.sliceverify import verify_equation_chain_Bn
+from weylslice.sheetcat import catalog_w_S, sheet_catalog
+from weylslice.sliceverify import (certify_components, gamma_stability_check,
+                                   gamma_transitivity_check,
+                                   verify_equation_chain_Bn)
 from weylslice.sevslice import (EigenBasisChoice, fixed_roots,
                                 minus_one_eigenbasis, positive_system)
 from weylslice.toruslat import TorusData, gamma_w
@@ -70,6 +78,13 @@ ORACLE_GROUPS = [("SL", 1, 3), ("SL", 1, 5), ("SL", 1, 7), ("SL", 2, 3)]
 BOREL_GROUPS = [("SL", 1, 5), ("SL", 2, 3)]
 PERTURBED = [(2, (1, 1), (1, 1)), (3, (1, -1, 1), (1, 1, -1)),
              (3, (1, 1, 1), (1, 1, 1))]
+CRITERION1 = [("B", 2, "S"), ("B", 3, "S"), ("B", 4, "S"), ("B", 2, "Sprime"),
+              ("B", 3, "Sprime"), ("B", 4, "Sprime"), ("C", 3, "S1"),
+              ("C", 4, "S1"), ("C", 3, "S2"), ("C", 4, "S2"), ("D", 4, "S"),
+              ("D", 4, "Sprime"), ("D", 5, "Sprime"), ("E", 7, "S")]
+CERTIFY_TYPES = [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("C", 4),
+                 ("D", 4), ("D", 5), ("E", 6), ("E", 7)]
+CERTIFY_MUS = (7, 3, 11)
 REPORTS = [
     ["all", "--format", "jsonl", "--seed", "1"],
     ["sev-check", "--trials", "20"],
@@ -88,7 +103,7 @@ def _elements():
 def _or_error(fn):
     try:
         return fn()
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, TypeError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -208,6 +223,24 @@ def chain_records():
         yield verify_equation_chain_Bn(n, e, eta, perturb_q=True)
 
 
+def certify_records():
+    f1009 = gf(1009)
+    for t, n, label in CRITERION1:
+        d = next(x for x in sheet_catalog(t, n) if x.label == label)
+        yield dataclasses.asdict(certify_components(
+            d, field=f1009, n_in=64, n_out=64, seed=0))
+    for t, n in CERTIFY_TYPES:
+        for d in sheet_catalog(t, n):
+            for seed in (0, 11):
+                yield dataclasses.asdict(certify_components(
+                    d, field=f1009, n_in=6, n_out=12, seed=seed))
+                yield _or_error(lambda: gamma_stability_check(
+                    d, field=f1009, seed=seed))
+            for mu in CERTIFY_MUS:
+                yield _or_error(lambda: gamma_transitivity_check(
+                    t, n, d.label, field=f1009, mu_int=mu))
+
+
 def report_text(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -231,6 +264,7 @@ def main():
     print("slice", digest(slice_records()))
     print("expand", digest(expand_records()))
     print("chain", digest(chain_records()))
+    print("certify", digest(certify_records()))
     for argv in REPORTS:
         print("report:" + " ".join(argv), digest([report_text(argv)]))
     return 0

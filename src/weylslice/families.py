@@ -5,11 +5,23 @@ the claimed solution components of the sheet intersection, and decides
 membership by rank and minimal-polynomial conditions only (never by
 root-finding in extension fields: eigenvalue pairs l, 1/l enter through
 their trace mu = l + 1/l, which lives in the base field).
+
+Every family also answers the sampling questions about its own chart
+through the `SliceFamily` protocol: `is_matrix` (False for the E6/E7
+tuple families), `sample_coords(field, rng, count)` (component
+coordinates, special values first), `ambient(field, rng)` (a random chart
+point, or None when the draw lands on a claimed component) and
+`transitivity_points(field, mu)` (the slice points at trace mu, or None
+without the needed square root).  `ambient` tests "on a claimed
+component" in closed form on its chart parameters and never consults
+`membership`: the off-locus check would be vacuous if it did.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .linalg import (
@@ -71,6 +83,37 @@ def _sqrt_sign(field, e: int):
     return _fourth_root(field)
 
 
+def _random_unit(field, rng):
+    q = field.order
+    while True:
+        x = rng.randrange(q)
+        if not field.is_zero(x):
+            return x
+
+
+def _uniform(field, rng):
+    return field.of(rng.randrange(field.order))
+
+
+class SliceFamily:
+    """The sampling protocol every slice family answers for its chart."""
+
+    is_matrix = True
+
+    def sample_coords(self, field, rng, count):
+        """Deterministic stream of component coordinates, special values first."""
+        out = [field.zero, field.one, field.of(2), field.of(-2)]
+        while len(out) < count:
+            out.append(_uniform(field, rng))
+        return out[:count]
+
+    def ambient(self, field, rng):
+        raise TypeError(f"no ambient sampler for {type(self).__name__}")
+
+    def transitivity_points(self, field, mu):
+        raise TypeError("transitivity check covers the big-cell families")
+
+
 def _square_zero_or_mu(field, X, r, r_text, unipotent, semisimple, failure):
     """Membership shared by the C and D families: X = +-(1 + N) with N of
     rank r and N^2 = 0, or X + X^-1 = mu with mu != +-2."""
@@ -90,7 +133,7 @@ def _square_zero_or_mu(field, X, r, r_text, unipotent, semisimple, failure):
 # type B, sheet S (w_S = w0)
 # ---------------------------------------------------------------------------
 
-class BFamilyS:
+class BFamilyS(SliceFamily):
     """SO_{2n+1} slice family X(E, M, Q, v) over the big cell."""
 
     def __init__(self, n: int):
@@ -145,8 +188,8 @@ class BFamilyS:
     def components(self):
         out = []
         n = self.n
-        for e in _sign_vectors(n):
-            for eta in _sign_vectors(n - 1):
+        for e in product((1, -1), repeat=n):
+            for eta in product((1, -1), repeat=n - 1):
                 eta_full = (1,) + eta
                 out.append(Component(
                     label=f"e={e} eta={eta_full}",
@@ -174,6 +217,26 @@ class BFamilyS:
                     True, "semisimple with eigenvalue trace mu",
                     "semisimple O_lambda member")
         return MembershipResult(False, "no sheet membership condition holds")
+
+    def ambient(self, field, rng):
+        n = self.n
+        e = tuple(rng.choice((1, -1)) for _ in range(n))
+        v = [_uniform(field, rng) for _ in range(n)]
+        q_upper = {(i, j): _uniform(field, rng)
+                   for i in range(n) for j in range(i + 1, n)}
+        a_upper = {(i, j): _uniform(field, rng)
+                   for i in range(n) for j in range(i + 1, n)}
+        return self.point(field, e, v, q_upper, a_upper)
+
+    def transitivity_points(self, field, mu):
+        """Both roots +-a of a^2 = 2(2u0 - mu) on every component."""
+        u0 = field.of(self.sign)
+        a = field.sqrt(field.mul(field.of(2),
+                                 field.sub(field.mul(field.of(2), u0), mu)))
+        if a is None:
+            return None
+        return [comp.point(field, aa) for comp in self.components()
+                for aa in {a, field.neg(a)}]
 
 
 def _b_component_point(fam: BFamilyS, e, eta):
@@ -206,18 +269,11 @@ def _b_component_point(fam: BFamilyS, e, eta):
     return point
 
 
-def _sign_vectors(k: int):
-    out = [()]
-    for _ in range(k):
-        out = [t + (s,) for t in out for s in (1, -1)]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # rank-two-support sheets: B Sprime, C S1, D Sprime  (w flips eps_1, eps_2)
 # ---------------------------------------------------------------------------
 
-class TwoFlipFamily:
+class TwoFlipFamily(SliceFamily):
     """wdot * t(eps,eta,c) * prod of the four (two for D) flip-root subgroups.
 
     Covers B_n Sprime, C_n S1/-S1 and D_n Sprime; membership in each case
@@ -228,16 +284,11 @@ class TwoFlipFamily:
         self.group_type = group_type
         self.n = n
         self.label = label
-        if group_type == "B":
-            self.ctx = GroupContext("SO-odd", n)
-        elif group_type == "C":
-            self.ctx = GroupContext("Sp", n)
-        else:
-            self.ctx = GroupContext("SO-even", n)
+        self.ctx = GroupContext(
+            {"B": "SO-odd", "C": "Sp", "D": "SO-even"}[group_type], n)
         self.w = catalog_w_S(group_type, n, label)
         self.central = -1 if label == "-S1" else 1
         sys = self.ctx.system
-        from fractions import Fraction
 
         def eps(i, j=None, sj=1):
             v = [Fraction(0)] * sys.dim
@@ -320,12 +371,17 @@ class TwoFlipFamily:
         return MembershipResult(
             False, f"rk(X - ({self.central})) != 2")
 
+    def ambient(self, field, rng):
+        coeffs = [_uniform(field, rng) for _ in range(self.n_unip)]
+        return self.point(field, rng.choice((1, -1)), rng.choice((1, -1)),
+                          _random_unit(field, rng), coeffs)
+
 
 # ---------------------------------------------------------------------------
 # type C, sheet S2 (w = w0)
 # ---------------------------------------------------------------------------
 
-class CFamilyS2:
+class CFamilyS2(SliceFamily):
     """Sp_2n family x(E, V, X) = [[0, E V^-T], [-EV, -EVX]]."""
 
     def __init__(self, n: int):
@@ -367,7 +423,7 @@ class CFamilyS2:
 
     def components(self):
         out = []
-        for e in _sign_vectors(self.n):
+        for e in product((1, -1), repeat=self.n):
             out.append(Component(
                 label=f"e={e}",
                 coordinate="mu = l + 1/l in k",
@@ -388,12 +444,24 @@ class CFamilyS2:
             field, X, self.n, "n", "unipotent (2^n) member up to sign",
             "semisimple O_lambda member", "no S2 membership condition holds")
 
+    def ambient(self, field, rng):
+        n = self.n
+        e = tuple(rng.choice((1, -1)) for _ in range(n))
+        v_upper = {(i, j): _uniform(field, rng)
+                   for i in range(n) for j in range(i + 1, n)}
+        x_sym = {(i, j): _uniform(field, rng)
+                 for i in range(n) for j in range(i, n)}
+        return self.point(field, e, v_upper, x_sym)
+
+    def transitivity_points(self, field, mu):
+        return [c.point(field, mu) for c in self.components()]
+
 
 # ---------------------------------------------------------------------------
 # type D, sheets S (n even) and R (n odd)
 # ---------------------------------------------------------------------------
 
-class DFamilyS:
+class DFamilyS(SliceFamily):
     """SO_2n family x(E, D) = [[0, E],[E, D]] in 2x2 sign blocks, n = 2h."""
 
     def __init__(self, n: int, label: str = "S"):
@@ -418,7 +486,7 @@ class DFamilyS:
 
     def components(self):
         out = []
-        for e in _sign_vectors(self.h):
+        for e in product((1, -1), repeat=self.h):
             out.append(Component(
                 label=f"e={e}",
                 coordinate="mu = l + 1/l in k",
@@ -435,15 +503,21 @@ class DFamilyS:
 
         return point
 
-    def on_claimed_component(self, field, e, x) -> bool:
-        vals = {field.mul(field.of(e[b]), x[b]) for b in range(self.h)}
-        return len(vals) == 1
-
     def membership(self, field, X) -> MembershipResult:
         return _square_zero_or_mu(
             field, X, self.n, "n",
             "very even unipotent (2^n) member up to sign",
             "semisimple member", "no S membership condition holds")
+
+    def ambient(self, field, rng):
+        e = tuple(rng.choice((1, -1)) for _ in range(self.h))
+        x = [_uniform(field, rng) for _ in range(self.h)]
+        if len({field.mul(field.of(e[b]), x[b]) for b in range(self.h)}) == 1:
+            return None  # D = mu * I: on the component e
+        return self.point(field, e, x)
+
+    def transitivity_points(self, field, mu):
+        return [c.point(field, mu) for c in self.components()]
 
 
 def _d_blocks(field, n: int, e: Sequence[int], x: Sequence) -> list[list]:
@@ -475,7 +549,7 @@ def _theta_swap(field, m: Matrix, n: int) -> Matrix:
     )
 
 
-class DFamilyR:
+class DFamilyR(SliceFamily):
     """SO_2n family for odd n: the even-rank family plus a (zeta, 1/zeta) leg."""
 
     def __init__(self, n: int, label: str = "R"):
@@ -503,7 +577,7 @@ class DFamilyR:
 
     def components(self):
         out = []
-        for e in _sign_vectors(self.h):
+        for e in product((1, -1), repeat=self.h):
             out.append(Component(
                 label=f"e={e}",
                 coordinate="zeta in k^* (mu = zeta + 1/zeta)",
@@ -527,12 +601,28 @@ class DFamilyR:
             "unipotent (2^(n-1),1^2) member up to sign",
             "semisimple member", "no R membership condition holds")
 
+    def sample_coords(self, field, rng, count):
+        out = [field.one, field.neg(field.one)]
+        while len(out) < count:
+            out.append(_random_unit(field, rng))
+        return out[:count]
+
+    def ambient(self, field, rng):
+        e = tuple(rng.choice((1, -1)) for _ in range(self.h))
+        x = [_uniform(field, rng) for _ in range(self.h)]
+        zeta = _random_unit(field, rng)
+        mu = field.add(zeta, field.inv(zeta))
+        if all(field.mul(field.of(e[b]), x[b]) == field.neg(mu)
+               for b in range(self.h)):
+            return None  # D = mu * I: on the component e
+        return self.point(field, e, x, zeta)
+
 
 # ---------------------------------------------------------------------------
 # type A (GL / SL)
 # ---------------------------------------------------------------------------
 
-class AFamily:
+class AFamily(SliceFamily):
     """GL_{n+1} family over the m-th sheet, in the 3-block antidiagonal shape."""
 
     def __init__(self, n: int, m: int):
@@ -572,7 +662,7 @@ class AFamily:
 
     def components(self):
         out = []
-        for signs in _sign_vectors(self.m - 1):
+        for signs in product((1, -1), repeat=self.m - 1):
             out.append(Component(
                 label=f"signs={(1,) + signs}",
                 coordinate="(a, b) in k^* x k^*",
@@ -595,17 +685,24 @@ class AFamily:
 
         return point
 
-    def on_claimed_component(self, field, a, b, zeta) -> bool:
-        m = self.m
-        base = field.mul(a[0], zeta[0])
-        for c in range(m):
-            if field.mul(a[c], a[c]) != field.mul(a[0], a[0]):
-                return False
-            if field.mul(a[c], zeta[c]) != base:
-                return False
-        lhs = field.add(field.mul(b, b), field.add(
-            field.mul(field.mul(a[0], zeta[0]), b), field.mul(a[0], a[0])))
-        return field.is_zero(lhs)
+    def sample_coords(self, field, rng, count):
+        return [(_random_unit(field, rng), _random_unit(field, rng))
+                for _ in range(count)]
+
+    def ambient(self, field, rng):
+        a = [_random_unit(field, rng) for _ in range(self.m)]
+        b = _random_unit(field, rng)
+        zeta = [_uniform(field, rng) for _ in range(self.m)]
+        base, a0_sq = field.mul(a[0], zeta[0]), field.mul(a[0], a[0])
+        signed_copies = all(field.mul(a[c], a[c]) == a0_sq
+                            and field.mul(a[c], zeta[c]) == base
+                            for c in range(self.m))
+        # the components are the signed copies of (a_1, zeta_1) on the
+        # curve b^2 + a_1 zeta_1 b + a_1^2 = 0
+        if signed_copies and field.is_zero(field.add(
+                field.mul(b, b), field.add(field.mul(base, b), a0_sq))):
+            return None
+        return self.point(field, a, b, zeta)
 
     def membership(self, field, X) -> MembershipResult:
         n1, m = self.n + 1, self.m
@@ -702,10 +799,11 @@ class ETuplePoint:
     unipotent: tuple
 
 
-class E6Family:
+class E6Family(SliceFamily):
     """Root-datum family: torus coordinates (h1,h3,h4,h5,h6) and (c_beta, c_gamma)."""
 
     rank = 6
+    is_matrix = False
 
     def components(self):
         return [
@@ -765,15 +863,31 @@ class E6Family:
                                     "curve component point")
         return MembershipResult(False, "tuple off the curve parametrization")
 
+    def sample_coords(self, field, rng, count):
+        """Points (s^2, +-s^3) of the cuspidal curve d^2 = a^3."""
+        out = []
+        for _ in range(count):
+            s = _random_unit(field, rng)
+            d = field.mul(s, field.mul(s, s))
+            if rng.random() < 0.5:
+                d = field.neg(d)
+            out.append((field.mul(s, s), d))
+        return out
 
-class E7Family:
+    def ambient(self, field, rng):
+        return ETuplePoint(tuple(_random_unit(field, rng) for _ in range(5)),
+                           tuple(_uniform(field, rng) for _ in range(2)))
+
+
+class E7Family(SliceFamily):
     """Root-datum family: torus coordinates (h2,h3,h5,h7) and three coefficients."""
 
     rank = 7
+    is_matrix = False
 
     def components(self):
         out = []
-        for signs in _sign_vectors(3):
+        for signs in product((1, -1), repeat=3):
             out.append(Component(
                 label=f"(eps,eta,theta)={signs}",
                 coordinate="mu = a + 1/a in k",
@@ -816,6 +930,10 @@ class E7Family:
             return MembershipResult(False, "x_alpha7 coefficient off the line")
         return MembershipResult(True, "matches the sign-line parametrization",
                                 "line component point")
+
+    def ambient(self, field, rng):
+        return ETuplePoint(tuple(_random_unit(field, rng) for _ in range(4)),
+                           tuple(_uniform(field, rng) for _ in range(3)))
 
 
 # ---------------------------------------------------------------------------

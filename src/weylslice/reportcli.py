@@ -122,7 +122,7 @@ def _cmd_catalog(config: RunConfig):
 
 
 def _cmd_verify_slice(config: RunConfig):
-    from .families import E6Family, E7Family, build_family
+    from .families import build_family
     from .sliceverify import (certify_components, gamma_stability_check,
                               gamma_transitivity_check)
 
@@ -143,8 +143,7 @@ def _cmd_verify_slice(config: RunConfig):
             "pass" if cert.passed else "fail",
             {"q": q, "n_in": config.n_in, "n_out": config.n_out},
             cert.transcript(), config.seed))
-        fam = build_family(d)
-        if not isinstance(fam, (E6Family, E7Family)):
+        if build_family(d).is_matrix:
             gs = gamma_stability_check(d, field=field, seed=config.seed)
             rows.append(_row(
                 f"gamma-stability:{cert.group}:{cert.sheet}",

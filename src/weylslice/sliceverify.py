@@ -12,24 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
-from .families import (
-    AFamily,
-    BFamilyS,
-    CFamilyS2,
-    DFamilyR,
-    DFamilyS,
-    ETuplePoint,
-    E6Family,
-    E7Family,
-    ExtensionRequired,
-    TwoFlipFamily,
-    build_family,
-    family_for,
-)
+from .families import ExtensionRequired, _random_unit, build_family, family_for
 from .fields import QQ, QQI, RationalFunctions, gf
-from .linalg import inverse, mat_mul, solve, transpose, unipotent_partition
+from .linalg import (det, inverse, mat_mul, solve, transpose,
+                     unipotent_partition)
 from .rootsys import (
     build_root_system,
     dot,
@@ -73,101 +62,12 @@ class ComponentCertificate:
         }
 
 
-def _is_matrix_family(fam) -> bool:
-    return not isinstance(fam, (E6Family, E7Family))
-
-
-def _random_unit(field, rng):
-    q = field.order
-    while True:
-        x = rng.randrange(q)
-        if not field.is_zero(x):
-            return x
-
-
-def _in_sample_coords(fam, field, rng, count):
-    """Deterministic stream of component coordinates, special values first."""
-    out = []
-    if isinstance(fam, (AFamily, E6Family)):
-        while len(out) < count:
-            if isinstance(fam, AFamily):
-                out.append((_random_unit(field, rng), _random_unit(field, rng)))
-            else:
-                s = _random_unit(field, rng)
-                d = field.mul(s, field.mul(s, s))
-                if rng.random() < 0.5:
-                    d = field.neg(d)
-                out.append((field.mul(s, s), d))
-        return out
-    if isinstance(fam, DFamilyR):
-        specials = [field.one, field.neg(field.one)]
-        out.extend(specials)
-        while len(out) < count:
-            out.append(_random_unit(field, rng))
-        return out[:count]
-    specials = [field.zero, field.one, field.of(2), field.of(-2)]
-    out.extend(specials)
-    while len(out) < count:
-        out.append(field.of(rng.randrange(field.order)))
-    return out[:count]
-
-
 def _random_ambient(fam, field, rng):
-    """A random point of the ambient slice family, off the claimed locus."""
+    """A random point of the family's chart, off the claimed locus."""
     for _ in range(64):
-        if isinstance(fam, BFamilyS):
-            n = fam.n
-            e = tuple(rng.choice((1, -1)) for _ in range(n))
-            v = [field.of(rng.randrange(field.order)) for _ in range(n)]
-            q_upper = {(i, j): field.of(rng.randrange(field.order))
-                       for i in range(n) for j in range(i + 1, n)}
-            a_upper = {(i, j): field.of(rng.randrange(field.order))
-                       for i in range(n) for j in range(i + 1, n)}
-            return fam.point(field, e, v, q_upper, a_upper)
-        if isinstance(fam, TwoFlipFamily):
-            coeffs = [field.of(rng.randrange(field.order))
-                      for _ in range(fam.n_unip)]
-            return fam.point(field, rng.choice((1, -1)), rng.choice((1, -1)),
-                             _random_unit(field, rng), coeffs)
-        if isinstance(fam, CFamilyS2):
-            n = fam.n
-            e = tuple(rng.choice((1, -1)) for _ in range(n))
-            v_upper = {(i, j): field.of(rng.randrange(field.order))
-                       for i in range(n) for j in range(i + 1, n)}
-            x_sym = {(i, j): field.of(rng.randrange(field.order))
-                     for i in range(n) for j in range(i, n)}
-            return fam.point(field, e, v_upper, x_sym)
-        if isinstance(fam, DFamilyS):
-            e = tuple(rng.choice((1, -1)) for _ in range(fam.h))
-            x = [field.of(rng.randrange(field.order)) for _ in range(fam.h)]
-            if fam.on_claimed_component(field, e, x):
-                continue
-            return fam.point(field, e, x)
-        if isinstance(fam, DFamilyR):
-            e = tuple(rng.choice((1, -1)) for _ in range(fam.h))
-            x = [field.of(rng.randrange(field.order)) for _ in range(fam.h)]
-            zeta = _random_unit(field, rng)
-            mu = field.add(zeta, field.inv(zeta))
-            if all(field.mul(field.of(e[b]), x[b]) == field.neg(mu)
-                   for b in range(fam.h)):
-                continue
-            return fam.point(field, e, x, zeta)
-        if isinstance(fam, AFamily):
-            a = [_random_unit(field, rng) for _ in range(fam.m)]
-            b = _random_unit(field, rng)
-            zeta = [field.of(rng.randrange(field.order)) for _ in range(fam.m)]
-            if fam.on_claimed_component(field, a, b, zeta):
-                continue
-            return fam.point(field, a, b, zeta)
-        if isinstance(fam, E6Family):
-            return ETuplePoint(
-                tuple(_random_unit(field, rng) for _ in range(5)),
-                tuple(field.of(rng.randrange(field.order)) for _ in range(2)))
-        if isinstance(fam, E7Family):
-            return ETuplePoint(
-                tuple(_random_unit(field, rng) for _ in range(4)),
-                tuple(field.of(rng.randrange(field.order)) for _ in range(3)))
-        raise TypeError(f"no ambient sampler for {type(fam).__name__}")
+        pt = fam.ambient(field, rng)
+        if pt is not None:
+            return pt
     raise RuntimeError("could not sample an off-locus ambient point")
 
 
@@ -206,12 +106,12 @@ def certify_components(
             cert.notes.append(
                 "type A count recorded as found; catalog flags the quoted "
                 "(m-1) as disagreeing")
-    matrix_family = _is_matrix_family(fam)
+    matrix_family = fam.is_matrix
     per_comp_in = max(1, n_in)
     cell_budget = cell_checks
     seen_points = {}
     for comp in comps:
-        coords = _in_sample_coords(fam, field, rng, per_comp_in)
+        coords = fam.sample_coords(field, rng, per_comp_in)
         for coord in coords:
             try:
                 pt = comp.point(field, coord)
@@ -277,7 +177,7 @@ def gamma_stability_check(descriptor, field=None, seed: int = 0,
     if field is None:
         field = gf(1009)
     fam = build_family(descriptor)
-    if not _is_matrix_family(fam):
+    if not fam.is_matrix:
         raise TypeError("matrix families only")
     rng = random.Random(seed)
     gammas = gamma_group_elements(fam, field)
@@ -316,24 +216,9 @@ def gamma_transitivity_check(group_type: str, rank: int, label: str,
     if field is None:
         field = gf(1009)
     fam = family_for(group_type, rank, label)
-    points = []
-    if isinstance(fam, BFamilyS):
-        u0 = field.of(fam.sign)
-        mu = field.of(mu_int)
-        # a^2 = 2(2u0 - mu); need a in the field
-        a2 = field.mul(field.of(2), field.sub(field.mul(field.of(2), u0), mu))
-        a = field.sqrt(a2)
-        if a is None:
-            return {"skipped": f"no square root for mu={mu_int}"}
-        for comp in fam.components():
-            for aa in {a, field.neg(a)}:
-                points.append(comp.point(field, aa))
-    elif isinstance(fam, (CFamilyS2, DFamilyS)):
-        mu = field.of(mu_int)
-        for comp in fam.components():
-            points.append(comp.point(field, mu))
-    else:
-        raise TypeError("transitivity check covers the big-cell families")
+    points = fam.transitivity_points(field, field.of(mu_int))
+    if points is None:
+        return {"skipped": f"no square root for mu={mu_int}"}
     points = sorted(set(points))
     gammas = gamma_group_elements(fam, field)
     base = points[0]
@@ -471,11 +356,9 @@ def verify_sl_restriction(n: int, m: int, p: int, samples: int = 16,
     Over F_p also runs the Jacobian criterion on curve samples and flags the
     non-reduced case p | gcd(2m, n+1-2m).
     """
-    from math import gcd
-
     notes = []
     e1, e2 = 2 * m, n + 1 - 2 * m
-    fam = AFamily(n, m)
+    point = family_for("A", n, f"S_{m}").components()[0].point
     rng = random.Random(seed)
     if p == 0:
         field = QQ
@@ -499,11 +382,7 @@ def verify_sl_restriction(n: int, m: int, p: int, samples: int = 16,
     checked = 0
     contained = True
     for a, b in pts:
-        X = fam._component_point((1,) * m)(field, (a, b))
-        from .linalg import det as mat_det
-
-        dv = mat_det(field, X)
-        if dv != field.one:
+        if det(field, point(field, (a, b))) != field.one:
             continue
         checked += 1
         curve = field.of(a ** e1 * b ** e2)
@@ -583,7 +462,7 @@ def stratum_singularity_witness(group_type: str, rank: int,
         famS = family_for("B", 2, "S")
         famP = family_for("B", 2, "Sprime")
         x_s = famS.components()[0].point(field, field.zero)
-        x_p = famP._component_point(1, 1)(field, field.of(2))
+        x_p = famP.components()[0].point(field, field.of(2))
         part_s = unipotent_partition(field, x_s)
         part_p = unipotent_partition(field, x_p)
         if part_s != (3, 1, 1) or part_p != (3, 1, 1):
@@ -601,8 +480,8 @@ def stratum_singularity_witness(group_type: str, rank: int,
             },
         )
     if group_type == "D":
-        famR = DFamilyR(rank, "R")
-        famT = DFamilyR(rank, "thetaR")
+        famR = family_for("D", rank, "R")
+        famT = family_for("D", rank, "thetaR")
         x_r = famR.components()[0].point(field, field.one)
         x_t = famT.components()[0].point(field, field.one)
         part_r = unipotent_partition(field, x_r)
@@ -724,9 +603,8 @@ def _e6_curve_identity(field, samples: int, seed: int) -> bool:
     On the curve x^3 = y^2 the family's torus coordinates must match
     (1/x, x/y, x^2/y, x, y(1/x^3 + 1)), coordinatewise over samples.
     """
-    fam = E6Family()
     rng = random.Random(seed)
-    comp = fam.components()[0]  # eps = +1
+    comp = family_for("E", 6, "S").components()[0]  # eps = +1
     for _ in range(samples):
         s = _random_unit(field, rng)
         x = field.mul(s, s)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from weylslice.families import (
@@ -47,6 +49,22 @@ def test_component_points_member_and_in_cell(t, n):
         assert fam.ctx.in_group(F, pt)
         assert fam.membership(F, pt).member
         assert fam.ctx.bruhat_word(F, pt) == fam.w
+
+
+def test_ambient_never_consults_membership(monkeypatch):
+    # certify_components rejects ambient points by membership; a chart
+    # sampler that asked membership would make that check vacuous
+    def forbidden(self, field, X):
+        raise AssertionError("ambient called membership")
+
+    rng = random.Random(0)
+    for t, n in ALL_MATRIX_SHEETS + [("A", 3), ("A", 4), ("E", 6), ("E", 7)]:
+        for d in sheet_catalog(t, n):
+            fam = build_family(d)
+            monkeypatch.setattr(type(fam), "membership", forbidden)
+            pts = [fam.ambient(F7, rng) for _ in range(8)]
+            assert any(pt is not None for pt in pts), (t, n, d.label)
+            monkeypatch.undo()
 
 
 def test_c_s2_paper_solution():

@@ -1,9 +1,11 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from weylslice.families import SliceFamily
 from weylslice.fields import gf
 from weylslice.sheetcat import sheet_catalog
 from weylslice.sliceverify import (
@@ -70,6 +72,27 @@ def test_gamma_stability_and_transitivity():
     # B_n S: the orbit of one point is exactly the fixed-trace point set
     rep = gamma_transitivity_check("B", 2, "S")
     assert rep["points"] == rep["orbit"] == 16
+    # a^2 = 2(2 - 13) has no square root in F_1009
+    assert gamma_transitivity_check("B", 2, "S", field=F, mu_int=13) == {
+        "skipped": "no square root for mu=13"}
+    for args in [("B", 3, "Sprime"), ("C", 3, "S1"), ("D", 5, "R"),
+                 ("A", 3, "S_1"), ("E", 7, "S")]:
+        with pytest.raises(TypeError, match="big-cell families"):
+            gamma_transitivity_check(*args)
+    for rank in (6, 7):
+        with pytest.raises(TypeError, match="matrix families only"):
+            gamma_stability_check(_descriptor("E", rank, "S"))
+
+
+def test_random_ambient_gives_up_after_claimed_draws():
+    from weylslice.sliceverify import _random_ambient
+
+    class AlwaysClaimed(SliceFamily):
+        def ambient(self, field, rng):
+            return None
+
+    with pytest.raises(RuntimeError, match="off-locus"):
+        _random_ambient(AlwaysClaimed(), F, random.Random(0))
 
 
 def test_equation_chain_all_signs_n2():
