@@ -35,6 +35,10 @@ Areas:
            n_out = 12, seeds 0 and 11), with gamma_stability_check at both
            seeds and gamma_transitivity_check at each of CERTIFY_MUS (or
            the error either raises)
+  membership  along the certify sample streams of the CRITERION1 sheets
+           (n_in = n_out = 8, seeds 0 and 11): every point drawn through
+           sample_coords and comp.point, then every ambient point, with its
+           MembershipResult and in_group verdict (or the error it raises)
   report:* the printed reports of the REPORTS command lines
 
 Usage: python3 scripts/parity_digest.py
@@ -45,13 +49,14 @@ import dataclasses
 import hashlib
 import io
 import os
+import random
 import sys
 from fractions import Fraction
 from itertools import product
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from weylslice.families import AFamily
+from weylslice.families import AFamily, build_family
 from weylslice.fforacle import (borel_orbit_report, cell_partition_check,
                                 conjugacy_classes, enumerate_group,
                                 expand_class,
@@ -241,6 +246,27 @@ def certify_records():
                     t, n, d.label, field=f1009, mu_int=mu))
 
 
+def membership_records():
+    f1009 = gf(1009)
+    for t, n, label in CRITERION1:
+        fam = build_family(
+            next(x for x in sheet_catalog(t, n) if x.label == label))
+        for seed in (0, 11):
+            rng = random.Random(seed)
+            points = [_or_error(lambda: comp.point(f1009, coord))
+                      for comp in fam.components()
+                      for coord in fam.sample_coords(f1009, rng, 8)]
+            for _ in range(8):
+                # the first draw off the claimed locus, as certify takes it
+                points.append(next(pt for pt in (
+                    fam.ambient(f1009, rng) for _ in range(64))
+                    if pt is not None))
+            for pt in points:
+                yield pt if isinstance(pt, str) else (
+                    pt, fam.membership(f1009, pt),
+                    fam.is_matrix and fam.ctx.in_group(f1009, pt))
+
+
 def report_text(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -265,6 +291,7 @@ def main():
     print("expand", digest(expand_records()))
     print("chain", digest(chain_records()))
     print("certify", digest(certify_records()))
+    print("membership", digest(membership_records()))
     for argv in REPORTS:
         print("report:" + " ".join(argv), digest([report_text(argv)]))
     return 0

@@ -118,8 +118,8 @@ def _square_zero_or_mu(field, X, r, r_text, unipotent, semisimple, failure):
     """Membership shared by the C and D families: X = +-(1 + N) with N of
     rank r and N^2 = 0, or X + X^-1 = mu with mu != +-2."""
     for lam in (field.one, field.neg(field.one)):
-        if (_rank_shift(field, X, lam) == r
-                and _rank_shift(field, X, lam, 2) == 0):
+        if (_rank_shift(field, X, lam, at_most=r) == r
+                and _rank_shift(field, X, lam, 2, at_most=0) == 0):
             return MembershipResult(
                 True, f"rk(X-({lam}))={r_text} and square zero", unipotent)
     mu = _min_quadratic_mu(field, X)
@@ -199,10 +199,15 @@ class BFamilyS(SliceFamily):
         return out
 
     def membership(self, field, X) -> MembershipResult:
-        n = self.n
+        n, one = self.n, field.one
         u0 = field.of(self.sign)
-        for lam, tag_pos in ((field.one, True), (field.neg(field.one), False)):
-            if _rank_shift(field, X, lam, 2) == 1:
+        Xsq = mat_mul(field, X, X)
+        for lam in (one, field.neg(one)):
+            # (X - lam)^2 = X^2 - 2 lam X + 1, as lam^2 = 1
+            two_lam = field.add(lam, lam)
+            sq = scalar_shift(field, [field.sub_scaled(r2, two_lam, r) for
+                                      r2, r in zip(Xsq, X)], field.neg(one))
+            if mat_rank(field, sq, at_most=1) == 1:
                 if lam == u0:
                     t = ("unipotent (3,2^(n-2),1^2) member" if self.sign == 1
                          else "rho-twisted unipotent member")
@@ -210,9 +215,9 @@ class BFamilyS(SliceFamily):
                     t = ("unipotent (3,2^(n-1)) member" if lam == field.one
                          else "rho-twisted unipotent member")
                 return MembershipResult(True, f"rk((X-{lam})^2)=1", t)
-        mu = _solve_cubic_mu(field, X)
+        mu = _solve_cubic_mu(field, X, Xsq)
         if mu is not None and mu != field.of(2) and mu != field.of(-2):
-            if mat_rank(field, scalar_shift(field, X, field.one)) == 2 * n:
+            if mat_rank(field, scalar_shift(field, X, one)) == 2 * n:
                 return MembershipResult(
                     True, "semisimple with eigenvalue trace mu",
                     "semisimple O_lambda member")
@@ -362,8 +367,8 @@ class TwoFlipFamily(SliceFamily):
 
     def membership(self, field, X) -> MembershipResult:
         z = field.of(self.central)
-        if _rank_shift(field, X, z) == 2:
-            if _rank_shift(field, X, z, 2) == 0:
+        if _rank_shift(field, X, z, at_most=2) == 2:
+            if _rank_shift(field, X, z, 2, at_most=0) == 0:
                 t = "unipotent member" + (" (times -1)" if self.central < 0 else "")
             else:
                 t = "semisimple or mixed member"
@@ -721,8 +726,8 @@ class AFamily(SliceFamily):
         for z in cands:
             if field.is_zero(z):
                 continue
-            if (_rank_shift(field, X, z) == m
-                    and _rank_shift(field, X, z, 2) == 0):
+            if (_rank_shift(field, X, z, at_most=m) == m
+                    and _rank_shift(field, X, z, 2, at_most=0) == 0):
                 return MembershipResult(
                     True, f"X = z*(unipotent (2^{m},1^{n1 - 2 * m}))",
                     "unipotent member up to scalar")

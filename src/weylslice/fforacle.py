@@ -17,12 +17,12 @@ generator is a table of indices derived from those products with no further
 matrix product, so its classes are closures over ints.  Each element's
 Bruhat cell is decoded once and kept in a list aligned with the elements.
 Enumerated elements are products of generators of the group, so their
-decoding skips `GroupContext.in_group`, which would cost two products per
-element to re-prove membership; the public `bruhat_word` keeps the check
-for everything else.
+decoding skips `GroupContext.in_group`, which would cost a product (and
+for SO a determinant) per element to re-prove membership; `bruhat_word`
+keeps the check for everything else.
 
 Shared with the code under test: the `matgroups` constructors, Bruhat
-decoding (`linalg.det`, `linalg.bruhat_permutation`), the Borel reader
+decoding (`linalg.bruhat_permutation`), the Borel reader
 `borel_torus` and the (T_w)deg points `anti_fixed_points` (which also list
 `gamma_elements`), the Weyl-group combinatorics, and `linalg` `inverse`,
 `mat_mul`, `charpoly` and `rank` (class dimensions).  Closed forms guard

@@ -102,7 +102,13 @@ class GaussianRationals:
         return (a[0] - b[0], a[1] - b[1])
 
     def mul(self, a, b):
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+        # a zero imaginary part (a Fraction 0) drops its two products
+        (a0, a1), (b0, b1) = a, b
+        if not a1:
+            return (a0 * b0, a0 * b1 if b1 else a1)
+        if not b1:
+            return (a0 * b0, a1 * b0)
+        return (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0)
 
     def neg(self, a):
         return (-a[0], -a[1])

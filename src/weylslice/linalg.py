@@ -6,7 +6,9 @@ goes through the field's two vector operations, ``field.dot`` and
 over F_p both run on plain ints and reduce once per entry.  Every
 elimination (rank over any field, inverses, and the exact solver
 `solve` / `kernel` the rest of the package uses over Q) goes through the
-one Gauss-Jordan routine `rref`.  Characteristic polynomials use the
+one Gauss-Jordan routine `rref`; a rank compared with a fixed value
+passes that bound as `at_most`, and the elimination stops one pivot past
+it.  Characteristic polynomials use the
 division-free Berkowitz algorithm so they are valid over any field,
 including small characteristic.  Polynomials are low-first coefficient
 tuples; the ``poly_*`` helpers are also the arithmetic of K(t).
@@ -68,25 +70,31 @@ def mat_pow(field, a: Matrix, k: int) -> Matrix:
 
 def scalar_shift(field, a: Matrix, c) -> Matrix:
     """a - c * I."""
-    n = len(a)
-    return tuple(
-        tuple(field.sub(a[i][j], c) if i == j else a[i][j] for j in range(n))
-        for i in range(n)
-    )
+    out = [list(row) for row in a]
+    for i, row in enumerate(out):
+        row[i] = field.sub(row[i], c)
+    return tuple(map(tuple, out))
 
 
-def rank(field, a: Matrix) -> int:
-    """Exact rank, by Gauss-Jordan elimination."""
+def rank(field, a: Matrix, at_most: int | None = None) -> int:
+    """Exact rank, by Gauss-Jordan elimination.
+
+    With `at_most`, the rank when it is at most `at_most`, else
+    at_most + 1: the elimination stops at that many pivots.
+    """
     if not a or not a[0]:
         return 0
-    return len(rref(field, a)[1])
+    return len(rref(field, a, None if at_most is None else at_most + 1)[1])
 
 
-def rref(field, a) -> tuple[list[list], list[int]]:
+def rref(field, a,
+         max_pivots: int | None = None) -> tuple[list[list], list[int]]:
     """Reduced row echelon form of `a` (new rows) and its pivot columns.
 
     Gauss-Jordan elimination, exact over any field.  The form is unique,
-    so bases read off it are canonical.
+    so bases read off it are canonical.  With `max_pivots` the elimination
+    stops once it has that many pivots, and the rows are only partly
+    reduced.
     """
     is_zero, mul, sub_scaled = field.is_zero, field.mul, field.sub_scaled
     m = [list(row) for row in a]
@@ -95,7 +103,7 @@ def rref(field, a) -> tuple[list[list], list[int]]:
     pivots: list[int] = []
     for c in range(cols):
         r = len(pivots)
-        if r == rows:
+        if r == rows or r == max_pivots:
             break
         piv = None
         for i in range(r, rows):

@@ -64,6 +64,15 @@ class GroupContext:
             ]
         self._pos = {c: i for i, c in enumerate(self.coords)}
         self.flag_order = self._flag_order()
+        # the tagged form is a signed permutation: row i of J has its one
+        # nonzero entry, the sign, in column col (u_i pairs with w_i, z with
+        # itself; -1 on the w rows for Sp); the matrix is built once per field
+        partner = {"u": "w", "w": "u", "z": "z"}
+        self._signed_form = None if label in ("SL", "GL") else tuple(
+            (self._pos[(partner[kind], i)],
+             -1 if label == "Sp" and kind == "w" else 1)
+            for kind, i in self.coords)
+        self._forms: dict = {}
         # decoded cells by signed coordinate map; at most |W| entries
         self._weyl_by_signed: dict = {}
 
@@ -71,24 +80,16 @@ class GroupContext:
 
     def form(self, field) -> Optional[Matrix]:
         """The invariant bilinear form, or None for SL/GL."""
-        if self.label in ("SL", "GL"):
+        if self._signed_form is None:
             return None
-        n, N = self.rank, self.size
-        j = [[field.zero] * N for _ in range(N)]
-        if self.label == "Sp":
-            for i in range(n):
-                j[i][n + i] = field.one
-                j[n + i][i] = field.neg(field.one)
-        elif self.label == "SO-odd":
-            j[0][0] = field.one
-            for i in range(n):
-                j[1 + i][1 + n + i] = field.one
-                j[1 + n + i][1 + i] = field.one
-        else:
-            for i in range(n):
-                j[i][n + i] = field.one
-                j[n + i][i] = field.one
-        return tuple(tuple(row) for row in j)
+        j = self._forms.get(field)
+        if j is None:
+            one, minus = field.one, field.neg(field.one)
+            j = self._forms[field] = tuple(
+                tuple((one if sign > 0 else minus) if k == col else field.zero
+                      for k in range(self.size))
+                for col, sign in self._signed_form)
+        return j
 
     def dimension(self) -> int:
         n, N = self.rank, self.size
@@ -257,10 +258,15 @@ class GroupContext:
     # -- predicates --------------------------------------------------------
 
     def in_group(self, field, g: Matrix) -> bool:
+        N = self.size
+        if len(g) != N or any(len(row) != N for row in g):
+            return False
         j = self.form(field)
         if j is not None:
-            lhs = mat_mul(field, mat_mul(field, transpose(g), j), g)
-            if lhs != j:
+            # J g permutes and signs the rows of g, so g^T J g is one product
+            jg = [g[col] if sign > 0 else [field.neg(x) for x in g[col]]
+                  for col, sign in self._signed_form]
+            if mat_mul(field, transpose(g), jg) != j:
                 return False
         if self.label in ("SL", "SO-odd", "SO-even"):
             return det(field, g) == field.one
@@ -286,14 +292,16 @@ class GroupContext:
 
     def bruhat_word(self, field, g: Matrix) -> WeylElement:
         """The Weyl element w with g in BwB for the standard Borel."""
-        if self.label not in ("SL", "GL") and not self.in_group(field, g):
+        if self.label in ("SL", "GL"):
+            if field.is_zero(det(field, g)):
+                raise ValueError("matrix is singular")
+        elif not self.in_group(field, g):
             raise ValueError("matrix does not preserve the tagged form")
         return self._cell(field, g)
 
     def _cell(self, field, g: Matrix) -> WeylElement:
-        """`bruhat_word` for a g already known to lie in the group."""
-        if field.is_zero(det(field, g)):
-            raise ValueError("matrix is singular")
+        """`bruhat_word` for a g already known to be invertible and, except
+        for SL/GL, to lie in the group."""
         order = self.flag_order
         flagged = tuple(
             tuple(g[order[i]][order[j]] for j in range(self.size))

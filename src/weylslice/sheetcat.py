@@ -458,9 +458,11 @@ def _is_scalar(field, g):
                for i in range(n) for j in range(n))
 
 
-def _rank_shift(field, g, c, power=1):
+def _rank_shift(field, g, c, power=1, at_most=None):
+    """rank((g - c)^power), bounded by `at_most` as in `linalg.rank`."""
     m = scalar_shift(field, g, c)
-    return mat_rank(field, m if power == 1 else mat_pow(field, m, power))
+    return mat_rank(field, m if power == 1 else mat_pow(field, m, power),
+                    at_most)
 
 
 def classify_spherical(ctx: GroupContext, field, g) -> Optional[SphericalTag]:
@@ -553,7 +555,7 @@ def _classify_sp4(ctx, field, g):
     # semisimple (1,1,l,1/l) up to the centre:
     # (g -+ 1)(g^2 - mu g + 1) = 0 with mu != +-2
     for h in (g, tuple(tuple(field.neg(x) for x in row) for row in g)):
-        mu = _solve_cubic_mu(field, h)
+        mu = _solve_cubic_mu(field, h, gsq)  # (-g)^2 = g^2
         if mu is not None and mu != field.of(2) and mu != field.of(-2):
             return SphericalTag("semisimple (1,1,l,1/l) up to centre", 6,
                                 "B2-sheet", "w0")
@@ -566,26 +568,26 @@ def _classify_sp4(ctx, field, g):
     return None
 
 
-def _solve_cubic_mu(field, g):
-    """mu with (g - 1)(g^2 - mu*g + 1) = 0, or None."""
-    n = len(g)
-    k = scalar_shift(field, g, field.one)
-    gsq = mat_mul(field, g, g)
-    lhs = mat_mul(field, k, scalar_shift(field, gsq, field.neg(field.one)))
-    # lhs must equal mu * k * g
-    kg = mat_mul(field, k, g)
-    mu = None
-    for i in range(n):
-        for j in range(n):
-            if not field.is_zero(kg[i][j]):
-                mu = field.div(lhs[i][j], kg[i][j])
-                break
-        if mu is not None:
-            break
-    if mu is None:
+def _solve_cubic_mu(field, g, gsq=None):
+    """mu with (g - 1)(g^2 - mu*g + 1) = 0, or None; `gsq` is g^2 if known.
+
+    One product, g^3 = g^2 g, gives both sides of
+    (g - 1)(g^2 + 1) = mu (g - 1) g: they are g^3 - g^2 + g - 1 and g^2 - g.
+    """
+    one = field.one
+    if gsq is None:
+        gsq = mat_mul(field, g, g)
+    kg = [field.sub_scaled(r2, one, r) for r2, r in zip(gsq, g)]
+    lhs = scalar_shift(field, [field.sub_scaled(r3, one, r) for r3, r
+                               in zip(mat_mul(field, gsq, g), kg)], one)
+    # lhs must equal mu * kg; mu is read off the first nonzero entry of kg
+    pivot = next(((lr[j], x) for lr, kr in zip(lhs, kg)
+                  for j, x in enumerate(kr) if not field.is_zero(x)), None)
+    if pivot is None:
         return None
-    target = tuple(tuple(field.mul(mu, x) for x in row) for row in kg)
-    return mu if lhs == target else None
+    mu = field.div(*pivot)
+    return mu if all(field.is_zero(x) for lr, kr in zip(lhs, kg)
+                     for x in field.sub_scaled(lr, mu, kr)) else None
 
 
 def _classify_so5(ctx, field, g):
@@ -607,7 +609,7 @@ def _classify_so5(ctx, field, g):
         if r1 == 2:
             return SphericalTag("involution (1^3,-1^2)", 6, "Sprime", "w0")
         return None
-    mu = _solve_cubic_mu(field, g)
+    mu = _solve_cubic_mu(field, g, gsq)
     if mu is not None and mu != field.of(2) and mu != field.of(-2):
         # semisimple iff the minimal polynomial is (x-1)(x^2-mu x+1)
         if r1 == 4:

@@ -383,3 +383,38 @@ def test_ext_sqrt_table_matches_scan(q):
     for a in F.elements():
         scan = next((r for r in F.elements() if F.mul(r, r) == a), None)
         assert F.sqrt(a) == scan
+
+
+BOUNDED_FIELDS = [gf(3), gf(1009), gf(9), QQ, QQI]
+BOUNDED_IDS = ["F3", "F1009", "F9", "QQ", "QQI"]
+
+
+@pytest.mark.parametrize("field", BOUNDED_FIELDS, ids=BOUNDED_IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_bounded_rank_is_capped_rank(field, data):
+    rows, cols, inner = (data.draw(st.integers(1, 5)) for _ in range(3))
+
+    def matrix(n, m):
+        return mat(data.draw(st.lists(
+            st.lists(_elements(field), min_size=m, max_size=m),
+            min_size=n, max_size=n)))
+
+    # a random matrix, one of rank <= inner, and the zero matrix
+    thin = mat_mul(field, matrix(rows, inner), matrix(inner, cols))
+    zero = mat([[field.zero] * cols] * rows)
+    for a in (matrix(rows, cols), thin, zero):
+        full = rank(field, a)
+        for at_most in range(max(rows, cols) + 1):
+            assert rank(field, a, at_most) == min(full, at_most + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gaussian_mul_fast_path_keeps_values_and_types(data):
+    parts = st.one_of(st.just(Fraction(0)), st.fractions(
+        min_value=-4, max_value=4, max_denominator=3))
+    (a0, a1), (b0, b1) = (data.draw(st.tuples(parts, parts)) for _ in range(2))
+    full = (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0)
+    got = QQI.mul((a0, a1), (b0, b1))
+    assert got == full and tuple(map(type, got)) == tuple(map(type, full))

@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 
 from weylslice.fields import QQ, gf
-from weylslice.linalg import identity, inverse, mat_mul, unipotent_partition
+from weylslice.linalg import (det, identity, inverse, mat_mul, transpose,
+                              unipotent_partition)
 from weylslice.matgroups import GroupContext
 from weylslice.rootsys import (build_root_system,
                                involution_conjugacy_classes, longest_element)
@@ -272,3 +273,41 @@ def test_borel_torus(label, rank):
                      for i, row in enumerate(ctx.torus(F, vals)))
     assert ctx.borel_torus(F, singular) is None
 
+
+
+def _explicit_in_group(ctx, F, g):
+    """The membership test by definition: g^T J g = J with two products,
+    and det 1 for SO."""
+    N = ctx.size
+    if len(g) != N or any(len(row) != N for row in g):
+        return False
+    j = ctx.form(F)
+    if mat_mul(F, mat_mul(F, transpose(g), j), g) != j:
+        return False
+    return ctx.label == "Sp" or det(F, g) == F.one
+
+
+@pytest.mark.parametrize("label,rank", [("Sp", 2), ("Sp", 3), ("SO-odd", 2),
+                                        ("SO-odd", 3), ("SO-even", 3),
+                                        ("SO-even", 4)])
+def test_monomial_in_group_matches_explicit_form_test(label, rank):
+    ctx = GroupContext(label, rank)
+    F = gf(7)
+    rnd = random.Random(rank)
+    assert ctx.form(F) is ctx.form(F)
+    for _ in range(12):
+        g = ctx.torus(F, [rnd.randrange(1, 7) for _ in range(rank)])
+        for _ in range(6):
+            r = rnd.choice(ctx.system.roots)
+            g = mat_mul(F, g, ctx.root_element(F, r, rnd.randrange(7)))
+        i, j = rnd.randrange(ctx.size), rnd.randrange(ctx.size)
+        perturbed = tuple(
+            tuple((x + 1 + rnd.randrange(6)) % 7 if (a, b) == (i, j) else x
+                  for b, x in enumerate(row)) for a, row in enumerate(g))
+        singular = tuple(tuple(0 if a == i else x for x in row)
+                         for a, row in enumerate(g))
+        minus = tuple(tuple(-x % 7 for x in row) for row in g)
+        small = tuple(row[1:] for row in g[1:])
+        for m in (g, perturbed, singular, minus, small, g[1:]):
+            assert ctx.in_group(F, m) == _explicit_in_group(ctx, F, m)
+        assert ctx.in_group(F, g) and not ctx.in_group(F, singular)

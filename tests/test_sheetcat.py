@@ -1,6 +1,11 @@
+import random
+
 import pytest
 
+from weylslice.families import BFamilyS
+from weylslice.fforacle import conjugacy_classes, enumerate_group
 from weylslice.fields import gf
+from weylslice.linalg import mat_mul
 from weylslice.matgroups import GroupContext
 from weylslice.rootsys import (
     build_root_system,
@@ -9,6 +14,7 @@ from weylslice.rootsys import (
 )
 from weylslice.sheetcat import (
     CatalogError,
+    _solve_cubic_mu,
     SphericalTag,
     a_type_pi,
     catalog_w_S,
@@ -160,3 +166,24 @@ def test_catalog_report_strings():
     for d in sheet_catalog("B", 3):
         assert d.semisimple_members
         assert d.unipotent_members
+
+
+def test_solve_cubic_mu_with_shared_square():
+    F = gf(1009)
+    rnd = random.Random(0)
+    mats = [tuple(tuple(rnd.randrange(1009) for _ in range(n))
+                  for _ in range(n)) for n in (5, 9) for _ in range(10)]
+    # B S slice points, whose cubic has a root mu
+    for n in (2, 4):
+        fam = BFamilyS(n)
+        mats += [c.point(F, F.of(a)) for c in fam.components()[:3]
+                 for a in (1, 5, 77)]
+    so5 = enumerate_group("SO-odd", 2, 3)
+    reps = [(so5.field, tuple(c.rep[i:i + 5] for i in range(0, 25, 5)))
+            for c in conjugacy_classes(so5)]
+    found = 0
+    for field, g in [(F, m) for m in mats] + reps:
+        mu = _solve_cubic_mu(field, g)
+        assert _solve_cubic_mu(field, g, mat_mul(field, g, g)) == mu
+        found += mu is not None
+    assert found >= 18
