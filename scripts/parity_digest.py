@@ -69,7 +69,8 @@ from weylslice.reportcli import main as cli_main
 from weylslice.rootsys import (build_root_system, involution_conjugacy_classes,
                                longest_element)
 from weylslice.sheetcat import catalog_w_S, sheet_catalog
-from weylslice.sliceverify import (certify_components, gamma_stability_check,
+from weylslice.sliceverify import (_random_ambient, certify_components,
+                                   gamma_stability_check,
                                    gamma_transitivity_check,
                                    verify_equation_chain_Bn)
 from weylslice.sevslice import (EigenBasisChoice, fixed_roots,
@@ -256,11 +257,7 @@ def membership_records():
             points = [_or_error(lambda: comp.point(f1009, coord))
                       for comp in fam.components()
                       for coord in fam.sample_coords(f1009, rng, 8)]
-            for _ in range(8):
-                # the first draw off the claimed locus, as certify takes it
-                points.append(next(pt for pt in (
-                    fam.ambient(f1009, rng) for _ in range(64))
-                    if pt is not None))
+            points += [_random_ambient(fam, f1009, rng) for _ in range(8)]
             for pt in points:
                 yield pt if isinstance(pt, str) else (
                     pt, fam.membership(f1009, pt),

@@ -568,15 +568,13 @@ def _classify_sp4(ctx, field, g):
     return None
 
 
-def _solve_cubic_mu(field, g, gsq=None):
-    """mu with (g - 1)(g^2 - mu*g + 1) = 0, or None; `gsq` is g^2 if known.
+def _solve_cubic_mu(field, g, gsq):
+    """mu with (g - 1)(g^2 - mu*g + 1) = 0, or None; `gsq` is g^2.
 
     One product, g^3 = g^2 g, gives both sides of
     (g - 1)(g^2 + 1) = mu (g - 1) g: they are g^3 - g^2 + g - 1 and g^2 - g.
     """
     one = field.one
-    if gsq is None:
-        gsq = mat_mul(field, g, g)
     kg = [field.sub_scaled(r2, one, r) for r2, r in zip(gsq, g)]
     lhs = scalar_shift(field, [field.sub_scaled(r3, one, r) for r3, r
                                in zip(mat_mul(field, gsq, g), kg)], one)

@@ -5,7 +5,7 @@ import pytest
 from weylslice.families import BFamilyS
 from weylslice.fforacle import conjugacy_classes, enumerate_group
 from weylslice.fields import gf
-from weylslice.linalg import mat_mul
+from weylslice.linalg import mat_mul, scalar_shift
 from weylslice.matgroups import GroupContext
 from weylslice.rootsys import (
     build_root_system,
@@ -168,7 +168,22 @@ def test_catalog_report_strings():
         assert d.unipotent_members
 
 
-def test_solve_cubic_mu_with_shared_square():
+def _cubic_mu_by_products(field, g):
+    """Reference: (g - 1)(g^2 + 1) = mu (g - 1) g formed by three products."""
+    k = scalar_shift(field, g, field.one)
+    lhs = mat_mul(field, k, scalar_shift(field, mat_mul(field, g, g),
+                                         field.neg(field.one)))
+    kg = mat_mul(field, k, g)
+    pivot = next(((lr[j], x) for lr, kr in zip(lhs, kg)
+                  for j, x in enumerate(kr) if not field.is_zero(x)), None)
+    if pivot is None:
+        return None
+    mu = field.div(*pivot)
+    target = tuple(tuple(field.mul(mu, x) for x in row) for row in kg)
+    return mu if lhs == target else None
+
+
+def test_solve_cubic_mu_matches_product_formula():
     F = gf(1009)
     rnd = random.Random(0)
     mats = [tuple(tuple(rnd.randrange(1009) for _ in range(n))
@@ -183,7 +198,7 @@ def test_solve_cubic_mu_with_shared_square():
             for c in conjugacy_classes(so5)]
     found = 0
     for field, g in [(F, m) for m in mats] + reps:
-        mu = _solve_cubic_mu(field, g)
+        mu = _cubic_mu_by_products(field, g)
         assert _solve_cubic_mu(field, g, mat_mul(field, g, g)) == mu
         found += mu is not None
     assert found >= 18
