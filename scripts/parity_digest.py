@@ -7,6 +7,11 @@ against commits that predate it: copy it into that checkout's `scripts/`
 and run it there.
 
 Areas:
+  roots    for each of ROOT_TYPES: roots, coefficients, positive roots,
+           cartan, neg, the simple-reflection and every root reflection's
+           permutation, the full pair table, highest root and dual basis,
+           and the subsystem highest root of the whole system and (E6-E8,
+           F4) of the roots orthogonal to its highest root
   weyl     for the first 3 members of every involution class of the
            TYPES below: matrix, length, reduced word, the action on a
            fixed vector with a component off the root span, and the
@@ -67,7 +72,8 @@ from weylslice.linalg import mat_mul
 from weylslice.matgroups import GroupContext
 from weylslice.reportcli import main as cli_main
 from weylslice.rootsys import (build_root_system, involution_conjugacy_classes,
-                               longest_element)
+                               longest_element, orthogonal_subsystem,
+                               subsystem_highest_root)
 from weylslice.sheetcat import catalog_w_S, sheet_catalog
 from weylslice.sliceverify import (_random_ambient, certify_components,
                                    gamma_stability_check,
@@ -77,6 +83,9 @@ from weylslice.sevslice import (EigenBasisChoice, fixed_roots,
                                 minus_one_eigenbasis, positive_system)
 from weylslice.toruslat import TorusData, gamma_w
 
+ROOT_TYPES = ([("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 6)]
+              + [("C", n) for n in range(2, 6)] + [("D", n) for n in range(3, 7)]
+              + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
 TYPES = [("A", 3), ("A", 4), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
          ("D", 4), ("D", 5), ("G", 2), ("F", 4)]
 MEMBERS = 3  # elements per involution class
@@ -111,6 +120,20 @@ def _or_error(fn):
         return fn()
     except (ValueError, ArithmeticError, TypeError) as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def roots_records():
+    for label, rank in ROOT_TYPES:
+        rs = build_root_system(label, rank)
+        top = rs.highest_root()
+        yield (rs.roots, [rs.coefficients(r) for r in rs.roots],
+               rs.positive_roots, rs.cartan, rs.neg,
+               [rs.simple_reflection(i).perm for i in range(rank)],
+               [rs.reflection(r).perm for r in rs.roots],
+               [[rs.pair(a, b) for b in rs.roots] for a in rs.roots],
+               top, rs.dual_basis, subsystem_highest_root(rs, rs.roots))
+        if label in "EF":
+            yield subsystem_highest_root(rs, orthogonal_subsystem(rs, top))
 
 
 def weyl_records():
@@ -280,6 +303,7 @@ def digest(records) -> str:
 
 
 def main():
+    print("roots", digest(roots_records()))
     print("weyl", digest(weyl_records()))
     print("sevslice", digest(sevslice_records()))
     print("torus", digest(torus_records()))

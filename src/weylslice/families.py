@@ -36,9 +36,9 @@ from .linalg import (
 from .matgroups import GroupContext
 from .sheetcat import (
     SheetDescriptor,
-    _min_quadratic_mu,
     _rank_shift,
     _solve_cubic_mu,
+    _solve_deg2,
     catalog_w_S,
     sheet_catalog,
 )
@@ -116,14 +116,19 @@ class SliceFamily:
 
 def _square_zero_or_mu(field, X, r, r_text, unipotent, semisimple, failure):
     """Membership shared by the C and D families: X = +-(1 + N) with N of
-    rank r and N^2 = 0, or X + X^-1 = mu with mu != +-2."""
+    rank r and N^2 = 0, or X + X^-1 = mu with mu != +-2.
+
+    X must not be scalar, as `_solve_deg2` requires: the chart points of
+    C S2, D S and D R, their Gamma-conjugates and their sign twists all
+    have a nonzero off-diagonal block."""
     for lam in (field.one, field.neg(field.one)):
         if (_rank_shift(field, X, lam, at_most=r) == r
                 and _rank_shift(field, X, lam, 2, at_most=0) == 0):
             return MembershipResult(
                 True, f"rk(X-({lam}))={r_text} and square zero", unipotent)
-    mu = _min_quadratic_mu(field, X)
-    if mu is not None and mu != field.of(2) and mu != field.of(-2):
+    got = _solve_deg2(field, X, mat_mul(field, X, X))
+    if (got is not None and got[1] == field.one
+            and got[0] != field.of(2) and got[0] != field.of(-2)):
         return MembershipResult(True, "X + X^-1 = mu with mu != +-2",
                                 semisimple)
     return MembershipResult(False, failure)
@@ -155,8 +160,17 @@ class BFamilyS(SliceFamily):
         """X from sign vector e, vector v, strict-upper Q and skew A data."""
         n = self.n
         one, zero = field.one, field.zero
-        Q = [[one if i == j else (q_upper.get((i, j), zero) if i < j else zero)
-              for j in range(n)] for i in range(n)]
+        Q = tuple(tuple(one if i == j else (q_upper.get((i, j), zero) if i < j
+                                            else zero) for j in range(n))
+                  for i in range(n))
+        return self._assemble(field, e, v, Q, inverse(field, tuple(zip(*Q))),
+                              a_upper)
+
+    def _assemble(self, field, e, v, Q, Qt_inv, a_upper) -> Matrix:
+        """X from e, v, the unitriangular Q with its inverse transpose, and
+        the strict-upper entries of the skew matrix A."""
+        n = self.n
+        zero = field.zero
         A = [[zero] * n for _ in range(n)]
         for (i, j), val in a_upper.items():
             A[i][j] = val
@@ -165,8 +179,6 @@ class BFamilyS(SliceFamily):
         M = [[field.sub(A[i][j],
                         field.mul(half, field.mul(v[i], v[j])))
               for j in range(n)] for i in range(n)]
-        Q = tuple(tuple(r) for r in Q)
-        Qt_inv = inverse(field, tuple(zip(*Q)))
         E = [field.of(x) for x in e]
         u0 = field.of(self.sign)
         N = 2 * n + 1
@@ -261,15 +273,15 @@ def _b_component_point(fam: BFamilyS, e, eta):
             for j in range(i + 1, n):
                 qinv[i][j] = field.mul(
                     field.of(2 * eta[i] * eta[j]), field.mul(zinv[i], zeta[j]))
-        Q = inverse(field, tuple(tuple(r) for r in qinv))
         a_upper = {}
         for i in range(n):
             for j in range(i + 1, n):
                 a_upper[(i, j)] = field.mul(
                     mu, field.mul(field.of(eta[i] * eta[j]),
                                   field.mul(zinv[i], zinv[j])))
-        q_upper = {(i, j): Q[i][j] for i in range(n) for j in range(i + 1, n)}
-        return fam.point(field, e, v, q_upper, a_upper)
+        # Q = qinv^-1, so the inverse transpose of Q is qinv^T
+        return fam._assemble(field, e, v, inverse(field, qinv),
+                             tuple(zip(*qinv)), a_upper)
 
     return point
 
@@ -732,7 +744,7 @@ class AFamily(SliceFamily):
                     True, f"X = z*(unipotent (2^{m},1^{n1 - 2 * m}))",
                     "unipotent member up to scalar")
         # semisimple branch: minimal polynomial x^2 - s*x + p0
-        got = _solve_deg2(field, X)
+        got = _solve_deg2(field, X, mat_mul(field, X, X))
         if got is not None:
             s, p0 = got
             disc = field.sub(field.mul(s, s),
@@ -758,38 +770,6 @@ class AFamily(SliceFamily):
                     False, f"semisimple but multiplicity {mult} not in "
                            f"{{{m}, {n1 - m}}}")
         return MembershipResult(False, "no S_m membership condition holds")
-
-
-def _solve_deg2(field, g):
-    """(s, p) with g^2 - s*g + p*I = 0, else None; g must be non-scalar."""
-    n = len(g)
-    gsq = mat_mul(field, g, g)
-    s = None
-    for i in range(n):
-        for j in range(n):
-            if i != j and not field.is_zero(g[i][j]):
-                s = field.div(gsq[i][j], g[i][j])
-                break
-        if s is not None:
-            break
-    if s is None:
-        # g diagonal but not scalar: s, p from two distinct diagonal entries
-        for i in range(n):
-            for j in range(n):
-                if i != j and g[i][i] != g[j][j]:
-                    s = field.add(g[i][i], g[j][j])
-                    break
-            if s is not None:
-                break
-    if s is None:
-        return None
-    p = field.sub(field.mul(s, g[0][0]), gsq[0][0])
-    # compare g^2 with s*g - p*I
-    want = [[field.sub(field.mul(s, g[i][j]), (p if i == j else field.zero))
-             for j in range(n)] for i in range(n)]
-    if all(gsq[i][j] == want[i][j] for i in range(n) for j in range(n)):
-        return s, p
-    return None
 
 
 # ---------------------------------------------------------------------------

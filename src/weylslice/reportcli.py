@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -46,9 +45,6 @@ class RunConfig:
     def default_q(self) -> int:
         if self.q:
             return self.q
-        env = os.environ.get("WEYLSLICE_DEFAULT_Q")
-        if env:
-            return int(env)
         from .fields import default_verification_prime
 
         return default_verification_prime()

@@ -1,13 +1,15 @@
 """Root systems of all simple types and their Weyl groups.
 
-Roots are stored in the standard orthonormal coordinate models, as tuples
-of ``Fraction``, but root arithmetic goes by index: negatives, sums and
-indecomposables are lookups on the integer simple-root coefficients.  A
-Weyl element is the permutation it induces on the root indices
-(Casselman, "Machine calculations in Weyl groups", 1994), built by
-`RootSystem.element`.  Products are index composition; lengths and
-descents are lookups on the permutation, and reduced words, Bruhat order
-and parabolic longest elements are computed from them.  On ambient
+Root geometry runs on the integer simple-root coefficients: with G twice
+the Gram matrix of the simple roots (an integer matrix for every type),
+the one formula s_b(c) = c - (2 c^T G b / b^T G b) b generates the roots
+and gives every reflection and pairing.  The coordinates in the standard
+orthonormal models, tuples of ``Fraction``, are derived once and fix the
+order of the roots.  A Weyl element is the permutation it induces on the
+root indices (Casselman, "Machine calculations in Weyl groups", 1994),
+built by `RootSystem.element`.  Products are index composition; lengths
+and descents are lookups on the permutation, and reduced words, Bruhat
+order and parabolic longest elements are computed from them.  On ambient
 vectors an element acts by one cached rational matrix.
 """
 
@@ -18,7 +20,7 @@ from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .fields import QQ
-from .linalg import inverse, mat_mul, rank as _rank, rref, solve
+from .linalg import inverse, mat_mul, rank as _rank
 
 Vector = tuple[Fraction, ...]
 
@@ -86,81 +88,51 @@ def closure(seeds: Iterable[Hashable],
     return list(seen)
 
 
-def _frac_vec(entries) -> Vector:
-    return tuple(Fraction(x) for x in entries)
-
-
-def _unit(dim: int, i: int, c=1) -> Vector:
-    return _frac_vec([c if j == i else 0 for j in range(dim)])
-
-
-def _add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
 def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def _dot(c: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(c, v))
+
+
+def _reflect(c: Sequence[int], b: Sequence[int],
+             coroot: Sequence[int]) -> tuple[int, ...]:
+    """s_b(c) = c - <c, b^vee> b on simple-root coefficients."""
+    k = _dot(c, coroot)
+    return tuple(x - k * y for x, y in zip(c, b))
+
+
+def _vec(dim: int, *terms) -> Vector:
+    """The sum of c e_i over the pairs (i, c) in `terms`."""
+    out = [Fraction(0)] * dim
+    for i, c in terms:
+        out[i] += c
+    return tuple(out)
+
+
 def _simple_roots(label: str, n: int) -> tuple[list[Vector], int]:
+    dim = {"A": n + 1, "E": 8, "F": 4, "G": 3}.get(label, n)
+    chain = [_vec(dim, (i, 1), (i + 1, -1)) for i in range(dim - 1)]
+    half = Fraction(1, 2)
     if label == "A":
-        dim = n + 1
-        simples = [_sub(_unit(dim, i), _unit(dim, i + 1)) for i in range(n)]
+        simples = chain
     elif label == "B":
-        dim = n
-        simples = [_sub(_unit(dim, i), _unit(dim, i + 1)) for i in range(n - 1)]
-        simples.append(_unit(dim, n - 1))
+        simples = chain + [_vec(dim, (n - 1, 1))]
     elif label == "C":
-        dim = n
-        simples = [_sub(_unit(dim, i), _unit(dim, i + 1)) for i in range(n - 1)]
-        simples.append(_unit(dim, n - 1, 2))
+        simples = chain + [_vec(dim, (n - 1, 2))]
     elif label == "D":
-        dim = n
-        simples = [_sub(_unit(dim, i), _unit(dim, i + 1)) for i in range(n - 1)]
-        simples.append(_add(_unit(dim, n - 2), _unit(dim, n - 1)))
+        simples = chain + [_vec(dim, (n - 2, 1), (n - 1, 1))]
     elif label == "E":
-        dim = 8
-        half = Fraction(1, 2)
-        a1 = tuple(
-            half if i in (0, 7) else -half for i in range(8)
-        )
-        e8 = [
-            a1,
-            _add(_unit(8, 0), _unit(8, 1)),
-            _sub(_unit(8, 1), _unit(8, 0)),
-            _sub(_unit(8, 2), _unit(8, 1)),
-            _sub(_unit(8, 3), _unit(8, 2)),
-            _sub(_unit(8, 4), _unit(8, 3)),
-            _sub(_unit(8, 5), _unit(8, 4)),
-            _sub(_unit(8, 6), _unit(8, 5)),
-        ]
-        simples = e8[:n]
+        simples = ([_vec(8, *((i, half if i in (0, 7) else -half)
+                              for i in range(8))), _vec(8, (0, 1), (1, 1))]
+                   + [_vec(8, (i, -1), (i + 1, 1)) for i in range(6)])[:n]
     elif label == "F":
-        dim = 4
-        half = Fraction(1, 2)
-        simples = [
-            _sub(_unit(4, 1), _unit(4, 2)),
-            _sub(_unit(4, 2), _unit(4, 3)),
-            _unit(4, 3),
-            (half, -half, -half, -half),
-        ]
-    elif label == "G":
-        dim = 3
-        simples = [
-            _sub(_unit(3, 0), _unit(3, 1)),
-            _add(_scale(-2, _unit(3, 0)), _add(_unit(3, 1), _unit(3, 2))),
-        ]
+        simples = chain[1:] + [_vec(4, (3, 1)),
+                               _vec(4, (0, half), (1, -half), (2, -half),
+                                    (3, -half))]
     else:
-        raise ValueError(f"unknown type {label!r}")
+        simples = [chain[0], _vec(3, (0, -2), (1, 1), (2, 1))]
     return simples, dim
 
 
@@ -176,24 +148,33 @@ class RootSystem:
         simples, dim = _simple_roots(label, rank)
         self.dim = dim
         self.simple_roots: tuple[Vector, ...] = tuple(simples)
-        self.roots: tuple[Vector, ...] = tuple(sorted(closure(
-            simples, lambda r: [self.reflect(r, s) for s in simples])))
+        #: twice the Gram matrix of the simple roots, an integer matrix
+        self._gram2 = tuple(tuple(int(2 * dot(a, b)) for b in simples)
+                            for a in simples)
+        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        simple_coroots = [self._coroot(e) for e in units]
+        coeffs = closure(units, lambda c: [
+            _reflect(c, e, v) for e, v in zip(units, simple_coroots)])
+        expected = ROOT_COUNTS[label]
+        expected = expected(rank) if callable(expected) else expected[rank]
+        if len(coeffs) != expected:
+            raise AssertionError(
+                f"{label}{rank}: generated {len(coeffs)} roots, expected {expected}"
+            )
+        # coordinates sum_i c_i alpha_i, doubled to integers while sorting
+        twice = tuple(zip(*([int(2 * x) for x in a] for a in simples)))
+        by_coords = sorted((tuple(_dot(c, t) for t in twice), c) for c in coeffs)
+        self.roots: tuple[Vector, ...] = tuple(
+            tuple(Fraction(x, 2) for x in r) for r, _ in by_coords)
+        self._coeffs = tuple(c for _, c in by_coords)
         #: root -> its position in `roots`
         self.index = {r: i for i, r in enumerate(self.roots)}
-        self._coeffs = self._expand_all()
         self._positive = tuple(all(x >= 0 for x in c) for c in self._coeffs)
         self.positive_roots: tuple[Vector, ...] = tuple(
             r for r, pos in zip(self.roots, self._positive) if pos)
-        expected = ROOT_COUNTS[label]
-        expected = expected(rank) if callable(expected) else expected[rank]
-        if len(self.roots) != expected:
-            raise AssertionError(
-                f"{label}{rank}: generated {len(self.roots)} roots, expected {expected}"
-            )
-        self.cartan = tuple(
-            tuple(self.pair(a, b) for b in self.simple_roots)
-            for a in self.simple_roots
-        )
+        self._coroots = tuple(self._coroot(c) for c in self._coeffs)
+        #: cartan[i][j] = <alpha_i, alpha_j^vee>
+        self.cartan = tuple(zip(*simple_coroots))
         self._simple_index = tuple(self.index[a] for a in simples)
         self._identity = WeylElement(self, tuple(range(len(self.roots))))
         self._by_coeffs = {c: k for k, c in enumerate(self._coeffs)}
@@ -201,38 +182,34 @@ class RootSystem:
         self.neg = tuple(self._by_coeffs[tuple(-x for x in c)]
                          for c in self._coeffs)
         self._simple_reflections = tuple(
-            WeylElement(self, tuple(self._by_coeffs[self._reflect_coeffs(c, i)]
-                                    for c in self._coeffs))
-            for i in range(rank))
+            self._reflection_perm(k) for k in self._simple_index)
         #: the dual basis of the simple roots inside their span: row i is the
         #: fundamental coweight with (row i, alpha_j) = delta_ij
         self.dual_basis = mat_mul(QQ, inverse(QQ, tuple(
-            tuple(dot(a, b) for b in self.simple_roots)
-            for a in self.simple_roots)), self.simple_roots)
+            tuple(Fraction(g, 2) for g in row) for row in self._gram2)),
+            self.simple_roots)
 
     # -- construction helpers -------------------------------------------
 
+    def _coroot(self, b: Sequence[int]) -> tuple[int, ...]:
+        """The coroot of the root with simple-root coefficients b, as the
+        integer vector v with <c, b^vee> = 2 c^T G b / b^T G b = c . v, G
+        twice the Gram matrix (v_i = <alpha_i, b^vee>)."""
+        gb = [_dot(row, b) for row in self._gram2]
+        norm = _dot(b, gb)
+        if any(2 * x % norm for x in gb):
+            raise AssertionError("root with a non-integral coroot")
+        return tuple(2 * x // norm for x in gb)
+
+    def _reflection_perm(self, k: int) -> "WeylElement":
+        """The reflection in roots[k] as a root permutation."""
+        b, v = self._coeffs[k], self._coroots[k]
+        return WeylElement(self, tuple(self._by_coeffs[_reflect(c, b, v)]
+                                       for c in self._coeffs))
+
     def pair(self, a: Vector, b: Vector) -> int:
-        """Cartan pairing <a, b^vee> = 2(a,b)/(b,b)."""
-        val = 2 * dot(a, b) / dot(b, b)
-        if val.denominator != 1:
-            raise ValueError("non-integral pairing")
-        return int(val)
-
-    def reflect(self, v: Vector, root: Vector) -> Vector:
-        return _sub(v, _scale(2 * dot(v, root) / dot(root, root), root))
-
-    def _expand_all(self) -> tuple[tuple[int, ...], ...]:
-        """Integer simple-root coefficients of every root, from one rref of
-        the matrix with columns [simple roots | roots]."""
-        n = self.rank
-        m, pivots = rref(QQ, tuple(zip(*self.simple_roots, *self.roots)))
-        coeffs = tuple(tuple(m[i][n + j] for i in range(n))
-                       for j in range(len(self.roots)))
-        if pivots != list(range(n)) or any(
-                x.denominator != 1 for c in coeffs for x in c):
-            raise AssertionError("root with non-integer simple-root expansion")
-        return tuple(tuple(int(x) for x in c) for c in coeffs)
+        """Cartan pairing <a, b^vee> = 2(a,b)/(b,b) of two roots."""
+        return _dot(self.coefficients(a), self._coroots[self.index[b]])
 
     def _sum_index(self, k: int, l: int) -> int:
         """The index of roots[k] + roots[l], or -1 when the sum is no root."""
@@ -246,12 +223,6 @@ class RootSystem:
         pos = set(indices)
         return sorted(k for k in pos if not any(
             self._sum_index(k, self.neg[s]) in pos for s in pos))
-
-    def _reflect_coeffs(self, c: Sequence[int], i: int) -> tuple[int, ...]:
-        """s_i on simple-root coordinates: c - <c, alpha_i^vee> e_i."""
-        out = list(c)
-        out[i] -= sum(x * row[i] for x, row in zip(c, self.cartan))
-        return tuple(out)
 
     # -- basic queries ---------------------------------------------------
 
@@ -290,7 +261,10 @@ class RootSystem:
         return self._simple_reflections[i]
 
     def reflection(self, root: Vector) -> "WeylElement":
-        return self.element(lambda r: self.reflect(r, root))
+        """s_root; raises ValueError when `root` is not a root."""
+        if root not in self.index:
+            raise ValueError(f"{root} is not a root")
+        return self._reflection_perm(self.index[root])
 
     def weyl_order(self) -> int:
         degs = WEYL_DEGREES[self.label]
@@ -307,8 +281,10 @@ class RootSystem:
         """
         rho = tuple(map(sum, zip(*map(self.coefficients,
                                       self.positive_roots))))
-        return len(closure([rho], lambda c: [self._reflect_coeffs(c, i)
-                                             for i in range(self.rank)]))
+        simples = [(self._coeffs[k], self._coroots[k])
+                   for k in self._simple_index]
+        return len(closure([rho], lambda c: [_reflect(c, b, v)
+                                             for b, v in simples]))
 
     def all_elements(self) -> list["WeylElement"]:
         """Every Weyl group element, by closure (small ranks only)."""
@@ -541,21 +517,14 @@ def involution_conjugacy_classes(system: RootSystem) -> list[tuple[WeylElement, 
 
 
 def subsystem_highest_root(system: RootSystem, roots: Iterable[Vector]) -> Vector:
-    """Highest root of an irreducible root subsystem of `system`."""
-    indices = [system.index[r] for r in roots]
-    positive = [k for k in indices if system._positive[k]]
-    simples = [system.roots[k] for k in system.indecomposables(positive)]
-    gram = [[dot(a, b) for b in simples] for a in simples]
-    best = None
-    best_ht = None
-    for k in positive:
-        # height within the subsystem
-        r = system.roots[k]
-        ht = sum(solve(QQ, gram, [dot(r, a) for a in simples]))
-        if best_ht is None or ht > best_ht:
-            best, best_ht = r, ht
-    assert best is not None
-    return best
+    """Highest root of an irreducible root subsystem of `system`.
+
+    Every other positive root of the subsystem lies below it by a nonzero
+    sum of the subsystem's simple roots, which are positive roots of
+    `system`; so it is the positive member of largest height.
+    """
+    return max((r for r in roots if system.is_positive_root(r)),
+               key=system.height)
 
 
 def orthogonal_subsystem(system: RootSystem, v: Vector) -> list[Vector]:

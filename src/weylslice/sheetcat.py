@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .linalg import (
-    inverse,
     mat_mul,
     mat_pow,
     rank as mat_rank,
@@ -503,33 +502,8 @@ def _classify_sl3(field, g):
                 return SphericalTag(
                     "unipotent(2,1) up to centre", 4, "S_1", "w0")
             return SphericalTag("semisimple, two eigenvalues", 4, "S_1", "w0")
-    # semisimple with minimal polynomial of degree 2
-    for a in field.elements():
-        if field.is_zero(a):
-            continue
-        for b in field.elements():
-            if field.is_zero(b) or b == a:
-                continue
-            prod = mat_mul(field, scalar_shift(field, g, a),
-                           scalar_shift(field, g, b))
-            if all(field.is_zero(x) for row in prod for x in row):
-                return SphericalTag(
-                    "semisimple, two eigenvalues", 4, "S_1", "w0")
-    return None
-
-
-def _min_quadratic_mu(field, g):
-    """mu with g + g^{-1} = mu * I, if it exists."""
-    try:
-        ginv = inverse(field, g)
-    except ZeroDivisionError:
-        return None
-    n = len(g)
-    s = [[field.add(g[i][j], ginv[i][j]) for j in range(n)] for i in range(n)]
-    mu = s[0][0]
-    if all(s[i][j] == (mu if i == j else field.zero)
-           for i in range(n) for j in range(n)):
-        return mu
+    # a non-scalar g with (g - a)(g - b) = 0, a != b nonzero, has an
+    # eigenvalue z in {a, b} of multiplicity 2, so rk(g - z) = 1 above
     return None
 
 
@@ -549,8 +523,10 @@ def _classify_sp4(ctx, field, g):
     gsq = mat_mul(field, g, g)
     if _is_scalar(field, gsq) and gsq[0][0] == one:
         return SphericalTag("involution diag(-1,-1,1,1)", 4, None, None)
-    mu = _min_quadratic_mu(field, g)
-    if mu is not None and mu != field.of(2) and mu != field.of(-2):
+    # g + g^-1 = mu: the minimal polynomial is x^2 - mu x + 1
+    got = _solve_deg2(field, g, gsq)
+    if (got is not None and got[1] == one
+            and got[0] != field.of(2) and got[0] != field.of(-2)):
         return SphericalTag("semisimple (l,l,1/l,1/l)", 6, "B2-sheet", "w0")
     # semisimple (1,1,l,1/l) up to the centre:
     # (g -+ 1)(g^2 - mu g + 1) = 0 with mu != +-2
@@ -565,6 +541,32 @@ def _classify_sp4(ctx, field, g):
     if hr1 == 1 and hr2 == 0:
         return SphericalTag("mixed sigma * x_beta(1) up to centre", 6,
                             "B2-sheet", "w0")
+    return None
+
+
+def _solve_deg2(field, g, gsq):
+    """(s, p) with g^2 - s*g + p*I = 0, or None; `gsq` is g^2.
+
+    g must not be scalar (a scalar g gives None).  Then (s, p) is unique,
+    and s is read off one nonzero off-diagonal entry of g, or, for diagonal
+    g, is the sum of two distinct diagonal entries.  The minimal polynomial
+    is x^2 - mu x + 1, i.e. g + g^-1 = mu, exactly when p = 1 and s = mu.
+    """
+    n = len(g)
+    ij = next(((i, j) for i in range(n) for j in range(n)
+               if i != j and not field.is_zero(g[i][j])), None)
+    if ij is not None:
+        s = field.div(gsq[ij[0]][ij[1]], g[ij[0]][ij[1]])
+    else:
+        j = next((j for j in range(1, n) if g[j][j] != g[0][0]), None)
+        if j is None:
+            return None
+        s = field.add(g[0][0], g[j][j])
+    p = field.sub(field.mul(s, g[0][0]), gsq[0][0])
+    if all(gsq[i][j] == field.sub(field.mul(s, g[i][j]),
+                                  p if i == j else field.zero)
+           for i in range(n) for j in range(n)):
+        return s, p
     return None
 
 

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylslice.fields import QQ
+from weylslice.linalg import solve
 from weylslice.rootsys import (
     BudgetError,
     bruhat_leq,
@@ -273,6 +275,12 @@ def test_closure_breadth_first():
         closure([0], step, budget=4)
 
 
+def _frac_reflect(v, root):
+    """v - 2(v, root)/(root, root) root on Fraction coordinates."""
+    k = 2 * dot(v, root) / dot(root, root)
+    return tuple(x - k * y for x, y in zip(v, root))
+
+
 def _simple_reflection_matrix(rs, i):
     """s_i on the simple-root basis: s_i(a_j) = a_j - <a_j, a_i^vee> a_i."""
     n = rs.rank
@@ -301,7 +309,7 @@ def test_root_permutations_match_reflections(label, n):
 
         def reflected(x):
             for i in reversed(word):
-                x = rs.reflect(x, rs.simple_roots[i])
+                x = _frac_reflect(x, rs.simple_roots[i])
             return x
 
         for r in rs.roots:
@@ -325,3 +333,49 @@ def test_root_permutations_match_reflections(label, n):
             i for i, a in enumerate(rs.simple_roots) if w.apply_root(a) == a)
     with pytest.raises(ValueError):
         rs.element(lambda r: tuple(2 * x for x in r))
+
+
+@pytest.mark.parametrize("label,n", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                     ("F", 4), ("G", 2)])
+def test_reflections_and_pairings_match_fraction_formulas(label, n):
+    rs = build_root_system(label, n)
+    for b in rs.roots:
+        assert rs.reflection(b).perm == tuple(
+            rs.index[_frac_reflect(r, b)] for r in rs.roots)
+        for a in rs.roots:
+            assert rs.pair(a, b) == 2 * dot(a, b) / dot(b, b)
+    with pytest.raises(ValueError):
+        rs.reflection(tuple(2 * x for x in rs.simple_roots[0]))
+
+
+@pytest.mark.parametrize("label,n", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                     ("E", 8), ("F", 4), ("G", 2)])
+def test_coefficients_sum_to_roots(label, n):
+    rs = build_root_system(label, n)
+    for r in rs.roots:
+        total = tuple(Fraction(0) for _ in range(rs.dim))
+        for c, a in zip(rs.coefficients(r), rs.simple_roots):
+            total = tuple(x + c * y for x, y in zip(total, a))
+        assert total == r
+
+
+def _gram_solve_highest_root(rs, roots):
+    """The subsystem root of largest height measured in the subsystem's own
+    simple roots, each height from one Gram solve."""
+    positive = [r for r in roots if rs.is_positive_root(r)]
+    simples = [rs.roots[k]
+               for k in rs.indecomposables(rs.index[r] for r in positive)]
+    gram = [[dot(a, b) for b in simples] for a in simples]
+    return max(positive, key=lambda r: sum(
+        solve(QQ, gram, [dot(r, a) for a in simples])))
+
+
+@pytest.mark.parametrize("label,n,sub_roots", [("E", 6, 30), ("E", 7, 60),
+                                               ("E", 8, 126), ("F", 4, 18)])
+def test_subsystem_highest_root_matches_gram_solve(label, n, sub_roots):
+    # the roots orthogonal to the highest root: A5, D6, E7 and C3
+    rs = build_root_system(label, n)
+    perp = orthogonal_subsystem(rs, rs.highest_root())
+    assert len(perp) == sub_roots
+    assert subsystem_highest_root(rs, perp) == _gram_solve_highest_root(rs, perp)
+    assert subsystem_highest_root(rs, rs.roots) == rs.highest_root()
