@@ -14,8 +14,11 @@ no builtins in reach, so it can do nothing but field arithmetic on x.
 An enumerated group (`OracleGroup`) holds its elements by index.  The
 enumeration records each product x g as an index, and conjugation by a
 generator is a table of indices derived from those products with no further
-matrix product, so its classes are closures over ints.  Each element's
-Bruhat cell is decoded once and kept in a list aligned with the elements.
+matrix product, so its classes are closures over ints.  Bruhat cells are
+read per right coset: BwB.B = BwB, so each coset xB lies in one cell, and
+the cosets are the closures of the `right` tables of the generators that lie
+in B.  One member of each coset is decoded (a second one as a check) and
+its cell is kept for every member, in a list aligned with the elements.
 Enumerated elements are products of generators of the group, so their
 decoding skips `GroupContext.in_group`, which would cost a product (and
 for SO a determinant) per element to re-prove membership; `bruhat_word`
@@ -27,8 +30,10 @@ decoding (`linalg.bruhat_permutation`), the Borel reader
 `gamma_elements`), the Weyl-group combinatorics, and `linalg` `inverse`,
 `mat_mul`, `charpoly` and `rank` (class dimensions).  Closed forms guard
 the oracle itself: enumeration must hit the order formula, the classes
-must partition the group, every cell must have |BwB| = |B| q^l(w), and
-every cell's monomial representative must decode to that cell.
+must partition the group, every coset xB must have |B| elements and two of
+its members must decode to the same cell, every cell must have
+|BwB| = |B| q^l(w), and every cell's monomial representative must decode
+to that cell.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .fields import ExtField, PrimeField, gf
-from .linalg import (Matrix, charpoly, inverse, mat_mul, poly_eval_matrix,
-                     squarefree_part)
+from .linalg import (Matrix, charpoly, identity, inverse, mat_mul,
+                     poly_eval_matrix, squarefree_part)
 from .matgroups import GroupContext, is_w_fixed
 from .rootsys import (BudgetError, WeylElement, bruhat_leq, closure,
                       conjugacy_class as weyl_class, minus_one_rank)
@@ -134,15 +139,18 @@ class OracleGroup:
     def cells(self) -> list:
         """The Bruhat cell of every element, aligned with `elements`.
 
-        Enumerated elements lie in the group by construction, so each is
-        decoded once by `GroupContext._cell`, without the `in_group` test.
-        The monomial representative of every cell found goes through the
-        public `bruhat_word` and must decode to that cell: the size check in
+        Walks the right cosets xB (`_coset_cells` over the generators in B)
+        and decodes one member of each by `GroupContext._cell`, without the
+        `in_group` test, since enumerated elements lie in the group by
+        construction.  Every coset must have |B| elements, and the last
+        member the walk reaches must decode to the same cell.  The monomial
+        representative of every cell found goes through the public
+        `bruhat_word` and must decode to that cell: the size check in
         `cell_partition_check` cannot tell apart two cells of equal length.
         """
         if self._cells is None:
-            ctx, field, n = self.ctx, self.field, self.size
-            cells = [ctx._cell(field, _unflat(e, n)) for e in self.elements]
+            ctx, field = self.ctx, self.field
+            cells = _coset_cells(self, _borel_generators(self))
             for w in dict.fromkeys(cells):
                 wdot = ctx.weyl_representative(field, w)
                 if ctx.bruhat_word(field, wdot) != w:
@@ -151,6 +159,50 @@ class OracleGroup:
                         "another cell")
             self._cells = cells
         return self._cells
+
+
+def _borel_order(group: OracleGroup) -> int:
+    """|B(F_q)| = (q-1)^r q^|positive roots|."""
+    q = group.q
+    return (q - 1) ** group.rank * q ** len(group.ctx.system.positive_roots)
+
+
+def _borel_generators(group: OracleGroup) -> list[int]:
+    """Indices k of the generators that lie in the standard Borel: the
+    positive simple root elements and the torus generators."""
+    ctx, field, n = group.ctx, group.field, group.size
+    return [k for k, g in enumerate(group.generators)
+            if ctx.borel_torus(field, _unflat(g, n)) is not None]
+
+
+def _coset_cells(group: OracleGroup, ks) -> list:
+    """The Bruhat cell of every element, one decoding per right coset.
+
+    The cosets are the closures of the `right[k]` tables over the generator
+    indices `ks`; when those generators generate B they are the cosets xB,
+    and BwB.B = BwB puts each in one cell.  Raises AssertionError when a
+    coset does not have |B| elements (the generators do not generate B) or
+    when its first and last members decode to different cells.
+    """
+    ctx, field, n, elements = group.ctx, group.field, group.size, group.elements
+    tables = [group.right[k] for k in ks]
+    b_order = _borel_order(group)
+    cells = [None] * group.order
+    for i in range(group.order):
+        if cells[i] is not None:
+            continue
+        coset = closure([i], lambda x: [t[x] for t in tables])
+        if len(coset) != b_order:
+            raise AssertionError(
+                f"coset of {elements[i]} has {len(coset)} elements, "
+                f"|B| = {b_order}")
+        w = ctx._cell(field, _unflat(elements[i], n))
+        if ctx._cell(field, _unflat(elements[coset[-1]], n)) != w:
+            raise AssertionError(
+                f"coset of {elements[i]} meets two Bruhat cells")
+        for j in coset:
+            cells[j] = w
+    return cells
 
 
 def _generators(ctx: GroupContext, field) -> list[tuple]:
@@ -204,9 +256,7 @@ def enumerate_group(label: str, rank: int, q: int) -> OracleGroup:
     field = gf(q)
     ctx = GroupContext(label, rank)
     gens = tuple(_generators(ctx, field))
-    ident = _flat(tuple(
-        tuple(field.one if i == j else field.zero for j in range(ctx.size))
-        for i in range(ctx.size)))
+    ident = _flat(identity(field, ctx.size))
     maps = _sparse_products(field, ctx.size, [(ident, g) for g in gens])
     # discovery index of every element and, in generator order, those of
     # its right products: closure calls `step` in discovery order
@@ -334,14 +384,10 @@ def _cell_lookup(group_ctx, field):
 
 def cell_partition_check(group: OracleGroup) -> dict:
     """|BwB| = |B| q^{l(w)} for every cell, and the cells partition G."""
-    ctx = group.ctx
     counts: dict = {}
     for w in group.cells():
         counts[w] = counts.get(w, 0) + 1
-    q = group.q
-    n_pos = len(ctx.system.positive_roots)
-    torus_order = (q - 1) ** group.rank
-    b_order = torus_order * q**n_pos
+    q, b_order = group.q, _borel_order(group)
     mismatches = []
     for w, size in counts.items():
         want = b_order * q ** w.length()
@@ -436,9 +482,9 @@ def borel_orbit_report(group: OracleGroup, cls: ClassData,
     top = frozenset(e for e in cls.elements if cell(e) == w)
     if not top:
         return {"top_cell_points": 0, "orbit_sizes": [], "top_share": 0.0}
-    # the identity-cell generators (torus and positive simple root elements)
-    # already generate T(F_q); add every positive root subgroup
-    bgens = [g for g in _generators(ctx, field) if cell(g).is_identity()]
+    # the generators in B (torus and positive simple root elements) already
+    # generate T(F_q); add every positive root subgroup
+    bgens = [group.generators[k] for k in _borel_generators(group)]
     coeffs = list(field.units()) if isinstance(field, ExtField) else [field.one]
     for root in ctx.system.positive_roots:
         for c in coeffs:
@@ -482,14 +528,33 @@ class SliceOrbitReport:
 
 def slice_points(ctx: GroupContext, field, w: WeylElement,
                  wdot: Optional[Matrix] = None):
-    """All F_q points of wdot T^w U^w, with the U^w coefficient order fixed."""
+    """All F_q points of wdot T^w U^w as flat tuples, streamed.
+
+    The order is fixed: t over `torus_fixed_points`, then the coefficients
+    c_a of the inverted roots a (`inverted_positive_roots` order, the first
+    root outermost) over `field.elements()`; the point is
+    wdot t prod_a x_a(c_a).  Each x -> x x_a(c) with c nonzero is a map
+    compiled once by `_sparse_products`.
+    """
     if wdot is None:
         wdot = ctx.weyl_representative(field, w)
-    roots = ctx.inverted_positive_roots(w)
+    n, units = ctx.size, list(field.units())
+    ident = _flat(identity(field, n))
+    steps = []  # per root, the map for each coefficient; None for c = 0
+    for a in ctx.inverted_positive_roots(w):
+        maps = dict(zip(units, _sparse_products(field, n, [
+            (ident, _flat(ctx.root_element(field, a, c))) for c in units])))
+        steps.append([maps.get(c) for c in field.elements()])
+
+    def walk(i, x):
+        if i == len(steps):
+            yield x
+            return
+        for f in steps[i]:
+            yield from walk(i + 1, x if f is None else f(x))
+
     for t in ctx.torus_fixed_points(field, w):
-        base = mat_mul(field, wdot, t)
-        for u in ctx.unipotent_points(field, roots):
-            yield mat_mul(field, base, u)
+        yield from walk(0, _flat(mat_mul(field, wdot, t)))
 
 
 def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
@@ -515,7 +580,7 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
     elif ctx.bruhat_word(field, wdot) != w:
         raise ValueError("wdot does not represent w")
     inter = sorted(cls.elements.intersection(
-        map(_flat, slice_points(ctx, field, w, wdot=wdot))))
+        slice_points(ctx, field, w, wdot=wdot)))
     extension_used = False
     geometric_nonempty = False
     if not inter:

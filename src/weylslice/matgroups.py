@@ -359,23 +359,6 @@ class GroupContext:
                 out.append(self.torus(field, combo))
         return out
 
-    def unipotent_points(self, field, roots: Sequence[Vector]):
-        """Iterate products of x_a(c_a) over all F_q coefficient tuples."""
-        if field.order is None:
-            raise TypeError("enumeration needs a finite field")
-        elems = list(field.elements())
-
-        def rec(i, acc):
-            if i == len(roots):
-                yield acc
-                return
-            for c in elems:
-                nxt = acc if field.is_zero(c) else mat_mul(
-                    field, acc, self.root_element(field, roots[i], c))
-                yield from rec(i + 1, nxt)
-
-        yield from rec(0, identity(field, self.size))
-
     # -- invariants -----------------------------------------------------------
 
     def class_dimension(self, field, g: Matrix) -> int:

@@ -14,15 +14,19 @@ from weylslice.fforacle import (
     slice_orbit_check,
     verify_dimension_formula,
     w_of_class,
+    _borel_generators,
     _conjugation,
+    _coset_cells,
     _flat,
     _generators,
     _unflat,
+    slice_points,
 )
 from weylslice.fields import gf
 from weylslice.linalg import inverse, mat_mul
 from weylslice.matgroups import GroupContext
 from weylslice.rootsys import build_root_system, longest_element
+from weylslice.sheetcat import catalog_w_S
 
 
 def test_group_orders():
@@ -202,7 +206,6 @@ def test_normalize_to_fixed_torus():
 def test_oracle_vs_certified_component_points():
     """Certified family points over F_q land in the oracle's slice set."""
     from weylslice.families import family_for
-    from weylslice.fforacle import _flat, slice_points
 
     F3 = gf(3)
     fam = family_for("C", 3, "S2")
@@ -215,7 +218,7 @@ def test_oracle_vs_certified_component_points():
     ctx = GroupContext("Sp", 2)
     wd_catalog = ((0, 0, 1, 0), (0, 0, 0, 1), (2, 0, 0, 0), (0, 2, 0, 0))
     assert ctx.in_group(F3, wd_catalog)
-    pts = {_flat(p) for p in slice_points(ctx, F3, w0, wdot=wd_catalog)}
+    pts = set(slice_points(ctx, F3, w0, wdot=wd_catalog))
     # x(E, I, -mu E) for mu in F_3, E = diag(+-1): the rank-2 C2 analogue
     for mu in range(3):
         for e in ((1, 1), (1, 2), (2, 1), (2, 2)):
@@ -236,8 +239,6 @@ def test_cell_partition_sp4_f3():
 
 def test_oracle_slice_points_have_family_shape():
     """Reverse containment: oracle intersection points are family points."""
-    from weylslice.fforacle import _flat, slice_points, expand_class
-
     F3 = gf(3)
     ctx = GroupContext("Sp", 2)
     c2 = build_root_system("C", 2)
@@ -245,9 +246,10 @@ def test_oracle_slice_points_have_family_shape():
     wd_catalog = ((0, 0, 1, 0), (0, 0, 0, 1), (2, 0, 0, 0), (0, 2, 0, 0))
     rep22 = ((1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1))
     cls = expand_class(ctx, F3, rep22)
-    for pt in slice_points(ctx, F3, w0, wdot=wd_catalog):
-        if _flat(pt) not in cls.elements:
+    for flat in slice_points(ctx, F3, w0, wdot=wd_catalog):
+        if flat not in cls.elements:
             continue
+        pt = _unflat(flat, 4)
         # x(E, I, X) shape: zero block upper-left, +-diagonal off-blocks
         for i in range(2):
             for j in range(2):
@@ -257,6 +259,55 @@ def test_oracle_slice_points_have_family_shape():
                     assert pt[2 + i][j] == (-pt[i][2 + j]) % 3
                 else:
                     assert pt[i][2 + j] == 0 and pt[2 + i][j] == 0
+
+
+def test_slice_points_sp4_f3_count():
+    F = gf(3)
+    ctx = GroupContext("Sp", 2)
+    w0 = longest_element(ctx.system, range(2))
+    assert len(ctx.torus_fixed_points(F, w0)) == 4  # 2-torsion of the torus
+    assert len(ctx.inverted_positive_roots(w0)) == w0.length() == 4
+    points = list(slice_points(ctx, F, w0))
+    assert len(points) == len(set(points)) == 4 * 3**4
+
+
+def _reference_slice_points(ctx, field, w, wdot):
+    """wdot t x_a1(c_1) ... x_ak(c_k) by `mat_mul`, t outermost, then c_1."""
+    roots = ctx.inverted_positive_roots(w)
+    out = []
+
+    def rec(i, acc):
+        if i == len(roots):
+            out.append(_flat(acc))
+            return
+        for c in field.elements():
+            rec(i + 1, acc if field.is_zero(c) else mat_mul(
+                field, acc, ctx.root_element(field, roots[i], c)))
+
+    for t in ctx.torus_fixed_points(field, w):
+        rec(0, mat_mul(field, wdot, t))
+    return out
+
+
+def test_slice_points_match_reference_chain():
+    from weylslice.families import AFamily
+
+    sp4, F3 = GroupContext("Sp", 2), gf(3)
+    w0 = longest_element(sp4.system, range(2))
+    wd_catalog = ((0, 0, 1, 0), (0, 0, 0, 1), (2, 0, 0, 0), (0, 2, 0, 0))
+    sl3, F5 = GroupContext("SL", 2), gf(5)
+    w_s = catalog_w_S("A", 2, "S_1")
+    cases = [(sp4, F3, w0, None), (sp4, F3, w0, wd_catalog),
+             (sl3, F5, w_s, None),
+             (sl3, F5, w_s, AFamily(2, 1).representative(F5))]
+    for ctx, field, w, wdot in cases:
+        got = list(slice_points(ctx, field, w, wdot=wdot))
+        if wdot is None:
+            wdot = ctx.weyl_representative(field, w)
+        want = _reference_slice_points(ctx, field, w, wdot)
+        assert len(want) == len(ctx.torus_fixed_points(field, w)) * (
+            field.order ** w.length())
+        assert got == want
 
 
 TABLE_GROUPS = [("SL", 1, 3), ("SL", 1, 5), ("SL", 1, 7), ("SL", 2, 3),
@@ -284,6 +335,38 @@ def test_index_tables_match_products(label, rank, q):
     assert len(cells) == g.order
     for e, w in zip(els, cells):
         assert w == g.ctx.bruhat_word(F, _unflat(e, n))
+
+
+@pytest.mark.parametrize("label,rank,q", [("SL", 1, 3), ("SL", 2, 3)])
+def test_coset_cells_need_generators_of_b(label, rank, q):
+    # the generators in B are the positive simple root elements and the
+    # torus generators, and their cosets give the cells; the torus or the
+    # root elements alone leave cosets smaller than |B|
+    g = enumerate_group(label, rank, q)
+    n = g.size
+    ks = _borel_generators(g)
+    diagonal = [k for k in ks
+                if all(x == 0 for i, x in enumerate(g.generators[k])
+                       if i % (n + 1))]
+    unipotent = [k for k in ks if k not in diagonal]
+    assert diagonal and len(unipotent) == rank  # x_a(1), a simple, over F_p
+    assert _coset_cells(g, ks) == g.cells()
+    for subset in (diagonal, unipotent):
+        with pytest.raises(AssertionError):
+            _coset_cells(g, subset)
+
+
+@pytest.mark.parametrize("label,rank,q", [("Sp", 2, 3), ("SO-odd", 2, 3)])
+def test_coset_cells_match_bruhat_word_on_sample(label, rank, q):
+    # a fixed stride through the sorted elements, at least 500 of them
+    g = enumerate_group(label, rank, q)
+    stride = g.order // 500
+    sample = range(0, g.order, stride)
+    assert len(sample) >= 500
+    cells = g.cells()
+    for i in sample:
+        assert cells[i] == g.ctx.bruhat_word(g.field,
+                                             _unflat(g.elements[i], g.size))
 
 
 def test_conjugacy_classes_match_conjugation_by_every_element():

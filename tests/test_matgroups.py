@@ -154,18 +154,6 @@ def test_class_dimension_conjugation_invariant():
         assert ctx.class_dimension(F, conj) == base
 
 
-def test_torus_fixed_points_and_unipotent_points():
-    F = gf(3)
-    ctx = GroupContext("Sp", 2)
-    w0 = longest_element(ctx.system, range(2))
-    fixed = ctx.torus_fixed_points(F, w0)
-    assert len(fixed) == 4  # 2-torsion of a rank-2 torus
-    roots = ctx.inverted_positive_roots(w0)
-    assert len(roots) == w0.length() == 4
-    points = list(ctx.unipotent_points(F, roots))
-    assert len(points) == 3**4
-
-
 def test_form_matrices():
     F = QQ
     for label, rank in CONTEXTS:
