@@ -211,9 +211,32 @@ class BFamilyS(SliceFamily):
         return out
 
     def membership(self, field, X) -> MembershipResult:
-        n, one = self.n, field.one
+        """Semisimple, unipotent or twisted unipotent member of the sheet.
+
+        Semisimple: (X - 1)(X^2 - mu X + 1) = 0 with mu != +-2 and
+        rk(X - 1) = 2n.  As mu != 2, t - 1 and t^2 - mu t + 1 are coprime,
+        so ker(X - 1) = im(X^2 - mu X + 1) and rk(X - 1) = 2n is
+        rk(X^2 - mu X + 1) = 1, a rank bounded at 1.  Unipotent (or twisted
+        by -1): rk((X -+ 1)^2) = 1.
+
+        The semisimple test runs first and never changes the verdict of the
+        old order (unipotent first).  With mu != +-2 the cubic is squarefree,
+        so X is diagonalizable and rk((X -+ 1)^2) = 1 makes +-1 an
+        eigenvalue of multiplicity 2n: for +1 that contradicts
+        rk(X - 1) = 2n, and for -1 it makes -1 a root of t^2 - mu t + 1,
+        that is mu = -2.  So at most one of the branches holds.
+        """
+        one = field.one
         u0 = field.of(self.sign)
         Xsq = mat_mul(field, X, X)
+        mu = _solve_cubic_mu(field, X, Xsq)
+        if mu is not None and mu != field.of(2) and mu != field.of(-2):
+            quad = scalar_shift(field, [field.sub_scaled(r2, mu, r) for
+                                        r2, r in zip(Xsq, X)], field.neg(one))
+            if mat_rank(field, quad, at_most=1) == 1:
+                return MembershipResult(
+                    True, "semisimple with eigenvalue trace mu",
+                    "semisimple O_lambda member")
         for lam in (one, field.neg(one)):
             # (X - lam)^2 = X^2 - 2 lam X + 1, as lam^2 = 1
             two_lam = field.add(lam, lam)
@@ -227,12 +250,6 @@ class BFamilyS(SliceFamily):
                     t = ("unipotent (3,2^(n-1)) member" if lam == field.one
                          else "rho-twisted unipotent member")
                 return MembershipResult(True, f"rk((X-{lam})^2)=1", t)
-        mu = _solve_cubic_mu(field, X, Xsq)
-        if mu is not None and mu != field.of(2) and mu != field.of(-2):
-            if mat_rank(field, scalar_shift(field, X, one)) == 2 * n:
-                return MembershipResult(
-                    True, "semisimple with eigenvalue trace mu",
-                    "semisimple O_lambda member")
         return MembershipResult(False, "no sheet membership condition holds")
 
     def ambient(self, field, rng):
@@ -279,9 +296,13 @@ def _b_component_point(fam: BFamilyS, e, eta):
                 a_upper[(i, j)] = field.mul(
                     mu, field.mul(field.of(eta[i] * eta[j]),
                                   field.mul(zinv[i], zinv[j])))
-        # Q = qinv^-1, so the inverse transpose of Q is qinv^T
-        return fam._assemble(field, e, v, inverse(field, qinv),
-                             tuple(zip(*qinv)), a_upper)
+        # qinv = D (I + 2U) D^-1 with D = diag(eta_i / zeta_i) and U the
+        # all-ones strict upper matrix.  With S the superdiagonal shift,
+        # (I + 2U)^-1 = I + sum_k 2 (-1)^k S^k, so Q = qinv^-1 is qinv with
+        # entry (i, j) times (-1)^(j - i), and its inverse transpose is qinv^T.
+        Q = tuple(tuple(field.neg(x) if (j - i) % 2 else x
+                        for j, x in enumerate(row)) for i, row in enumerate(qinv))
+        return fam._assemble(field, e, v, Q, tuple(zip(*qinv)), a_upper)
 
     return point
 

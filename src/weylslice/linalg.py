@@ -1,7 +1,8 @@
 """Dense exact matrices over a field-ops object.
 
-Matrices are immutable tuples of tuples.  Every product and row update
-goes through the field's two vector operations, ``field.dot`` and
+Matrices are immutable tuples of tuples.  Every product is the field's
+own ``field.mat_mul`` (packed rows over F_p, rows by columns with
+``field.dot`` elsewhere), and every row update goes through
 ``field.sub_scaled``, so each routine has one code path for every field;
 over F_p both run on plain ints and reduce once per entry.  Every
 elimination (rank over any field, inverses, and the exact solver
@@ -42,8 +43,7 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def mat_mul(field, a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(field.dot(ra, cb) for cb in bt) for ra in a)
+    return field.mat_mul(a, b)
 
 
 def fsum(field, items) -> object:

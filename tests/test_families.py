@@ -10,18 +10,22 @@ from weylslice.families import (
     DFamilyS,
     ETuplePoint,
     ExtensionRequired,
+    MembershipResult,
     TwoFlipFamily,
     build_family,
     family_for,
 )
-from weylslice.fields import gf
+from weylslice.fields import QQI, gf
 from weylslice.linalg import (
+    identity,
+    inverse,
     mat_mul,
+    poly_eval_matrix,
     rank,
     scalar_shift,
     unipotent_partition,
 )
-from weylslice.sheetcat import sheet_catalog
+from weylslice.sheetcat import _solve_cubic_mu, sheet_catalog
 
 F = gf(1009)
 F7 = gf(7)
@@ -257,3 +261,102 @@ def test_e7_family_tuples():
                       (pt.unipotent[0], pt.unipotent[1], F.add(pt.unipotent[2],
                                                                F.one)))
     assert not fam.membership(F, bad).member
+
+
+B_S_RANKS = (2, 3, 4, 5)
+
+
+def _q_blocks(fam, field, X):
+    """Q and qinv = (Q^T)^-1 read off a B S point: its blocks E Q and E Q^-T."""
+    n = fam.n
+    e = [X[1 + n + i][1 + i] for i in range(n)]  # Q is unitriangular
+    Q = [[field.mul(field.inv(e[i]), X[1 + n + i][1 + j]) for j in range(n)]
+         for i in range(n)]
+    qinv_t = [[field.mul(field.inv(e[i]), X[1 + i][1 + n + j])
+               for j in range(n)] for i in range(n)]
+    return Q, tuple(zip(*qinv_t))
+
+
+@pytest.mark.parametrize("field", [F, QQI], ids=["F1009", "QQI"])
+@pytest.mark.parametrize("n", B_S_RANKS)
+def test_b_s_component_q_is_inverse_of_qinv(field, n):
+    fam = family_for("B", n, "S")
+    eye = identity(field, n)
+    for comp in fam.components():
+        # Q does not depend on the coordinate; a = 0 keeps Q(i) points cheap
+        Q, qinv = _q_blocks(fam, field, comp.point(field, field.zero))
+        assert mat_mul(field, Q, qinv) == eye
+
+
+def _b_s_points(fam, rng):
+    """Claimed points, ambient points, and conjugates g D g^-1 of torus
+    elements D = diag(1, t, t^-1) with t in {1, l}^n, on which
+    (X - 1)(X^2 - mu X + 1) = 0 holds with every multiplicity of 1."""
+    comps = fam.components()
+    if len(comps) > 32:
+        comps = rng.sample(comps, 32)
+    a8 = F.sqrt(F.of(8 * fam.sign))
+    coords = [F.zero, F.one, F.of(2), F.of(-2)] + ([a8] if a8 else [])
+    points = [c.point(F, a) for c in comps for a in coords]
+    points += [fam.ambient(F, rng) for _ in range(8)]
+    n, lam = fam.n, F.of(5)
+    for k in range(n + 1):
+        t = [lam] * k + [F.one] * (n - k)
+        D = [[F.zero] * (2 * n + 1) for _ in range(2 * n + 1)]
+        D[0][0] = F.one
+        for i in range(n):
+            D[1 + i][1 + i], D[1 + n + i][1 + n + i] = t[i], F.inv(t[i])
+        g = fam.ambient(F, rng)
+        points.append(mat_mul(F, mat_mul(F, g, D), inverse(F, g)))
+    return points
+
+
+@pytest.mark.parametrize("n", B_S_RANKS)
+def test_b_s_kernel_of_x_minus_1_is_image_of_quadratic(n):
+    fam = family_for("B", n, "S")
+    N = 2 * n + 1
+    checked = 0
+    for X in _b_s_points(fam, random.Random(n)):
+        mu = _solve_cubic_mu(F, X, mat_mul(F, X, X))
+        if mu is None or mu == F.of(2):
+            continue
+        quad = poly_eval_matrix(F, (F.one, F.neg(mu), F.one), X)
+        assert rank(F, scalar_shift(F, X, F.one)) == N - rank(F, quad)
+        checked += 1
+    assert checked > n + 1
+
+
+def _membership_unipotent_first(fam, field, X):
+    """BFamilyS.membership with the unipotent branches first, on
+    products and full ranks."""
+    one = field.one
+    for lam in (one, field.neg(one)):
+        sh = scalar_shift(field, X, lam)
+        if rank(field, mat_mul(field, sh, sh)) == 1:
+            if lam == field.of(fam.sign):
+                t = ("unipotent (3,2^(n-2),1^2) member" if fam.sign == 1
+                     else "rho-twisted unipotent member")
+            else:
+                t = ("unipotent (3,2^(n-1)) member" if lam == one
+                     else "rho-twisted unipotent member")
+            return MembershipResult(True, f"rk((X-{lam})^2)=1", t)
+    mu = _solve_cubic_mu(field, X, mat_mul(field, X, X))
+    if (mu is not None and mu != field.of(2) and mu != field.of(-2)
+            and rank(field, scalar_shift(field, X, one)) == 2 * fam.n):
+        return MembershipResult(True, "semisimple with eigenvalue trace mu",
+                                "semisimple O_lambda member")
+    return MembershipResult(False, "no sheet membership condition holds")
+
+
+@pytest.mark.parametrize("n", B_S_RANKS)
+def test_b_s_membership_order_keeps_every_result(n):
+    fam = family_for("B", n, "S")
+    kinds = set()
+    for X in _b_s_points(fam, random.Random(10 + n)):
+        got = fam.membership(F, X)
+        assert got == _membership_unipotent_first(fam, F, X)
+        kinds.add((got.member, got.member_type))
+    # semisimple and unipotent members and non-members all occur
+    assert (False, None) in kinds
+    assert (True, "semisimple O_lambda member") in kinds
+    assert any(member and "unipotent" in t for member, t in kinds if t)

@@ -418,3 +418,77 @@ def test_gaussian_mul_fast_path_keeps_values_and_types(data):
     full = (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0)
     got = QQI.mul((a0, a1), (b0, b1))
     assert got == full and tuple(map(type, got)) == tuple(map(type, full))
+
+
+PRODUCT_FIELDS = [gf(2), gf(3), gf(1009), gf(65521), gf(9), QQ, QQI, QQIT]
+PRODUCT_IDS = ["F2", "F3", "F1009", "F65521", "F9", "QQ", "QQI", "QQIT"]
+
+
+def _rows_by_columns(field, a, b):
+    """ab with one scalar product and sum per term, the reference product."""
+    return mat([[_fold_products(field, zip(row, col)) for col in zip(*b)]
+                for row in a])
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=PRODUCT_IDS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_mat_mul_matches_rows_by_columns(field, data):
+    rows, inner, cols = (data.draw(st.integers(1, 10)) for _ in range(3))
+
+    def matrix(n, m):
+        return mat(data.draw(st.lists(
+            st.lists(_elements(field), min_size=m, max_size=m),
+            min_size=n, max_size=n)))
+
+    a, b = matrix(rows, inner), matrix(inner, cols)
+    assert mat_mul(field, a, b) == _rows_by_columns(field, a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 1009, 65521])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_mat_mul_reduces_unreduced_and_negative_entries(p, data):
+    F = gf(p)
+    rows, inner, cols = (data.draw(st.integers(1, 10)) for _ in range(3))
+    shifts = st.integers(-3, 3)
+
+    def matrix(n, m):
+        return data.draw(st.lists(
+            st.lists(st.integers(0, p - 1), min_size=m, max_size=m),
+            min_size=n, max_size=n))
+
+    a, b = matrix(rows, inner), matrix(inner, cols)
+    # one side unreduced (or negative), the other in range(p), and both
+    ua = mat([[x + p * data.draw(shifts) for x in r] for r in a])
+    ub = mat([[x + p * data.draw(shifts) for x in r] for r in b])
+    want = _rows_by_columns(F, mat(a), mat(b))
+    assert mat_mul(F, mat(a), mat(b)) == want
+    assert mat_mul(F, ua, mat(b)) == want
+    assert mat_mul(F, mat(a), ub) == want
+    assert mat_mul(F, ua, ub) == want
+    assert mat_mul(F, mat([[-1] * inner]), mat(b)) == _rows_by_columns(
+        F, mat([[p - 1] * inner]), mat(b))
+
+
+@pytest.mark.parametrize("inner", [9, 10])
+def test_mat_mul_at_the_slot_bound(inner):
+    # 9 (p - 1)^2 < 2^64 <= 10 (p - 1)^2: the packed product holds nine
+    # terms of (p - 1)^2 per slot, and ten go to the rows-by-columns body
+    F = PrimeField(1431655751)
+    assert F._slot_terms == 9
+    top = F.p - 1
+    a = mat([[top] * inner] * 3)
+    b = mat([[top] * 4] * inner)
+    assert mat_mul(F, a, b) == _rows_by_columns(F, a, b)
+    mixed = mat([[(i * 7 + j * 13) % F.p for j in range(inner)] for i in range(9)])
+    assert mat_mul(F, mixed, b) == _rows_by_columns(F, mixed, b)
+
+
+def test_mat_mul_over_a_large_prime():
+    # p = 2^32 + 15: (p - 1)^2 > 2^64, so every product takes the fallback
+    F = PrimeField(4294967311)
+    assert F._slot_terms == 0
+    a = mat([[(i * 9 + j) ** 5 % F.p for j in range(9)] for i in range(9)])
+    b = mat([[F.p - 1 - (i + j * 9) ** 3 % F.p for j in range(9)] for i in range(9)])
+    assert mat_mul(F, a, b) == _rows_by_columns(F, a, b)
