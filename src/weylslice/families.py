@@ -219,12 +219,11 @@ class BFamilyS(SliceFamily):
         rk(X^2 - mu X + 1) = 1, a rank bounded at 1.  Unipotent (or twisted
         by -1): rk((X -+ 1)^2) = 1.
 
-        The semisimple test runs first and never changes the verdict of the
-        old order (unipotent first).  With mu != +-2 the cubic is squarefree,
-        so X is diagonalizable and rk((X -+ 1)^2) = 1 makes +-1 an
-        eigenvalue of multiplicity 2n: for +1 that contradicts
-        rk(X - 1) = 2n, and for -1 it makes -1 a root of t^2 - mu t + 1,
-        that is mu = -2.  So at most one of the branches holds.
+        At most one branch holds, so the cheaper semisimple test can run
+        first.  With mu != +-2 the cubic is squarefree, so X is
+        diagonalizable and rk((X -+ 1)^2) = 1 makes +-1 an eigenvalue of
+        multiplicity 2n: for +1 that contradicts rk(X - 1) = 2n, and for -1
+        it makes -1 a root of t^2 - mu t + 1, that is mu = -2.
         """
         one = field.one
         u0 = field.of(self.sign)

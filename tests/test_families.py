@@ -360,3 +360,16 @@ def test_b_s_membership_order_keeps_every_result(n):
     assert (False, None) in kinds
     assert (True, "semisimple O_lambda member") in kinds
     assert any(member and "unipotent" in t for member, t in kinds if t)
+
+
+def test_b_s_component_points_invert_nothing(monkeypatch):
+    import weylslice.families as families_module
+
+    def forbidden(field, a):
+        raise AssertionError("a B S component point called inverse")
+
+    monkeypatch.setattr(families_module, "inverse", forbidden)
+    for n in B_S_RANKS:
+        fam = family_for("B", n, "S")
+        for comp in fam.components()[:4]:
+            assert fam.membership(F, comp.point(F, F.of(7))).member
