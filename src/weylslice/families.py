@@ -28,7 +28,6 @@ from .linalg import (
     Matrix,
     fsum,
     identity,
-    inverse,
     mat_mul,
     rank as mat_rank,
     scalar_shift,
@@ -37,7 +36,7 @@ from .matgroups import GroupContext
 from .sheetcat import (
     SheetDescriptor,
     _rank_shift,
-    _solve_cubic_mu,
+    _cubic_mu_candidate,
     _solve_deg2,
     catalog_w_S,
     sheet_catalog,
@@ -134,6 +133,31 @@ def _square_zero_or_mu(field, X, r, r_text, unipotent, semisimple, failure):
     return MembershipResult(False, failure)
 
 
+def _fixes_a_column(field, X, m) -> bool:
+    """X u = u for the first nonzero column u of m (False when m = 0)."""
+    j = next((j for j in range(len(m[0]))
+              if any(not field.is_zero(row[j]) for row in m)), None)
+    if j is None:
+        return False
+    u = [row[j] for row in m]
+    return all(field.is_zero(field.sub(field.dot(r, u), x))
+               for r, x in zip(X, u))
+
+
+def _unitriangular_inverse_t(field, U) -> Matrix:
+    """(U^T)^-1 for an upper unitriangular U, by back substitution: row i
+    of U^-1 is e_i minus U[i][k] times row k of U^-1 over k > i."""
+    n = len(U)
+    rows = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = [field.one if j == i else field.zero for j in range(n)]
+        for k in range(i + 1, n):
+            if not field.is_zero(U[i][k]):
+                row = field.sub_scaled(row, U[i][k], rows[k])
+        rows[i] = row
+    return tuple(zip(*rows))
+
+
 # ---------------------------------------------------------------------------
 # type B, sheet S (w_S = w0)
 # ---------------------------------------------------------------------------
@@ -163,8 +187,8 @@ class BFamilyS(SliceFamily):
         Q = tuple(tuple(one if i == j else (q_upper.get((i, j), zero) if i < j
                                             else zero) for j in range(n))
                   for i in range(n))
-        return self._assemble(field, e, v, Q, inverse(field, tuple(zip(*Q))),
-                              a_upper)
+        return self._assemble(field, e, v, Q,
+                              _unitriangular_inverse_t(field, Q), a_upper)
 
     def _assemble(self, field, e, v, Q, Qt_inv, a_upper) -> Matrix:
         """X from e, v, the unitriangular Q with its inverse transpose, and
@@ -213,11 +237,16 @@ class BFamilyS(SliceFamily):
     def membership(self, field, X) -> MembershipResult:
         """Semisimple, unipotent or twisted unipotent member of the sheet.
 
-        Semisimple: (X - 1)(X^2 - mu X + 1) = 0 with mu != +-2 and
-        rk(X - 1) = 2n.  As mu != 2, t - 1 and t^2 - mu t + 1 are coprime,
-        so ker(X - 1) = im(X^2 - mu X + 1) and rk(X - 1) = 2n is
-        rk(X^2 - mu X + 1) = 1, a rank bounded at 1.  Unipotent (or twisted
-        by -1): rk((X -+ 1)^2) = 1.
+        X^2 is the only matrix product.  Semisimple: (X - 1)(X^2 - mu X + 1)
+        = 0 with mu != +-2 and rk(X - 1) = 2n.  As mu != 2, t - 1 and
+        t^2 - mu t + 1 are coprime, so ker(X - 1) = im(X^2 - mu X + 1) and
+        rk(X - 1) = 2n is rk(X^2 - mu X + 1) = 1, a rank bounded at 1.  mu
+        is the one value the cubic identity allows, read off one entry
+        (`_cubic_mu_candidate`).  Once Q = X^2 - mu X + 1 has rank 1, it is
+        u w^T for any nonzero column u of Q, so the identity (X - 1)Q = 0
+        is (X - 1)u = 0: one matrix-vector product, valid over every field
+        and in every characteristic.  Unipotent (or twisted by -1):
+        rk((X -+ 1)^2) = 1.
 
         At most one branch holds, so the cheaper semisimple test can run
         first.  With mu != +-2 the cubic is squarefree, so X is
@@ -228,11 +257,12 @@ class BFamilyS(SliceFamily):
         one = field.one
         u0 = field.of(self.sign)
         Xsq = mat_mul(field, X, X)
-        mu = _solve_cubic_mu(field, X, Xsq)
+        mu = _cubic_mu_candidate(field, X, Xsq)
         if mu is not None and mu != field.of(2) and mu != field.of(-2):
             quad = scalar_shift(field, [field.sub_scaled(r2, mu, r) for
                                         r2, r in zip(Xsq, X)], field.neg(one))
-            if mat_rank(field, quad, at_most=1) == 1:
+            if (mat_rank(field, quad, at_most=1) == 1
+                    and _fixes_a_column(field, X, quad)):
                 return MembershipResult(
                     True, "semisimple with eigenvalue trace mu",
                     "semisimple O_lambda member")
@@ -444,8 +474,7 @@ class CFamilyS2(SliceFamily):
             Xs[i][j] = val
             if i != j:
                 Xs[j][i] = val
-        V = tuple(tuple(r) for r in V)
-        Vt_inv = inverse(field, tuple(zip(*V)))
+        Vt_inv = _unitriangular_inverse_t(field, V)
         E = [field.of(x) for x in e]
         N = 2 * n
         out = [[zero] * N for _ in range(N)]

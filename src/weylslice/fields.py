@@ -235,14 +235,35 @@ class RationalFunctions(_FieldOps):
         return None if w is None else ((w,), self.one[1])
 
 
+# Miller-Rabin with the first 12 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003), which exceeds 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n below `_MR_BOUND` (about 3.18e23)."""
+    if n >= _MR_BOUND:
+        raise ValueError(
+            f"primality of {n} is decided only below {_MR_BOUND}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -274,6 +295,8 @@ class PrimeField(_FieldOps):
         self._slot_terms = ((1 << 64) - 1) // (p - 1) ** 2
 
     def of(self, n) -> int:
+        if type(n) is int:
+            return n % self.p
         if isinstance(n, Fraction):
             if n.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
@@ -314,7 +337,7 @@ class PrimeField(_FieldOps):
         """ab on packed rows of b; see the class docstring for the bound."""
         p = self.p
         if not (a and b and b[0] and len(b) <= self._slot_terms
-                and _in_range(a, p) and _in_range(b, p)):
+                and _in_range(a, p) and (b is a or _in_range(b, p))):
             return super().mat_mul(a, b)
         order, width = sys.byteorder, 8 * len(b[0])
         packs = [int.from_bytes(array("Q", row), order) for row in b]

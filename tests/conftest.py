@@ -52,3 +52,21 @@ def group_order_statistics(points):
     order = len(points)
     two = sum(1 for c in points if all(x % 2 == 0 for x in c))
     return order, two
+
+
+def cubic_mu_by_products(field, g):
+    """Reference: (g - 1)(g^2 + 1) = mu (g - 1) g formed by three products,
+    mu read off the first nonzero entry of (g - 1) g; None when no mu fits."""
+    from weylslice.linalg import mat_mul, scalar_shift
+
+    k = scalar_shift(field, g, field.one)
+    lhs = mat_mul(field, k, scalar_shift(field, mat_mul(field, g, g),
+                                         field.neg(field.one)))
+    kg = mat_mul(field, k, g)
+    pivot = next(((lr[j], x) for lr, kr in zip(lhs, kg)
+                  for j, x in enumerate(kr) if not field.is_zero(x)), None)
+    if pivot is None:
+        return None
+    mu = field.div(*pivot)
+    target = tuple(tuple(field.mul(mu, x) for x in row) for row in kg)
+    return mu if lhs == target else None

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import cubic_mu_by_products
 from weylslice.families import (
     AFamily,
     BFamilyS,
@@ -328,7 +329,7 @@ def test_b_s_kernel_of_x_minus_1_is_image_of_quadratic(n):
 
 def _membership_unipotent_first(fam, field, X):
     """BFamilyS.membership with the unipotent branches first, on
-    products and full ranks."""
+    products and full ranks, and mu from the whole cubic identity."""
     one = field.one
     for lam in (one, field.neg(one)):
         sh = scalar_shift(field, X, lam)
@@ -340,7 +341,7 @@ def _membership_unipotent_first(fam, field, X):
                 t = ("unipotent (3,2^(n-1)) member" if lam == one
                      else "rho-twisted unipotent member")
             return MembershipResult(True, f"rk((X-{lam})^2)=1", t)
-    mu = _solve_cubic_mu(field, X, mat_mul(field, X, X))
+    mu = cubic_mu_by_products(field, X)
     if (mu is not None and mu != field.of(2) and mu != field.of(-2)
             and rank(field, scalar_shift(field, X, one)) == 2 * fam.n):
         return MembershipResult(True, "semisimple with eigenvalue trace mu",
@@ -364,12 +365,137 @@ def test_b_s_membership_order_keeps_every_result(n):
 
 def test_b_s_component_points_invert_nothing(monkeypatch):
     import weylslice.families as families_module
+    import weylslice.linalg as linalg_module
 
     def forbidden(field, a):
         raise AssertionError("a B S component point called inverse")
 
-    monkeypatch.setattr(families_module, "inverse", forbidden)
+    # families no longer imports inverse; the patch there catches a return
+    monkeypatch.setattr(families_module, "inverse", forbidden, raising=False)
+    monkeypatch.setattr(linalg_module, "inverse", forbidden)
     for n in B_S_RANKS:
         fam = family_for("B", n, "S")
         for comp in fam.components()[:4]:
             assert fam.membership(F, comp.point(F, F.of(7))).member
+
+
+def _b_s_point_kinds(fam, field, rng, n_comps):
+    """On-locus points at the special coordinates, ambient points, their
+    negatives, one-entry perturbations of both, and uniform matrices."""
+    N = 2 * fam.n + 1
+    a8 = field.sqrt(field.of(8 * fam.sign))
+    coords = [field.zero, field.one, field.of(2), field.of(3)]
+    coords += [a8] if a8 is not None else []
+    base = []
+    for comp in rng.sample(fam.components(), n_comps):
+        for a in coords:
+            try:
+                base.append(comp.point(field, a))
+            except ExtensionRequired:  # no square root of -1 over F_3
+                break
+    base += [fam.ambient(field, rng) for _ in range(n_comps)]
+    points = list(base)
+    points += [tuple(tuple(field.neg(x) for x in row) for row in X)
+               for X in base]
+    for X in base:
+        m = [list(row) for row in X]
+        i, j = rng.randrange(N), rng.randrange(N)
+        m[i][j] = field.add(m[i][j], field.one)
+        points.append(tuple(map(tuple, m)))
+    points += [tuple(tuple(field.of(rng.randrange(field.order))
+                           for _ in range(N)) for _ in range(N))
+               for _ in range(n_comps)]
+    return points
+
+
+@pytest.mark.parametrize("q", [1009, 13, 5, 3])
+def test_b_s_membership_matches_the_reference_over_small_fields(q):
+    field = gf(q)
+    rng = random.Random(q)
+    kinds = set()
+    for n in (2, 3, 4):
+        fam = family_for("B", n, "S")
+        for X in _b_s_point_kinds(fam, field, rng, 6 if n < 4 else 3):
+            got = fam.membership(field, X)
+            assert got == _membership_unipotent_first(fam, field, X), (n, X)
+            kinds.add(got.member_type)
+    assert {None, "semisimple O_lambda member"} <= kinds
+    assert any(t and "unipotent" in t for t in kinds)
+
+
+def test_b_s_rank_one_quadratic_off_the_cubic_is_rejected():
+    # X = diag(l, 1/l, ..., l, 1/l, c) with c != 1: mu = l + 1/l from entry
+    # (0, 0) leaves X^2 - mu X + 1 of rank 1, yet (X - 1)(X^2 - mu X + 1)
+    # is nonzero, so only the cubic identity rejects X
+    for q, lam, c in ((1009, 5, 7), (13, 2, 3)):
+        field = gf(q)
+        for n in (2, 3):
+            fam = family_for("B", n, "S")
+            diag = [field.of(lam), field.inv(field.of(lam))] * n + [field.of(c)]
+            X = tuple(tuple(x if i == j else field.zero for j in range(2 * n + 1))
+                      for i, x in enumerate(diag))
+            mu = field.add(diag[0], diag[1])
+            quad = poly_eval_matrix(field, (field.one, field.neg(mu), field.one), X)
+            assert rank(field, quad) == 1
+            got = fam.membership(field, X)
+            assert not got.member
+            assert got == _membership_unipotent_first(fam, field, X)
+
+
+def test_b_s_membership_makes_one_product(monkeypatch):
+    from weylslice.fields import PrimeField
+
+    calls = []
+    product = PrimeField.mat_mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return product(self, a, b)
+
+    monkeypatch.setattr(PrimeField, "mat_mul", counted)
+    rng = random.Random(3)
+    seen = set()
+    for n in (2, 3, 4):
+        fam = family_for("B", n, "S")
+        a8 = F.sqrt(F.of(8 * fam.sign))
+        comp = fam.components()[-1]
+        points = [comp.point(F, a) for a in (F.of(5), F.zero, a8)]
+        points += [fam.ambient(F, rng) for _ in range(2)]
+        for X in points:
+            calls.clear()
+            seen.add(fam.membership(F, X).member_type)
+            assert len(calls) == 1
+    assert seen == {"semisimple O_lambda member", None,
+                    "unipotent (3,2^(n-2),1^2) member",
+                    "unipotent (3,2^(n-1)) member",
+                    "rho-twisted unipotent member"}
+
+
+@pytest.mark.parametrize("q", [1009, 13])
+def test_b_s_and_c_s2_ambient_points_match_the_full_inverse(q, monkeypatch):
+    # the chart points build (U^T)^-1 by back substitution; the full
+    # Gauss-Jordan inverse gives the same matrices from the same draws
+    import weylslice.families as families_module
+
+    field = gf(q)
+    fams = [family_for("B", n, "S") for n in (2, 3, 4)]
+    fams += [family_for("C", n, "S2") for n in (3, 4)]
+    draws = [[fam.ambient(field, random.Random(k)) for k in range(6)]
+             for fam in fams]
+    monkeypatch.setattr(families_module, "_unitriangular_inverse_t",
+                        lambda fld, U: inverse(fld, tuple(zip(*U))))
+    assert draws == [[fam.ambient(field, random.Random(k)) for k in range(6)]
+                     for fam in fams]
+
+
+@pytest.mark.parametrize("field", [F, QQI], ids=["F1009", "QQI"])
+def test_unitriangular_inverse_transpose(field):
+    from weylslice.families import _unitriangular_inverse_t
+
+    rng = random.Random(5)
+    for n in range(1, 6):
+        U = tuple(tuple(field.one if i == j else (
+            field.of(rng.randrange(-20, 20)) if i < j else field.zero)
+            for j in range(n)) for i in range(n))
+        assert _unitriangular_inverse_t(field, U) == inverse(
+            field, tuple(zip(*U)))

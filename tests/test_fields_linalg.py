@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -469,6 +470,13 @@ def test_mat_mul_reduces_unreduced_and_negative_entries(p, data):
     assert mat_mul(F, ua, ub) == want
     assert mat_mul(F, mat([[-1] * inner]), mat(b)) == _rows_by_columns(
         F, mat([[p - 1] * inner]), mat(b))
+    # a square times itself is checked once for range(p), and still falls
+    # back when unreduced
+    k = min(rows, inner)
+    sq, usq = (mat([r[:k] for r in m[:k]]) for m in (a, ua))
+    want = _rows_by_columns(F, sq, sq)
+    assert mat_mul(F, sq, sq) == want
+    assert mat_mul(F, usq, usq) == want
 
 
 @pytest.mark.parametrize("inner", [9, 10])
@@ -483,6 +491,47 @@ def test_mat_mul_at_the_slot_bound(inner):
     assert mat_mul(F, a, b) == _rows_by_columns(F, a, b)
     mixed = mat([[(i * 7 + j * 13) % F.p for j in range(inner)] for i in range(9)])
     assert mat_mul(F, mixed, b) == _rows_by_columns(F, mixed, b)
+
+
+def test_is_prime_matches_trial_division():
+    from weylslice.fields import _is_prime
+
+    primes, small = [], 0  # trial division by primes[:small], those <= sqrt(n)
+    for n in range(2, 10 ** 5):
+        while small < len(primes) and primes[small] ** 2 <= n:
+            small += 1
+        if all(map(n.__mod__, primes[:small])):
+            primes.append(n)
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == primes
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_large_inputs():
+    from weylslice.fields import _MR_BOUND, _is_prime
+
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2, ..., 11
+    for n in (3215031751, 2152302898747):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeField(n)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 64 - 59)
+    assert not _is_prime(2 ** 64 - 1)
+    with pytest.raises(ValueError, match=str(_MR_BOUND)):
+        _is_prime(_MR_BOUND)
+
+
+def test_mat_mul_over_a_word_sized_prime():
+    # p = 2^61 - 1 constructs without trial division, and every product
+    # takes the rows-by-columns fallback
+    start = time.perf_counter()
+    F = PrimeField(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert F._slot_terms == 0
+    a = mat([[(i * 9 + j) ** 7 % F.p for j in range(6)] for i in range(5)])
+    b = mat([[F.p - 1 - (i + j * 6) ** 11 % F.p for j in range(4)]
+             for i in range(6)])
+    assert mat_mul(F, a, b) == _rows_by_columns(F, a, b)
+    sq = mat([row[:5] for row in a])
+    assert mat_mul(F, sq, sq) == _rows_by_columns(F, sq, sq)
 
 
 def test_mat_mul_over_a_large_prime():

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from conftest import cubic_mu_by_products
 from weylslice.families import BFamilyS
 from weylslice.fforacle import conjugacy_classes, enumerate_group
 from weylslice.fields import gf
-from weylslice.linalg import inverse, mat_mul, scalar_shift
+from weylslice.linalg import inverse, mat_mul
 from weylslice.matgroups import GroupContext
 from weylslice.rootsys import (
     build_root_system,
@@ -170,21 +171,6 @@ def test_catalog_report_strings():
         assert d.unipotent_members
 
 
-def _cubic_mu_by_products(field, g):
-    """Reference: (g - 1)(g^2 + 1) = mu (g - 1) g formed by three products."""
-    k = scalar_shift(field, g, field.one)
-    lhs = mat_mul(field, k, scalar_shift(field, mat_mul(field, g, g),
-                                         field.neg(field.one)))
-    kg = mat_mul(field, k, g)
-    pivot = next(((lr[j], x) for lr, kr in zip(lhs, kg)
-                  for j, x in enumerate(kr) if not field.is_zero(x)), None)
-    if pivot is None:
-        return None
-    mu = field.div(*pivot)
-    target = tuple(tuple(field.mul(mu, x) for x in row) for row in kg)
-    return mu if lhs == target else None
-
-
 def test_solve_cubic_mu_matches_product_formula():
     F = gf(1009)
     rnd = random.Random(0)
@@ -200,7 +186,7 @@ def test_solve_cubic_mu_matches_product_formula():
             for c in conjugacy_classes(so5)]
     found = 0
     for field, g in [(F, m) for m in mats] + reps:
-        mu = _cubic_mu_by_products(field, g)
+        mu = cubic_mu_by_products(field, g)
         assert _solve_cubic_mu(field, g, mat_mul(field, g, g)) == mu
         found += mu is not None
     assert found >= 18
