@@ -11,14 +11,18 @@ Areas:
            cartan, neg, the simple-reflection and every root reflection's
            permutation, the full pair table, highest root and dual basis,
            and the subsystem highest root of the whole system and (E6-E8,
-           F4) of the roots orthogonal to its highest root
+           F4) of the roots orthogonal to its highest root; for every type
+           but E7 and E8, weyl_order_by_orbit
   weyl     for the first 3 members of every involution class of the
            TYPES below: matrix, length, reduced word, the action on a
            fixed vector with a component off the root span, and the
            signed permutation (or the error it raises)
   sevslice for the same elements: the (-1)-eigenbasis, the positive
            system it defines, its simple roots, the length of w in it
-           and the fixed roots
+           and the fixed roots; then the same for three seeded random
+           eigenbases (integer combinations of the first, and one with
+           coefficients k/2 and k/3) and for the first of them with the
+           opposite positive choice on the fixed roots
   torus    for the same elements: the TorusData action and gamma_w for
            the sc, ad and (types A-D) matrix lattices
   oracle   for each of ORACLE_GROUPS: every conjugacy class (rep, size,
@@ -67,8 +71,8 @@ from weylslice.fforacle import (borel_orbit_report, cell_partition_check,
                                 expand_class,
                                 normalize_to_fixed_torus, slice_orbit_check,
                                 verify_dimension_formula, w_of_class)
-from weylslice.fields import gf
-from weylslice.linalg import mat_mul
+from weylslice.fields import QQ, gf
+from weylslice.linalg import mat_mul, rank
 from weylslice.matgroups import GroupContext
 from weylslice.reportcli import main as cli_main
 from weylslice.rootsys import (build_root_system, involution_conjugacy_classes,
@@ -132,6 +136,8 @@ def roots_records():
                [rs.reflection(r).perm for r in rs.roots],
                [[rs.pair(a, b) for b in rs.roots] for a in rs.roots],
                top, rs.dual_basis, subsystem_highest_root(rs, rs.roots))
+        if (label, rank) not in (("E", 7), ("E", 8)):
+            yield rs.weyl_order_by_orbit()
         if label in "EF":
             yield subsystem_highest_root(rs, orthogonal_subsystem(rs, top))
 
@@ -143,12 +149,38 @@ def weyl_records():
                _or_error(w.signed_permutation))
 
 
+def _random_eigenbasis(rng, base, denominators):
+    """len(base) independent combinations of `base`, with coefficients k/d
+    for k in -3..3 and d drawn from `denominators`."""
+    r = len(base)
+    while True:
+        vecs = []
+        for _ in range(r):
+            coeffs = [Fraction(rng.randint(-3, 3), rng.choice(denominators))
+                      for _ in range(r)]
+            vecs.append(tuple(sum(c * b[i] for c, b in zip(coeffs, base))
+                              for i in range(len(base[0]))))
+        if rank(QQ, vecs) == r:
+            return tuple(vecs)
+
+
 def sevslice_records():
+    rng = random.Random(17)
     for system, w in _elements():
         base = minus_one_eigenbasis(w)
         ps = positive_system(EigenBasisChoice(w, base))
-        yield (base, sorted(ps.positive), ps.simples(), ps.length_of(w),
-               fixed_roots(w))
+        psi = fixed_roots(w)
+        yield (base, sorted(ps.positive), ps.simples(), ps.length_of(w), psi)
+        bases = [_random_eigenbasis(rng, base, d)
+                 for d in [(1,), (1,), (1, 2, 3)]]
+        opposite = frozenset(tuple(-x for x in r) for r in psi
+                             if system.is_positive_root(r))
+        for basis, choice in [(b, None) for b in bases] + [
+                (bases[0], opposite)]:
+            ps = _or_error(lambda: positive_system(
+                EigenBasisChoice(w, basis, choice)))
+            yield (basis, ps) if isinstance(ps, str) else (
+                basis, sorted(ps.positive), ps.simples(), ps.length_of(w))
 
 
 def torus_records():

@@ -2,21 +2,24 @@
 
 Root geometry runs on the integer simple-root coefficients: with G twice
 the Gram matrix of the simple roots (an integer matrix for every type),
-the one formula s_b(c) = c - (2 c^T G b / b^T G b) b generates the roots
-and gives every reflection and pairing.  The coordinates in the standard
-orthonormal models, tuples of ``Fraction``, are derived once and fix the
-order of the roots.  A Weyl element is the permutation it induces on the
-root indices (Casselman, "Machine calculations in Weyl groups", 1994),
-built by `RootSystem.element`.  Products are index composition; lengths
-and descents are lookups on the permutation, and reduced words, Bruhat
-order and parabolic longest elements are computed from them.  On ambient
+the formula s_b(c) = c - (2 c^T G b / b^T G b) b gives every reflection
+and pairing.  A simple reflection s_i changes only c_i, by a sum over
+column i of the Cartan matrix; that one step generates the roots and
+the orbit of rho that counts |W|.  Root sums are read from a table built once per system on
+first use.  The coordinates in the standard orthonormal models, tuples
+of ``Fraction``, are derived once and fix the order of the roots.  A
+Weyl element is the permutation it induces on the root indices
+(Casselman, "Machine calculations in Weyl groups", 1994), built by
+`RootSystem.element`.  Products are index composition; lengths and
+descents are lookups on the permutation, and reduced words, Bruhat order
+and parabolic longest elements are computed from them.  On ambient
 vectors an element acts by one cached rational matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .fields import QQ
@@ -153,8 +156,12 @@ class RootSystem:
                             for a in simples)
         units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
         simple_coroots = [self._coroot(e) for e in units]
-        coeffs = closure(units, lambda c: [
-            _reflect(c, e, v) for e, v in zip(units, simple_coroots)])
+        #: cartan[i][j] = <alpha_i, alpha_j^vee>
+        self.cartan = tuple(zip(*simple_coroots))
+        #: the nonzero entries (j, cartan[j][i]) of each column i
+        self._cartan_columns = tuple(
+            tuple((j, x) for j, x in enumerate(v) if x) for v in simple_coroots)
+        coeffs = closure(units, self._simple_images)
         expected = ROOT_COUNTS[label]
         expected = expected(rank) if callable(expected) else expected[rank]
         if len(coeffs) != expected:
@@ -162,7 +169,10 @@ class RootSystem:
                 f"{label}{rank}: generated {len(coeffs)} roots, expected {expected}"
             )
         # coordinates sum_i c_i alpha_i, doubled to integers while sorting
-        twice = tuple(zip(*([int(2 * x) for x in a] for a in simples)))
+        #: the simple roots doubled, integer vectors in every type
+        self._twice_simple = tuple(tuple(int(2 * x) for x in a)
+                                   for a in simples)
+        twice = tuple(zip(*self._twice_simple))
         by_coords = sorted((tuple(_dot(c, t) for t in twice), c) for c in coeffs)
         self.roots: tuple[Vector, ...] = tuple(
             tuple(Fraction(x, 2) for x in r) for r, _ in by_coords)
@@ -173,8 +183,6 @@ class RootSystem:
         self.positive_roots: tuple[Vector, ...] = tuple(
             r for r, pos in zip(self.roots, self._positive) if pos)
         self._coroots = tuple(self._coroot(c) for c in self._coeffs)
-        #: cartan[i][j] = <alpha_i, alpha_j^vee>
-        self.cartan = tuple(zip(*simple_coroots))
         self._simple_index = tuple(self.index[a] for a in simples)
         self._identity = WeylElement(self, tuple(range(len(self.roots))))
         self._by_coeffs = {c: k for k, c in enumerate(self._coeffs)}
@@ -201,6 +209,22 @@ class RootSystem:
             raise AssertionError("root with a non-integral coroot")
         return tuple(2 * x // norm for x in gb)
 
+    def _simple_images(self, c: Sequence[int]) -> list[tuple[int, ...]]:
+        """s_i(c) for every simple reflection s_i, in the order of i.
+
+        s_i(c) = c - <c, alpha_i^vee> alpha_i changes only c_i, and
+        <c, alpha_i^vee> = sum_j c_j cartan[j][i] runs over the nonzero
+        entries of column i: at most four, on any Dynkin diagram."""
+        out, img = [], list(c)
+        for i, col in enumerate(self._cartan_columns):
+            k = c[i]
+            for j, x in col:
+                k -= c[j] * x
+            img[i] = k
+            out.append(tuple(img))
+            img[i] = c[i]
+        return out
+
     def _reflection_perm(self, k: int) -> "WeylElement":
         """The reflection in roots[k] as a root permutation."""
         b, v = self._coeffs[k], self._coroots[k]
@@ -211,18 +235,28 @@ class RootSystem:
         """Cartan pairing <a, b^vee> = 2(a,b)/(b,b) of two roots."""
         return _dot(self.coefficients(a), self._coroots[self.index[b]])
 
+    @cached_property
+    def _sum_table(self) -> tuple[tuple[int, ...], ...]:
+        """_sum_table[k][l] is the index of roots[k] + roots[l], or -1 when
+        the sum is no root; built on first use."""
+        get, coeffs = self._by_coeffs.get, self._coeffs
+        return tuple(
+            tuple(get(tuple(x + y for x, y in zip(a, b)), -1) for b in coeffs)
+            for a in coeffs)
+
     def _sum_index(self, k: int, l: int) -> int:
         """The index of roots[k] + roots[l], or -1 when the sum is no root."""
-        return self._by_coeffs.get(
-            tuple(a + b for a, b in zip(self._coeffs[k], self._coeffs[l])), -1)
+        return self._sum_table[k][l]
 
     def indecomposables(self, indices: Iterable[int]) -> list[int]:
         """The members of `indices` that are not the sum of two members, in
         index order: the simple roots of a positive system, or of the
         positive part of a root subsystem."""
         pos = set(indices)
-        return sorted(k for k in pos if not any(
-            self._sum_index(k, self.neg[s]) in pos for s in pos))
+        table = self._sum_table
+        negs = [self.neg[s] for s in pos]
+        return sorted(k for k in pos
+                      if not any(table[k][n] in pos for n in negs))
 
     # -- basic queries ---------------------------------------------------
 
@@ -281,24 +315,13 @@ class RootSystem:
         """
         rho = tuple(map(sum, zip(*map(self.coefficients,
                                       self.positive_roots))))
-        simples = [(self._coeffs[k], self._coroots[k])
-                   for k in self._simple_index]
-        return len(closure([rho], lambda c: [_reflect(c, b, v)
-                                             for b, v in simples]))
+        return len(closure([rho], self._simple_images))
 
     def all_elements(self) -> list["WeylElement"]:
         """Every Weyl group element, by closure (small ranks only)."""
         refl = [self.simple_reflection(i) for i in range(self.rank)]
         return closure([self.identity_element()],
                        lambda w: [w.mul(s) for s in refl])
-
-    def debug_dump(self) -> str:
-        """Root list in coordinate form, one root per line."""
-        lines = [f"{self.label}{self.rank} roots ({len(self.roots)})"]
-        for r in self.roots:
-            tag = "+" if self.is_positive_root(r) else "-"
-            lines.append(tag + " " + " ".join(str(x) for x in r))
-        return "\n".join(lines)
 
     def __repr__(self):
         return f"RootSystem({self.label}{self.rank})"

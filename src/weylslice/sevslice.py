@@ -4,17 +4,21 @@ Given a basis of the (-1)-eigenspace of an involution w, a positive
 system is constructed by the last-nonzero-pairing rule: for i maximal
 with (beta, v_i) != 0, beta is positive iff (beta, v_i) > 0; roots fixed
 by w fall back to a freely chosen positive system on Psi.  With respect
-to the result, w has maximal length in its conjugacy class.
+to the result, w has maximal length in its conjugacy class.  The rule
+runs on integers: each v_i becomes its pairings with the simple roots,
+scaled by a positive integer, and a root pairs with it through its
+integer simple-root coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Optional
 
 from .fields import QQ
 from .linalg import kernel, rank
-from .rootsys import RootSystem, Vector, WeylElement, conjugacy_class, dot
+from .rootsys import RootSystem, Vector, WeylElement, conjugacy_class
 
 
 class DegenerateBasisError(ValueError):
@@ -83,9 +87,11 @@ class PositiveSystem:
             if (k in pos) == (n in pos):
                 raise AssertionError(
                     f"not exactly one of +-{sys.roots[k]} is positive")
+        table = sys._sum_table
         for a in pos:
+            row = table[a]
             for b in pos:
-                s = sys._sum_index(a, b)
+                s = row[b]
                 if s >= 0 and s not in pos:
                     raise AssertionError(
                         f"positive set not closed: {sys.roots[a]} + {sys.roots[b]}")
@@ -100,8 +106,27 @@ def standard_system(system: RootSystem) -> PositiveSystem:
     return PositiveSystem(system, frozenset(system.positive_roots))
 
 
+def _integer_pairings(system: RootSystem, v: Vector) -> tuple[int, ...]:
+    """The pairings (alpha_i, v) with the simple roots times L = 2 D, D the
+    lcm of the denominators of v: the integers t_i = (2 alpha_i, D v)."""
+    d = lcm(*(x.denominator for x in v))
+    u = [x.numerator * (d // x.denominator) for x in v]
+    return tuple(sum(a * b for a, b in zip(t, u))
+                 for t in system._twice_simple)
+
+
 def positive_system(choice: EigenBasisChoice) -> PositiveSystem:
-    """Positive system from an eigenbasis, by the last-nonzero-pairing rule."""
+    """Positive system from an eigenbasis, by the last-nonzero-pairing rule.
+
+    A root beta = sum_i c_i alpha_i pairs with v as (beta, v) = sum_i c_i
+    (alpha_i, v).  Each basis vector is replaced by its integer pairings
+    t_i = L (alpha_i, v) with the simple roots (`_integer_pairings`), so the
+    rule reads the integer sum_i c_i t_i = L (beta, v).  Since L > 0, that
+    integer is zero exactly when (beta, v) is, and has the same sign
+    otherwise: every positive set, DegenerateBasisError and AssertionError
+    is the one the rational pairings give.  L depends on v only, so each
+    basis vector may have its own.
+    """
     w = choice.w
     system = w.system
     psi = {k for k, j in enumerate(w.perm) if j == k}
@@ -113,17 +138,17 @@ def positive_system(choice: EigenBasisChoice) -> PositiveSystem:
     else:
         psi_pos = {k for k in psi if system.is_positive_root(system.roots[k])}
     positive = set(psi_pos)
-    for k, beta in enumerate(system.roots):
+    # i maximal first
+    pairings = [_integer_pairings(system, v) for v in reversed(choice.basis)]
+    for k, c in enumerate(system._coeffs):
         if k in psi:
             continue
-        val = None
-        for v in reversed(choice.basis):  # i maximal first
-            pairing = dot(beta, v)
-            if pairing != 0:
-                val = pairing
+        for t in pairings:
+            val = sum(x * y for x, y in zip(c, t))
+            if val:
                 break
-        if val is None:
-            raise DegenerateBasisError(beta)
+        else:
+            raise DegenerateBasisError(system.roots[k])
         if val > 0:
             positive.add(k)
     out = PositiveSystem(system, frozenset(system.roots[k] for k in positive))

@@ -54,6 +54,21 @@ def test_e6_weyl_order_cross_check():
     assert rs.weyl_order_by_orbit() == 51840
 
 
+ORBIT_TYPES = ([("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 6)]
+               + [("C", n) for n in range(2, 6)] + [("D", n) for n in range(3, 7)]
+               + [("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("label,n", ORBIT_TYPES)
+def test_weyl_order_by_orbit_matches_degrees(label, n):
+    # the orbit of rho under the one-coordinate simple reflections.  B, C,
+    # F and G have non-symmetric Cartan matrices: a step that read row i
+    # of `cartan` instead of column i breaks the root generation of all
+    # four, and the orbit alone counts 24 for C3 and 192 for C4
+    rs = build_root_system(label, n)
+    assert rs.weyl_order_by_orbit() == rs.weyl_order()
+
+
 def test_invalid_types_rejected():
     for label, n in [("H", 3), ("E", 5), ("F", 3), ("G", 3), ("D", 2)]:
         with pytest.raises(ValueError):
@@ -254,13 +269,6 @@ def test_length_subadditive_property():
     for u in els:
         for v in els:
             assert u.mul(v).length() <= u.length() + v.length()
-
-
-def test_debug_dump():
-    rs = build_root_system("B", 2)
-    dump = rs.debug_dump()
-    assert dump.splitlines()[0] == "B2 roots (8)"
-    assert len(dump.splitlines()) == 9
 
 
 def test_closure_breadth_first():

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylslice.fields import QQ
+from weylslice.linalg import rank
 from weylslice.rootsys import (
     build_root_system,
+    dot,
     involution_conjugacy_classes,
     longest_element,
+    minus_one_rank,
+    subsystem_highest_root,
 )
 from weylslice.sevslice import (
     DegenerateBasisError,
@@ -123,14 +128,14 @@ def test_unfixed_positives_are_inverted():
             assert check_max_length(w, ps)
 
 
-def _random_recombination(rng, base, dim):
-    from weylslice.fields import QQ
-    from weylslice.linalg import rank
-
+def _random_recombination(rng, base, dim, denominators=(1,)):
+    """r independent combinations of `base` with coefficients k/d, k drawn
+    from -3..3 and d = denominators[i + j] (cyclically) for row i, column j."""
     r = len(base)
+    m = len(denominators)
     while True:
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(r)]
-                for _ in range(r)]
+        rows = [[Fraction(rng.randint(-3, 3), denominators[(i + j) % m])
+                 for j in range(r)] for i in range(r)]
         vecs = [tuple(sum(c * b[i] for c, b in zip(row, base))
                       for i in range(dim)) for row in rows]
         if rank(QQ, vecs) == r:
@@ -152,6 +157,82 @@ def test_simples_contain_psi_choice_simples():
     }
     system_simples = set(ps.simples())
     assert psi_simples <= system_simples
+
+
+def _reference_rule(w, basis, psi_positive):
+    """The last-nonzero-pairing rule on Fraction dot products: the positive
+    set, or the first root (in index order) that pairs to zero with every
+    basis vector without being fixed by w."""
+    psi = set(fixed_roots(w))
+    positive = set(psi_positive)
+    for beta in w.system.roots:
+        if beta in psi:
+            continue
+        for v in reversed(basis):
+            pairing = sum((a * b for a, b in zip(beta, v)), Fraction(0))
+            if pairing != 0:
+                break
+        else:
+            return beta
+        if pairing > 0:
+            positive.add(beta)
+    return frozenset(positive)
+
+
+def _e6_involutions(e6):
+    """Products of reflections in the first k = 1..4 roots of the
+    highest-root cascade.  W(E6) has four involution classes, of sizes 36,
+    270, 540 and 45 (Carter, Compositio Math. 25, 1972); rank(1 - w) = k
+    tells these four apart without enumerating the 51,840 elements."""
+    w, roots, out = e6.identity_element(), e6.roots, []
+    for _ in range(4):
+        theta = subsystem_highest_root(e6, roots)
+        w = w.mul(e6.reflection(theta))
+        out.append(w)
+        roots = [r for r in roots if dot(r, theta) == 0]
+    assert [minus_one_rank(x) for x in out] == [1, 2, 3, 4]
+    return out
+
+
+def _orthogonal_part(base, beta):
+    """A basis of the vectors in span(base) orthogonal to beta."""
+    pair = [dot(beta, v) for v in base]
+    j = next(i for i, x in enumerate(pair) if x != 0)
+    return tuple(tuple(a - pair[i] / pair[j] * b
+                       for a, b in zip(base[i], base[j]))
+                 for i in range(len(base)) if i != j)
+
+
+@pytest.mark.parametrize("label,n", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                     ("G", 2), ("F", 4), ("E", 6)])
+def test_integer_sign_rule_matches_fraction_pairings(label, n):
+    # F4 and E6 have half-integer root coordinates, and the combinations
+    # with coefficients k/3 and k/2 give pairings with other denominators,
+    # so the lcm scaling is exercised
+    rs = build_root_system(label, n)
+    rng = random.Random(7)
+    reps = (_e6_involutions(rs) if label == "E"
+            else [cls[0] for cls in involution_conjugacy_classes(rs)])
+    for w in reps:
+        base = minus_one_eigenbasis(w)
+        psi = fixed_roots(w)
+        standard = frozenset(r for r in psi if rs.is_positive_root(r))
+        opposite = frozenset(tuple(-x for x in r) for r in standard)
+        bases = [base] + [_random_recombination(rng, base, rs.dim, d)
+                          for d in [(1,), (1,), (3, 1, 2)]]
+        cases = [(b, None, standard) for b in bases] + [
+            (bases[1], opposite, opposite)]
+        for basis, choice, psi_pos in cases:
+            ps = positive_system(EigenBasisChoice(w, basis, choice))
+            assert ps.positive == _reference_rule(w, basis, psi_pos)
+        # a partial basis orthogonal to an unfixed root
+        beta = rng.choice([r for r in rs.roots if r not in set(psi)])
+        partial = _orthogonal_part(bases[3], beta)
+        expected = _reference_rule(w, partial, standard)
+        assert expected in rs.index
+        with pytest.raises(DegenerateBasisError) as err:
+            positive_system(EigenBasisChoice(w, partial))
+        assert err.value.root == expected
 
 
 @pytest.mark.parametrize("label,n", [("B", 3), ("G", 2), ("F", 4), ("E", 6)])
