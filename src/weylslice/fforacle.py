@@ -558,8 +558,7 @@ def slice_points(ctx: GroupContext, field, w: WeylElement,
 
 
 def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
-                      w: WeylElement, class_budget: int = 300_000,
-                      wdot: Optional[Matrix] = None,
+                      w: WeylElement, wdot: Optional[Matrix] = None,
                       proposals: tuple = ()) -> SliceOrbitReport:
     """Pointwise check of O n wdot T^w U^w: nonempty, Gamma-closed, one orbit.
 
@@ -573,7 +572,7 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
     """
     field = gf(q)
     ctx = GroupContext(label, rank)
-    cls = expand_class(ctx, field, rep, budget=class_budget)
+    cls = expand_class(ctx, field, rep)
     caveats = []
     if wdot is None:
         wdot = ctx.weyl_representative(field, w)

@@ -17,7 +17,6 @@ tuples; the ``poly_*`` helpers are also the arithmetic of K(t).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 Matrix = tuple[tuple[object, ...], ...]
@@ -373,23 +372,3 @@ def bruhat_permutation(field, g: Matrix) -> tuple[int, ...]:
                     m[i][jj] = field.sub(m[i][jj], field.mul(f, m[i][j]))
     return tuple(perm)
 
-
-def parse_matrix(field, text: str) -> Matrix:
-    """Parse a plain structured-text matrix literal.
-
-    One row per line, entries whitespace-separated; rationals accept
-    "p/q", finite-field entries are integers reduced mod q.
-    """
-    rows = []
-    for line in text.strip().splitlines():
-        entries = []
-        for tok in line.split():
-            if "/" in tok:
-                num, den = tok.split("/")
-                entries.append(field.of(Fraction(int(num), int(den))))
-            else:
-                entries.append(field.of(int(tok)))
-        rows.append(tuple(entries))
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix literal")
-    return tuple(rows)

@@ -244,10 +244,6 @@ class RootSystem:
             tuple(get(tuple(x + y for x, y in zip(a, b)), -1) for b in coeffs)
             for a in coeffs)
 
-    def _sum_index(self, k: int, l: int) -> int:
-        """The index of roots[k] + roots[l], or -1 when the sum is no root."""
-        return self._sum_table[k][l]
-
     def indecomposables(self, indices: Iterable[int]) -> list[int]:
         """The members of `indices` that are not the sum of two members, in
         index order: the simple roots of a positive system, or of the

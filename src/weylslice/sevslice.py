@@ -102,10 +102,6 @@ def fixed_roots(w: WeylElement) -> list[Vector]:
     return [r for k, r in enumerate(w.system.roots) if w.perm[k] == k]
 
 
-def standard_system(system: RootSystem) -> PositiveSystem:
-    return PositiveSystem(system, frozenset(system.positive_roots))
-
-
 def _integer_pairings(system: RootSystem, v: Vector) -> tuple[int, ...]:
     """The pairings (alpha_i, v) with the simple roots times L = 2 D, D the
     lcm of the denominators of v: the integers t_i = (2 alpha_i, D v)."""

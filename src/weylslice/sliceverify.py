@@ -77,7 +77,6 @@ def certify_components(
     n_in: int = 64,
     n_out: int = 64,
     seed: int = 0,
-    cell_checks: int = 4,
 ) -> ComponentCertificate:
     """Bidirectional sampling certificate for one sheet's component claim."""
     if field is None:
@@ -108,7 +107,7 @@ def certify_components(
                 "(m-1) as disagreeing")
     matrix_family = fam.is_matrix
     per_comp_in = max(1, n_in)
-    cell_budget = cell_checks
+    cell_budget = 4  # claimed matrix points whose Bruhat cell is decoded
     seen_points = {}
     for comp in comps:
         coords = fam.sample_coords(field, rng, per_comp_in)
@@ -349,8 +348,7 @@ class SLRestrictionReport:
     notes: list
 
 
-def verify_sl_restriction(n: int, m: int, p: int, samples: int = 16,
-                          seed: int = 0) -> SLRestrictionReport:
+def verify_sl_restriction(n: int, m: int, p: int) -> SLRestrictionReport:
     """det = 1 points of the GL components land on the +-1 curves.
 
     Over F_p also runs the Jacobian criterion on curve samples and flags the
@@ -359,7 +357,7 @@ def verify_sl_restriction(n: int, m: int, p: int, samples: int = 16,
     notes = []
     e1, e2 = 2 * m, n + 1 - 2 * m
     point = family_for("A", n, f"S_{m}").components()[0].point
-    rng = random.Random(seed)
+    samples = 16
     if p == 0:
         field = QQ
         pts = []
@@ -533,13 +531,10 @@ def _lattice_equal(gens_a, gens_b) -> bool:
     return contains(gens_a, gens_b) and contains(gens_b, gens_a)
 
 
-def etype_root_checks(rank: int, field=None, curve_samples: int = 12,
-                      seed: int = 0) -> EtypeReport:
+def etype_root_checks(rank: int) -> EtypeReport:
     """Root-datum verification of the exceptional catalog entries."""
     if rank not in (6, 7):
         raise ValueError("checks exist for ranks 6 and 7 only")
-    if field is None:
-        field = gf(1009)
     sys = build_root_system("E", rank)
     checks = []
     beta = sys.highest_root()
@@ -591,7 +586,7 @@ def etype_root_checks(rank: int, field=None, curve_samples: int = 12,
                    shape.divisors == tuple([4] * len(extra_roots))))
     if rank == 6:
         checks.append(("cuspidal curve coordinate identity",
-                       _e6_curve_identity(field, curve_samples, seed)))
+                       _e6_curve_identity(gf(1009), 12, 0)))
     report = EtypeReport(rank=rank, checks=checks,
                          passed=all(ok for _, ok in checks))
     return report

@@ -5,6 +5,12 @@ type this computes the fixed subtorus T^w, the anti-fixed S_w = T_w n T^w
 and the finite 2-group G_w = {t in (T_w)deg : t^2 in T^w}, all as exact
 integer-lattice invariants via Smith normal form.
 
+Everything runs on integers: the action of w on each lattice comes in
+closed form from its integer matrix on the simple roots (`w.matrix`) and
+the Gram diagonal, and the invariant factors come from a gcd/lcm pass over
+an integer diagonalisation.  The lattice bases' ambient coordinates are
+kept only to report torsion points as cocharacters.
+
 Torsion points are (cocharacter, root-of-unity order) pairs; no field
 extensions are ever materialised here.
 """
@@ -13,59 +19,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
-from .fields import QQ
-from .linalg import rref, solve
 from .rootsys import RootSystem, WeylElement, dot
 
 IntMatrix = list[list[int]]
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> list[int]:
-    """Invariant factors d1 | d2 | ... (with trailing zeros for corank)."""
+    """Invariant factors d1 | d2 | ... (with trailing zeros for corank).
+
+    Any integer diagonalisation determines the group.  Replacing a pair of
+    nonzero diagonal entries by (gcd, lcm) keeps the least and the greatest
+    valuation at every prime, so one pass over all pairs leaves the chain.
+    """
     d, _, _ = smith_with_transforms(a)
     n = min(len(d), len(d[0]) if d else 0)
-    diag = [abs(d[i][i]) for i in range(n)]
-    return _divisor_chain(diag)
-
-
-def _divisor_chain(diag: list[int]) -> list[int]:
-    """Reassemble a diagonal multiset into invariant-factor order.
-
-    Any integer diagonalisation determines the group; redistribute the
-    prime powers so the chain condition holds.
-    """
-    zeros = sum(1 for d in diag if d == 0)
-    nonzero = [d for d in diag if d != 0]
-    primes: set[int] = set()
-    for d in nonzero:
-        n, p = d, 2
-        while p * p <= n:
-            if n % p == 0:
-                primes.add(p)
-                while n % p == 0:
-                    n //= p
-            p += 1
-        if n > 1:
-            primes.add(n)
-    k = len(nonzero)
-    vals = {p: sorted(_valuation(d, p) for d in nonzero) for p in primes}
-    out = []
-    for i in range(k):
-        f = 1
-        for p in primes:
-            f *= p ** vals[p][i]
-        out.append(f)
-    return out + [0] * zeros
-
-
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    diag = [abs(d[i][i]) for i in range(n) if d[i][i]]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag + [0] * (n - len(diag))
 
 
 def smith_with_transforms(a: Sequence[Sequence[int]]):
@@ -198,27 +174,34 @@ class TorusData:
         self.basis = _cocharacter_basis(system, isogeny)  # list of ambient vectors
         self.n = len(self.basis)
         self.action = self._action_matrix()
-        # involution on the lattice: (1-w)(1+w) = 0
-        prod = _int_mat_mul(
-            _int_mat_sub(_identity(self.n), self.action),
-            _int_mat_add(_identity(self.n), self.action),
-        )
-        if any(any(x != 0 for x in row) for row in prod):
+        # involution on the lattice: (1-w)(1+w) = 1 - w^2 = 0
+        if _int_mat_mul(self.action, self.action) != _identity(self.n):
             raise ValueError("Weyl element does not act as a lattice involution")
 
     def _action_matrix(self) -> IntMatrix:
-        """Column j holds the lattice coordinates of w(basis[j]): one Gram
-        system G x = (b_i . w b_j)_i, solved for all n right-hand sides by
-        a single elimination."""
-        basis, n = self.basis, self.n
-        images = [self.w.apply_vector(b) for b in basis]
-        reduced, _ = rref(QQ, [[dot(a, b) for b in basis]
-                               + [dot(img, a) for img in images]
-                               for a in basis])
-        action = [row[n:] for row in reduced]
-        if any(x.denominator != 1 for row in action for x in row):
-            raise ValueError("vector is not in the lattice")
-        return [[int(x) for x in row] for row in action]
+        """Column j holds the lattice coordinates of w(basis[j]), in closed
+        form from the integer matrix M = w.matrix (column j holds the
+        simple-root coefficients of w(alpha_j)):
+
+        - sc, the simple coroots: w(alpha_j^vee) = (w alpha_j)^vee, so
+          entry (i, j) is M[i][j] (alpha_i, alpha_i) / (alpha_j, alpha_j),
+          an exact quotient;
+        - ad, the fundamental coweights: the transpose of M^-1, which is M
+          for an involution (for any other w, M^T is no involution either,
+          and the constructor's check rejects it);
+        - matrix, the standard basis: w's signed permutation.
+        """
+        w, n = self.w, self.n
+        if self.isogeny == "sc":
+            g = self.system._gram2
+            return [[x * g[i][i] // g[j][j] for j, x in enumerate(row)]
+                    for i, row in enumerate(w.matrix)]
+        if self.isogeny == "ad":
+            return [list(col) for col in zip(*w.matrix)]
+        action = [[0] * n for _ in range(n)]
+        for i, (j, sign) in enumerate(w.signed_permutation()):
+            action[j][i] = sign
+        return action
 
     def to_ambient(self, coords: Sequence[int]) -> tuple[Fraction, ...]:
         out = tuple(Fraction(0) for _ in range(self.system.dim))
@@ -250,15 +233,6 @@ def _int_mat_mul(a, b):
             for i in range(n)]
 
 
-def _solve_in_basis(basis, target) -> list[int]:
-    """Integer coordinates of `target` in `basis` (exact; rejects non-lattice)."""
-    coords = solve(QQ, [[dot(a, b) for b in basis] for a in basis],
-                   [dot(target, a) for a in basis])
-    if any(x.denominator != 1 for x in coords):
-        raise ValueError("vector is not in the lattice")
-    return [int(x) for x in coords]
-
-
 def _cocharacter_basis(system: RootSystem, isogeny: str):
     if isogeny == "sc":
         return [
@@ -277,31 +251,16 @@ def _cocharacter_basis(system: RootSystem, isogeny: str):
     raise ValueError(f"no natural matrix lattice for type {system.label}")
 
 
-def _require_involution(torus: TorusData):
-    m2 = _int_mat_mul(torus.action, torus.action)
-    if m2 != _identity(torus.n):
-        raise ValueError("torus computation requires an involution")
-
-
 def fixed_part(torus: TorusData) -> tuple[int, FiniteAbelianGroupShape]:
     """(dim (T^w)deg, component group of T^w) from the normal form of 1-w."""
-    _require_involution(torus)
     one_minus = _int_mat_sub(_identity(torus.n), torus.action)
     divs = smith_normal_form(one_minus)
     torus_rank = torus.n - sum(1 for d in divs if d != 0)
     return torus_rank, _shape_from_divisors(divs)
 
 
-def anti_fixed_rank(torus: TorusData) -> int:
-    """dim (T_w)deg = corank of 1 + w on the lattice."""
-    one_plus = _int_mat_add(_identity(torus.n), torus.action)
-    divs = smith_normal_form(one_plus)
-    return torus.n - sum(1 for d in divs if d != 0)
-
-
 def s_w_group(torus: TorusData) -> FiniteAbelianGroupShape:
     """Shape of S_w = T_w n T^w; always elementary abelian of exponent 2."""
-    _require_involution(torus)
     stacked = (
         _int_mat_sub(_identity(torus.n), torus.action)
         + _int_mat_add(_identity(torus.n), torus.action)
@@ -328,7 +287,6 @@ def gamma_w(
     """
     if characteristic == 2:
         raise ValueError("squaring is inseparable in characteristic 2")
-    _require_involution(torus)
     one_plus = _int_mat_add(_identity(torus.n), torus.action)
     kernel = integer_kernel_basis(one_plus)
     generators = [

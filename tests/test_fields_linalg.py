@@ -16,7 +16,6 @@ from weylslice.linalg import (
     mat,
     mat_mul,
     mat_pow,
-    parse_matrix,
     poly_add,
     poly_divmod,
     poly_eval,
@@ -193,16 +192,6 @@ def test_polynomial_helpers():
     sf = squarefree_part(F, pol)
     assert poly_eval(F, sf, 1) == 0 and poly_eval(F, sf, 2) == 0
     assert len(sf) == 3  # degree 2
-
-
-def test_matrix_parse_and_format():
-    F = gf(5)
-    m = parse_matrix(F, "1 2\n3 4")
-    assert m == ((1, 2), (3, 4))
-    mq = parse_matrix(QQ, "1/2 3\n-2 5/3")
-    assert mq[0][0] == Fraction(1, 2) and mq[1][1] == Fraction(5, 3)
-    with pytest.raises(ValueError):
-        parse_matrix(F, "1 2\n3")
 
 
 QQIT = RationalFunctions(QQI)

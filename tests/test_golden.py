@@ -1,19 +1,27 @@
-"""The `weylslice all` report against its committed golden copy.
+"""Certifier outputs against their committed golden copies.
 
 tests/golden/all_seed1.jsonl is the output of
 
     weylslice all --format jsonl --seed 1
 
-Updating it is a change to a check: do it in the change that alters the
-report, and say which claims changed and why.
+and tests/golden/parity_digests.txt holds the lines of
+
+    python3 scripts/parity_digest.py
+
+for its sub-second areas (weyl, sevslice, torus, oracle).  Updating either
+is a change to a check: do it in the change that alters the output, and
+say which claims or areas changed and why.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
 from weylslice.reportcli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "all_seed1.jsonl"
+DIGESTS = Path(__file__).parent / "golden" / "parity_digests.txt"
+PARITY = Path(__file__).parent.parent / "scripts" / "parity_digest.py"
 
 
 def _by_claim(text):
@@ -30,3 +38,14 @@ def test_all_report_matches_golden(capsys):
                        if old.get(c) != new.get(c))
     assert not differing, f"claims differing from {GOLDEN.name}: {differing}"
     assert got == want  # same rows: order and formatting
+
+
+def test_parity_digest_areas_match_golden():
+    spec = importlib.util.spec_from_file_location("parity_digest", PARITY)
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    want = dict(line.split() for line in DIGESTS.read_text().splitlines())
+    got = {area: parity.digest(getattr(parity, f"{area}_records")())
+           for area in want}
+    differing = sorted(a for a in want if got[a] != want[a])
+    assert not differing, f"areas differing from {DIGESTS.name}: {differing}"

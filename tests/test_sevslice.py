@@ -23,7 +23,6 @@ from weylslice.sevslice import (
     fixed_roots,
     minus_one_eigenbasis,
     positive_system,
-    standard_system,
 )
 
 
@@ -62,10 +61,11 @@ def test_b2_highest_root_reflection():
 
 def test_standard_system_not_maximal_for_simple_reflection():
     a2 = build_root_system("A", 2)
-    assert not check_max_length(a2.simple_reflection(0), standard_system(a2))
+    std = PositiveSystem(a2, frozenset(a2.positive_roots))
+    assert not check_max_length(a2.simple_reflection(0), std)
     # the long reflection in its class is maximal
     theta = a2.highest_root()
-    assert check_max_length(a2.reflection(theta), standard_system(a2))
+    assert check_max_length(a2.reflection(theta), std)
 
 
 def test_degenerate_basis_rejected_with_root_named():
@@ -243,8 +243,8 @@ def test_root_index_tables(label, n):
         assert roots[rs.neg[k]] == tuple(-x for x in r)
         for l, s in enumerate(roots):
             total = tuple(a + b for a, b in zip(r, s))
-            assert rs._sum_index(k, l) == rs.index.get(total, -1)
-    std = standard_system(rs)
+            assert rs._sum_table[k][l] == rs.index.get(total, -1)
+    std = PositiveSystem(rs, frozenset(rs.positive_roots))
     assert std.simples() == sorted(rs.simple_roots)
     std.validate()
     theta = rs.highest_root()

@@ -1,25 +1,46 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import group_order_statistics, torsion_brute_force
-from weylslice.rootsys import (build_root_system, involution_conjugacy_classes,
-                               longest_element, w0_wPi)
+from weylslice.fields import QQ
+from weylslice.linalg import solve
+from weylslice.rootsys import (build_root_system, dot,
+                               involution_conjugacy_classes, longest_element,
+                               w0_wPi)
 from weylslice.sheetcat import sheet_catalog
 from weylslice.toruslat import (
     FiniteAbelianGroupShape,
     TorusData,
-    anti_fixed_rank,
     fixed_part,
     gamma_w,
     integer_kernel_basis,
     s_w_group,
     smith_normal_form,
     smith_with_transforms,
-    _solve_in_basis,
 )
+
+
+def _solve_in_basis(basis, target) -> list[int]:
+    """Integer coordinates of `target` in `basis`, by the Gram system over Q:
+    the reference for the closed-form lattice actions."""
+    coords = solve(QQ, [[dot(a, b) for b in basis] for a in basis],
+                   [dot(target, a) for a in basis])
+    assert all(x.denominator == 1 for x in coords), "not in the lattice"
+    return [int(x) for x in coords]
+
+
+def _int_det(m):
+    """Integer determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * x * _int_det([row[:j] + row[j + 1:]
+                                         for row in m[1:]])
+               for j, x in enumerate(m[0]) if x)
 
 
 def test_smith_normal_form_known():
@@ -28,6 +49,29 @@ def test_smith_normal_form_known():
     assert smith_normal_form([[2], [0]]) == [2]
     assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
     assert smith_normal_form([[6, 0], [0, 4]]) == [2, 12]
+
+
+@given(st.integers(1, 4).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-9, 9), min_size=c, max_size=c),
+    min_size=1, max_size=4)))
+@settings(max_examples=80, deadline=None)
+def test_smith_normal_form_matches_determinantal_divisors(rows):
+    # d_1 ... d_k is the gcd of the k x k minors, and the zeros number
+    # min(r, c) - rank, rank the largest k with a nonzero k x k minor
+    r, c = len(rows), len(rows[0])
+    divs = smith_normal_form(rows)
+    assert len(divs) == min(r, c)
+    rank, prod = 0, 1
+    for k in range(1, min(r, c) + 1):
+        g = 0
+        for ri in combinations(range(r), k):
+            for ci in combinations(range(c), k):
+                g = gcd(g, _int_det([[rows[i][j] for j in ci] for i in ri]))
+        if g == 0:
+            break
+        rank, prod = k, prod * divs[k - 1]
+        assert prod == g
+    assert divs[rank:] == [0] * (min(r, c) - rank)
 
 
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
@@ -48,7 +92,6 @@ def test_smith_transforms_diagonalize(rows):
                 assert d[i][j] == 0
     # U and V unimodular
     def idet(mm):
-        from weylslice.fields import QQ
         from weylslice.linalg import det
 
         return det(QQ, tuple(tuple(map(Fraction, r)) for r in mm))
@@ -106,16 +149,15 @@ def test_rank_sum_invariant():
     # rank ker(1-w) + rank ker(1+w) = lattice rank, for involutions
     for label, n in [("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
         rs = build_root_system(label, n)
-        for d in sheet_catalog(label, n) if label != "A" else []:
-            pass
-        from weylslice.rootsys import involution_conjugacy_classes
-
         for cls in involution_conjugacy_classes(rs):
             w = cls[0]
             for iso in ("sc", "ad"):
                 t = TorusData(rs, w, iso)
                 fixed_rank, _ = fixed_part(t)
-                assert fixed_rank + anti_fixed_rank(t) == t.n
+                one_plus = [[int(i == j) + x for j, x in enumerate(row)]
+                            for i, row in enumerate(t.action)]
+                anti_rank = smith_normal_form(one_plus).count(0)
+                assert fixed_rank + anti_rank == t.n
 
 
 def test_char2_guard():
@@ -164,16 +206,35 @@ def test_gamma_contains_via_counts():
     assert shape.order == 2**r * 2**r
 
 
+def _involutions(system):
+    """Every involution, or for E6 and E7 the catalog w_S and w0."""
+    if system.label == "E":
+        return [d.w_S() for d in sheet_catalog("E", system.rank)] + [
+            longest_element(system, range(system.rank))]
+    return [w for cls in involution_conjugacy_classes(system) for w in cls]
+
+
 @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
-                                        ("G", 2)])
+                                        ("G", 2), ("B", 2), ("C", 2), ("F", 4),
+                                        ("E", 6), ("E", 7)])
 def test_action_matrix_matches_per_vector_solve(label, rank):
     system = build_root_system(label, rank)
-    for cls in involution_conjugacy_classes(system):
-        for w in cls:
-            for iso in TorusData.ISOGENIES:
-                if iso == "matrix" and label == "G":
-                    continue
-                torus = TorusData(system, w, iso)
-                cols = [_solve_in_basis(torus.basis, w.apply_vector(b))
-                        for b in torus.basis]
-                assert torus.action == [list(r) for r in zip(*cols)]
+    for w in _involutions(system):
+        for iso in TorusData.ISOGENIES:
+            if iso == "matrix" and label in "EFG":
+                continue
+            torus = TorusData(system, w, iso)
+            cols = [_solve_in_basis(torus.basis, w.apply_vector(b))
+                    for b in torus.basis]
+            assert torus.action == [list(r) for r in zip(*cols)]
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3)])
+def test_non_involutions_rejected(label, rank):
+    system = build_root_system(label, rank)
+    others = [w for w in system.all_elements() if not w.is_involution()]
+    assert others
+    for w in others:
+        for iso in TorusData.ISOGENIES:
+            with pytest.raises(ValueError, match="lattice involution"):
+                TorusData(system, w, iso)
