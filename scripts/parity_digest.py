@@ -48,6 +48,10 @@ Areas:
            (n_in = n_out = 8, seeds 0 and 11): every point drawn through
            sample_coords and comp.point, then every ambient point, with its
            MembershipResult and in_group verdict (or the error it raises)
+  catalog  for each of CATALOG_TYPES: every sheet's label, pi,
+           expected_components, stratum_id, stratum_smooth and w_S()
+           permutation, then per stratum its smoothness_verdict and
+           stratum_singularity_witness
   report:* the printed reports of the REPORTS command lines
 
 Usage: python3 scripts/parity_digest.py
@@ -78,10 +82,11 @@ from weylslice.reportcli import main as cli_main
 from weylslice.rootsys import (build_root_system, involution_conjugacy_classes,
                                longest_element, orthogonal_subsystem,
                                subsystem_highest_root)
-from weylslice.sheetcat import catalog_w_S, sheet_catalog
+from weylslice.sheetcat import catalog_w_S, sheet_catalog, smoothness_verdict
 from weylslice.sliceverify import (_random_ambient, certify_components,
                                    gamma_stability_check,
                                    gamma_transitivity_check,
+                                   stratum_singularity_witness,
                                    verify_equation_chain_Bn)
 from weylslice.sevslice import (EigenBasisChoice, fixed_roots,
                                 minus_one_eigenbasis, positive_system)
@@ -104,6 +109,11 @@ CRITERION1 = [("B", 2, "S"), ("B", 3, "S"), ("B", 4, "S"), ("B", 2, "Sprime"),
 CERTIFY_TYPES = [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("C", 4),
                  ("D", 4), ("D", 5), ("E", 6), ("E", 7)]
 CERTIFY_MUS = (7, 3, 11)
+CATALOG_TYPES = ([("A", n) for n in range(1, 9)]
+                 + [("B", n) for n in range(2, 9)]
+                 + [("C", n) for n in range(3, 9)]
+                 + [("D", n) for n in range(4, 9)]
+                 + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
 REPORTS = [
     ["all", "--format", "jsonl", "--seed", "1"],
     ["sev-check", "--trials", "20"],
@@ -319,6 +329,17 @@ def membership_records():
                     fam.is_matrix and fam.ctx.in_group(f1009, pt))
 
 
+def catalog_records():
+    for t, n in CATALOG_TYPES:
+        sheets = sheet_catalog(t, n)
+        for d in sheets:
+            yield (d.label, d.pi, d.expected_components, d.stratum_id,
+                   d.stratum_smooth, d.w_S().perm)
+        for sid in sorted({d.stratum_id for d in sheets}):
+            yield (smoothness_verdict(t, n, sid),
+                   stratum_singularity_witness(t, n, sid))
+
+
 def report_text(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -345,6 +366,7 @@ def main():
     print("chain", digest(chain_records()))
     print("certify", digest(certify_records()))
     print("membership", digest(membership_records()))
+    print("catalog", digest(catalog_records()))
     for argv in REPORTS:
         print("report:" + " ".join(argv), digest([report_text(argv)]))
     return 0

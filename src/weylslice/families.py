@@ -38,8 +38,8 @@ from .sheetcat import (
     _rank_shift,
     _cubic_mu_candidate,
     _solve_deg2,
+    catalog_sheet,
     catalog_w_S,
-    sheet_catalog,
 )
 
 
@@ -1000,7 +1000,4 @@ def build_family(descriptor: SheetDescriptor):
 
 
 def family_for(group_type: str, rank: int, label: str):
-    for d in sheet_catalog(group_type, rank):
-        if d.label == label:
-            return build_family(d)
-    raise ValueError(f"no catalog sheet {label} in {group_type}{rank}")
+    return build_family(catalog_sheet(group_type, rank, label))

@@ -52,6 +52,7 @@ from .rootsys import (BudgetError, WeylElement, bruhat_leq, closure,
 from .sheetcat import classify_spherical, expected_w_element
 
 ENUMERATION_BUDGET = 2_000_000
+BOREL_ORBIT_BUDGET = 400_000  # elements of one B(F_q)-orbit in a top cell
 
 ORDER_FORMULAS = {
     ("SL", 1): lambda q: q * (q**2 - 1),
@@ -470,7 +471,7 @@ def verify_dimension_formula(group: OracleGroup, cls: ClassData) -> DimensionRep
 
 
 def borel_orbit_report(group: OracleGroup, cls: ClassData,
-                       w: WeylElement, budget: int = 400_000) -> dict:
+                       w: WeylElement) -> dict:
     """B(F_q)-conjugation orbits inside the top cell of the class.
 
     Over a finite field the rational points of the dense B-orbit may split
@@ -493,7 +494,7 @@ def borel_orbit_report(group: OracleGroup, cls: ClassData,
     remaining = set(top)
     sizes = []
     while remaining:
-        orbit = closure([min(remaining)], step, budget)
+        orbit = closure([min(remaining)], step, BOREL_ORBIT_BUDGET)
         if not top.issuperset(orbit):
             raise AssertionError("B-conjugation left the top cell")
         sizes.append(len(orbit))

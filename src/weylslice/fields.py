@@ -569,9 +569,6 @@ def gf(q: int):
     return fld
 
 
-def default_verification_prime(minimum: int = 1000) -> int:
-    """Smallest prime p > minimum with p = 1 mod 4 (so i exists in F_p)."""
-    p = minimum + 1
-    while not (_is_prime(p) and p % 4 == 1):
-        p += 1
-    return p
+# The field the certificates sample over: the smallest prime above 1000
+# with p = 1 mod 4, so that F_p holds a primitive 4th root of unity i.
+VERIFICATION_PRIME = 1009

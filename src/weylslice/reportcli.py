@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .fields import gf
+from .fields import VERIFICATION_PRIME, gf
 from .sheetcat import (
     CatalogError,
     sheet_catalog,
@@ -31,7 +31,6 @@ class RunConfig:
     command: str
     group_type: Optional[str] = None
     rank: Optional[int] = None
-    isogeny: str = "natural"
     sheet: Optional[str] = None
     q: int = 0
     n_in: int = 64
@@ -41,13 +40,6 @@ class RunConfig:
     fmt: str = "text"
     output: Optional[str] = None
     checks: tuple = ("cells", "dimension")
-
-    def default_q(self) -> int:
-        if self.q:
-            return self.q
-        from .fields import default_verification_prime
-
-        return default_verification_prime()
 
 
 def _row(claim: str, status: str, params: dict, detail, seed: int) -> dict:
@@ -78,7 +70,7 @@ def _cmd_catalog(config: RunConfig):
                    ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)]
     for t, n in targets:
         try:
-            cat = sheet_catalog(t, n, config.isogeny if t == "A" else "natural")
+            cat = sheet_catalog(t, n)
         except CatalogError as exc:
             rows.append(_row(f"catalog:{t}{n}", "fail",
                              {"type": t, "rank": n}, str(exc), config.seed))
@@ -124,7 +116,7 @@ def _cmd_verify_slice(config: RunConfig):
 
     if not config.group_type or config.rank is None:
         raise SystemExit("verify-slice needs --type and --rank")
-    q = config.default_q()
+    q = config.q or VERIFICATION_PRIME
     field = gf(q)
     rows = []
     cat = sheet_catalog(config.group_type, config.rank)
@@ -325,7 +317,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("catalog", help="list the sheet catalog")
     p.add_argument("--type", dest="group_type", default=None)
     p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--isogeny", default="natural")
     common(p)
 
     p = sub.add_parser("verify-slice", help="certify component structure")

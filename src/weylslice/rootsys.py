@@ -547,4 +547,5 @@ def subsystem_highest_root(system: RootSystem, roots: Iterable[Vector]) -> Vecto
 
 
 def orthogonal_subsystem(system: RootSystem, v: Vector) -> list[Vector]:
-    return [r for r in system.roots if dot(r, v) == 0]
+    """The roots orthogonal to the root v: (r, v) = 0 iff <r, v^vee> = 0."""
+    return [r for r in system.roots if system.pair(r, v) == 0]

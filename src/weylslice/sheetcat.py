@@ -1,15 +1,18 @@
 """The embedded catalog of spherical sheets and strata per simple type.
 
 Everything here is citable data: which sheets of spherical classes exist,
-their Weyl elements w_S = w0*w_Pi, expected component structure of the
-slice intersection, smoothness verdicts, and the spherical-class marking
-used by the finite-group oracle.  The catalog is literal data, not
-re-derived; consistency with the other modules is enforced by tests.
+their simple-root subsets Pi, expected component structure of the slice
+intersection, smoothness verdicts, and the spherical-class marking used by
+the finite-group oracle.  Each `SheetDescriptor` is the one source of its
+sheet's data: its Weyl element w_S = w0*w_Pi is read from its Pi, for every
+type, and `catalog_sheet` finds a descriptor by label.  The catalog is
+literal data, not re-derived; consistency with the other modules is
+enforced by tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import (
@@ -34,7 +37,6 @@ class SheetDescriptor:
 
     group_type: str          # A B C D E
     rank: int
-    isogeny: str             # natural matrix group, or sc for E types
     label: str               # e.g. "S", "Sprime", "S1", "-S1", "S2", "R"
     semisimple_members: str  # eigenvalue pattern, human-readable
     unipotent_members: tuple[str, ...]
@@ -45,79 +47,37 @@ class SheetDescriptor:
     sheet_smooth: bool
     stratum_id: str
     stratum_smooth: bool
-    notes: tuple[str, ...] = ()
 
     def weyl_system(self) -> RootSystem:
         return build_root_system(self.group_type, self.rank)
 
     def w_S(self) -> WeylElement:
-        return catalog_w_S(self.group_type, self.rank, self.label)
+        """w0*w_Pi; a theta-twisted sheet's must be the theta-image of its
+        untwisted partner's."""
+        system = self.weyl_system()
+        w = w0_wPi(system, self.pi)
+        if self.label in ("thetaS", "thetaR"):
+            partner = catalog_sheet(self.group_type, self.rank,
+                                    self.label.replace("theta", ""))
+            if _theta_conjugate(system, partner.w_S()) != w:
+                raise AssertionError("theta twist disagrees with its Pi data")
+        return w
 
 
 class CatalogError(ValueError):
     pass
 
 
-def _a_type_w_S(system: RootSystem, m: int) -> WeylElement:
-    """Bruhat-maximal involution with m two-cycles: the nested pairing.
-
-    The catalog index subset follows from it as Pi = {alpha_{m+1}..alpha_{n-m}}
-    (the stated range one wider is not diagram-symmetric and fails the
-    involution requirement, so the element is primary here).
-    """
-    from fractions import Fraction
-
-    n = system.rank
-    w = system.identity_element()
-    for j in range(1, m + 1):
-        root = tuple(
-            Fraction(1 if t == j - 1 else (-1 if t == n + 1 - j else 0))
-            for t in range(n + 1)
-        )
-        w = w.mul(system.reflection(root))
-    return w
-
-
-def a_type_pi(n: int, m: int) -> tuple[int, ...]:
-    return tuple(range(m, n - m))
+def catalog_sheet(group_type: str, rank: int, label: str) -> SheetDescriptor:
+    """The catalog sheet `label` of the given type and rank."""
+    for d in sheet_catalog(group_type, rank):
+        if d.label == label:
+            return d
+    raise CatalogError(f"no catalog sheet {label} in {group_type}{rank}")
 
 
 def catalog_w_S(group_type: str, rank: int, label: str) -> WeylElement:
-    system = build_root_system(group_type, rank)
-    if group_type == "A":
-        m = int(label.split("_")[1])
-        return _a_type_w_S(system, m)
-    pi = _catalog_pi(group_type, rank, label)
-    w = w0_wPi(system, pi)
-    if group_type == "D" and label in ("thetaS", "thetaR"):
-        theta_w = _theta_conjugate(
-            system, w0_wPi(system, _catalog_pi(group_type, rank,
-                                               label.replace("theta", ""))))
-        if theta_w != w:
-            raise AssertionError("theta twist disagrees with its Pi data")
-    return w
-
-
-def _catalog_pi(group_type: str, rank: int, label: str) -> tuple[int, ...]:
-    n = rank
-    if group_type == "B":
-        return () if label == "S" else tuple(range(2, n))
-    if group_type == "C":
-        if label == "S2":
-            return ()
-        return tuple(range(2, n))  # S1 and -S1
-    if group_type == "D":
-        if label == "S":
-            return tuple(range(0, n, 2))  # alpha_1, alpha_3, ..., alpha_{n-1}
-        if label == "thetaS":
-            # theta swaps the two fork roots alpha_{n-1} <-> alpha_n
-            return tuple(range(0, n - 2, 2)) + (n - 1,)
-        if label in ("R", "thetaR"):
-            return tuple(range(0, n - 2, 2))
-        return tuple(range(2, n))  # Sprime
-    if group_type == "E":
-        return (2, 3, 4) if rank == 6 else (1, 2, 3, 4)
-    raise CatalogError(f"no Pi data for {group_type}{rank} {label}")
+    return catalog_sheet(group_type, rank, label).w_S()
 
 
 def _theta_conjugate(system: RootSystem, w: WeylElement) -> WeylElement:
@@ -133,13 +93,13 @@ def _theta_conjugate(system: RootSystem, w: WeylElement) -> WeylElement:
     return system.element(lambda r: flip(w.apply_root(flip(r))))
 
 
-def sheet_catalog(group_type: str, rank: int, isogeny: str = "natural"):
+def sheet_catalog(group_type: str, rank: int):
     """All non-trivial sheets of spherical classes for a simple type."""
     group_type = group_type.upper()
     if group_type in ("F", "G") or (group_type == "E" and rank == 8):
         return []
     if group_type == "A":
-        return _a_catalog(rank, isogeny)
+        return _a_catalog(rank)
     if group_type == "B":
         if rank < 2:
             raise CatalogError("type B requires rank >= 2")
@@ -158,57 +118,38 @@ def sheet_catalog(group_type: str, rank: int, isogeny: str = "natural"):
     raise CatalogError(f"unknown type {group_type}")
 
 
-def _a_catalog(n: int, isogeny: str):
-    out = []
-    for m in range(1, (n + 1) // 2 + 1):
-        notes = (
-            "solver finds 2^(m-1) sign components; the quoted count (m-1) "
-            "disagrees and is flagged, not adopted",
-            "semisimple members carry multiplicities (n+1-m, m); the sheet's "
-            "unipotent member fixes these by the dimension count",
+def _a_catalog(n: int):
+    # The solver finds 2^(m-1) sign components; the quoted count (m-1)
+    # disagrees and is not adopted.
+    return [
+        SheetDescriptor(
+            group_type="A",
+            rank=n,
+            label=f"S_{m}",
+            semisimple_members=(
+                f"two eigenvalues with multiplicities ({n + 1 - m},{m})"
+            ),
+            unipotent_members=(f"(2^{m},1^{n + 1 - 2 * m})",),
+            isolated_members=(),
+            pi=tuple(range(m, n - m)),  # alpha_{m+1}, ..., alpha_{n-m}
+            expected_components=2 ** (m - 1),
+            component_geometry="graph surface (a,b) -> (a,b,a^2/b+b)",
+            sheet_smooth=True,
+            stratum_id=f"A{n}:S_{m}",
+            stratum_smooth=True,
         )
-        if isogeny == "sl":
-            notes = notes + (
-                "inside SL the slice meets the det=1 curves; for p | m those "
-                "curves are non-reduced and the reduced curve is used",
-            )
-        out.append(
-            SheetDescriptor(
-                group_type="A",
-                rank=n,
-                isogeny=isogeny if isogeny in ("gl", "sl") else "gl",
-                label=f"S_{m}",
-                semisimple_members=(
-                    f"two eigenvalues with multiplicities ({n + 1 - m},{m})"
-                ),
-                unipotent_members=(f"(2^{m},1^{n + 1 - 2 * m})",),
-                isolated_members=(),
-                pi=a_type_pi(n, m),
-                expected_components=2 ** (m - 1),
-                component_geometry="graph surface (a,b) -> (a,b,a^2/b+b)",
-                sheet_smooth=True,
-                stratum_id=f"A{n}:S_{m}",
-                stratum_smooth=True,
-                notes=notes,
-            )
-        )
-    return out
+        for m in range(1, (n + 1) // 2 + 1)
+    ]
 
 
 def _b_catalog(n: int):
     unip_S = f"(3,2^{n - 1})" if n % 2 == 1 else f"(3,2^{n - 2},1^2)"
-    b2_note = (
-        ("for n=2 the sheets S and S' share the class (3,1^2), so the "
-         "stratum containing them is singular",)
-        if n == 2 else ()
-    )
     stratum_S = f"B{n}:unip(3,1^2)" if n == 2 else f"B{n}:S"
     stratum_Sp = f"B{n}:unip(3,1^2)" if n == 2 else f"B{n}:Sprime"
-    sheets = [
+    return [
         SheetDescriptor(
             group_type="B",
             rank=n,
-            isogeny="so",
             label="S",
             semisimple_members="eigenvalues 1,l,1/l with multiplicities 1,n,n",
             unipotent_members=(unip_S,),
@@ -222,12 +163,10 @@ def _b_catalog(n: int):
             sheet_smooth=True,
             stratum_id=stratum_S,
             stratum_smooth=n != 2,
-            notes=b2_note,
         ),
         SheetDescriptor(
             group_type="B",
             rank=n,
-            isogeny="so",
             label="Sprime",
             semisimple_members=(
                 "eigenvalues 1,l,1/l with multiplicities 2n-1,1,1"),
@@ -239,14 +178,12 @@ def _b_catalog(n: int):
             sheet_smooth=True,
             stratum_id=stratum_Sp,
             stratum_smooth=n != 2,
-            notes=b2_note,
         ),
     ]
-    return sheets
 
 
 def _c_catalog(n: int):
-    common = dict(group_type="C", rank=n, isogeny="sp")
+    common = dict(group_type="C", rank=n)
     out = []
     for label, sign in (("S1", "+"), ("-S1", "-")):
         out.append(
@@ -284,11 +221,13 @@ def _c_catalog(n: int):
 
 
 def _d_catalog(n: int):
-    common = dict(group_type="D", rank=n, isogeny="so")
+    common = dict(group_type="D", rank=n)
     out = []
     if n % 2 == 0:
         h = n // 2
-        for label in ("S", "thetaS"):
+        # theta swaps the two fork roots alpha_{n-1} <-> alpha_n
+        for label, pi in (("S", tuple(range(0, n, 2))),
+                          ("thetaS", tuple(range(0, n - 2, 2)) + (n - 1,))):
             out.append(
                 SheetDescriptor(
                     **common,
@@ -299,16 +238,12 @@ def _d_catalog(n: int):
                     unipotent_members=(
                         f"+-(2^{n}){'_II' if label == 'thetaS' else '_I'}",),
                     isolated_members=(),
-                    pi=_catalog_pi("D", n, label),
+                    pi=pi,
                     expected_components=2 ** h,
                     component_geometry="affine line",
                     sheet_smooth=True,
                     stratum_id=f"D{n}:{label}",
                     stratum_smooth=True,
-                    notes=(
-                        "the two very even classes (2^n) split between S and "
-                        "theta(S); w_S and theta(w_S) differ",
-                    ),
                 )
             )
     else:
@@ -323,16 +258,12 @@ def _d_catalog(n: int):
                         + (" (theta-twisted)" if label == "thetaR" else "")),
                     unipotent_members=(f"+-(2^{n - 1},1^2)",),
                     isolated_members=(),
-                    pi=_catalog_pi("D", n, label),
+                    pi=tuple(range(0, n - 2, 2)),
                     expected_components=2 ** h,
                     component_geometry="affine line (coordinate zeta in k^*)",
                     sheet_smooth=True,
                     stratum_id=f"D{n}:R-thetaR",
                     stratum_smooth=False,
-                    notes=(
-                        "R and theta(R) share the classes +-(2^{n-1},1^2), "
-                        "so their stratum is singular; theta(w_R) = w_R",
-                    ),
                 )
             )
     out.append(
@@ -360,7 +291,6 @@ def _e_catalog(rank: int):
             SheetDescriptor(
                 group_type="E",
                 rank=6,
-                isogeny="sc",
                 label="S",
                 semisimple_members="torus family p_{2,a}, a^3 != 0,1",
                 unipotent_members=("2A_1 (times the centre)",),
@@ -378,7 +308,6 @@ def _e_catalog(rank: int):
             SheetDescriptor(
                 group_type="E",
                 rank=7,
-                isogeny="sc",
                 label="S",
                 semisimple_members="torus family q_{3,a}, a^2 != 0,1",
                 unipotent_members=("3A_1'' (times the centre)",),

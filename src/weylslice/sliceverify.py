@@ -16,18 +16,16 @@ from math import gcd
 from typing import Optional
 
 from .families import ExtensionRequired, _random_unit, build_family, family_for
-from .fields import QQ, QQI, RationalFunctions, gf
+from .fields import QQ, QQI, VERIFICATION_PRIME, RationalFunctions, gf
 from .linalg import (det, inverse, mat_mul, solve, transpose,
                      unipotent_partition)
 from .rootsys import (
     build_root_system,
-    dot,
     minus_one_rank,
     orthogonal_subsystem,
     subsystem_highest_root,
-    w0_wPi,
 )
-from .sheetcat import SheetDescriptor, sheet_catalog
+from .sheetcat import SheetDescriptor, catalog_sheet, smoothness_verdict
 from .toruslat import TorusData, gamma_w
 
 
@@ -80,7 +78,7 @@ def certify_components(
 ) -> ComponentCertificate:
     """Bidirectional sampling certificate for one sheet's component claim."""
     if field is None:
-        field = gf(1009)
+        field = gf(VERIFICATION_PRIME)
     fam = build_family(descriptor)
     rng = random.Random(seed)
     comps = fam.components()
@@ -174,7 +172,7 @@ def gamma_stability_check(descriptor, field=None, seed: int = 0,
                           samples: int = 6) -> dict:
     """Conjugating certified points by Gamma_w generators keeps membership."""
     if field is None:
-        field = gf(1009)
+        field = gf(VERIFICATION_PRIME)
     fam = build_family(descriptor)
     if not fam.is_matrix:
         raise TypeError("matrix families only")
@@ -213,7 +211,7 @@ def gamma_transitivity_check(group_type: str, rank: int, label: str,
     C_n S2 / D_n S (all sign vectors at one mu).
     """
     if field is None:
-        field = gf(1009)
+        field = gf(VERIFICATION_PRIME)
     fam = family_for(group_type, rank, label)
     points = fam.transitivity_points(field, field.of(mu_int))
     if points is None:
@@ -438,18 +436,9 @@ def stratum_singularity_witness(group_type: str, rank: int,
                                 stratum_id: str, field=None) -> WitnessReport:
     """Exhibit the common class of the two sheets for the singular strata."""
     if field is None:
-        field = gf(1009)
+        field = gf(VERIFICATION_PRIME)
     group_type = group_type.upper()
-    singular = (
-        (group_type in ("B", "C") and rank == 2)
-        or (group_type == "D" and rank % 2 == 1
-            and stratum_id.endswith("R-thetaR"))
-    )
-    if not singular:
-        descriptors = [d for d in sheet_catalog(group_type, rank)
-                       if d.stratum_id == stratum_id]
-        if not descriptors:
-            raise ValueError(f"unknown stratum {stratum_id}")
+    if smoothness_verdict(group_type, rank, stratum_id).smooth:
         return WitnessReport(
             group=f"{group_type}{rank}",
             stratum=stratum_id,
@@ -477,32 +466,31 @@ def stratum_singularity_witness(group_type: str, rank: int,
                                      and famP.membership(field, x_p)),
             },
         )
-    if group_type == "D":
-        famR = family_for("D", rank, "R")
-        famT = family_for("D", rank, "thetaR")
-        x_r = famR.components()[0].point(field, field.one)
-        x_t = famT.components()[0].point(field, field.one)
-        part_r = unipotent_partition(field, x_r)
-        part_t = unipotent_partition(field, x_t)
-        expect = tuple([2] * (rank - 1) + [1, 1])
-        if part_r != expect or part_t != expect:
-            raise AssertionError(f"witness partitions off: {part_r}, {part_t}")
-        minus_ok = True
-        for fam, x in ((famR, x_r), (famT, x_t)):
-            neg = tuple(tuple(field.neg(v) for v in row) for row in x)
-            if not fam.membership(field, neg).member:
-                minus_ok = False
-        return WitnessReport(
-            group=f"D{rank}",
-            stratum=stratum_id,
-            witness=f"+-O_(2^{rank - 1},1^2) shared by R and theta(R)",
-            details={
-                "R_member_partition": part_r,
-                "thetaR_member_partition": part_t,
-                "sign_twists_members": minus_ok,
-            },
-        )
-    raise ValueError(f"no witness rule for {stratum_id}")
+    # the only other singular strata: R and theta(R) of D_n, n odd
+    famR = family_for("D", rank, "R")
+    famT = family_for("D", rank, "thetaR")
+    x_r = famR.components()[0].point(field, field.one)
+    x_t = famT.components()[0].point(field, field.one)
+    part_r = unipotent_partition(field, x_r)
+    part_t = unipotent_partition(field, x_t)
+    expect = tuple([2] * (rank - 1) + [1, 1])
+    if part_r != expect or part_t != expect:
+        raise AssertionError(f"witness partitions off: {part_r}, {part_t}")
+    minus_ok = True
+    for fam, x in ((famR, x_r), (famT, x_t)):
+        neg = tuple(tuple(field.neg(v) for v in row) for row in x)
+        if not fam.membership(field, neg).member:
+            minus_ok = False
+    return WitnessReport(
+        group=f"D{rank}",
+        stratum=stratum_id,
+        witness=f"+-O_(2^{rank - 1},1^2) shared by R and theta(R)",
+        details={
+            "R_member_partition": part_r,
+            "thetaR_member_partition": part_t,
+            "sign_twists_members": minus_ok,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +528,8 @@ def etype_root_checks(rank: int) -> EtypeReport:
     beta = sys.highest_root()
     perp = orthogonal_subsystem(sys, beta)
     gamma = subsystem_highest_root(sys, perp)
-    pi = (2, 3, 4) if rank == 6 else (1, 2, 3, 4)
-    w = w0_wPi(sys, pi)
+    sheet = catalog_sheet("E", rank, "S")
+    pi, w = sheet.pi, sheet.w_S()
     prod = sys.reflection(beta).mul(sys.reflection(gamma))
     extra_roots = [beta, gamma]
     if rank == 7:
@@ -551,12 +539,12 @@ def etype_root_checks(rank: int) -> EtypeReport:
                    sys.height(beta) == max(sys.height(r)
                                            for r in sys.positive_roots)))
     checks.append(("gamma is highest in the orthogonal subsystem",
-                   gamma in perp and dot(beta, gamma) == 0))
+                   gamma in perp and sys.pair(beta, gamma) == 0))
     checks.append(("w_S = product of the orthogonal reflections", prod == w))
     checks.append(("w_S fixes Pi pointwise",
                    all(i in w.fixed_simples() for i in pi)))
     checks.append(("reflections pairwise orthogonal",
-                   all(dot(a, b) == 0
+                   all(sys.pair(a, b) == 0
                        for i, a in enumerate(extra_roots)
                        for b in extra_roots[i + 1:])))
     # dimension of the unipotent class via the sl2-triple grading
@@ -586,7 +574,7 @@ def etype_root_checks(rank: int) -> EtypeReport:
                    shape.divisors == tuple([4] * len(extra_roots))))
     if rank == 6:
         checks.append(("cuspidal curve coordinate identity",
-                       _e6_curve_identity(gf(1009), 12, 0)))
+                       _e6_curve_identity(gf(VERIFICATION_PRIME), 12, 0)))
     report = EtypeReport(rank=rank, checks=checks,
                          passed=all(ok for _, ok in checks))
     return report

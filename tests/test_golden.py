@@ -8,7 +8,7 @@ and tests/golden/parity_digests.txt holds the lines of
 
     python3 scripts/parity_digest.py
 
-for its sub-second areas (weyl, sevslice, torus, oracle).  Updating either
+for its sub-second areas (weyl, sevslice, torus, oracle, catalog).  Updating either
 is a change to a check: do it in the change that alters the output, and
 say which claims or areas changed and why.
 """

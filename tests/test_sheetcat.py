@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from weylslice.sheetcat import (
     _solve_cubic_mu,
     _solve_deg2,
     SphericalTag,
-    a_type_pi,
+    catalog_sheet,
     catalog_w_S,
     classify_spherical,
     expected_w_element,
@@ -77,16 +78,56 @@ def test_theta_twist_facts():
 
 
 def test_a_type_pi_resolution():
-    # the nested involution is w0*w_Pi for Pi = {a_{m+1}..a_{n-m}}
-    from weylslice.rootsys import w0_wPi
-
-    for n, m in [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2)]:
-        w = catalog_w_S("A", n, f"S_{m}")
+    # w0*w_Pi for Pi = {a_{m+1}..a_{n-m}} is the nested involution, the
+    # product of the reflections in e_j - e_{n+2-j} for j <= m
+    for n in range(1, 9):
         sys = build_root_system("A", n)
-        assert w.is_involution()
-        assert minus_one_rank(w) == m
-        assert w == w0_wPi(sys, a_type_pi(n, m))
-        assert is_bruhat_max_in_class(w)
+        for m in range(1, (n + 1) // 2 + 1):
+            nested = sys.identity_element()
+            for j in range(1, m + 1):
+                root = tuple(1 if t == j - 1 else -1 if t == n + 1 - j else 0
+                             for t in range(n + 1))
+                nested = nested.mul(sys.reflection(root))
+            w = catalog_w_S("A", n, f"S_{m}")
+            assert w == nested, (n, m)
+            assert minus_one_rank(w) == m
+            if n <= 5:
+                assert is_bruhat_max_in_class(w)
+
+
+def test_theta_twists_are_theta_images():
+    # theta is conjugation by diag(1,..,1,-1): it negates the last coordinate
+    def flip(v):
+        return v[:-1] + (-v[-1],)
+
+    for n in range(4, 8):
+        sys = build_root_system("D", n)
+        twisted = [d for d in sheet_catalog("D", n)
+                   if d.label.startswith("theta")]
+        assert len(twisted) == 1
+        for d in twisted:
+            w = catalog_w_S("D", n, d.label[len("theta"):])
+            assert d.w_S() == sys.element(lambda r: flip(w.apply_root(flip(r))))
+
+
+def test_theta_check_rejects_untwisted_pi():
+    # a thetaS descriptor that carries the Pi of S fails its theta check
+    for n in (4, 6):
+        d = catalog_sheet("D", n, "thetaS")
+        wrong = dataclasses.replace(d, pi=catalog_sheet("D", n, "S").pi)
+        with pytest.raises(AssertionError, match="theta twist"):
+            wrong.w_S()
+
+
+def test_uncatalogued_label_raises():
+    from weylslice.families import family_for
+
+    for t, n, label in [("C", 2, "S2"), ("B", 3, "S2"), ("A", 3, "S_3"),
+                        ("D", 5, "thetaS"), ("E", 8, "S")]:
+        with pytest.raises(CatalogError):
+            catalog_w_S(t, n, label)
+        with pytest.raises(CatalogError):
+            family_for(t, n, label)
 
 
 def test_dimension_formula_cross_module():

@@ -7,7 +7,7 @@ import pytest
 
 from weylslice.families import SliceFamily
 from weylslice.fields import gf
-from weylslice.sheetcat import sheet_catalog
+from weylslice.sheetcat import CatalogError, sheet_catalog
 from weylslice.sliceverify import (
     certify_components,
     etype_root_checks,
@@ -179,6 +179,10 @@ def test_witnesses():
                       ("C", 3, "C3:S2"), ("D", 4, "D4:S"),
                       ("D", 5, "D5:Sprime")]:
         assert stratum_singularity_witness(t, n, sid).witness is None
+    for t, n, sid in [("B", 3, "nonsense"), ("B", 2, "B2:S"),
+                      ("D", 5, "D4:R-thetaR")]:
+        with pytest.raises(CatalogError):
+            stratum_singularity_witness(t, n, sid)
 
 
 def test_etype_checks():
@@ -193,3 +197,32 @@ def test_e6_curve_identity_fails_off_curve():
     from weylslice.sliceverify import _e6_curve_identity
 
     assert _e6_curve_identity(F, 8, seed=0)
+
+
+@pytest.mark.parametrize("part", ["torus", "unipotent"])
+def test_e6_curve_identity_rejects_perturbed_parametrization(monkeypatch, part):
+    from weylslice.families import E6Family, ETuplePoint
+    from weylslice.sliceverify import _e6_curve_identity
+
+    honest = E6Family._component_point
+
+    def perturbed(self, eps):
+        point = honest(self, eps)
+
+        def shifted(field, ad):
+            pt = point(field, ad)
+            torus, unip = list(pt.torus), list(pt.unipotent)
+            if part == "torus":
+                torus[3] = field.add(torus[3], field.one)  # h5
+            else:
+                unip[1] = field.neg(unip[1])  # x_gamma
+            return ETuplePoint(tuple(torus), tuple(unip))
+
+        return shifted
+
+    monkeypatch.setattr(E6Family, "_component_point", perturbed)
+    assert not _e6_curve_identity(F, 12, 0)
+    rep = etype_root_checks(6)
+    assert not rep.passed
+    assert [name for name, ok in rep.checks if not ok] == [
+        "cuspidal curve coordinate identity"]
