@@ -99,10 +99,6 @@ def certify_components(
         cert.failures.append(
             f"component count {len(comps)} != expected "
             f"{descriptor.expected_components}")
-        if descriptor.group_type == "A":
-            cert.notes.append(
-                "type A count recorded as found; catalog flags the quoted "
-                "(m-1) as disagreeing")
     matrix_family = fam.is_matrix
     per_comp_in = max(1, n_in)
     cell_budget = 4  # claimed matrix points whose Bruhat cell is decoded

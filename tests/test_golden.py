@@ -8,9 +8,9 @@ and tests/golden/parity_digests.txt holds the lines of
 
     python3 scripts/parity_digest.py
 
-for its sub-second areas (weyl, sevslice, torus, oracle, catalog).  Updating either
-is a change to a check: do it in the change that alters the output, and
-say which claims or areas changed and why.
+for its sub-second areas (weyl, sevslice, torus, oracle, catalog).
+Updating either is a change to a check: do it in the change that alters
+the output, and say which claims or areas changed and why.
 """
 
 import importlib.util
