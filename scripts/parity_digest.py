@@ -48,6 +48,12 @@ Areas:
            (n_in = n_out = 8, seeds 0 and 11): every point drawn through
            sample_coords and comp.point, then every ambient point, with its
            MembershipResult and in_group verdict (or the error it raises)
+  groups   for each of GROUP_TYPES: coords, size, flag_order and the form
+           over F_1009; every root's root_element at c = 1, 2, -1 over
+           F_1009 (c as plain ints) and F_9 (c as field elements); the
+           torus at the units 2, 3, ...; and the class_dimension of the
+           lift of w0 and of a torus element times x_theta(1), theta the
+           highest root
   catalog  for each of CATALOG_TYPES: every sheet's label, pi,
            expected_components, stratum_id, stratum_smooth and w_S()
            permutation, then per stratum its smoothness_verdict and
@@ -109,6 +115,10 @@ CRITERION1 = [("B", 2, "S"), ("B", 3, "S"), ("B", 4, "S"), ("B", 2, "Sprime"),
 CERTIFY_TYPES = [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("C", 4),
                  ("D", 4), ("D", 5), ("E", 6), ("E", 7)]
 CERTIFY_MUS = (7, 3, 11)
+GROUP_TYPES = ([("SL", n) for n in range(1, 5)] + [("GL", n) for n in range(1, 5)]
+               + [("Sp", n) for n in range(2, 5)]
+               + [("SO-odd", n) for n in range(2, 5)]
+               + [("SO-even", n) for n in range(3, 6)])
 CATALOG_TYPES = ([("A", n) for n in range(1, 9)]
                  + [("B", n) for n in range(2, 9)]
                  + [("C", n) for n in range(3, 9)]
@@ -329,6 +339,24 @@ def membership_records():
                     fam.is_matrix and fam.ctx.in_group(f1009, pt))
 
 
+def groups_records():
+    f1009, f9 = gf(1009), gf(9)
+    for label, rank in GROUP_TYPES:
+        ctx = GroupContext(label, rank)
+        rs = ctx.system
+        yield ctx.coords, ctx.size, ctx.flag_order, ctx.form(f1009)
+        yield [ctx.root_element(f1009, r, c)
+               for r in rs.roots for c in (1, 2, -1)]
+        yield [ctx.root_element(f9, r, f9.of(c))
+               for r in rs.roots for c in (1, 2, -1)]
+        t = ctx.torus(f1009, [k + 2 for k in range(rs.dim)])
+        x = ctx.root_element(f1009, rs.highest_root(), 1)
+        w0 = ctx.weyl_representative(f1009,
+                                     longest_element(rs, range(rank)))
+        yield (t, ctx.class_dimension(f1009, w0),
+               ctx.class_dimension(f1009, mat_mul(f1009, t, x)))
+
+
 def catalog_records():
     for t, n in CATALOG_TYPES:
         sheets = sheet_catalog(t, n)
@@ -366,6 +394,7 @@ def main():
     print("chain", digest(chain_records()))
     print("certify", digest(certify_records()))
     print("membership", digest(membership_records()))
+    print("groups", digest(groups_records()))
     print("catalog", digest(catalog_records()))
     for argv in REPORTS:
         print("report:" + " ".join(argv), digest([report_text(argv)]))

@@ -226,7 +226,7 @@ def _generators(ctx: GroupContext, field) -> list[tuple]:
         if len(seen) == len(units):
             gen_unit = u
             break
-    nvals = ctx.rank + 1 if ctx.label in ("SL", "GL") else ctx.rank
+    nvals = ctx.torus_rank
     for slot in range(nvals):
         vals = [field.one] * nvals
         vals[slot] = gen_unit

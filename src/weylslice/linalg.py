@@ -311,12 +311,6 @@ def poly_eval_matrix(field, coeffs, a: Matrix) -> Matrix:
     return acc
 
 
-def kernel_dimension(field, a: Matrix) -> int:
-    if not a:
-        return 0
-    return len(a[0]) - rank(field, a)
-
-
 def unipotent_partition(field, u: Matrix) -> tuple[int, ...]:
     """Jordan partition of a unipotent matrix from ranks of (u-1)^k."""
     n = len(u)

@@ -2,19 +2,21 @@
 
 SL_{n+1} acts on k^{n+1}; Sp_2n preserves [[0,I],[-I,0]] on coordinates
 (u_1..u_n, w_1..w_n); SO_2n+1 preserves [[1,0,0],[0,0,I],[0,I,0]] on
-(z, u, w); SO_2n preserves [[0,I],[I,0]].  The diagonal torus carries the
-epsilon-characters, root subgroups are explicit one-parameter matrices,
-and monomial Weyl representatives come from reduced words.
-
-Bruhat decoding runs against the upper-triangular Borel of the standard
-positive system after the fixed flag reordering of coordinates.
+(z, u, w); SO_2n preserves [[0,I],[I,0]].  One table gives each group's
+root type, coordinate kinds and form, and every structure routine derives
+from it: u_i has weight e_i, w_i weight -e_i and z weight 0; the root
+subgroup x_a(c) = 1 + cX + (c^2/2)X^2 has X = E_ab on a coordinate pair
+of weight difference a, plus the entry the form adds; a class dimension
+is the rank of ad_g on a Lie-algebra basis cached per field.  Monomial
+Weyl representatives come from reduced words, and Bruhat decoding runs
+against the standard Borel, upper triangular in u_1..u_n, z, w_n..w_1.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import product
+from operator import sub
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -22,8 +24,9 @@ from .linalg import (
     bruhat_permutation,
     det,
     identity,
-    kernel_dimension,
+    kernel,
     mat_mul,
+    rank,
     transpose,
 )
 from .rootsys import Vector, WeylElement, build_root_system
@@ -32,49 +35,83 @@ from .toruslat import TorusData, gamma_w
 Coord = tuple[str, int]  # ("z",0) | ("u",i) | ("w",i), i zero-based
 
 
+# label -> (root type, coordinate kinds in order, sign of the w rows of the
+# form or None for no form): Sp preserves an alternating form, SO a
+# symmetric one
+_GROUPS = {
+    "SL": ("A", "u", None),
+    "GL": ("A", "u", None),
+    "Sp": ("C", "uw", -1),
+    "SO-odd": ("B", "zuw", 1),
+    "SO-even": ("D", "uw", 1),
+}
+
+
 class GroupContext:
     """One classical group: coordinates, form, roots, torus, Weyl lift."""
 
     def __init__(self, label: str, rank: int):
-        if label not in ("SL", "GL", "Sp", "SO-odd", "SO-even"):
+        if label not in _GROUPS:
             raise ValueError(f"unknown group label {label!r}")
+        root_type, kinds, w_sign = _GROUPS[label]
         self.label = label
         self.rank = rank
-        if label in ("SL", "GL"):
-            self.system = build_root_system("A", rank)
-            self.size = rank + 1
-            self.coords: list[Coord] = [("u", i) for i in range(rank + 1)]
-        elif label == "Sp":
-            self.system = build_root_system("C", rank)
-            self.size = 2 * rank
-            self.coords = [("u", i) for i in range(rank)] + [
-                ("w", i) for i in range(rank)
-            ]
-        elif label == "SO-odd":
-            self.system = build_root_system("B", rank)
-            self.size = 2 * rank + 1
-            self.coords = [("z", 0)] + [("u", i) for i in range(rank)] + [
-                ("w", i) for i in range(rank)
-            ]
-        else:
-            self.system = build_root_system("D", rank)
-            self.size = 2 * rank
-            self.coords = [("u", i) for i in range(rank)] + [
-                ("w", i) for i in range(rank)
-            ]
+        self.system = build_root_system(root_type, rank)
+        # epsilon coordinates: rank + 1 for type A, rank otherwise
+        self.torus_rank = n = self.system.dim
+        self.coords: list[Coord] = [(kind, i) for kind in kinds
+                                    for i in range(1 if kind == "z" else n)]
+        self.size = len(self.coords)
         self._pos = {c: i for i, c in enumerate(self.coords)}
-        self.flag_order = self._flag_order()
+        # the standard Borel is upper triangular in u_1..u_n, z, w_n..w_1
+        flag = ([("u", i) for i in range(n)] + [("z", 0)]
+                + [("w", i) for i in reversed(range(n))])
+        self.flag_order = tuple(self._pos[c] for c in flag if c in self._pos)
         # the tagged form is a signed permutation: row i of J has its one
         # nonzero entry, the sign, in column col (u_i pairs with w_i, z with
-        # itself; -1 on the w rows for Sp); the matrix is built once per field
+        # itself); the matrix is built once per field
         partner = {"u": "w", "w": "u", "z": "z"}
-        self._signed_form = None if label in ("SL", "GL") else tuple(
-            (self._pos[(partner[kind], i)],
-             -1 if label == "Sp" and kind == "w" else 1)
+        self._signed_form = None if w_sign is None else tuple(
+            (self._pos[(partner[kind], i)], w_sign if kind == "w" else 1)
             for kind, i in self.coords)
         self._forms: dict = {}
+        self._lie_bases: dict = {}
+        self._root_terms = self._root_matrices()
         # decoded cells by signed coordinate map; at most |W| entries
         self._weyl_by_signed: dict = {}
+
+    def _root_matrices(self) -> dict:
+        """Integer root -> (entries of X, entries of X^2) as (row, col, +-1),
+        where x_root(c) = 1 + cX + (c^2/2)X^2.
+
+        X is E_ab on the first coordinate pair (u before w before z, then
+        by index) with weight(a) - weight(b) = root; a form adds the entry
+        -s_a s_b at (b*, a*) that keeps X in its Lie algebra, and rejects
+        the pair when that entry cancels E_ab itself.
+        """
+        n, form = self.torus_rank, self._signed_form
+        weights = [tuple({"u": 1, "w": -1, "z": 0}[kind] if j == i else 0
+                         for j in range(n)) for kind, i in self.coords]
+        search = [self._pos[kind, i] for kind in "uwz" for i in range(n)
+                  if (kind, i) in self._pos]
+        terms: dict = {}
+        for a in search:
+            for b in range(self.size):
+                root = tuple(map(sub, weights[a], weights[b]))
+                if a == b or root in terms:
+                    continue
+                x = {(a, b): 1}
+                if form is not None:
+                    (a_star, s_a), (b_star, s_b) = form[a], form[b]
+                    if (b_star, a_star) != (a, b):
+                        x[b_star, a_star] = -s_a * s_b
+                    elif s_a * s_b > 0:
+                        continue
+                square = tuple((i, l, s * t) for (i, j), s in x.items()
+                               for (k, l), t in x.items() if j == k)
+                terms[root] = (tuple((i, j, s) for (i, j), s in x.items()),
+                               square)
+        return terms
 
     # -- structure -------------------------------------------------------
 
@@ -91,59 +128,19 @@ class GroupContext:
                 for col, sign in self._signed_form)
         return j
 
-    def dimension(self) -> int:
-        n, N = self.rank, self.size
-        if self.label == "SL":
-            return N * N - 1
-        if self.label == "GL":
-            return N * N
-        if self.label == "Sp":
-            return n * (2 * n + 1)
-        return N * (N - 1) // 2
-
-    def weight_of(self, coord: Coord) -> Vector:
-        """Torus character of a defining-representation coordinate."""
-        dim = self.system.dim
-        kind, i = coord
-        if kind == "z":
-            return tuple(Fraction(0) for _ in range(dim))
-        sign = 1 if kind == "u" else -1
-        return tuple(Fraction(sign if j == i else 0) for j in range(dim))
-
-    def _flag_order(self) -> tuple[int, ...]:
-        """Coordinate order making the standard Borel upper triangular."""
-        rho = tuple(Fraction(0) for _ in range(self.system.dim))
-        for r in self.system.positive_roots:
-            rho = tuple(a + b for a, b in zip(rho, r))
-        keyed = []
-        for idx, c in enumerate(self.coords):
-            w = self.weight_of(c)
-            keyed.append((-sum(a * b for a, b in zip(w, rho)), idx))
-        return tuple(idx for _, idx in sorted(keyed))
-
     # -- element constructors ---------------------------------------------
 
     def torus(self, field, values: Sequence) -> Matrix:
-        """Diagonal torus element with epsilon_i(t) = values[i].
-
-        For SL/GL, values has length rank+1 (all diagonal entries).
-        """
-        N = self.size
-        m = [[field.zero] * N for _ in range(N)]
-        if self.label in ("SL", "GL"):
-            if len(values) != N:
-                raise ValueError("need one value per diagonal entry")
-            for i, v in enumerate(values):
-                m[i][i] = v
-        else:
-            if len(values) != self.rank:
-                raise ValueError("need one value per epsilon coordinate")
-            for i, v in enumerate(values):
-                m[self._pos[("u", i)]][self._pos[("u", i)]] = v
-                m[self._pos[("w", i)]][self._pos[("w", i)]] = field.inv(v)
-            if self.label == "SO-odd":
-                m[self._pos[("z", 0)]][self._pos[("z", 0)]] = field.one
-        return tuple(tuple(row) for row in m)
+        """Diagonal torus element with epsilon_i(t) = values[i]: values[i]
+        on u_i, its inverse on w_i and 1 on z."""
+        if len(values) != self.torus_rank:
+            raise ValueError("need one value per epsilon coordinate")
+        diagonal = [values[i] if kind == "u" else
+                    field.inv(values[i]) if kind == "w" else field.one
+                    for kind, i in self.coords]
+        return tuple(tuple(d if k == i else field.zero
+                           for k in range(self.size))
+                     for i, d in enumerate(diagonal))
 
     def gamma_elements(self, field, w: WeylElement) -> list[Matrix]:
         """Gamma_w(F) as sorted diagonal matrices; [] if F lacks a primitive
@@ -166,10 +163,10 @@ class GroupContext:
         with the 4th roots of 1, Gamma_w(F).
         """
         torus = TorusData(self.system, w, "matrix")
-        kernel = [g.lattice_coords for g in gamma_w(torus)[1]]
+        basis = [g.lattice_coords for g in gamma_w(torus)[1]]
         # lambda_k(c) for every basis vector and value: c^e coordinatewise
         lambdas = [[tuple(_power(field, c, e) for e in vec) for c in values]
-                   for vec in kernel]
+                   for vec in basis]
         points = set()
         for choice in product(*lambdas):
             coords = (field.one,) * torus.n
@@ -179,62 +176,22 @@ class GroupContext:
         return sorted(points)
 
     def root_element(self, field, root: Vector, c) -> Matrix:
-        """The one-parameter root subgroup element x_root(c)."""
-        nz = [(i, x) for i, x in enumerate(root) if x != 0]
-        m = [list(row) for row in identity(field, self.size)]
-        p = self._pos
-        if self.label in ("SL", "GL"):
-            (i, xi), (j, xj) = nz
-            if xi == 1 and xj == -1:
-                m[p[("u", i)]][p[("u", j)]] = c
-            elif xi == -1 and xj == 1:
-                m[p[("u", j)]][p[("u", i)]] = c
-            else:
-                raise ValueError(f"{root} is not an A-type root")
-            return tuple(tuple(r) for r in m)
-        if len(nz) == 2:
-            (i, xi), (j, xj) = nz
-            if (xi, xj) == (1, -1):
-                m[p[("u", i)]][p[("u", j)]] = c
-                m[p[("w", j)]][p[("w", i)]] = field.neg(c)
-            elif (xi, xj) == (-1, 1):
-                m[p[("u", j)]][p[("u", i)]] = c
-                m[p[("w", i)]][p[("w", j)]] = field.neg(c)
-            elif (xi, xj) == (1, 1):
-                m[p[("u", i)]][p[("w", j)]] = c
-                other = field.neg(c) if self.label.startswith("SO") else c
-                m[p[("u", j)]][p[("w", i)]] = other
-            elif (xi, xj) == (-1, -1):
-                m[p[("w", i)]][p[("u", j)]] = c
-                other = field.neg(c) if self.label.startswith("SO") else c
-                m[p[("w", j)]][p[("u", i)]] = other
-            else:
-                raise ValueError(f"{root} is not a root of {self.label}")
-            return tuple(tuple(r) for r in m)
-        (i, xi) = nz[0]
-        if self.label == "Sp":
-            if xi == 2:
-                m[p[("u", i)]][p[("w", i)]] = c
-            elif xi == -2:
-                m[p[("w", i)]][p[("u", i)]] = c
-            else:
-                raise ValueError(f"{root} is not a C-type root")
-            return tuple(tuple(r) for r in m)
-        if self.label == "SO-odd":
-            half = field.inv(field.of(2))
-            cc = field.mul(field.mul(c, c), half)
-            if xi == 1:
-                m[p[("u", i)]][p[("z", 0)]] = c
-                m[p[("z", 0)]][p[("w", i)]] = field.neg(c)
-                m[p[("u", i)]][p[("w", i)]] = field.neg(cc)
-            elif xi == -1:
-                m[p[("w", i)]][p[("z", 0)]] = c
-                m[p[("z", 0)]][p[("u", i)]] = field.neg(c)
-                m[p[("w", i)]][p[("u", i)]] = field.neg(cc)
-            else:
-                raise ValueError(f"{root} is not a B-type root")
-            return tuple(tuple(r) for r in m)
-        raise ValueError(f"{root} is not a root of {self.label}")
+        """The one-parameter root subgroup element x_root(c); ValueError if
+        `root` is not a root of the group."""
+        # Fraction(k) hashes and compares like k, so a root given with
+        # Fraction entries finds its integer key; nothing else does
+        terms = self._root_terms.get(tuple(root))
+        if terms is None:
+            raise ValueError(f"{root} is not a root of {self.label}")
+        x, square = terms
+        m = [list(r) for r in identity(field, self.size)]
+        for i, j, s in x:
+            m[i][j] = c if s > 0 else field.neg(c)
+        if square:
+            cc = field.mul(field.mul(c, c), field.inv(field.of(2)))
+            for i, j, s in square:
+                m[i][j] = cc if s > 0 else field.neg(cc)
+        return tuple(tuple(r) for r in m)
 
     def weyl_representative(self, field, w: WeylElement) -> Matrix:
         """Monomial lift of w: product of x_a(1)x_{-a}(-1)x_a(1) over a word."""
@@ -286,9 +243,8 @@ class GroupContext:
             return None
         if any(field.is_zero(b[i][i]) for i in range(N)):
             return None
-        n = self.rank + 1 if self.label in ("SL", "GL") else self.rank
         return tuple(b[self._pos[("u", i)]][self._pos[("u", i)]]
-                     for i in range(n))
+                     for i in range(self.torus_rank))
 
     def bruhat_word(self, field, g: Matrix) -> WeylElement:
         """The Weyl element w with g in BwB for the standard Borel."""
@@ -350,9 +306,8 @@ class GroupContext:
         if field.order is None:
             raise TypeError("enumeration needs a finite field")
         sp = w.signed_permutation()
-        n = self.rank if self.label not in ("SL", "GL") else self.rank + 1
         out = []
-        for combo in product(field.units(), repeat=n):
+        for combo in product(field.units(), repeat=self.torus_rank):
             if self.label == "SL" and reduce(field.mul, combo) != field.one:
                 continue
             if is_w_fixed(field, sp, combo):
@@ -361,33 +316,42 @@ class GroupContext:
 
     # -- invariants -----------------------------------------------------------
 
+    def _lie_basis(self, field) -> Matrix:
+        """The Lie algebra as an N^2 x dim matrix whose columns are a basis
+        (Y flattened row by row): all of gl_N without a form, else the
+        kernel of Y -> Y^T J + J Y.  Built once per field."""
+        basis = self._lie_bases.get(field)
+        if basis is None:
+            N, j = self.size, self.form(field)
+            if j is None:
+                basis = identity(field, N * N)
+            else:
+                rows = []
+                for a in range(N):
+                    for b in range(N):
+                        row = [field.zero] * (N * N)
+                        for k in range(N):
+                            row[k * N + a] = field.add(row[k * N + a], j[k][b])
+                            row[k * N + b] = field.add(row[k * N + b], j[a][k])
+                        rows.append(row)
+                basis = transpose(kernel(field, rows))
+            self._lie_bases[field] = basis
+        return basis
+
     def class_dimension(self, field, g: Matrix) -> int:
-        """dim of the conjugacy class: dim G minus the Lie centralizer."""
+        """dim of the conjugacy class: the rank of Y -> Yg - gY on the Lie
+        algebra (for SL the gl centralizer's extra scalars cancel)."""
         N = self.size
         rows = []
-        # [X, g] = 0: for each (a, b): sum_k X[a][k] g[k][b] - g[a][k] X[k][b] = 0
+        # [Y, g][a][b] = sum_k Y[a][k] g[k][b] - g[a][k] Y[k][b]
         for a in range(N):
             for b in range(N):
                 row = [field.zero] * (N * N)
                 for k in range(N):
                     row[a * N + k] = field.add(row[a * N + k], g[k][b])
                     row[k * N + b] = field.sub(row[k * N + b], g[a][k])
-                rows.append(row)
-        j = self.form(field)
-        if j is None:
-            # gl centralizer; sl correction cancels in the dimension count
-            d_matrix = kernel_dimension(field, tuple(tuple(r) for r in rows))
-            return N * N - d_matrix
-        # X^T J + J X = 0
-        for a in range(N):
-            for b in range(N):
-                row = [field.zero] * (N * N)
-                for k in range(N):
-                    row[k * N + a] = field.add(row[k * N + a], j[k][b])
-                    row[k * N + b] = field.add(row[k * N + b], j[a][k])
-                rows.append(row)
-        d = kernel_dimension(field, tuple(tuple(r) for r in rows))
-        return self.dimension() - d
+                rows.append(tuple(row))
+        return rank(field, mat_mul(field, tuple(rows), self._lie_basis(field)))
 
 
 def is_w_fixed(field, sp, coords) -> bool:

@@ -39,7 +39,6 @@ class RunConfig:
     seed: int = 0
     fmt: str = "text"
     output: Optional[str] = None
-    checks: tuple = ("cells", "dimension")
 
 
 def _row(claim: str, status: str, params: dict, detail, seed: int) -> dict:
@@ -225,29 +224,27 @@ def _cmd_oracle(config: RunConfig):
     rows.append(_row(
         f"enumeration:{config.sheet}:q{q}", "pass",
         {"q": q}, {"order": group.order}, config.seed))
-    if "cells" in config.checks:
-        rep = cell_partition_check(group)
+    rep = cell_partition_check(group)
+    rows.append(_row(
+        f"bruhat-partition:{config.sheet}:q{q}",
+        "pass" if rep["partition_total"] and rep["sizes_match"] else "fail",
+        {"q": q}, rep, config.seed))
+    classes = conjugacy_classes(group)
+    for i, c in enumerate(sorted(classes, key=lambda c: (c.size, c.rep))):
+        drep = verify_dimension_formula(group, c)
         rows.append(_row(
-            f"bruhat-partition:{config.sheet}:q{q}",
-            "pass" if rep["partition_total"] and rep["sizes_match"] else "fail",
-            {"q": q}, rep, config.seed))
-    if "dimension" in config.checks:
-        classes = conjugacy_classes(group)
-        for i, c in enumerate(sorted(classes, key=lambda c: (c.size, c.rep))):
-            drep = verify_dimension_formula(group, c)
-            rows.append(_row(
-                f"dimension-formula:{config.sheet}:q{q}:class{i}",
-                "pass" if drep.formula_consistent else "fail",
-                {"q": q, "class_size": c.size},
-                {
-                    "dim": drep.dim,
-                    "w_max": list(drep.w_max_word),
-                    "inequality": drep.inequality_holds,
-                    "equality_at_max": drep.equality_at_max,
-                    "spherical": drep.spherical_marked,
-                    "tag": drep.tag,
-                    "unique_max": drep.unique_max,
-                }, config.seed))
+            f"dimension-formula:{config.sheet}:q{q}:class{i}",
+            "pass" if drep.formula_consistent else "fail",
+            {"q": q, "class_size": c.size},
+            {
+                "dim": drep.dim,
+                "w_max": list(drep.w_max_word),
+                "inequality": drep.inequality_holds,
+                "equality_at_max": drep.equality_at_max,
+                "spherical": drep.spherical_marked,
+                "tag": drep.tag,
+                "unique_max": drep.unique_max,
+            }, config.seed))
     return rows
 
 
@@ -256,8 +253,7 @@ def _cmd_all(config: RunConfig):
     rows += _cmd_catalog(RunConfig("catalog", seed=config.seed))
     for t, n in [("B", 2), ("B", 3), ("C", 3), ("D", 4), ("E", 6), ("E", 7)]:
         sub = RunConfig("verify-slice", group_type=t, rank=n,
-                        n_in=min(config.n_in, 16), n_out=min(config.n_out, 16),
-                        seed=config.seed, q=config.q)
+                        n_in=16, n_out=16, seed=config.seed)
         rows += _cmd_verify_slice(sub)
     rows += _cmd_sev_check(RunConfig("sev-check", group_type="B", rank=3,
                                      trials=5, seed=config.seed))
@@ -338,19 +334,13 @@ def main(argv=None) -> int:
     p.add_argument("--group", dest="sheet", required=True,
                    choices=sorted(_ORACLE_GROUPS))
     p.add_argument("--q", type=int, default=3)
-    p.add_argument("--checks", default="cells,dimension")
     common(p)
 
     p = sub.add_parser("all", help="desk-scale battery of every suite")
-    p.add_argument("--q", type=int, default=0)
-    p.add_argument("--n-in", dest="n_in", type=int, default=16)
-    p.add_argument("--n-out", dest="n_out", type=int, default=16)
     common(p)
 
     args = parser.parse_args(argv)
     kwargs = {k: v for k, v in vars(args).items() if v is not None}
-    if "checks" in kwargs and isinstance(kwargs["checks"], str):
-        kwargs["checks"] = tuple(kwargs["checks"].split(","))
     config = RunConfig(**kwargs)
     status, rows = run(config)
     text = format_jsonl(rows) if config.fmt == "jsonl" else format_text(rows)

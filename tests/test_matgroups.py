@@ -28,6 +28,22 @@ def test_root_elements_in_group(label, rank):
             ctx.root_element(F, r, 5)
 
 
+@pytest.mark.parametrize("label,rank", [("SL", 2), ("GL", 2), ("Sp", 2),
+                                        ("SO-odd", 2), ("SO-even", 3)])
+def test_non_roots_raise_value_error(label, rank):
+    ctx = GroupContext(label, rank)
+    n = ctx.system.dim
+    root = ctx.system.simple_roots[0]
+    e1 = (1,) + (0,) * (n - 1)
+    bad = [(0,) * n, root + (0,), root[:-1],
+           (Fraction(1, 2), Fraction(-1, 2)) + (0,) * (n - 2)]
+    bad += {"Sp": [e1], "SO-odd": [(2,) + e1[1:], e1 + (0,)],
+            "SO-even": [(2,) + e1[1:], e1]}.get(label, [])
+    for vec in bad:
+        with pytest.raises(ValueError):
+            ctx.root_element(gf(7), vec, 1)
+
+
 @pytest.mark.parametrize("label,rank", CONTEXTS)
 def test_torus_conjugation_weights(label, rank):
     ctx = GroupContext(label, rank)

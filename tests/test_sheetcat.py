@@ -128,24 +128,27 @@ def test_uncatalogued_label_raises():
 
 
 def test_dimension_formula_cross_module():
-    """dim of each member class equals l(w_S) + rk(1 - w_S)."""
+    """dim of each member class equals l(w_S) + rk(1 - w_S), at one point
+    of every component of the 13 criterion-1 matrix sheets and of D5 R."""
     from weylslice.families import family_for
 
     F = gf(1009)
     cases = [
-        ("B", 2, "S", 0), ("B", 3, "S", 5), ("B", 3, "Sprime", 3),
-        ("C", 3, "S1", 5), ("C", 3, "S2", 7), ("D", 4, "S", 9),
-        ("D", 4, "Sprime", 3), ("D", 5, "R", 11),
+        ("B", 2, "S", 0), ("B", 2, "Sprime", 3), ("B", 3, "S", 5),
+        ("B", 3, "Sprime", 3), ("B", 4, "S", 5), ("B", 4, "Sprime", 3),
+        ("C", 3, "S1", 5), ("C", 3, "S2", 7), ("C", 4, "S1", 5),
+        ("C", 4, "S2", 7), ("D", 4, "S", 9), ("D", 4, "Sprime", 3),
+        ("D", 5, "Sprime", 3), ("D", 5, "R", 11),
     ]
     for t, n, label, coord in cases:
         d = next(x for x in sheet_catalog(t, n) if x.label == label)
         fam = family_for(t, n, label)
         w = d.w_S()
         target = w.length() + minus_one_rank(w)
-        comp = fam.components()[0]
-        pt = comp.point(F, F.of(coord) if coord else F.of(7))
-        assert fam.membership(F, pt).member
-        assert fam.ctx.class_dimension(F, pt) == target, (t, n, label)
+        for k, comp in enumerate(fam.components()):
+            pt = comp.point(F, F.of(coord) if coord else F.of(7))
+            assert fam.membership(F, pt).member
+            assert fam.ctx.class_dimension(F, pt) == target, (t, n, label, k)
 
 
 def test_b2_c2_crosslisting():
