@@ -4,12 +4,14 @@ Enumerates SL2/SL3/Sp4/SO5 over small fields by generator closure, expands
 conjugacy classes, decodes Bruhat cells, and replays the dimension formula
 and slice-orbit claims pointwise.  Group elements are flat tuples; every
 orbit (the group itself, its classes, B(F_q)-orbits, Gamma_w-orbits) is
-`rootsys.closure` under a generator step.  Each generator's action
-(x -> x g, x -> g x g^-1) is a sparse map compiled once (`_sparse_products`),
-so a step costs the map's nonzero terms, not two n^3 products.  A map is
-built by `eval` of a source made of int literals, indices into x and the
-names `add`, `mul` and `C` (the field's operations and coefficients), with
-no builtins in reach, so it can do nothing but field arithmetic on x.
+`rootsys.closure` under a generator step.  A step x -> [a x b for each pair
+(a, b)] (right products x g, conjugates g x g^-1, slice moves x x_a(c)) is
+one sparse function, compiled by `_compile_step` once per (field, size,
+pairs) and kept for the process, so a closure step is one call that costs
+the pairs' nonzero terms, not two n^3 products per pair.  It is built by
+`eval` of a source made of int literals, indices into x and the names
+`add`, `mul` and `C` (the field's operations and coefficients), with no
+builtins in reach, so it can do nothing but field arithmetic on x.
 
 An enumerated group (`OracleGroup`) holds its elements by index.  The
 enumeration records each product x g as an index, and conjugation by a
@@ -19,10 +21,11 @@ read per right coset: BwB.B = BwB, so each coset xB lies in one cell, and
 the cosets are the closures of the `right` tables of the generators that lie
 in B.  One member of each coset is decoded (a second one as a check) and
 its cell is kept for every member, in a list aligned with the elements.
-Enumerated elements are products of generators of the group, so their
-decoding skips `GroupContext.in_group`, which would cost a product (and
-for SO a determinant) per element to re-prove membership; `bruhat_word`
-keeps the check for everything else.
+Enumerated elements are products of generators of the group, and the
+members of an `expand_class` orbit are conjugates of a checked rep by such
+products, so their decoding skips `GroupContext.in_group`, which would cost
+a product (and for SO a determinant) per element to re-prove membership;
+`bruhat_word` keeps the check for everything else.
 
 Shared with the code under test: the `matgroups` constructors, Bruhat
 decoding (`linalg.bruhat_permutation`), the Borel reader
@@ -70,48 +73,53 @@ def _unflat(flat: tuple, n: int) -> Matrix:
     return tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
 
 
-def _sparse_products(field, n: int, pairs) -> list:
-    """One function x -> a x b on flat n x n tuples for each invertible pair
-    (a, b).
+@lru_cache(maxsize=None)
+def _compile_step(field, n: int, pairs: tuple):
+    """The orbit step x -> [a x b for (a, b) in pairs] on flat n x n tuples,
+    one function compiled once per (field, n, pairs) for the process.
 
     Entry (i, j) of a x b is the sum of a[i][k] b[l][j] x[k][l] over the
     nonzero a[i][k] and b[l][j]: each source x[k][l] occurs once, and the
     product of two nonzero field elements is nonzero, so nothing is merged
-    or dropped.  Each map is compiled once by `eval`.  Over F_p an entry is
-    `(c*x[s] + ...) % p` with integer literals (a c of 1 omitted); over any
-    other field it nests the field's `add` and `mul` over coefficients `C`.
+    or dropped.  A lone term with coefficient 1 is `x[s]` itself.  Otherwise
+    over F_p an entry is `(c*x[s] + ...) % p` with integer literals (a c of
+    1 omitted); over any other field it nests the field's `add` and `mul`
+    over coefficients `C`.
     """
-    prime = isinstance(field, PrimeField)
-    maps = []
+    prime, one = isinstance(field, PrimeField), field.one
+    coeffs, products = [], []
     for a, b in pairs:
-        coeffs, entries = [], []
+        entries = []
         for i in range(n):
             for j in range(n):
                 terms = [(field.mul(a[i * n + k], b[l * n + j]), k * n + l)
                          for k in range(n) if not field.is_zero(a[i * n + k])
                          for l in range(n) if not field.is_zero(b[l * n + j])]
-                if prime:
+                if len(terms) == 1 and terms[0][0] == one:
+                    entries.append(f"x[{terms[0][1]}]")
+                elif prime:
                     total = " + ".join(f"x[{s}]" if c == 1 else f"{c}*x[{s}]"
                                        for c, s in terms)
                     entries.append(f"({total}) % {field.p}")
-                    continue
-                expr = None
-                for c, s in terms:
-                    coeffs.append(c)
-                    term = f"mul(C[{len(coeffs) - 1}], x[{s}])"
-                    expr = term if expr is None else f"add({expr}, {term})"
-                entries.append(expr)
-        maps.append(eval(f"lambda x: ({', '.join(entries)},)",
-                         {"__builtins__": {}, "add": field.add,
-                          "mul": field.mul, "C": tuple(coeffs)}))
-    return maps
+                else:
+                    expr = None
+                    for c, s in terms:
+                        coeffs.append(c)
+                        term = f"mul(C[{len(coeffs) - 1}], x[{s}])"
+                        expr = term if expr is None else f"add({expr}, {term})"
+                    entries.append(expr)
+        products.append(f"({', '.join(entries)},)")
+    return eval(f"lambda x: [{', '.join(products)}]",
+                {"__builtins__": {}, "add": field.add, "mul": field.mul,
+                 "C": tuple(coeffs)})
 
 
-def _conjugation(field, n: int, gens):
-    """The orbit step x -> [g x g^-1 for g in gens] on flat n x n matrices."""
-    maps = _sparse_products(field, n, [
-        (g, _flat(inverse(field, _unflat(g, n)))) for g in gens])
-    return lambda x: [f(x) for f in maps]
+@lru_cache(maxsize=None)
+def _conjugation(field, n: int, gens: tuple):
+    """The orbit step x -> [g x g^-1 for g in gens] on flat n x n matrices;
+    the inverses are taken only when the step is first built."""
+    return _compile_step(field, n, tuple(
+        (g, _flat(inverse(field, _unflat(g, n)))) for g in gens))
 
 
 @dataclass
@@ -206,7 +214,7 @@ def _coset_cells(group: OracleGroup, ks) -> list:
     return cells
 
 
-def _generators(ctx: GroupContext, field) -> list[tuple]:
+def _generators(ctx: GroupContext, field) -> tuple:
     gens = []
     coeffs = field.units() if isinstance(field, ExtField) else [field.one]
     sys = ctx.system
@@ -233,7 +241,7 @@ def _generators(ctx: GroupContext, field) -> list[tuple]:
         if ctx.label == "SL":
             vals[(slot + 1) % nvals] = field.inv(gen_unit)
         gens.append(_flat(ctx.torus(field, vals)))
-    return list(dict.fromkeys(gens))
+    return tuple(dict.fromkeys(gens))
 
 
 @lru_cache(maxsize=None)
@@ -256,16 +264,17 @@ def enumerate_group(label: str, rank: int, q: int) -> OracleGroup:
             f"{ENUMERATION_BUDGET}")
     field = gf(q)
     ctx = GroupContext(label, rank)
-    gens = tuple(_generators(ctx, field))
+    gens = _generators(ctx, field)
     ident = _flat(identity(field, ctx.size))
-    maps = _sparse_products(field, ctx.size, [(ident, g) for g in gens])
+    products_of = _compile_step(field, ctx.size,
+                                tuple((ident, g) for g in gens))
     # discovery index of every element and, in generator order, those of
     # its right products: closure calls `step` in discovery order
     found = {ident: 0}
     products = array("i")
 
     def step(x):
-        ys = [f(x) for f in maps]
+        ys = products_of(x)
         products.extend([found.setdefault(y, len(found)) for y in ys])
         return ys
 
@@ -367,11 +376,17 @@ def conjugacy_classes(group: OracleGroup) -> list[ClassData]:
 # -- Bruhat cells -----------------------------------------------------------
 
 def _cell_lookup(group_ctx, field):
-    """Flat element -> its Bruhat cell: read off `OracleGroup.cells` for an
-    enumerated group, decoded by `bruhat_word` otherwise."""
+    """Flat element -> its Bruhat cell, for the members of a class from
+    `expand_class` or `conjugacy_classes`.
+
+    For an enumerated group the cell is read off `OracleGroup.cells`, and an
+    element outside the enumeration goes through the checked `bruhat_word`.
+    For a bare `GroupContext` every member is `GroupContext._cell` decoded:
+    each is g rep g^-1 for an `in_group`-checked rep and a product g of
+    group generators, so it lies in the group as the enumerated elements do.
+    """
     if not isinstance(group_ctx, OracleGroup):
-        return lambda e: group_ctx.bruhat_word(field,
-                                               _unflat(e, group_ctx.size))
+        return lambda e: group_ctx._cell(field, _unflat(e, group_ctx.size))
     ctx, cells, index = group_ctx.ctx, group_ctx.cells(), group_ctx.index
 
     def cell(e):
@@ -414,7 +429,9 @@ def w_of_class(group_ctx, field, cls: ClassData) -> WOfClassReport:
     """Bruhat-maximal cell among those meeting the class.
 
     Cells are sorted by (length, reduced word), so ties in length go to the
-    larger word and the report does not depend on the frozenset's order."""
+    larger word and the report does not depend on the frozenset's order.
+    `cls` comes from `expand_class` or `conjugacy_classes` (`_cell_lookup`
+    decodes its members without a membership test)."""
     ws = sorted(set(map(_cell_lookup(group_ctx, field), cls.elements)),
                 key=lambda w: (w.length(), w.reduced_word()))
     best = ws[-1]
@@ -490,7 +507,7 @@ def borel_orbit_report(group: OracleGroup, cls: ClassData,
     for root in ctx.system.positive_roots:
         for c in coeffs:
             bgens.append(_flat(ctx.root_element(field, root, c)))
-    step = _conjugation(field, n, dict.fromkeys(bgens))
+    step = _conjugation(field, n, tuple(dict.fromkeys(bgens)))
     remaining = set(top)
     sizes = []
     while remaining:
@@ -533,26 +550,26 @@ def slice_points(ctx: GroupContext, field, w: WeylElement,
 
     The order is fixed: t over `torus_fixed_points`, then the coefficients
     c_a of the inverted roots a (`inverted_positive_roots` order, the first
-    root outermost) over `field.elements()`; the point is
-    wdot t prod_a x_a(c_a).  Each x -> x x_a(c) with c nonzero is a map
-    compiled once by `_sparse_products`.
+    root outermost) over 0 and then `field.units()`, the order of
+    `field.elements()`; the point is wdot t prod_a x_a(c_a).  Each root has one step
+    x -> [x x_a(c) for every unit c], compiled once per process by
+    `_compile_step`; c = 0 leaves x as it is.
     """
     if wdot is None:
         wdot = ctx.weyl_representative(field, w)
-    n, units = ctx.size, list(field.units())
+    n = ctx.size
     ident = _flat(identity(field, n))
-    steps = []  # per root, the map for each coefficient; None for c = 0
-    for a in ctx.inverted_positive_roots(w):
-        maps = dict(zip(units, _sparse_products(field, n, [
-            (ident, _flat(ctx.root_element(field, a, c))) for c in units])))
-        steps.append([maps.get(c) for c in field.elements()])
+    steps = [_compile_step(field, n, tuple(
+        (ident, _flat(ctx.root_element(field, a, c))) for c in field.units()))
+        for a in ctx.inverted_positive_roots(w)]
 
     def walk(i, x):
         if i == len(steps):
             yield x
             return
-        for f in steps[i]:
-            yield from walk(i + 1, x if f is None else f(x))
+        yield from walk(i + 1, x)
+        for y in steps[i](x):
+            yield from walk(i + 1, y)
 
     for t in ctx.torus_fixed_points(field, w):
         yield from walk(0, _flat(mat_mul(field, wdot, t)))
@@ -595,7 +612,8 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
     closed = True
     orbits_base = None
     if gammas:
-        step = _conjugation(field, ctx.size, [_flat(g) for g in gammas])
+        step = _conjugation(field, ctx.size,
+                            tuple(_flat(g) for g in gammas))
         inter_set = set(inter)
         closed = all(y in inter_set for x in inter for y in step(x))
         orbits_base = _orbit_count(inter, step)
@@ -607,8 +625,8 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
     if not transitive:
         # relate all points through extension-field Gamma elements
         ext = gf(q * q)
-        step2 = _conjugation(ext, ctx.size,
-                             [_flat(g) for g in ctx.gamma_elements(ext, w)])
+        step2 = _conjugation(ext, ctx.size, tuple(
+            _flat(g) for g in ctx.gamma_elements(ext, w)))
         # base-field ints embed as constant digits; Gamma_w(F_{q^2}) is the
         # whole group, so one conjugation pass is the orbit
         transitive = set(inter) <= set(step2(inter[0]))

@@ -103,6 +103,7 @@ QQ = Rationals()
 class GaussianRationals(_FieldOps):
     """Q(i), each element a pair (a, b) of Fractions standing for a + b i."""
 
+    char = 0
     zero = (Fraction(0), Fraction(0))
     one = (Fraction(1), Fraction(0))
 
@@ -164,6 +165,7 @@ class RationalFunctions(_FieldOps):
 
     def __init__(self, base):
         self.base = base
+        self.char = base.char
         one = (base.one,)
         self.zero = ((), one)
         self.one = (one, one)

@@ -27,9 +27,8 @@ def mat(rows) -> Matrix:
 
 
 def identity(field, n: int) -> Matrix:
-    return tuple(
-        tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
-    )
+    zeros = (field.zero,) * (n - 1)
+    return tuple(zeros[:i] + (field.one,) + zeros[i:] for i in range(n))
 
 
 def zero_matrix(field, n: int, m: int | None = None) -> Matrix:

@@ -340,7 +340,13 @@ class GroupContext:
 
     def class_dimension(self, field, g: Matrix) -> int:
         """dim of the conjugacy class: the rank of Y -> Yg - gY on the Lie
-        algebra (for SL the gl centralizer's extra scalars cancel)."""
+        algebra (for SL the gl centralizer's extra scalars cancel).
+
+        Raises ValueError for SO in characteristic 2, where the kernel of
+        Y -> Y^T J + J Y is not so_N (antisymmetric equals symmetric).
+        """
+        if self.label.startswith("SO") and field.char == 2:
+            raise ValueError("SO class dimensions need odd characteristic")
         N = self.size
         rows = []
         # [Y, g][a][b] = sum_k Y[a][k] g[k][b] - g[a][k] Y[k][b]

@@ -15,6 +15,8 @@ from weylslice.fforacle import (
     verify_dimension_formula,
     w_of_class,
     _borel_generators,
+    _cell_lookup,
+    _compile_step,
     _conjugation,
     _coset_cells,
     _flat,
@@ -95,6 +97,49 @@ def test_w_of_class_breaks_length_ties_by_reduced_word():
     assert [w.length() for w in rep.incident] == [1, 1]
     assert words == sorted(words) and words[0] != words[1]
     assert rep.w_max.reduced_word() == words[1]
+
+
+def test_bare_context_cells_match_bruhat_word():
+    # a bare GroupContext decodes the members of an expand_class orbit
+    # without the in_group test: on every member of a six-cell class of
+    # Sp4(F_3) the cell is the checked bruhat_word's
+    F3, ctx = gf(3), GroupContext("Sp", 2)
+    a, b = ctx.system.simple_roots
+    cls = expand_class(ctx, F3, mat_mul(F3, ctx.torus(F3, [2, 1]),
+                                        ctx.root_element(F3, b, 1)))
+    assert cls.size == 360
+    cell = _cell_lookup(ctx, F3)
+    words = {}
+    for e in cls.elements:
+        w = ctx.bruhat_word(F3, _unflat(e, ctx.size))
+        assert cell(e) == w
+        words[w] = None
+    incident = w_of_class(ctx, F3, cls).incident
+    assert len(incident) == 6 and set(incident) == set(words)
+    # the public decoder still refuses a matrix outside the group
+    with pytest.raises(ValueError):
+        ctx.bruhat_word(F3, ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                             (0, 0, 0, 1)))
+
+
+def test_steps_compile_once_per_process():
+    # a second expand_class or slice_orbit_check on the same group and
+    # field compiles nothing; a compiled step reaches only the field's
+    # add, mul and coefficients, with no builtins
+    F5 = gf(5)
+    s1 = build_root_system("A", 1).simple_reflection(0)
+    sp_rep = GroupContext("Sp", 2).torus(F5, [2, 1])
+    check = ("SL", 1, 5, ((2, 0), (0, 3)), s1)
+    expand_class(GroupContext("Sp", 2), F5, sp_rep)
+    slice_orbit_check(*check)
+    misses = _compile_step.cache_info().misses
+    assert expand_class(GroupContext("Sp", 2), F5, sp_rep).size > 1
+    assert slice_orbit_check(*check).passed
+    assert _compile_step.cache_info().misses == misses
+    for field in (F5, gf(25)):
+        step = _compile_step(field, 2, (((1, 1, 0, 1), (1, 0, 2, 1)),))
+        assert step.__globals__.keys() == {"__builtins__", "add", "mul", "C"}
+        assert step.__globals__["__builtins__"] == {}
 
 
 def test_dimension_formula_sl2_f5():
@@ -419,7 +464,7 @@ def test_compiled_conjugation_matches_mat_mul(label, rank, q):
         assert gammas
         steps.append((ext, gammas))
     for field, gs in steps:
-        step = _conjugation(field, n, gs)
+        step = _conjugation(field, n, tuple(gs))
         mats = [(_unflat(g, n), inverse(field, _unflat(g, n))) for g in gs]
         for x in xs:
             xm = _unflat(x, n)

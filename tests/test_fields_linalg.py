@@ -28,6 +28,15 @@ from weylslice.linalg import (
 )
 
 
+@pytest.mark.parametrize("field", [QQ, QQI, gf(5), gf(9)],
+                         ids=["QQ", "QQI", "F5", "F9"])
+def test_identity_matches_entrywise_definition(field):
+    for n in range(6):
+        assert identity(field, n) == tuple(
+            tuple(field.one if i == j else field.zero for j in range(n))
+            for i in range(n))
+
+
 def test_prime_field_basics():
     F = gf(7)
     assert F.add(5, 4) == 2

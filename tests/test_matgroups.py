@@ -155,6 +155,22 @@ def test_class_dimension_char_robust():
     assert sl3.class_dimension(gf(7), ru) == 6
 
 
+def test_class_dimension_refuses_so_in_characteristic_2():
+    # over even q the kernel of Y -> Y^T J + J Y is not so_N (15 instead of
+    # 10 for SO5 over F_4), so SO class dimensions there are refused
+    for label, rank, q in [("SO-odd", 2, 4), ("SO-odd", 2, 2),
+                           ("SO-even", 4, 4)]:
+        ctx, F = GroupContext(label, rank), gf(q)
+        with pytest.raises(ValueError, match="odd characteristic"):
+            ctx.class_dimension(F, identity(F, ctx.size))
+    # Sp and SL keep their Lie algebras in characteristic 2
+    F4 = gf(4)
+    assert GroupContext("Sp", 2).class_dimension(F4, identity(F4, 4)) == 0
+    assert GroupContext("SL", 2).class_dimension(F4, identity(F4, 3)) == 0
+    assert GroupContext("SO-odd", 2).class_dimension(
+        gf(5), identity(gf(5), 5)) == 0
+
+
 def test_class_dimension_conjugation_invariant():
     F = gf(5)
     ctx = GroupContext("Sp", 2)
