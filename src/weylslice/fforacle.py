@@ -376,15 +376,12 @@ def conjugacy_classes(group: OracleGroup) -> list[ClassData]:
 # -- Bruhat cells -----------------------------------------------------------
 
 def _cell_lookup(group_ctx, field):
-    """Flat element -> its Bruhat cell, for the members of a class from
-    `expand_class` or `conjugacy_classes`.
-
-    For an enumerated group the cell is read off `OracleGroup.cells`, and an
-    element outside the enumeration goes through the checked `bruhat_word`.
-    For a bare `GroupContext` every member is `GroupContext._cell` decoded:
-    each is g rep g^-1 for an `in_group`-checked rep and a product g of
-    group generators, so it lies in the group as the enumerated elements do.
-    """
+    """Flat element -> its Bruhat cell, for members of a class from
+    `expand_class` or `conjugacy_classes`: read off `OracleGroup.cells` for
+    an enumerated group (`bruhat_word` for an element outside it), and
+    decoded by `GroupContext._cell` otherwise, without `in_group`, since
+    each member is g rep g^-1 for a checked rep and a product g of group
+    generators."""
     if not isinstance(group_ctx, OracleGroup):
         return lambda e: group_ctx._cell(field, _unflat(e, group_ctx.size))
     ctx, cells, index = group_ctx.ctx, group_ctx.cells(), group_ctx.index
@@ -551,8 +548,8 @@ def slice_points(ctx: GroupContext, field, w: WeylElement,
     The order is fixed: t over `torus_fixed_points`, then the coefficients
     c_a of the inverted roots a (`inverted_positive_roots` order, the first
     root outermost) over 0 and then `field.units()`, the order of
-    `field.elements()`; the point is wdot t prod_a x_a(c_a).  Each root has one step
-    x -> [x x_a(c) for every unit c], compiled once per process by
+    `field.elements()`; the point is wdot t prod_a x_a(c_a).  Each root has
+    one step x -> [x x_a(c) for every unit c], compiled once per process by
     `_compile_step`; c = 0 leaves x as it is.
     """
     if wdot is None:

@@ -124,17 +124,18 @@ def test_bare_context_cells_match_bruhat_word():
 
 def test_steps_compile_once_per_process():
     # a second expand_class or slice_orbit_check on the same group and
-    # field compiles nothing; a compiled step reaches only the field's
-    # add, mul and coefficients, with no builtins
+    # field compiles nothing (the w0 slice has one step per inverted root);
+    # a compiled step reaches only the field's add, mul and coefficients,
+    # with no builtins
     F5 = gf(5)
-    s1 = build_root_system("A", 1).simple_reflection(0)
     sp_rep = GroupContext("Sp", 2).torus(F5, [2, 1])
-    check = ("SL", 1, 5, ((2, 0), (0, 3)), s1)
+    w0 = longest_element(build_root_system("C", 2), range(2))
+    rep22 = ((1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1))
     expand_class(GroupContext("Sp", 2), F5, sp_rep)
-    slice_orbit_check(*check)
+    slice_orbit_check("Sp", 2, 3, rep22, w0)
     misses = _compile_step.cache_info().misses
     assert expand_class(GroupContext("Sp", 2), F5, sp_rep).size > 1
-    assert slice_orbit_check(*check).passed
+    assert slice_orbit_check("Sp", 2, 3, rep22, w0).passed
     assert _compile_step.cache_info().misses == misses
     for field in (F5, gf(25)):
         step = _compile_step(field, 2, (((1, 1, 0, 1), (1, 0, 2, 1)),))
