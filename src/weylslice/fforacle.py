@@ -3,24 +3,39 @@
 Enumerates SL2/SL3/Sp4/SO5 over small fields by generator closure, expands
 conjugacy classes, decodes Bruhat cells, and replays the dimension formula
 and slice-orbit claims pointwise.  Group elements are flat tuples; every
-orbit (the group itself, its classes, B(F_q)-orbits, Gamma_w-orbits) is
-`rootsys.closure` under a generator step.  A step x -> [a x b for each pair
-(a, b)] (right products x g, conjugates g x g^-1, slice moves x x_a(c)) is
-one sparse function, compiled by `_compile_step` once per (field, size,
-pairs) and kept for the process, so a closure step is one call that costs
-the pairs' nonzero terms, not two n^3 products per pair.  It is built by
+orbit (classes, B(F_q)-orbits, Gamma_w-orbits) is `rootsys.closure` under
+a generator step, and the group itself is the same breadth-first walk,
+written out so that it hashes each product once and records where each
+element first appears.  A step x -> [a x b for each pair (a, b)] (right
+products x g, conjugates g x g^-1, slice moves x x_a(c)) is one sparse
+function, compiled by `_compile_step` once per (field, size, pairs) and
+kept for the process, so a closure step is one call that costs the pairs'
+nonzero terms, not two n^3 products per pair.  It is built by
 `eval` of a source made of int literals, indices into x and the names
 `add`, `mul` and `C` (the field's operations and coefficients), with no
 builtins in reach, so it can do nothing but field arithmetic on x.
 
+Each orbit runs over the fewest generators it needs (`_generators`): the
+positive simple root elements x_a(1) (x_a(c) for every unit c over
+F_{p^k}), one monomial lift of w0 and one torus generator per slot.  The
+lift conjugates U_{a_i} onto U_{-a_pi(i)}, so it and the root elements give
+every root subgroup, and those generate G(F_q) for the simply connected SL
+and Sp (Steinberg) but only Omega, of index 2, for SO, where a torus
+element of non-square spinor norm makes up the rest (Taylor).  So
+`expand_class` conjugates by the root elements and the lift, adding that
+one torus element for SO, and `enumerate_group` multiplies by all of them:
+the torus and the positive simple root elements generate B = T U, so their
+right products give the cosets xB.
+
 An enumerated group (`OracleGroup`) holds its elements by index.  The
 enumeration records each product x g as an index, and conjugation by a
-generator is a table of indices derived from those products with no further
-matrix product, so its classes are closures over ints.  Bruhat cells are
-read per right coset: BwB.B = BwB, so each coset xB lies in one cell, and
-the cosets are the closures of the `right` tables of the generators that lie
-in B.  One member of each coset is decoded (a second one as a check) and
-its cell is kept for every member, in a list aligned with the elements.
+generator is a table of indices derived from those products and the
+Schreier tree of first appearances with no further matrix product, so its
+classes are closures over ints.  Bruhat cells are read per right coset:
+BwB.B = BwB, so each coset xB lies in one cell, and the cosets are the
+closures of the `right` tables of the generators that lie in B.  One
+member of each coset is decoded (a second one as a check) and its cell is
+kept for every member, in a list aligned with the elements.
 Enumerated elements are products of generators of the group, and the
 members of an `expand_class` orbit are conjugates of a checked rep by such
 products, so their decoding skips `GroupContext.in_group`, which would cost
@@ -51,7 +66,8 @@ from .linalg import (Matrix, charpoly, identity, inverse, mat_mul,
                      poly_eval_matrix, squarefree_part)
 from .matgroups import GroupContext, is_w_fixed
 from .rootsys import (BudgetError, WeylElement, bruhat_leq, closure,
-                      conjugacy_class as weyl_class, minus_one_rank)
+                      conjugacy_class as weyl_class, longest_element,
+                      minus_one_rank)
 from .sheetcat import classify_spherical, expected_w_element
 
 ENUMERATION_BUDGET = 2_000_000
@@ -127,9 +143,11 @@ class OracleGroup:
     """An enumerated group, its elements by index.
 
     `elements` is sorted and `index` maps each element to its position.
-    With g = generators[k] and x = elements[i], `right[k][i]` is the index
-    of x g and `conj[k][i]` that of g x g^-1.  The Bruhat cells are decoded
-    on first use and kept.
+    `generators` are `_generators(ctx, field)`: the positive simple root
+    elements, the lift of w0 and the torus generators.  With
+    g = generators[k] and x = elements[i], `right[k][i]` is the index of
+    x g and `conj[k][i]` that of g x g^-1.  The Bruhat cells are decoded on
+    first use and kept.
     """
     label: str
     rank: int
@@ -214,15 +232,39 @@ def _coset_cells(group: OracleGroup, ks) -> list:
     return cells
 
 
-def _generators(ctx: GroupContext, field) -> tuple:
-    gens = []
+def _root_generators(ctx: GroupContext, field) -> list:
+    """x_a(c) for the simple roots a, with c = 1 over F_p (it generates
+    U_a(F_p)) and every unit over F_{p^k}, then the lift of w0, which
+    conjugates U_{a_i} onto U_{w0 a_i} = U_{-a_pi(i)}: together they
+    generate every root subgroup.
+
+    That needs a lift in N(T), a monomial one.  `weyl_representative` gives
+    one for SL and Sp and for SO-odd in characteristic 3, which covers the
+    groups `enumerate_group` takes, but not for SO otherwise: its
+    x_a(1) x_{-a}(-1) x_a(1) is not monomial for the short simple root of
+    B_n, nor for e_{n-1} + e_n of D_n.  There the negative simple root
+    elements stand in for the lift.
+    """
     coeffs = field.units() if isinstance(field, ExtField) else [field.one]
     sys = ctx.system
-    for a in sys.simple_roots:
-        for root in (a, sys.roots[sys.neg[sys.index[a]]]):
-            for c in coeffs:
-                gens.append(_flat(ctx.root_element(field, root, c)))
-    # torus generators: one multiplicative generator in each slot
+    gens = [_flat(ctx.root_element(field, a, c))
+            for a in sys.simple_roots for c in coeffs]
+    w0 = ctx.weyl_representative(field, longest_element(sys, range(sys.rank)))
+    if all(sum(not field.is_zero(x) for x in row) == 1 for row in w0):
+        gens.append(_flat(w0))
+    else:
+        negatives = (sys.roots[sys.neg[sys.index[a]]]
+                     for a in sys.simple_roots)
+        gens += [_flat(ctx.root_element(field, a, c))
+                 for a in negatives for c in coeffs]
+    return gens
+
+
+def _torus_generators(ctx: GroupContext, field) -> list:
+    """One multiplicative generator u of F_q^x in each epsilon slot; for SL
+    (u, u^-1) in slots k, k + 1 for k < n - 1, since the n-th such element
+    is the inverse of the product of the others.  The first has det u for
+    GL and spinor norm u, a non-square, for SO."""
     units = [u for u in field.elements() if not field.is_zero(u)]
     gen_unit = None
     for u in units:
@@ -235,13 +277,22 @@ def _generators(ctx: GroupContext, field) -> tuple:
             gen_unit = u
             break
     nvals = ctx.torus_rank
-    for slot in range(nvals):
+    gens = []
+    for slot in range(nvals - 1 if ctx.label == "SL" else nvals):
         vals = [field.one] * nvals
         vals[slot] = gen_unit
         if ctx.label == "SL":
-            vals[(slot + 1) % nvals] = field.inv(gen_unit)
+            vals[slot + 1] = field.inv(gen_unit)
         gens.append(_flat(ctx.torus(field, vals)))
-    return tuple(dict.fromkeys(gens))
+    return gens
+
+
+def _generators(ctx: GroupContext, field) -> tuple:
+    """Generators of G(F_q): `_root_generators`, then `_torus_generators`.
+    The torus and the positive simple root elements generate B = T U, so
+    their right products give the B-cosets of `_coset_cells`."""
+    return tuple(dict.fromkeys(_root_generators(ctx, field)
+                               + _torus_generators(ctx, field)))
 
 
 @lru_cache(maxsize=None)
@@ -269,16 +320,24 @@ def enumerate_group(label: str, rank: int, q: int) -> OracleGroup:
     products_of = _compile_step(field, ctx.size,
                                 tuple((ident, g) for g in gens))
     # discovery index of every element and, in generator order, those of
-    # its right products: closure calls `step` in discovery order
+    # its right products; `elements` grows as it is read, so the walk is
+    # breadth-first in discovery order, and each product is hashed once.
+    # tree[d - 1] = (a, j) when x_d first appears as x_a g_j
     found = {ident: 0}
     products = array("i")
-
-    def step(x):
+    elements, tree = [ident], []
+    for a, x in enumerate(elements):
         ys = products_of(x)
-        products.extend([found.setdefault(y, len(found)) for y in ys])
-        return ys
-
-    elements = closure([ident], step, expected)  # a wrong step fails fast
+        known = len(found)
+        ids = [found.setdefault(y, len(found)) for y in ys]
+        products.extend(ids)
+        if len(found) > known:
+            if len(found) > expected:  # a wrong step fails fast
+                raise BudgetError(f"orbit exceeded its budget of {expected}")
+            for j, i in enumerate(ids):
+                if i >= known:
+                    elements.append(ys[j])
+                    tree.append((a, j))
     if len(elements) != expected:
         raise AssertionError(
             f"enumerated {len(elements)} elements of {label}{rank}(F_{q}), "
@@ -290,44 +349,35 @@ def enumerate_group(label: str, rank: int, q: int) -> OracleGroup:
         disc[i] = d = found[e]
         pos[d] = i
         found[e] = i       # `found` becomes the element -> index map
-    right, conj = _index_tables(products, len(gens), disc, pos)
+    right, conj = _index_tables(products, len(gens), tree, disc, pos)
     return OracleGroup(
         label=label, rank=rank, q=q, field=field, ctx=ctx, size=ctx.size,
         elements=tuple(elements), generators=gens, order=expected,
         index=found, right=right, conj=conj)
 
 
-def _index_tables(products, n_gens: int, disc, pos) -> tuple:
+def _index_tables(products, n_gens: int, tree, disc, pos) -> tuple:
     """The `right` and `conj` tables of `OracleGroup`, by index lookups only.
 
     In discovery indices, products[d * n_gens + k] is the index of
-    x_d g_k.  Every x_d but the identity x_0 first appears at some position
-    p, as x_a g_j with a = p // n_gens and j = p % n_gens; closure numbers
-    new elements in the order they appear, so a < d.  That is a Schreier
-    tree: g x_d = (g x_a) g_j gives left[d] = products[left[a] * n_gens + j]
-    from left[0] = index of g.  Right multiplication by g permutes the
-    elements, and x g^-1 is x_{rinv[d]} for the inverse permutation rinv, so
-    g x_d g^-1 = x_{left[rinv[d]]}.
+    x_d g_k, and every x_d but the identity x_0 first appears as x_a g_j
+    with (a, j) = tree[d - 1] and a < d.  That is a Schreier tree:
+    g x_d = (g x_a) g_j gives left[d] = products[left[a] * n_gens + j] from
+    left[0] = index of g.  With x_r = x_e g, g x_r g^-1 = g x_e, so the
+    conjugate of x_r is x_{left[e]}.
     """
     n = len(disc)
-    first = [0] * n
-    new = 1
-    for p, d in enumerate(products):
-        if d == new:
-            first[d] = p
-            new += 1
     right, conj = [], []
     for k in range(n_gens):
         rk = products[k::n_gens]
-        left = [rk[0]] * n
-        for d in range(1, n):
-            a, j = divmod(first[d], n_gens)
-            left[d] = products[left[a] * n_gens + j]
-        rinv = [0] * n
-        for d, r in enumerate(rk):
-            rinv[r] = d
+        left = [rk[0]]
+        for a, j in tree:
+            left.append(products[left[a] * n_gens + j])
+        ck = array("i", [0]) * n
+        for e, r in enumerate(rk):
+            ck[pos[r]] = pos[left[e]]
         right.append(array("i", [pos[rk[d]] for d in disc]))
-        conj.append(array("i", [pos[left[rinv[d]]] for d in disc]))
+        conj.append(ck)
     return tuple(right), tuple(conj)
 
 
@@ -340,7 +390,16 @@ class ClassData:
 
 def expand_class(ctx: GroupContext, field, rep: Matrix,
                  budget: int = 300_000) -> ClassData:
-    """Full conjugation orbit of `rep` under the group, by generator closure.
+    """Full conjugation orbit of `rep` under the group, by closure under
+    conjugation by the non-torus generators (`_root_generators`).
+
+    Their root subgroups generate G(F_q) for the simply connected SL and
+    Sp (Steinberg, *Lectures on Chevalley Groups*, sections 3 and 6), so
+    Sp4 takes 3 conjugations per element.  For SO they generate Omega, of
+    index 2 in SO(F_q) for odd q, so the first torus generator is added:
+    its slot value generates F_q^x, so its spinor norm is a non-square and
+    it lies outside Omega (Taylor, *The Geometry of the Classical Groups*,
+    ch. 11).  For GL the same element has det a generator of F_q^x.
 
     The integer entries of `rep` are reduced by `field.of`; a `rep` outside
     the group raises ValueError.
@@ -348,7 +407,10 @@ def expand_class(ctx: GroupContext, field, rep: Matrix,
     rep = tuple(tuple(field.of(x) for x in row) for row in rep)
     if not ctx.in_group(field, rep):
         raise ValueError(f"{rep} is not in {ctx.label}{ctx.rank}")
-    step = _conjugation(field, ctx.size, _generators(ctx, field))
+    gens = _root_generators(ctx, field)
+    if ctx.label not in ("SL", "Sp"):
+        gens.append(_torus_generators(ctx, field)[0])
+    step = _conjugation(field, ctx.size, tuple(gens))
     orbit = closure([_flat(rep)], step, budget)
     return ClassData(rep=orbit[0], elements=frozenset(orbit), size=len(orbit))
 

@@ -22,10 +22,6 @@ from typing import Sequence
 Matrix = tuple[tuple[object, ...], ...]
 
 
-def mat(rows) -> Matrix:
-    return tuple(tuple(r) for r in rows)
-
-
 def identity(field, n: int) -> Matrix:
     zeros = (field.zero,) * (n - 1)
     return tuple(zeros[:i] + (field.one,) + zeros[i:] for i in range(n))

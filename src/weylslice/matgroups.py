@@ -36,14 +36,14 @@ Coord = tuple[str, int]  # ("z",0) | ("u",i) | ("w",i), i zero-based
 
 
 # label -> (root type, coordinate kinds in order, sign of the w rows of the
-# form or None for no form): Sp preserves an alternating form, SO a
-# symmetric one
+# form or None for no form, whether det must be 1 rather than nonzero): Sp
+# preserves an alternating form, SO a symmetric one
 _GROUPS = {
-    "SL": ("A", "u", None),
-    "GL": ("A", "u", None),
-    "Sp": ("C", "uw", -1),
-    "SO-odd": ("B", "zuw", 1),
-    "SO-even": ("D", "uw", 1),
+    "SL": ("A", "u", None, True),
+    "GL": ("A", "u", None, False),
+    "Sp": ("C", "uw", -1, True),
+    "SO-odd": ("B", "zuw", 1, True),
+    "SO-even": ("D", "uw", 1, True),
 }
 
 
@@ -53,7 +53,7 @@ class GroupContext:
     def __init__(self, label: str, rank: int):
         if label not in _GROUPS:
             raise ValueError(f"unknown group label {label!r}")
-        root_type, kinds, w_sign = _GROUPS[label]
+        root_type, kinds, w_sign, det_one = _GROUPS[label]
         self.label = label
         self.rank = rank
         self.system = build_root_system(root_type, rank)
@@ -74,6 +74,9 @@ class GroupContext:
         self._signed_form = None if w_sign is None else tuple(
             (self._pos[(partner[kind], i)], w_sign if kind == "w" else 1)
             for kind, i in self.coords)
+        # True: det must be 1, False: nonzero, None: no det test, since an
+        # alternating form forces det 1
+        self._det_one = None if w_sign == -1 else det_one
         self._forms: dict = {}
         self._lie_bases: dict = {}
         self._root_terms = self._root_matrices()
@@ -225,11 +228,10 @@ class GroupContext:
                   for col, sign in self._signed_form]
             if mat_mul(field, transpose(g), jg) != j:
                 return False
-        if self.label in ("SL", "SO-odd", "SO-even"):
-            return det(field, g) == field.one
-        if self.label == "GL":
-            return not field.is_zero(det(field, g))
-        return True  # Sp: form preservation forces det 1
+        if self._det_one is None:
+            return True
+        d = det(field, g)
+        return d == field.one if self._det_one else not field.is_zero(d)
 
     # -- Bruhat decoding ----------------------------------------------------
 

@@ -21,13 +21,14 @@ from weylslice.fforacle import (
     _coset_cells,
     _flat,
     _generators,
+    _root_generators,
     _unflat,
     slice_points,
 )
 from weylslice.fields import gf
 from weylslice.linalg import inverse, mat_mul
 from weylslice.matgroups import GroupContext
-from weylslice.rootsys import build_root_system, longest_element
+from weylslice.rootsys import build_root_system, closure, longest_element
 from weylslice.sheetcat import catalog_w_S
 
 
@@ -471,3 +472,85 @@ def test_compiled_conjugation_matches_mat_mul(label, rank, q):
             xm = _unflat(x, n)
             assert step(x) == [_flat(mat_mul(field, mat_mul(field, g, xm), gi))
                                for g, gi in mats]
+
+
+CRITERION_2_GROUPS = [("SL", 1, 3), ("SL", 1, 5), ("SL", 2, 3),
+                      ("Sp", 2, 3), ("SO-odd", 2, 3)]
+
+
+@pytest.mark.parametrize("label,rank,q", CRITERION_2_GROUPS + [("SL", 1, 9)])
+def test_expand_class_matches_enumerated_classes(label, rank, q):
+    # conjugation by the simple root elements and the lift of w0 (and for
+    # SO one torus element) reaches every class of the enumerated group;
+    # expand_class reads integer entries into the prime field, so over F_9
+    # a class is entered at its least member with entries in F_3, which 5
+    # of its 13 classes have
+    g = enumerate_group(label, rank, q)
+    classes = conjugacy_classes(g)
+    checked = 0
+    for c in classes:
+        rep = min((e for e in c.elements if max(e) < g.field.p), default=None)
+        if rep is None:
+            continue
+        got = expand_class(g.ctx, g.field, _unflat(rep, g.size))
+        assert got.elements == c.elements and got.size == c.size
+        checked += 1
+    assert checked == (5 if q == 9 else len(classes))
+
+
+def test_so5_classes_need_the_spinor_norm_generator():
+    # without the torus element the steps generate only Omega, of index 2
+    # in SO5(F_3), and some class splits into two Omega-classes
+    g = enumerate_group("SO-odd", 2, 3)
+    step = _conjugation(g.field, g.size,
+                        tuple(_root_generators(g.ctx, g.field)))
+    split = [c for c in conjugacy_classes(g)
+             if len(closure([c.rep], step)) < c.size]
+    assert split
+
+
+def _negative_simple_root_elements(ctx, F, coeffs):
+    sys = ctx.system
+    return {_flat(ctx.root_element(F, sys.roots[sys.neg[sys.index[a]]], c))
+            for a in sys.simple_roots for c in coeffs}
+
+
+def _off_diagonal(g, n):
+    return any(x != 0 for i, x in enumerate(g) if i % (n + 1))
+
+
+@pytest.mark.parametrize("label,rank,q", [
+    group for group in SPARSE_GROUPS if group != ("SO-odd", 2, 5)])
+def test_generators_are_simple_root_elements_w0_lift_and_torus(label, rank,
+                                                              q):
+    # the positive simple root elements (every unit over F_4 and F_9), one
+    # monomial lift of w0 and the torus: SL_n has n - 1 torus generators
+    ctx, F = GroupContext(label, rank), gf(q)
+    n = ctx.size
+    gens = _generators(ctx, F)
+    assert not _negative_simple_root_elements(
+        ctx, F, F.units()).intersection(gens)
+    monomial = [g for g in gens if _off_diagonal(g, n)
+                and sorted(i % n for i, x in enumerate(g) if x != 0)
+                == list(range(n))]
+    w0 = longest_element(ctx.system, range(rank))
+    assert monomial == [_flat(ctx.weyl_representative(F, w0))]
+    diagonal = [g for g in gens if not _off_diagonal(g, n)]
+    assert len(diagonal) == ctx.torus_rank - (label == "SL")
+    units = q - 1 if q in (4, 9) else 1
+    assert len(gens) == rank * units + 1 + len(diagonal)
+
+
+def test_generators_without_a_monomial_w0_lift(monkeypatch):
+    # a lift outside N(T) cannot carry U_a onto U_{w0 a}; the negative
+    # simple root elements stand in for it
+    ctx, F = GroupContext("Sp", 2), gf(5)
+    lift = ctx.weyl_representative
+    x = ctx.root_element(F, ctx.system.simple_roots[0], 1)
+    monkeypatch.setattr(ctx, "weyl_representative",
+                        lambda field, w: mat_mul(field, lift(field, w), x))
+    w0 = longest_element(ctx.system, range(2))
+    gens = _root_generators(ctx, F)
+    assert _flat(ctx.weyl_representative(F, w0)) not in gens
+    assert _negative_simple_root_elements(ctx, F, [1]) <= set(gens)
+    assert len(gens) == 4

@@ -13,7 +13,6 @@ from weylslice.linalg import (
     identity,
     inverse,
     kernel,
-    mat,
     mat_mul,
     mat_pow,
     poly_add,
@@ -77,38 +76,38 @@ def test_extension_field_is_a_field():
                 min_size=3, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_rank_bareiss_matches_gauss_mod_p(rows):
-    m_q = mat([[Fraction(x) for x in r] for r in rows])
+    m_q = tuple(tuple(Fraction(x) for x in r) for r in rows)
     r_q = rank(QQ, m_q)
     # rank over Q is an upper bound for rank mod p, equal for most p
     F = gf(1009)
-    m_p = mat([[F.of(x) for x in r] for r in rows])
+    m_p = tuple(tuple(F.of(x) for x in r) for r in rows)
     assert rank(F, m_p) == r_q
 
 
 def test_rank_and_inverse():
     F = gf(5)
-    m = mat([[1, 2], [3, 4]])
+    m = ((1, 2), (3, 4))
     assert rank(F, m) == 2
     assert mat_mul(F, m, inverse(F, m)) == identity(F, 2)
-    assert rank(F, mat([[1, 2], [2, 4]])) == 1
+    assert rank(F, ((1, 2), (2, 4))) == 1
     assert rank(QQ, identity(QQ, 4)) == 4
-    assert rank(QQ, mat([[Fraction(0)] * 3] * 3)) == 0
+    assert rank(QQ, ((Fraction(0),) * 3,) * 3) == 0
 
 
 def test_solve_over_q():
-    a = mat([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)],
-             [Fraction(1), Fraction(-2)]])
+    a = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3)),
+         (Fraction(1), Fraction(-2)))
     x = solve(QQ, a, (Fraction(1), Fraction(2), Fraction(-1)))
     assert x == (Fraction(1, 5), Fraction(3, 5))
     assert all(type(c) is Fraction for c in x)
     # (1, 0, 0) is off the column span of a
     assert solve(QQ, a, (Fraction(1), Fraction(0), Fraction(0))) is None
     with pytest.raises(ValueError):
-        solve(QQ, mat([[1, 2], [2, 4]]), (1, 2))
+        solve(QQ, ((1, 2), (2, 4)), (1, 2))
 
 
 def test_kernel_canonical_basis():
-    a = mat([[1, 2, 0, -1], [2, 4, 1, 1], [3, 6, 1, 0]])
+    a = ((1, 2, 0, -1), (2, 4, 1, 1), (3, 6, 1, 0))
     assert kernel(QQ, a) == [
         (Fraction(-2), Fraction(1), Fraction(0), Fraction(0)),
         (Fraction(1), Fraction(0), Fraction(-3), Fraction(1)),
@@ -120,7 +119,7 @@ def test_kernel_canonical_basis():
     min_size=1, max_size=4)))
 @settings(max_examples=60, deadline=None)
 def test_kernel_is_complement_of_rank(rows):
-    a = mat([[Fraction(x) for x in r] for r in rows])
+    a = tuple(tuple(Fraction(x) for x in r) for r in rows)
     ker = kernel(QQ, a)
     assert len(ker) + rank(QQ, a) == len(rows[0])
     zero = (Fraction(0),) * len(rows)
@@ -130,7 +129,8 @@ def test_kernel_is_complement_of_rank(rows):
 
 @pytest.mark.parametrize("field", [gf(7), QQ], ids=["F7", "QQ"])
 def test_mat_pow_matches_repeated_products(field):
-    m = mat([[field.of(x) for x in r] for r in [[1, 2, 0], [3, 1, 1], [0, 2, 5]]])
+    m = tuple(tuple(field.of(x) for x in r)
+              for r in [[1, 2, 0], [3, 1, 1], [0, 2, 5]])
     power = identity(field, 3)
     for k in range(7):
         assert mat_pow(field, m, k) == power
@@ -143,7 +143,7 @@ def test_mat_pow_matches_repeated_products(field):
 def test_charpoly_by_evaluation(rows):
     # det(xI - A) evaluated at sample points matches the determinant directly
     F = gf(5)
-    a = mat(rows)
+    a = tuple(map(tuple, rows))
     cp = charpoly(F, a)
     assert len(cp) == 4 and cp[-1] == F.one
     for x in F.elements():
@@ -156,31 +156,31 @@ def test_charpoly_by_evaluation(rows):
 def test_unipotent_partition():
     F = gf(7)
     assert unipotent_partition(F, identity(F, 4)) == (1, 1, 1, 1)
-    jordan = mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    jordan = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
     assert unipotent_partition(F, jordan) == (3,)
-    block = mat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    block = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1))
     assert unipotent_partition(F, block) == (2, 2)
     with pytest.raises(ValueError):
-        unipotent_partition(F, mat([[2, 0], [0, 4]]))
+        unipotent_partition(F, ((2, 0), (0, 4)))
 
 
 def test_bruhat_permutation_basics():
     F = gf(5)
     # upper triangular -> identity permutation
-    assert bruhat_permutation(F, mat([[2, 3], [0, 4]])) == (0, 1)
+    assert bruhat_permutation(F, ((2, 3), (0, 4))) == (0, 1)
     # antidiagonal -> the swap
-    assert bruhat_permutation(F, mat([[0, 1], [1, 0]])) == (1, 0)
+    assert bruhat_permutation(F, ((0, 1), (1, 0))) == (1, 0)
     # B-biinvariance on random products
     import random
 
     rnd = random.Random(0)
-    base = mat([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    base = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
     target = bruhat_permutation(F, base)
     for _ in range(20):
-        b1 = mat([[1, rnd.randrange(5), rnd.randrange(5)],
-                  [0, 1, rnd.randrange(5)], [0, 0, 1]])
-        b2 = mat([[2, rnd.randrange(5), rnd.randrange(5)],
-                  [0, 3, rnd.randrange(5)], [0, 0, 4]])
+        b1 = ((1, rnd.randrange(5), rnd.randrange(5)),
+              (0, 1, rnd.randrange(5)), (0, 0, 1))
+        b2 = ((2, rnd.randrange(5), rnd.randrange(5)),
+              (0, 3, rnd.randrange(5)), (0, 0, 4))
         g = mat_mul(F, mat_mul(F, b1, base), b2)
         assert bruhat_permutation(F, g) == target
 
@@ -247,7 +247,8 @@ def _vector_pairs(field):
 def _square_pairs(field):
     def matrices(n):
         return st.lists(st.lists(_elements(field), min_size=n, max_size=n),
-                        min_size=n, max_size=n).map(mat)
+                        min_size=n, max_size=n).map(
+            lambda rows: tuple(map(tuple, rows)))
     return st.integers(1, 4).flatmap(lambda n: st.tuples(matrices(n), matrices(n)))
 
 
@@ -323,7 +324,7 @@ def test_gaussian_rational_functions_are_canonical():
     for field in (QQI, F):
         with pytest.raises(ZeroDivisionError):
             field.inv(field.zero)
-    a = mat([[t, one], [one, t]])
+    a = ((t, one), (one, t))
     assert det(F, a) == F.sub(F.mul(t, t), one)
     assert mat_mul(F, inverse(F, a), a) == identity(F, 2)
 
@@ -352,8 +353,9 @@ def test_rank_ignores_unreduced_entries(p, data):
         st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
         min_size=1, max_size=5)))
     shifts = st.integers(-3, 3)
-    unreduced = mat([[x + p * data.draw(shifts) for x in r] for r in rows])
-    assert rank(F, unreduced) == rank(F, mat(rows))
+    unreduced = tuple(tuple(x + p * data.draw(shifts) for x in r)
+                      for r in rows)
+    assert rank(F, unreduced) == rank(F, tuple(map(tuple, rows)))
 
 
 def _scan_sqrt(p, a):
@@ -395,13 +397,13 @@ def test_bounded_rank_is_capped_rank(field, data):
     rows, cols, inner = (data.draw(st.integers(1, 5)) for _ in range(3))
 
     def matrix(n, m):
-        return mat(data.draw(st.lists(
+        return tuple(map(tuple, data.draw(st.lists(
             st.lists(_elements(field), min_size=m, max_size=m),
-            min_size=n, max_size=n)))
+            min_size=n, max_size=n))))
 
     # a random matrix, one of rank <= inner, and the zero matrix
     thin = mat_mul(field, matrix(rows, inner), matrix(inner, cols))
-    zero = mat([[field.zero] * cols] * rows)
+    zero = ((field.zero,) * cols,) * rows
     for a in (matrix(rows, cols), thin, zero):
         full = rank(field, a)
         for at_most in range(max(rows, cols) + 1):
@@ -425,8 +427,8 @@ PRODUCT_IDS = ["F2", "F3", "F1009", "F65521", "F9", "QQ", "QQI", "QQIT"]
 
 def _rows_by_columns(field, a, b):
     """ab with one scalar product and sum per term, the reference product."""
-    return mat([[_fold_products(field, zip(row, col)) for col in zip(*b)]
-                for row in a])
+    return tuple(tuple(_fold_products(field, zip(row, col)) for col in zip(*b))
+                 for row in a)
 
 
 @pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=PRODUCT_IDS)
@@ -436,9 +438,9 @@ def test_mat_mul_matches_rows_by_columns(field, data):
     rows, inner, cols = (data.draw(st.integers(1, 10)) for _ in range(3))
 
     def matrix(n, m):
-        return mat(data.draw(st.lists(
+        return tuple(map(tuple, data.draw(st.lists(
             st.lists(_elements(field), min_size=m, max_size=m),
-            min_size=n, max_size=n)))
+            min_size=n, max_size=n))))
 
     a, b = matrix(rows, inner), matrix(inner, cols)
     assert mat_mul(field, a, b) == _rows_by_columns(field, a, b)
@@ -459,19 +461,20 @@ def test_mat_mul_reduces_unreduced_and_negative_entries(p, data):
 
     a, b = matrix(rows, inner), matrix(inner, cols)
     # one side unreduced (or negative), the other in range(p), and both
-    ua = mat([[x + p * data.draw(shifts) for x in r] for r in a])
-    ub = mat([[x + p * data.draw(shifts) for x in r] for r in b])
-    want = _rows_by_columns(F, mat(a), mat(b))
-    assert mat_mul(F, mat(a), mat(b)) == want
-    assert mat_mul(F, ua, mat(b)) == want
-    assert mat_mul(F, mat(a), ub) == want
+    ua = tuple(tuple(x + p * data.draw(shifts) for x in r) for r in a)
+    ub = tuple(tuple(x + p * data.draw(shifts) for x in r) for r in b)
+    ta, tb = tuple(map(tuple, a)), tuple(map(tuple, b))
+    want = _rows_by_columns(F, ta, tb)
+    assert mat_mul(F, ta, tb) == want
+    assert mat_mul(F, ua, tb) == want
+    assert mat_mul(F, ta, ub) == want
     assert mat_mul(F, ua, ub) == want
-    assert mat_mul(F, mat([[-1] * inner]), mat(b)) == _rows_by_columns(
-        F, mat([[p - 1] * inner]), mat(b))
+    assert mat_mul(F, ((-1,) * inner,), tb) == _rows_by_columns(
+        F, ((p - 1,) * inner,), tb)
     # a square times itself is checked once for range(p), and still falls
     # back when unreduced
     k = min(rows, inner)
-    sq, usq = (mat([r[:k] for r in m[:k]]) for m in (a, ua))
+    sq, usq = (tuple(tuple(r[:k]) for r in m[:k]) for m in (a, ua))
     want = _rows_by_columns(F, sq, sq)
     assert mat_mul(F, sq, sq) == want
     assert mat_mul(F, usq, usq) == want
@@ -484,10 +487,11 @@ def test_mat_mul_at_the_slot_bound(inner):
     F = PrimeField(1431655751)
     assert F._slot_terms == 9
     top = F.p - 1
-    a = mat([[top] * inner] * 3)
-    b = mat([[top] * 4] * inner)
+    a = ((top,) * inner,) * 3
+    b = ((top,) * 4,) * inner
     assert mat_mul(F, a, b) == _rows_by_columns(F, a, b)
-    mixed = mat([[(i * 7 + j * 13) % F.p for j in range(inner)] for i in range(9)])
+    mixed = tuple(tuple((i * 7 + j * 13) % F.p for j in range(inner))
+                  for i in range(9))
     assert mat_mul(F, mixed, b) == _rows_by_columns(F, mixed, b)
 
 
@@ -524,11 +528,12 @@ def test_mat_mul_over_a_word_sized_prime():
     F = PrimeField(2 ** 61 - 1)
     assert time.perf_counter() - start < 1.0
     assert F._slot_terms == 0
-    a = mat([[(i * 9 + j) ** 7 % F.p for j in range(6)] for i in range(5)])
-    b = mat([[F.p - 1 - (i + j * 6) ** 11 % F.p for j in range(4)]
-             for i in range(6)])
+    a = tuple(tuple((i * 9 + j) ** 7 % F.p for j in range(6))
+              for i in range(5))
+    b = tuple(tuple(F.p - 1 - (i + j * 6) ** 11 % F.p for j in range(4))
+              for i in range(6))
     assert mat_mul(F, a, b) == _rows_by_columns(F, a, b)
-    sq = mat([row[:5] for row in a])
+    sq = tuple(row[:5] for row in a)
     assert mat_mul(F, sq, sq) == _rows_by_columns(F, sq, sq)
 
 
@@ -536,6 +541,8 @@ def test_mat_mul_over_a_large_prime():
     # p = 2^32 + 15: (p - 1)^2 > 2^64, so every product takes the fallback
     F = PrimeField(4294967311)
     assert F._slot_terms == 0
-    a = mat([[(i * 9 + j) ** 5 % F.p for j in range(9)] for i in range(9)])
-    b = mat([[F.p - 1 - (i + j * 9) ** 3 % F.p for j in range(9)] for i in range(9)])
+    a = tuple(tuple((i * 9 + j) ** 5 % F.p for j in range(9))
+              for i in range(9))
+    b = tuple(tuple(F.p - 1 - (i + j * 9) ** 3 % F.p for j in range(9))
+              for i in range(9))
     assert mat_mul(F, a, b) == _rows_by_columns(F, a, b)

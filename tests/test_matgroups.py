@@ -331,3 +331,26 @@ def test_monomial_in_group_matches_explicit_form_test(label, rank):
         for m in (g, perturbed, singular, minus, small, g[1:]):
             assert ctx.in_group(F, m) == _explicit_in_group(ctx, F, m)
         assert ctx.in_group(F, g) and not ctx.in_group(F, singular)
+
+
+@pytest.mark.parametrize("label,rank,dets", [
+    ("SL", 2, 1), ("GL", 2, 1), ("Sp", 2, 0), ("SO-odd", 2, 1),
+    ("SO-even", 3, 1)])
+def test_in_group_det_rule(label, rank, dets, monkeypatch):
+    # det 1 for SL and SO, det nonzero for GL, and no det at all for Sp,
+    # whose alternating form forces det 1: one det per point at most
+    import weylslice.matgroups as matgroups
+
+    ctx, F = GroupContext(label, rank), gf(7)
+    calls = []
+    monkeypatch.setattr(matgroups, "det",
+                        lambda field, g: calls.append(g) or det(field, g))
+    t = ctx.torus(F, [2] + [1] * (ctx.torus_rank - 1))
+    x = mat_mul(F, t, ctx.root_element(F, ctx.system.simple_roots[0], 3))
+    assert ctx.in_group(F, x) == (label != "SL")  # det 2 is not 1 in SL
+    assert len(calls) == dets
+    scaled = tuple(tuple(3 * v % 7 for v in row)
+                   for row in identity(F, ctx.size))
+    assert ctx.in_group(F, scaled) == (label == "GL")
+    singular = ((0,) * ctx.size,) + identity(F, ctx.size)[1:]
+    assert not ctx.in_group(F, singular)
