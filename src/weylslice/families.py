@@ -24,6 +24,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Sequence
 
+from .fields import PrimeField
 from .linalg import (
     Matrix,
     fsum,
@@ -187,14 +188,7 @@ class BFamilyS(SliceFamily):
         Q = tuple(tuple(one if i == j else (q_upper.get((i, j), zero) if i < j
                                             else zero) for j in range(n))
                   for i in range(n))
-        return self._assemble(field, e, v, Q,
-                              _unitriangular_inverse_t(field, Q), a_upper)
-
-    def _assemble(self, field, e, v, Q, Qt_inv, a_upper) -> Matrix:
-        """X from e, v, the unitriangular Q with its inverse transpose, and
-        the strict-upper entries of the skew matrix A."""
-        n = self.n
-        zero = field.zero
+        Qt_inv = _unitriangular_inverse_t(field, Q)
         A = [[zero] * n for _ in range(n)]
         for (i, j), val in a_upper.items():
             A[i][j] = val
@@ -303,37 +297,91 @@ class BFamilyS(SliceFamily):
 
 
 def _b_component_point(fam: BFamilyS, e, eta):
+    """The point of component (e, eta) at a, C0 + a C1 + a^2 C2, with the
+    coefficient matrices built once per field (`_b_coefficients`)."""
+    coeffs = {}
+
     def point(field, a):
-        n = fam.n
-        zeta = [_sqrt_sign(field, ei) for ei in e]
-        zinv = [field.inv(z) for z in zeta]
-        u0 = field.of(fam.sign)
-        half = field.inv(field.of(2))
-        mu = field.sub(field.mul(field.of(2), u0),
-                       field.mul(half, field.mul(a, a)))
-        v = [field.mul(a, field.mul(field.of(eta[i]), zinv[i]))
-             for i in range(n)]
-        qinv = [[field.one if i == j else field.zero for j in range(n)]
-                for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                qinv[i][j] = field.mul(
-                    field.of(2 * eta[i] * eta[j]), field.mul(zinv[i], zeta[j]))
-        a_upper = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                a_upper[(i, j)] = field.mul(
-                    mu, field.mul(field.of(eta[i] * eta[j]),
-                                  field.mul(zinv[i], zinv[j])))
-        # qinv = D (I + 2U) D^-1 with D = diag(eta_i / zeta_i) and U the
-        # all-ones strict upper matrix.  With S the superdiagonal shift,
-        # (I + 2U)^-1 = I + sum_k 2 (-1)^k S^k, so Q = qinv^-1 is qinv with
-        # entry (i, j) times (-1)^(j - i), and its inverse transpose is qinv^T.
-        Q = tuple(tuple(field.neg(x) if (j - i) % 2 else x
-                        for j, x in enumerate(row)) for i, row in enumerate(qinv))
-        return fam._assemble(field, e, v, Q, tuple(zip(*qinv)), a_upper)
+        c = coeffs.get(field)
+        if c is None:
+            c = coeffs[field] = _b_coefficients(fam, field, e, eta)
+        return _quadratic_point(field, c, a)
 
     return point
+
+
+def _b_coefficients(fam: BFamilyS, field, e, eta):
+    """C0 and the rows that depend on a, for `_quadratic_point`.
+
+    With zeta_i^2 = e_i and v0_i = eta_i / zeta_i, the chart data of the
+    component are v = a v0, mu = 2 u0 - a^2/2 and A = mu A0 for the skew
+    A0_ij = eta_i eta_j / (zeta_i zeta_j) (i < j), while
+    qinv = D (I + 2U) D^-1 with D = diag(v0) and U the all-ones strict
+    upper matrix does not depend on a.  With S the superdiagonal shift,
+    (I + 2U)^-1 = I + sum_k 2 (-1)^k S^k, so Q = qinv^-1 is qinv with entry
+    (i, j) times (-1)^(j - i), and its inverse transpose is qinv^T.  Then
+    M = A - v v^T / 2 = 2 u0 A0 - (a^2/2)(A0 + v0 v0^T), so of the rows of
+    X (see `BFamilyS.point`) row 0 gains a u0 v0^T, and row 1 + n + i is
+    (-a (EQ v0)_i, EQ_i, 2 u0 (EQ A0)_i - (a^2/2)(EQ A0 + EQ v0 v0^T)_i).
+    """
+    n, N = fam.n, 2 * fam.n + 1
+    zero, mul, neg = field.zero, field.mul, field.neg
+    zeta = [_sqrt_sign(field, ei) for ei in e]
+    zinv = [field.inv(z) for z in zeta]
+    u0 = field.of(fam.sign)
+    half = field.inv(field.of(2))
+    v0 = [mul(field.of(eta[i]), zinv[i]) for i in range(n)]
+    qinv = [[field.one if i == j else zero for j in range(n)]
+            for i in range(n)]
+    A0 = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            qinv[i][j] = mul(field.of(2 * eta[i] * eta[j]),
+                             mul(zinv[i], zeta[j]))
+            A0[i][j] = mul(field.of(eta[i] * eta[j]), mul(zinv[i], zinv[j]))
+            A0[j][i] = neg(A0[i][j])
+    E = [field.of(x) for x in e]
+    EQ = [[mul(E[i], neg(x) if (j - i) % 2 else x) for j, x in enumerate(row)]
+          for i, row in enumerate(qinv)]
+    EQv0 = [field.dot(row, v0) for row in EQ]
+    EQA0 = mat_mul(field, EQ, A0)
+    two_u0 = field.add(u0, u0)
+    C0 = [[zero] * N for _ in range(N)]
+    C0[0][0] = u0
+    for i in range(n):
+        C0[1 + i][1 + n:] = [mul(E[i], qinv[j][i]) for j in range(n)]
+        C0[1 + n + i][1:1 + n] = EQ[i]
+        C0[1 + n + i][1 + n:] = [mul(two_u0, x) for x in EQA0[i]]
+    varying = [(0, tuple(C0[0]),
+                (zero,) * (1 + n) + tuple(mul(u0, x) for x in v0),
+                (zero,) * N)]
+    for i in range(n):
+        c2 = [neg(mul(half, field.add(x, mul(EQv0[i], y))))
+              for x, y in zip(EQA0[i], v0)]
+        varying.append((1 + n + i, tuple(C0[1 + n + i]),
+                        (neg(EQv0[i]),) + (zero,) * (N - 1),
+                        (zero,) * (1 + n) + tuple(c2)))
+    return tuple(map(tuple, C0)), varying
+
+
+def _quadratic_point(field, coeffs, a) -> Matrix:
+    """C0 + a C1 + a^2 C2 from `coeffs` = (C0, [(i, C0_i, C1_i, C2_i)] over
+    the rows i where C1 or C2 is nonzero); the other rows are C0's own.
+    Over F_p each entry is one (x + a y + a^2 z) % p on ints."""
+    const, varying = coeffs
+    out = list(const)
+    if isinstance(field, PrimeField):
+        p, a2 = field.p, a * a
+        for i, r0, r1, r2 in varying:
+            out[i] = tuple([(x + a * y + a2 * z) % p
+                            for x, y, z in zip(r0, r1, r2)])
+    else:
+        add, mul = field.add, field.mul
+        a2 = mul(a, a)
+        for i, r0, r1, r2 in varying:
+            out[i] = tuple(add(x, add(mul(a, y), mul(a2, z)))
+                           for x, y, z in zip(r0, r1, r2))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +438,20 @@ class TwoFlipFamily(SliceFamily):
     def point(self, field, eps: int, eta: int, c, coeffs: Sequence) -> Matrix:
         if len(coeffs) != self.n_unip:
             raise ValueError(f"need {self.n_unip} unipotent coefficients")
-        n = self.n
-        tvals = [field.of(eps), field.of(eta)] + [c] * (n - 2)
-        t = self.ctx.torus(field, tvals)
-        out = mat_mul(field, self.representative(field), t)
+        return self._times_root_elements(
+            field, self._torus_part(field, eps, eta, c), coeffs)
+
+    def _torus_part(self, field, eps: int, eta: int, c) -> Matrix:
+        """wdot t(eps, eta, c), negated for the central twist -1."""
+        tvals = [field.of(eps), field.of(eta)] + [c] * (self.n - 2)
+        out = mat_mul(field, self.representative(field),
+                      self.ctx.torus(field, tvals))
         if self.central < 0:
             out = tuple(tuple(field.neg(x) for x in row) for row in out)
+        return out
+
+    def _times_root_elements(self, field, out, coeffs) -> Matrix:
+        """out times x_r(c) for the flip roots r in order, skipping c = 0."""
         for r, cf in zip(self.roots, coeffs):
             if not field.is_zero(cf):
                 out = mat_mul(field, out, self.ctx.root_element(field, r, cf))
@@ -413,17 +469,24 @@ class TwoFlipFamily(SliceFamily):
         return out
 
     def _component_point(self, eps, eta):
+        """`point` at c = 1 on the solution line through x; wdot t(eps, eta, 1)
+        does not depend on x, so each field builds it once."""
+        heads = {}
+
         def point(field, x):
-            p = x
+            head = heads.get(field)
+            if head is None:
+                head = heads[field] = self._torus_part(field, eps, eta,
+                                                       field.one)
             if self.group_type == "C":
                 # coefficients (p, eta*p, -2eps, -2eta) on the solution line
-                coeffs = [p, field.mul(field.of(eta), x),
+                coeffs = [x, field.mul(field.of(eta), x),
                           field.of(-2 * eps), field.of(-2 * eta)]
             else:
                 # q = -eta*p, short-root coefficients vanish
                 q = field.mul(field.of(-eta), x)
-                coeffs = [p, q] + [field.zero] * (self.n_unip - 2)
-            return self.point(field, eps, eta, field.one, coeffs)
+                coeffs = [x, q] + [field.zero] * (self.n_unip - 2)
+            return self._times_root_elements(field, head, coeffs)
 
         return point
 

@@ -234,30 +234,16 @@ def _coset_cells(group: OracleGroup, ks) -> list:
 
 def _root_generators(ctx: GroupContext, field) -> list:
     """x_a(c) for the simple roots a, with c = 1 over F_p (it generates
-    U_a(F_p)) and every unit over F_{p^k}, then the lift of w0, which
-    conjugates U_{a_i} onto U_{w0 a_i} = U_{-a_pi(i)}: together they
-    generate every root subgroup.
-
-    That needs a lift in N(T), a monomial one.  `weyl_representative` gives
-    one for SL and Sp and for SO-odd in characteristic 3, which covers the
-    groups `enumerate_group` takes, but not for SO otherwise: its
-    x_a(1) x_{-a}(-1) x_a(1) is not monomial for the short simple root of
-    B_n, nor for e_{n-1} + e_n of D_n.  There the negative simple root
-    elements stand in for the lift.
+    U_a(F_p)) and every unit over F_{p^k}, then the monomial lift of w0
+    (`weyl_representative`), which lies in N(T) and conjugates U_{a_i} onto
+    U_{w0 a_i} = U_{-a_pi(i)}: together they generate every root subgroup.
     """
     coeffs = field.units() if isinstance(field, ExtField) else [field.one]
     sys = ctx.system
     gens = [_flat(ctx.root_element(field, a, c))
             for a in sys.simple_roots for c in coeffs]
     w0 = ctx.weyl_representative(field, longest_element(sys, range(sys.rank)))
-    if all(sum(not field.is_zero(x) for x in row) == 1 for row in w0):
-        gens.append(_flat(w0))
-    else:
-        negatives = (sys.roots[sys.neg[sys.index[a]]]
-                     for a in sys.simple_roots)
-        gens += [_flat(ctx.root_element(field, a, c))
-                 for a in negatives for c in coeffs]
-    return gens
+    return gens + [_flat(w0)]
 
 
 def _torus_generators(ctx: GroupContext, field) -> list:
@@ -401,10 +387,17 @@ def expand_class(ctx: GroupContext, field, rep: Matrix,
     it lies outside Omega (Taylor, *The Geometry of the Classical Groups*,
     ch. 11).  For GL the same element has det a generator of F_q^x.
 
-    The integer entries of `rep` are reduced by `field.of`; a `rep` outside
-    the group raises ValueError.
+    Over F_p the integer entries of `rep` are reduced by `field.of`; over
+    F_{p^k} they must already be encoded elements, ints in range(q).
+    Either way a `rep` outside the group raises ValueError.
     """
-    rep = tuple(tuple(field.of(x) for x in row) for row in rep)
+    if isinstance(field, ExtField):
+        if not all(isinstance(x, int) and 0 <= x < field.order
+                   for row in rep for x in row):
+            raise ValueError(f"entries of {rep} are not elements of {field}")
+        rep = tuple(map(tuple, rep))
+    else:
+        rep = tuple(tuple(field.of(x) for x in row) for row in rep)
     if not ctx.in_group(field, rep):
         raise ValueError(f"{rep} is not in {ctx.label}{ctx.rank}")
     gens = _root_generators(ctx, field)

@@ -7,13 +7,16 @@ for K(t), ints in ``range(q)`` for F_q) and every field is an ops object
 passed to the matrix routines.  Nothing here ever rounds.
 
 Besides the scalar operations, each field supplies the vector and
-matrix operations that carry all of `linalg`'s products and row updates:
-``dot(xs, ys)`` (the sum of the products), ``sub_scaled(xs, f, ys)``
-(the list ``[x - f*y]``) and ``mat_mul(a, b)``.  F_p computes the first
-two on plain ints and reduces once per entry, and multiplies matrices on
-packed rows (`PrimeField`); every other field multiplies rows by columns
-with its own ``dot``.  The other fields skip the zero terms, whose
-Fraction, polynomial or table products are what the skipping saves.
+matrix operations that carry all of `linalg`'s products, row updates and
+eliminations: ``dot(xs, ys)`` (the sum of the products),
+``sub_scaled(xs, f, ys)`` (the list ``[x - f*y]``), ``mat_mul(a, b)``,
+``rref(a, max_pivots)`` and ``det(a)``.  F_p computes the first two on
+plain ints and reduces once per entry, multiplies matrices on packed
+rows, and eliminates on plain ints (`PrimeField`); every other field
+multiplies rows by columns with its own ``dot`` and eliminates with the
+shared bodies of `_FieldOps` on its own scalar operations.  The other
+fields skip the zero terms, whose Fraction, polynomial or table products
+are what the skipping saves.
 """
 
 from __future__ import annotations
@@ -29,13 +32,72 @@ from .linalg import fsum, poly_add, poly_divmod, poly_gcd, poly_mul
 
 
 class _FieldOps:
-    """The matrix product of every field without a faster one of its own."""
+    """The matrix product and the eliminations of every field without
+    faster ones of its own, on the field's scalar and row operations."""
 
     def mat_mul(self, a, b):
         """Rows of a by columns of b, one `dot` per entry."""
         bt = tuple(zip(*b))
         dot = self.dot
         return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
+
+    def rref(self, a,
+             max_pivots: int | None = None) -> tuple[list[list], list[int]]:
+        """Reduced row echelon form of `a` (new rows) and its pivot columns.
+
+        Gauss-Jordan elimination, exact over any field.  The form is
+        unique, so bases read off it are canonical.  With `max_pivots` the
+        elimination stops once it has that many pivots, and the rows are
+        only partly reduced.
+        """
+        is_zero, mul, sub_scaled = self.is_zero, self.mul, self.sub_scaled
+        m = [list(row) for row in a]
+        rows = len(m)
+        cols = len(m[0]) if rows else 0
+        pivots: list[int] = []
+        for c in range(cols):
+            r = len(pivots)
+            if r == rows or r == max_pivots:
+                break
+            piv = None
+            for i in range(r, rows):
+                if not is_zero(m[i][c]):
+                    piv = i
+                    break
+            if piv is None:
+                continue
+            m[r], m[piv] = m[piv], m[r]
+            inv = self.inv(m[r][c])
+            prow = m[r] = [mul(inv, x) for x in m[r]]
+            for i in range(rows):
+                f = m[i][c]
+                if i != r and not is_zero(f):
+                    m[i] = sub_scaled(m[i], f, prow)
+            pivots.append(c)
+        return m, pivots
+
+    def det(self, a):
+        """Determinant by ordinary elimination (exact over a field)."""
+        n = len(a)
+        m = [list(r) for r in a]
+        out = self.one
+        for c in range(n):
+            piv = None
+            for i in range(c, n):
+                if not self.is_zero(m[i][c]):
+                    piv = i
+                    break
+            if piv is None:
+                return self.zero
+            if piv != c:
+                m[c], m[piv] = m[piv], m[c]
+                out = self.neg(out)
+            out = self.mul(out, m[c][c])
+            inv = self.inv(m[c][c])
+            for i in range(c + 1, n):
+                if not self.is_zero(m[i][c]):
+                    m[i] = self.sub_scaled(m[i], self.mul(inv, m[i][c]), m[c])
+        return out
 
 
 class Rationals(_FieldOps):
@@ -284,6 +346,12 @@ class PrimeField(_FieldOps):
     p = 1009 up to k = 1.8e13, false for p = 2^61 - 1 at every k).  Other
     shapes and entries outside range(p) take the rows-by-columns product
     with `dot`, which gives the same matrix.
+
+    `rref` and `det` are the `_FieldOps` eliminations on ints: a pivot is
+    found by ``x % p``, inverted by ``pow(x, -1, p)``, and the rows are
+    updated only from the pivot column on.  They take any ints, as the
+    reference does, and agree with it up to entries of the input that
+    were outside range(p) and that no step touched.
     """
 
     def __init__(self, p: int):
@@ -347,6 +415,68 @@ class PrimeField(_FieldOps):
             tuple([x % p for x in array(
                 "Q", sum(map(_int_mul, ra, packs)).to_bytes(width, order))])
             for ra in a)
+
+    def rref(self, a, max_pivots: int | None = None):
+        """`_FieldOps.rref` on ints: the same pivots, and the same rows up
+        to entries of the input that were outside range(p).
+
+        A pivot is an entry nonzero mod p, its inverse is pow(x, -1, p),
+        and a row update runs only from the pivot column on, since the
+        pivot row is zero to its left.  Once the rows below the last pivot
+        are all 0, no column holds another one, and the elimination stops.
+        """
+        p = self.p
+        m = [list(row) for row in a]
+        rows = len(m)
+        cols = len(m[0]) if rows else 0
+        pivots: list[int] = []
+        for c in range(cols):
+            r = len(pivots)
+            if r == rows or r == max_pivots:
+                break
+            for piv in range(r, rows):
+                x = m[piv][c] % p
+                if x:
+                    break
+            else:
+                continue
+            row = m[piv]
+            m[piv], m[r] = m[r], row
+            inv = pow(x, -1, p)
+            row[c:] = tail = [y * inv % p for y in row[c:]]
+            for ri in m:
+                f = ri[c]
+                if f and ri is not row:
+                    ri[c:] = [(y - f * z) % p for y, z in zip(ri[c:], tail)]
+            pivots.append(c)
+            if not any(map(any, m[r + 1:])):
+                break
+        return m, pivots
+
+    def det(self, a) -> int:
+        """`_FieldOps.det` on ints.  Each step drops the pivot column, and
+        the other rows subtract f times the pivot row scaled to 1 without
+        reducing: an entry changes at most once per step by less than p^2,
+        and only a pivot candidate is reduced."""
+        p = self.p
+        m = [list(row) for row in a]
+        out = 1 % p
+        while m:
+            for piv, row in enumerate(m):
+                x = row[0] % p
+                if x:
+                    break
+            else:
+                return 0
+            if piv:
+                m[piv] = m[0]
+                out = -out
+            out = out * x % p
+            inv = pow(x, -1, p)
+            tail = [y * inv % p for y in row[1:]]
+            m = [[y - f * z for y, z in zip(r[1:], tail)]
+                 if (f := r[0] % p) else r[1:] for r in m[1:]]
+        return out
 
     def elements(self):
         return range(self.p)

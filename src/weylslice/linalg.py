@@ -2,14 +2,16 @@
 
 Matrices are immutable tuples of tuples.  Every product is the field's
 own ``field.mat_mul`` (packed rows over F_p, rows by columns with
-``field.dot`` elsewhere), and every row update goes through
-``field.sub_scaled``, so each routine has one code path for every field;
-over F_p both run on plain ints and reduce once per entry.  Every
-elimination (rank over any field, inverses, and the exact solver
-`solve` / `kernel` the rest of the package uses over Q) goes through the
-one Gauss-Jordan routine `rref`; a rank compared with a fixed value
-passes that bound as `at_most`, and the elimination stops one pivot past
-it.  Characteristic polynomials use the
+``field.dot`` elsewhere), every other row update goes through
+``field.sub_scaled``, and the eliminations are the field's own
+``field.rref`` and ``field.det``: the shared Gauss-Jordan and elimination
+bodies of `fields._FieldOps`, which F_p replaces by the same eliminations
+on plain ints.  So each routine here has one code path for every field.
+Every elimination (rank over any field, inverses, and the exact solver
+`solve` / `kernel` the rest of the package uses over Q) goes through
+`rref`; a rank compared with a fixed value passes that bound as
+`at_most`, and the elimination stops one pivot past it.  Characteristic
+polynomials use the
 division-free Berkowitz algorithm so they are valid over any field,
 including small characteristic.  Polynomials are low-first coefficient
 tuples; the ``poly_*`` helpers are also the arithmetic of K(t).
@@ -83,38 +85,14 @@ def rank(field, a: Matrix, at_most: int | None = None) -> int:
 
 def rref(field, a,
          max_pivots: int | None = None) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form of `a` (new rows) and its pivot columns.
+    """Reduced row echelon form of `a` (new rows) and its pivot columns,
+    by the field's Gauss-Jordan elimination `field.rref`.
 
-    Gauss-Jordan elimination, exact over any field.  The form is unique,
-    so bases read off it are canonical.  With `max_pivots` the elimination
-    stops once it has that many pivots, and the rows are only partly
-    reduced.
+    The form is unique, so bases read off it are canonical.  With
+    `max_pivots` the elimination stops once it has that many pivots, and
+    the rows are only partly reduced.
     """
-    is_zero, mul, sub_scaled = field.is_zero, field.mul, field.sub_scaled
-    m = [list(row) for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows or r == max_pivots:
-            break
-        piv = None
-        for i in range(r, rows):
-            if not is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        prow = m[r] = [mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            f = m[i][c]
-            if i != r and not is_zero(f):
-                m[i] = sub_scaled(m[i], f, prow)
-        pivots.append(c)
-    return m, pivots
+    return field.rref(a, max_pivots)
 
 
 def solve(field, a, b) -> tuple | None:
@@ -159,27 +137,8 @@ def inverse(field, a: Matrix) -> Matrix:
 
 
 def det(field, a: Matrix):
-    """Determinant by ordinary elimination (exact over a field)."""
-    n = len(a)
-    m = [list(r) for r in a]
-    out = field.one
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if not field.is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            return field.zero
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            out = field.neg(out)
-        out = field.mul(out, m[c][c])
-        inv = field.inv(m[c][c])
-        for i in range(c + 1, n):
-            if not field.is_zero(m[i][c]):
-                m[i] = field.sub_scaled(m[i], field.mul(inv, m[i][c]), m[c])
-    return out
+    """Determinant by the field's elimination `field.det`."""
+    return field.det(a)
 
 
 def charpoly(field, a: Matrix) -> tuple:

@@ -14,7 +14,8 @@ against the standard Borel, upper triangular in u_1..u_n, z, w_n..w_1.
 
 from __future__ import annotations
 
-from functools import reduce
+from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import product
 from operator import sub
 from typing import Optional, Sequence
@@ -196,22 +197,42 @@ class GroupContext:
                 m[i][j] = cc if s > 0 else field.neg(cc)
         return tuple(tuple(r) for r in m)
 
+    @cached_property
+    def _lift_coefficients(self) -> tuple[Fraction, ...]:
+        """-2 / a(H) for each simple root a, H = [X_a, X_{-a}] for the root
+        matrices X.
+
+        (X_a, (2/a(H)) X_{-a}) spans an sl2 whose bracket h has a(h) = 2,
+        so x_a(1) x_{-a}(-2/a(H)) x_a(1) is monomial.  a(H) is 2 for SL
+        and Sp, but -1 for the short simple root of B_n and -2 for
+        e_{n-1} + e_n of D_n, in these coordinates.
+        """
+        sys, out = self.system, []
+        for a in sys.simple_roots:
+            x, y = ({(i, j): s for i, j, s in self._root_terms[r][0]}
+                    for r in (a, sys.roots[sys.neg[sys.index[a]]]))
+            # a(H) = sum_i a_i e_i(H), and e_i(H) is the entry of the
+            # diagonal H = XY - YX at u_i, the coordinate of weight e_i
+            a_of_h = 0
+            for i, c in enumerate(a):
+                k = self._pos["u", i]
+                a_of_h += c * sum(x.get((k, j), 0) * y.get((j, k), 0)
+                                  - y.get((k, j), 0) * x.get((j, k), 0)
+                                  for j in range(self.size))
+            out.append(Fraction(-2, a_of_h))
+        return tuple(out)
+
     def weyl_representative(self, field, w: WeylElement) -> Matrix:
-        """Monomial lift of w: product of x_a(1)x_{-a}(-1)x_a(1) over a word."""
+        """Monomial lift of w: the product over a reduced word of
+        x_a(1) x_{-a}(c) x_a(1), c from `_lift_coefficients`."""
         out = identity(field, self.size)
         sys = self.system
         for i in w.reduced_word():
             a = sys.simple_roots[i]
             na = sys.roots[sys.neg[sys.index[a]]]
-            s = mat_mul(
-                field,
-                mat_mul(
-                    field,
-                    self.root_element(field, a, field.one),
-                    self.root_element(field, na, field.neg(field.one)),
-                ),
-                self.root_element(field, a, field.one),
-            )
+            xa = self.root_element(field, a, field.one)
+            s = mat_mul(field, mat_mul(field, xa, self.root_element(
+                field, na, field.of(self._lift_coefficients[i]))), xa)
             out = mat_mul(field, out, s)
         return out
 

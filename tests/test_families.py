@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,7 +18,7 @@ from weylslice.families import (
     build_family,
     family_for,
 )
-from weylslice.fields import QQI, gf
+from weylslice.fields import QQ, QQI, gf
 from weylslice.linalg import (
     identity,
     inverse,
@@ -166,6 +168,56 @@ def test_b_s_needs_fourth_root():
     point = _b_component_point(fam, (-1, 1), (1, 1))
     with pytest.raises(ExtensionRequired):
         point(F7, F7.of(1))  # F_7 has no primitive 4th root of 1
+
+
+def _b_s_chart_point(fam, field, e, eta, a):
+    """The point of component (e, eta) at a through the chart formula
+    `point`: zeta_i^2 = e_i, d_i = eta_i / zeta_i, v = a d,
+    mu = 2(-1)^n - a^2/2, A_ij = mu d_i d_j (i < j) and Q the inverse of
+    qinv = diag(d) (I + 2U) diag(d)^-1, U the all-ones strict upper part."""
+    n, one = fam.n, field.one
+    zeta = [one if ei == 1 else field.fourth_root_of_unity() for ei in e]
+    d = [field.div(field.of(h), z) for h, z in zip(eta, zeta)]
+    mu = field.sub(field.of(2 * fam.sign),
+                   field.mul(field.inv(field.of(2)), field.mul(a, a)))
+    qinv = tuple(tuple(one if i == j else field.mul(
+        field.of(2), field.div(d[i], d[j])) if i < j else field.zero
+        for j in range(n)) for i in range(n))
+    Q = inverse(field, qinv)
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return fam.point(field, e, [field.mul(a, x) for x in d],
+                     {ij: Q[ij[0]][ij[1]] for ij in upper},
+                     {(i, j): field.mul(mu, field.mul(d[i], d[j]))
+                      for i, j in upper})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_b_s_component_points_match_the_chart(n):
+    # one family serves every field in turn, so a coefficient cache keyed
+    # on the wrong field would hand F_13 matrices to F_1009 or QQ(i)
+    fam = family_for("B", n, "S")
+    signs = [(e, (1,) + eta) for e in product((1, -1), repeat=n)
+             for eta in product((1, -1), repeat=n - 1)]
+    rng = random.Random(n)
+    F13 = gf(13)
+    coords = [
+        (F13, [F13.of(a) for a in range(13)]),
+        (F, [F.of(a) for a in [0, 1, 1008] + rng.sample(range(2, 1008), 3)]),
+        (QQ, [Fraction(0), Fraction(-3, 2)]),
+        (QQI, [QQI.zero, (Fraction(2), Fraction(-1, 3))]),
+    ]
+    comps = fam.components()
+    assert [c.label for c in comps] == [f"e={e} eta={eta}" for e, eta in signs]
+    for rounds in range(2):
+        for comp, (e, eta) in zip(comps, signs):
+            for field, values in coords:
+                if field is QQ and -1 in e:
+                    with pytest.raises(ExtensionRequired):
+                        comp.point(field, values[0])
+                    continue
+                for a in values[rounds::2]:
+                    assert comp.point(field, a) == _b_s_chart_point(
+                        fam, field, e, eta, a)
 
 
 def test_d_families():

@@ -482,20 +482,27 @@ CRITERION_2_GROUPS = [("SL", 1, 3), ("SL", 1, 5), ("SL", 2, 3),
 def test_expand_class_matches_enumerated_classes(label, rank, q):
     # conjugation by the simple root elements and the lift of w0 (and for
     # SO one torus element) reaches every class of the enumerated group;
-    # expand_class reads integer entries into the prime field, so over F_9
-    # a class is entered at its least member with entries in F_3, which 5
-    # of its 13 classes have
+    # over F_9 each class is entered at its greatest member, whose encoded
+    # entries reach past F_3 in all but the central classes
     g = enumerate_group(label, rank, q)
     classes = conjugacy_classes(g)
-    checked = 0
     for c in classes:
-        rep = min((e for e in c.elements if max(e) < g.field.p), default=None)
-        if rep is None:
-            continue
+        rep = max(c.elements)
         got = expand_class(g.ctx, g.field, _unflat(rep, g.size))
         assert got.elements == c.elements and got.size == c.size
-        checked += 1
-    assert checked == (5 if q == 9 else len(classes))
+    assert q != 9 or len(classes) == 13
+
+
+def test_expand_class_over_extension_takes_encoded_entries():
+    # over F_9 the ints in range(9) are the field's elements, and nothing
+    # is read into F_3: 3 is the generator's class, not 0
+    ctx, F9 = GroupContext("SL", 1), gf(9)
+    u = ((1, 3), (0, 1))
+    cls = expand_class(ctx, F9, u)
+    assert u[0] + u[1] in cls.elements and (1, 0, 0, 1) not in cls.elements
+    for bad in (((1, 9), (0, 1)), ((1, -1), (0, 1)), ((1, 1.0), (0, 1))):
+        with pytest.raises(ValueError):
+            expand_class(ctx, F9, bad)
 
 
 def test_so5_classes_need_the_spinor_norm_generator():
@@ -519,8 +526,7 @@ def _off_diagonal(g, n):
     return any(x != 0 for i, x in enumerate(g) if i % (n + 1))
 
 
-@pytest.mark.parametrize("label,rank,q", [
-    group for group in SPARSE_GROUPS if group != ("SO-odd", 2, 5)])
+@pytest.mark.parametrize("label,rank,q", SPARSE_GROUPS)
 def test_generators_are_simple_root_elements_w0_lift_and_torus(label, rank,
                                                               q):
     # the positive simple root elements (every unit over F_4 and F_9), one
@@ -539,18 +545,3 @@ def test_generators_are_simple_root_elements_w0_lift_and_torus(label, rank,
     assert len(diagonal) == ctx.torus_rank - (label == "SL")
     units = q - 1 if q in (4, 9) else 1
     assert len(gens) == rank * units + 1 + len(diagonal)
-
-
-def test_generators_without_a_monomial_w0_lift(monkeypatch):
-    # a lift outside N(T) cannot carry U_a onto U_{w0 a}; the negative
-    # simple root elements stand in for it
-    ctx, F = GroupContext("Sp", 2), gf(5)
-    lift = ctx.weyl_representative
-    x = ctx.root_element(F, ctx.system.simple_roots[0], 1)
-    monkeypatch.setattr(ctx, "weyl_representative",
-                        lambda field, w: mat_mul(field, lift(field, w), x))
-    w0 = longest_element(ctx.system, range(2))
-    gens = _root_generators(ctx, F)
-    assert _flat(ctx.weyl_representative(F, w0)) not in gens
-    assert _negative_simple_root_elements(ctx, F, [1]) <= set(gens)
-    assert len(gens) == 4

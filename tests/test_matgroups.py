@@ -77,6 +77,20 @@ def test_weyl_representative_decodes(label, rank):
         assert ctx.bruhat_word(F, wd) == w
 
 
+@pytest.mark.parametrize("q", [5, 7, 9, 1009])
+@pytest.mark.parametrize("label,rank", [("SO-odd", 2), ("SO-odd", 3),
+                                        ("SO-even", 4)])
+def test_weyl_representatives_are_monomial(label, rank, q):
+    # x_a(1) x_{-a}(c) x_a(1) with c = -2/a([X_a, X_{-a}]) lies in N(T)
+    # for the short simple root of B_n (c = 2) and e_{n-1} + e_n of D_n
+    # (c = 1) too: an invertible matrix with one nonzero entry per row
+    ctx, F = GroupContext(label, rank), gf(q)
+    for w in ctx.system.all_elements():
+        wd = ctx.weyl_representative(F, w)
+        assert all(sum(not F.is_zero(x) for x in row) == 1 for row in wd)
+        assert ctx.in_group(F, wd)
+
+
 def test_bruhat_word_basics():
     F = gf(5)
     sl2 = GroupContext("SL", 1)
