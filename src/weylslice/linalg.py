@@ -11,10 +11,10 @@ Every elimination (rank over any field, inverses, and the exact solver
 `solve` / `kernel` the rest of the package uses over Q) goes through
 `rref`; a rank compared with a fixed value passes that bound as
 `at_most`, and the elimination stops one pivot past it.  Characteristic
-polynomials use the
-division-free Berkowitz algorithm so they are valid over any field,
-including small characteristic.  Polynomials are low-first coefficient
-tuples; the ``poly_*`` helpers are also the arithmetic of K(t).
+polynomials use the division-free Berkowitz algorithm so they are valid
+over any field, including small characteristic.  Polynomials are
+low-first coefficient tuples; the ``poly_*`` helpers are also the
+arithmetic of K(t).
 """
 
 from __future__ import annotations
