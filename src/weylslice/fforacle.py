@@ -3,10 +3,12 @@
 Enumerates SL2/SL3/Sp4/SO5 over small fields by generator closure, expands
 conjugacy classes, decodes Bruhat cells, and replays the dimension formula
 and slice-orbit claims pointwise.  Group elements are flat tuples; every
-orbit (classes, B(F_q)-orbits, Gamma_w-orbits) is `rootsys.closure` under
-a generator step, and the group itself is the same breadth-first walk,
-written out so that it hashes each product once and records where each
-element first appears.  A step x -> [a x b for each pair (a, b)] (right
+orbit of matrices (expanded classes, B(F_q)-orbits, Gamma_w-orbits) is
+`rootsys.closure` under a generator step, every orbit on the indices of an
+enumerated group (its classes and B-cosets) is `_orbits` under index
+tables, and the group itself is the same breadth-first walk, written out
+so that it hashes each product once and records where each element first
+appears.  A step x -> [a x b for each pair (a, b)] (right
 products x g, conjugates g x g^-1, slice moves x x_a(c)) is one sparse
 function, compiled by `_compile_step` once per (field, size, pairs) and
 kept for the process, so a closure step is one call that costs the pairs'
@@ -15,27 +17,31 @@ nonzero terms, not two n^3 products per pair.  It is built by
 `add`, `mul` and `C` (the field's operations and coefficients), with no
 builtins in reach, so it can do nothing but field arithmetic on x.
 
-Each orbit runs over the fewest generators it needs (`_generators`): the
-positive simple root elements x_a(1) (x_a(c) for every unit c over
-F_{p^k}), one monomial lift of w0 and one torus generator per slot.  The
-lift conjugates U_{a_i} onto U_{-a_pi(i)}, so it and the root elements give
-every root subgroup, and those generate G(F_q) for the simply connected SL
-and Sp (Steinberg) but only Omega, of index 2, for SO, where a torus
-element of non-square spinor norm makes up the rest (Taylor).  So
-`expand_class` conjugates by the root elements and the lift, adding that
-one torus element for SO, and `enumerate_group` multiplies by all of them:
-the torus and the positive simple root elements generate B = T U, so their
-right products give the cosets xB.
+Each orbit runs over the fewest generators it needs: the positive simple
+root elements x_a(1) (x_a(c) for every unit c over F_{p^k}), one monomial
+lift of w0 and, where the group needs one, a torus generator
+(`_walk_generators`).  The lift conjugates U_{a_i} onto U_{-a_pi(i)}, so
+it and the root elements give every root subgroup, and those generate
+G(F_q) for the simply connected SL and Sp (Steinberg) but only Omega, of
+index 2, for SO, where a torus element of non-square spinor norm makes up
+the rest (Taylor).  `expand_class` conjugates by that set and
+`enumerate_group` walks right products with it: 3 per element of SL3 or
+Sp4.  The torus generators (`_torus_generators`, one per slot) are used
+only through tables: with the positive simple root elements they
+generate B = T U, whose left products give the cosets Bx.
 
 An enumerated group (`OracleGroup`) holds its elements by index.  The
-enumeration records each product x g as an index, and conjugation by a
-generator is a table of indices derived from those products and the
-Schreier tree of first appearances with no further matrix product, so its
-classes are closures over ints.  Bruhat cells are read per right coset:
-BwB.B = BwB, so each coset xB lies in one cell, and the cosets are the
-closures of the `right` tables of the generators that lie in B.  One
-member of each coset is decoded (a second one as a check) and its cell is
-kept for every member, in a list aligned with the elements.
+enumeration records each right product x g of a walk generator as an
+index and the Schreier tree of first appearances, so x_d = x_a g_j for
+each element but the identity.  Left multiplication by any group element
+g is then the table g x_d = (g x_a) g_j, read along the tree from the
+index of g with no further matrix product, and conjugation by a walk
+generator is x g -> g x, so classes are closures over ints.  Bruhat cells
+are read per left coset: B.BwB = BwB, so each coset Bx lies in one cell,
+and the cosets are the closures of the `left` tables of the generators
+that lie in B.  One member of each is decoded (a second one as a check)
+and its cell is kept for every member, in a list aligned with the
+elements.
 Enumerated elements are products of generators of the group, and the
 members of an `expand_class` orbit are conjugates of a checked rep by such
 products, so their decoding skips `GroupContext.in_group`, which would cost
@@ -48,7 +54,7 @@ decoding (`linalg.bruhat_permutation`), the Borel reader
 `gamma_elements`), the Weyl-group combinatorics, and `linalg` `inverse`,
 `mat_mul`, `charpoly` and `rank` (class dimensions).  Closed forms guard
 the oracle itself: enumeration must hit the order formula, the classes
-must partition the group, every coset xB must have |B| elements and two of
+must partition the group, every coset Bx must have |B| elements and two of
 its members must decode to the same cell, every cell must have
 |BwB| = |B| q^l(w), and every cell's monomial representative must decode
 to that cell.
@@ -57,6 +63,7 @@ to that cell.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Optional
@@ -143,11 +150,12 @@ class OracleGroup:
     """An enumerated group, its elements by index.
 
     `elements` is sorted and `index` maps each element to its position.
-    `generators` are `_generators(ctx, field)`: the positive simple root
-    elements, the lift of w0 and the torus generators.  With
-    g = generators[k] and x = elements[i], `right[k][i]` is the index of
-    x g and `conj[k][i]` that of g x g^-1.  The Bruhat cells are decoded on
-    first use and kept.
+    `generators` are `_generators(ctx, field)`: the walk generators of
+    `_walk_generators` (the positive simple root elements, the lift of w0
+    and, for SO, one torus generator), then the other torus generators.
+    With g = generators[k] and x = elements[i], `left[k][i]` is the index
+    of g x, and for the walk generators, k < len(conj), `conj[k][i]` is
+    that of g x g^-1.  The Bruhat cells are decoded on first use and kept.
     """
     label: str
     rank: int
@@ -159,14 +167,14 @@ class OracleGroup:
     generators: tuple
     order: int
     index: dict = dc_field(repr=False)
-    right: tuple = dc_field(repr=False)
+    left: tuple = dc_field(repr=False)
     conj: tuple = dc_field(repr=False)
     _cells: Optional[list] = dc_field(default=None, init=False, repr=False)
 
     def cells(self) -> list:
         """The Bruhat cell of every element, aligned with `elements`.
 
-        Walks the right cosets xB (`_coset_cells` over the generators in B)
+        Walks the left cosets Bx (`_coset_cells` over the generators in B)
         and decodes one member of each by `GroupContext._cell`, without the
         `in_group` test, since enumerated elements lie in the group by
         construction.  Every coset must have |B| elements, and the last
@@ -203,33 +211,47 @@ def _borel_generators(group: OracleGroup) -> list[int]:
 
 
 def _coset_cells(group: OracleGroup, ks) -> list:
-    """The Bruhat cell of every element, one decoding per right coset.
+    """The Bruhat cell of every element, one decoding per left coset.
 
-    The cosets are the closures of the `right[k]` tables over the generator
-    indices `ks`; when those generators generate B they are the cosets xB,
-    and BwB.B = BwB puts each in one cell.  Raises AssertionError when a
+    The cosets are the closures of the `left[k]` tables over the generator
+    indices `ks`; when those generators generate B they are the cosets Bx,
+    and B.BwB = BwB puts each in one cell.  Raises AssertionError when a
     coset does not have |B| elements (the generators do not generate B) or
     when its first and last members decode to different cells.
     """
     ctx, field, n, elements = group.ctx, group.field, group.size, group.elements
-    tables = [group.right[k] for k in ks]
     b_order = _borel_order(group)
     cells = [None] * group.order
-    for i in range(group.order):
-        if cells[i] is not None:
-            continue
-        coset = closure([i], lambda x: [t[x] for t in tables])
+    for coset in _orbits([group.left[k] for k in ks], group.order):
+        x = elements[coset[0]]
         if len(coset) != b_order:
             raise AssertionError(
-                f"coset of {elements[i]} has {len(coset)} elements, "
-                f"|B| = {b_order}")
-        w = ctx._cell(field, _unflat(elements[i], n))
+                f"coset of {x} has {len(coset)} elements, |B| = {b_order}")
+        w = ctx._cell(field, _unflat(x, n))
         if ctx._cell(field, _unflat(elements[coset[-1]], n)) != w:
-            raise AssertionError(
-                f"coset of {elements[i]} meets two Bruhat cells")
+            raise AssertionError(f"coset of {x} meets two Bruhat cells")
         for j in coset:
             cells[j] = w
     return cells
+
+
+def _orbits(tables, order: int):
+    """The orbits of range(order) under the index maps `tables`, each a
+    list in breadth-first order from its least member, in order of that
+    member (`rootsys.closure` over ints, with a flag per index)."""
+    seen = bytearray(order)
+    for i in range(order):
+        if seen[i]:
+            continue
+        seen[i] = 1
+        orbit = [i]
+        for x in orbit:
+            for t in tables:
+                y = t[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        yield orbit
 
 
 def _root_generators(ctx: GroupContext, field) -> list:
@@ -273,17 +295,38 @@ def _torus_generators(ctx: GroupContext, field) -> list:
     return gens
 
 
+def _walk_generators(ctx: GroupContext, field) -> list:
+    """The generators `expand_class` conjugates by and `enumerate_group`
+    multiplies by: `_root_generators`, plus the first torus generator for
+    every group but SL and Sp.
+
+    The root subgroups generate G(F_q) for the simply connected SL and Sp
+    (Steinberg, *Lectures on Chevalley Groups*, sections 3 and 6).  For SO
+    they generate Omega, of index 2 in SO(F_q) for odd q; the first torus
+    generator's slot value generates F_q^x, so its spinor norm is a
+    non-square and it lies outside Omega (Taylor, *The Geometry of the
+    Classical Groups*, ch. 11).  For GL the same element has det a
+    generator of F_q^x.
+    """
+    gens = _root_generators(ctx, field)
+    if ctx.label not in ("SL", "Sp"):
+        gens.append(_torus_generators(ctx, field)[0])
+    return gens
+
+
 def _generators(ctx: GroupContext, field) -> tuple:
-    """Generators of G(F_q): `_root_generators`, then `_torus_generators`.
-    The torus and the positive simple root elements generate B = T U, so
-    their right products give the B-cosets of `_coset_cells`."""
-    return tuple(dict.fromkeys(_root_generators(ctx, field)
+    """`_walk_generators`, then the remaining `_torus_generators`, in the
+    order of `OracleGroup.generators`.  The torus and the positive simple
+    root elements generate B = T U, so their left products give the
+    B-cosets of `_coset_cells`."""
+    return tuple(dict.fromkeys(_walk_generators(ctx, field)
                                + _torus_generators(ctx, field)))
 
 
 @lru_cache(maxsize=None)
 def enumerate_group(label: str, rank: int, q: int) -> OracleGroup:
-    """All F_q points of the group, by closure from standard generators."""
+    """All F_q points of the group, by closure under right products with
+    the walk generators (`_walk_generators`)."""
     key = (label, rank)
     if key not in ORDER_FORMULAS:
         raise BudgetError(f"{label} rank {rank} is outside the oracle budget")
@@ -301,10 +344,11 @@ def enumerate_group(label: str, rank: int, q: int) -> OracleGroup:
             f"{ENUMERATION_BUDGET}")
     field = gf(q)
     ctx = GroupContext(label, rank)
-    gens = _generators(ctx, field)
+    walk = list(dict.fromkeys(_walk_generators(ctx, field)))
+    gens = tuple(dict.fromkeys(walk + _torus_generators(ctx, field)))
     ident = _flat(identity(field, ctx.size))
     products_of = _compile_step(field, ctx.size,
-                                tuple((ident, g) for g in gens))
+                                tuple((ident, g) for g in walk))
     # discovery index of every element and, in generator order, those of
     # its right products; `elements` grows as it is read, so the walk is
     # breadth-first in discovery order, and each product is hashed once.
@@ -328,6 +372,7 @@ def enumerate_group(label: str, rank: int, q: int) -> OracleGroup:
         raise AssertionError(
             f"enumerated {len(elements)} elements of {label}{rank}(F_{q}), "
             f"order formula gives {expected}")
+    starts = [found[g] for g in gens]
     elements.sort()
     disc = [0] * expected  # sorted index -> discovery index
     pos = [0] * expected   # discovery index -> sorted index
@@ -335,36 +380,37 @@ def enumerate_group(label: str, rank: int, q: int) -> OracleGroup:
         disc[i] = d = found[e]
         pos[d] = i
         found[e] = i       # `found` becomes the element -> index map
-    right, conj = _index_tables(products, len(gens), tree, disc, pos)
+    left, conj = _index_tables(products, len(walk), tree, disc, pos, starts)
     return OracleGroup(
         label=label, rank=rank, q=q, field=field, ctx=ctx, size=ctx.size,
         elements=tuple(elements), generators=gens, order=expected,
-        index=found, right=right, conj=conj)
+        index=found, left=left, conj=conj)
 
 
-def _index_tables(products, n_gens: int, tree, disc, pos) -> tuple:
-    """The `right` and `conj` tables of `OracleGroup`, by index lookups only.
+def _index_tables(products, walk: int, tree, disc, pos, starts) -> tuple:
+    """The `left` and `conj` tables of `OracleGroup`, by index lookups only.
 
-    In discovery indices, products[d * n_gens + k] is the index of
-    x_d g_k, and every x_d but the identity x_0 first appears as x_a g_j
-    with (a, j) = tree[d - 1] and a < d.  That is a Schreier tree:
-    g x_d = (g x_a) g_j gives left[d] = products[left[a] * n_gens + j] from
-    left[0] = index of g.  With x_r = x_e g, g x_r g^-1 = g x_e, so the
+    In discovery indices, products[d * walk + k] is the index of x_d g_k
+    for the walk generators g_k, k < walk, and every x_d but the identity
+    x_0 first appears as x_a g_j with (a, j) = tree[d - 1] and a < d.  That
+    is a Schreier tree: for any group element g, g x_d = (g x_a) g_j gives
+    left[d] = products[left[a] * walk + j] from left[0] = the index of g,
+    one of `starts`.  With x_r = x_e g_k, g_k x_r g_k^-1 = g_k x_e, so the
     conjugate of x_r is x_{left[e]}.
     """
     n = len(disc)
-    right, conj = [], []
-    for k in range(n_gens):
-        rk = products[k::n_gens]
-        left = [rk[0]]
+    left, conj = [], []
+    for k, start in enumerate(starts):
+        lk = [start]
         for a, j in tree:
-            left.append(products[left[a] * n_gens + j])
-        ck = array("i", [0]) * n
-        for e, r in enumerate(rk):
-            ck[pos[r]] = pos[left[e]]
-        right.append(array("i", [pos[rk[d]] for d in disc]))
-        conj.append(ck)
-    return tuple(right), tuple(conj)
+            lk.append(products[lk[a] * walk + j])
+        left.append(array("i", [pos[lk[d]] for d in disc]))
+        if k < walk:
+            ck = array("i", [0]) * n
+            for e, r in enumerate(products[k::walk]):
+                ck[pos[r]] = pos[lk[e]]
+            conj.append(ck)
+    return tuple(left), tuple(conj)
 
 
 @dataclass(frozen=True)
@@ -377,15 +423,7 @@ class ClassData:
 def expand_class(ctx: GroupContext, field, rep: Matrix,
                  budget: int = 300_000) -> ClassData:
     """Full conjugation orbit of `rep` under the group, by closure under
-    conjugation by the non-torus generators (`_root_generators`).
-
-    Their root subgroups generate G(F_q) for the simply connected SL and
-    Sp (Steinberg, *Lectures on Chevalley Groups*, sections 3 and 6), so
-    Sp4 takes 3 conjugations per element.  For SO they generate Omega, of
-    index 2 in SO(F_q) for odd q, so the first torus generator is added:
-    its slot value generates F_q^x, so its spinor norm is a non-square and
-    it lies outside Omega (Taylor, *The Geometry of the Classical Groups*,
-    ch. 11).  For GL the same element has det a generator of F_q^x.
+    conjugation by `_walk_generators` (3 per element for Sp4).
 
     Over F_p the integer entries of `rep` are reduced by `field.of`; over
     F_{p^k} they must already be encoded elements, ints in range(q).
@@ -400,28 +438,19 @@ def expand_class(ctx: GroupContext, field, rep: Matrix,
         rep = tuple(tuple(field.of(x) for x in row) for row in rep)
     if not ctx.in_group(field, rep):
         raise ValueError(f"{rep} is not in {ctx.label}{ctx.rank}")
-    gens = _root_generators(ctx, field)
-    if ctx.label not in ("SL", "Sp"):
-        gens.append(_torus_generators(ctx, field)[0])
-    step = _conjugation(field, ctx.size, tuple(gens))
+    step = _conjugation(field, ctx.size, tuple(_walk_generators(ctx, field)))
     orbit = closure([_flat(rep)], step, budget)
     return ClassData(rep=orbit[0], elements=frozenset(orbit), size=len(orbit))
 
 
 def conjugacy_classes(group: OracleGroup) -> list[ClassData]:
-    """All conjugacy classes; sizes sum to the group order."""
-    conj, elements = group.conj, group.elements
-    assigned = bytearray(group.order)
-    classes = []
-    for i in range(group.order):
-        if assigned[i]:
-            continue
-        orbit = closure([i], lambda x: [t[x] for t in conj])
-        members = frozenset(elements[j] for j in orbit)
-        classes.append(ClassData(rep=elements[min(orbit)], elements=members,
-                                 size=len(orbit)))
-        for j in orbit:
-            assigned[j] = 1
+    """All conjugacy classes, as closures of the `conj` tables of the walk
+    generators, which generate the group; sizes sum to the group order."""
+    elements = group.elements
+    classes = [ClassData(rep=elements[orbit[0]],
+                         elements=frozenset(elements[j] for j in orbit),
+                         size=len(orbit))
+               for orbit in _orbits(group.conj, group.order)]
     total = sum(c.size for c in classes)
     if total != group.order:
         raise AssertionError("classes do not partition the group")
@@ -452,9 +481,7 @@ def _cell_lookup(group_ctx, field):
 
 def cell_partition_check(group: OracleGroup) -> dict:
     """|BwB| = |B| q^{l(w)} for every cell, and the cells partition G."""
-    counts: dict = {}
-    for w in group.cells():
-        counts[w] = counts.get(w, 0) + 1
+    counts = Counter(group.cells())
     q, b_order = group.q, _borel_order(group)
     mismatches = []
     for w, size in counts.items():

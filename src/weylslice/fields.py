@@ -21,6 +21,7 @@ are what the skipping saves.
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
 from fractions import Fraction
@@ -371,7 +372,7 @@ class PrimeField(_FieldOps):
             if n.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             return n.numerator * pow(n.denominator, -1, self.p) % self.p
-        return int(n) % self.p
+        return operator.index(n) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -607,7 +608,7 @@ class ExtField(_FieldOps):
             num = self.of(n.numerator)
             den = self.of(n.denominator)
             return self.div(num, den)
-        return int(n) % self.p
+        return operator.index(n) % self.p
 
     def add(self, a, b):
         p = self.p

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from weylslice import sliceverify
 from weylslice.reportcli import RunConfig, format_jsonl, format_text, main, run
 
 
@@ -85,3 +86,24 @@ def test_text_format_summary_line():
     _, rows = run(RunConfig("catalog", group_type="G", rank=2))
     text = format_text(rows)
     assert text.endswith("0 fail")
+
+
+def test_witness_rows_fail_when_a_member_check_fails(monkeypatch):
+    # a witness whose members are not both on their sheets reads "fail";
+    # B3:S has no witness and no member check, so it still passes
+    witness = sliceverify.stratum_singularity_witness
+
+    def members_off(*args, **kwargs):
+        report = witness(*args, **kwargs)
+        for key in ("both_members", "sign_twists_members"):
+            if key in report.details:
+                report.details[key] = False
+        return report
+
+    monkeypatch.setattr(sliceverify, "stratum_singularity_witness",
+                        members_off)
+    _, rows = run(RunConfig("all", seed=1))
+    assert {r["claim"]: r["status"] for r in rows
+            if r["claim"].startswith("witness:")} == {
+        "witness:B2:unip(3,1^2)": "fail", "witness:D5:R-thetaR": "fail",
+        "witness:B3:S": "pass"}

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from weylslice import fforacle
 from weylslice.fforacle import (
     BudgetError,
     ClassData,
@@ -22,6 +23,7 @@ from weylslice.fforacle import (
     _flat,
     _generators,
     _root_generators,
+    _walk_generators,
     _unflat,
     slice_points,
 )
@@ -192,6 +194,9 @@ def test_expand_class_reduces_and_checks_rep():
     assert cls.rep == (4, 0, 0, 4) and cls.size == 1
     with pytest.raises(ValueError):
         expand_class(ctx, F5, ((2, 0), (0, 2)))  # det 4, not in SL2(F_5)
+    # a float entry is refused, not truncated to the class of ((1, 1), (0, 1))
+    with pytest.raises(TypeError):
+        expand_class(ctx, F5, ((1, 1.5), (0, 1)))
 
 
 def test_slice_orbit_sl2_f5():
@@ -363,21 +368,26 @@ TABLE_GROUPS = [("SL", 1, 3), ("SL", 1, 5), ("SL", 1, 7), ("SL", 2, 3),
 
 @pytest.mark.parametrize("label,rank,q", TABLE_GROUPS)
 def test_index_tables_match_products(label, rank, q):
-    # right and conjugation tables against products from linalg, and the
+    # left tables of every generator, torus included, and conjugation
+    # tables of the walk generators against products from linalg, and the
     # decoded cells against the public bruhat_word
     g = enumerate_group(label, rank, q)
     F, n, els = g.field, g.size, g.elements
     assert list(els) == sorted(els) and len(els) == g.order
     assert all(g.index[e] == i for i, e in enumerate(els))
-    conj = g.conj
-    assert len(g.right) == len(conj) == len(g.generators)
+    walk = len(g.conj)
+    assert g.generators == _generators(g.ctx, F)
+    assert g.generators[:walk] == tuple(_walk_generators(g.ctx, F))
+    assert len(g.left) == len(g.generators) > walk
     for k, gen in enumerate(g.generators):
         gm = _unflat(gen, n)
         gi = inverse(F, gm)
         for i, x in enumerate(els):
             xm = _unflat(x, n)
-            assert els[g.right[k][i]] == _flat(mat_mul(F, xm, gm))
-            assert els[conj[k][i]] == _flat(mat_mul(F, mat_mul(F, gm, xm), gi))
+            assert els[g.left[k][i]] == _flat(mat_mul(F, gm, xm))
+            if k < walk:
+                assert els[g.conj[k][i]] == _flat(
+                    mat_mul(F, mat_mul(F, gm, xm), gi))
     cells = g.cells()
     assert len(cells) == g.order
     for e, w in zip(els, cells):
@@ -387,8 +397,8 @@ def test_index_tables_match_products(label, rank, q):
 @pytest.mark.parametrize("label,rank,q", [("SL", 1, 3), ("SL", 2, 3)])
 def test_coset_cells_need_generators_of_b(label, rank, q):
     # the generators in B are the positive simple root elements and the
-    # torus generators, and their cosets give the cells; the torus or the
-    # root elements alone leave cosets smaller than |B|
+    # torus generators, and their left cosets Bx give the cells; the torus
+    # or the root elements alone leave cosets smaller than |B|
     g = enumerate_group(label, rank, q)
     n = g.size
     ks = _borel_generators(g)
@@ -401,6 +411,39 @@ def test_coset_cells_need_generators_of_b(label, rank, q):
     for subset in (diagonal, unipotent):
         with pytest.raises(AssertionError):
             _coset_cells(g, subset)
+
+
+# products of the enumeration: order x |walk generators|; the oracle
+# workload's three SL groups come to 17,136 (28,512 with every generator)
+WALK_PRODUCTS = [("SL", 1, 3, 24 * 2), ("SL", 1, 5, 120 * 2),
+                 ("SL", 2, 3, 5616 * 3), ("Sp", 2, 3, 51840 * 3),
+                 ("SO-odd", 2, 3, 51840 * 4)]
+
+
+@pytest.mark.parametrize("label,rank,q,products", WALK_PRODUCTS)
+def test_enumeration_walks_the_walk_generators(label, rank, q, products,
+                                               monkeypatch):
+    # one compiled step call per element, one product per walk generator;
+    # SL and Sp walk no torus generator, SO exactly one
+    compile_step, counts = fforacle._compile_step, []
+
+    def counting(field, n, pairs):
+        step = compile_step(field, n, pairs)
+
+        def counted(x):
+            ys = step(x)
+            counts.append(len(ys))
+            return ys
+        return counted
+
+    monkeypatch.setattr(fforacle, "_compile_step", counting)
+    g = enumerate_group.__wrapped__(label, rank, q)
+    walk = g.generators[:len(g.conj)]
+    assert len(counts) == g.order and sum(counts) == products
+    assert products == g.order * len(walk)
+    torus = [gen for gen in walk if not _off_diagonal(gen, g.size)]
+    assert len(torus) == (label == "SO-odd")
+    assert len(walk) == rank + 1 + len(torus)
 
 
 @pytest.mark.parametrize("label,rank,q", [("Sp", 2, 3), ("SO-odd", 2, 3)])

@@ -49,6 +49,17 @@ def test_prime_field_basics():
         PrimeField(6)
 
 
+def test_field_of_refuses_non_integral_input():
+    # ints, bools and Fractions are read into the field; a float is not
+    # truncated (1.5 used to read as 1), not even an integral one
+    for F in (gf(5), gf(9)):
+        assert F.of(-1) == F.neg(F.one) and F.of(True) == F.one
+        assert F.mul(F.of(Fraction(1, 2)), F.of(2)) == F.one
+        for bad in (1.5, 1.0):
+            with pytest.raises(TypeError):
+                F.of(bad)
+
+
 def test_fourth_roots():
     assert gf(5).fourth_root_of_unity() in (2, 3)
     assert gf(7).fourth_root_of_unity() is None

@@ -10,19 +10,24 @@ and tests/golden/parity_digests.txt holds the lines of
 
 for its sub-second areas (weyl, sevslice, torus, oracle, groups,
 catalog) and for membership, the certify sample streams point by point
-(about 1.6 s).  Updating either is a change to a check: do it in the
-change that alters the output, and say which claims or areas changed and
-why.
+(about 1.6 s).  tests/golden/oracle_f3_classes.json holds the class
+structure of Sp4(F_3) and SO5(F_3), which the oracle digest area (SL
+groups only) does not cover.  Updating any of them is a change to a check:
+do it in the change that alters the output, and say which claims or areas
+changed and why.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
+from weylslice.fforacle import (cell_partition_check, conjugacy_classes,
+                                enumerate_group)
 from weylslice.reportcli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "all_seed1.jsonl"
 DIGESTS = Path(__file__).parent / "golden" / "parity_digests.txt"
+ORACLE_CLASSES = Path(__file__).parent / "golden" / "oracle_f3_classes.json"
 PARITY = Path(__file__).parent.parent / "scripts" / "parity_digest.py"
 
 
@@ -51,3 +56,20 @@ def test_parity_digest_areas_match_golden():
            for area in want}
     differing = sorted(a for a in want if got[a] != want[a])
     assert not differing, f"areas differing from {DIGESTS.name}: {differing}"
+
+
+def test_sp4_so5_f3_classes_match_golden():
+    # per group: (rep, size) of every class in the order conjugacy_classes
+    # lists them, cell_partition_check, and the size of every Bruhat cell
+    # by reduced word
+    for key, want in json.loads(ORACLE_CLASSES.read_text()).items():
+        label, rank, q = key.rsplit("-", 2)
+        group = enumerate_group(label, int(rank), int(q))
+        classes = [[list(c.rep), c.size] for c in conjugacy_classes(group)]
+        assert classes == want["classes"], key
+        assert cell_partition_check(group) == want["cell_partition_check"]
+        sizes = {}
+        for w in group.cells():
+            word = ",".join(map(str, w.reduced_word()))
+            sizes[word] = sizes.get(word, 0) + 1
+        assert sizes == want["cell_sizes"], key
