@@ -23,8 +23,8 @@ from weylslice.fforacle import (
     _flat,
     _generators,
     _root_generators,
-    _walk_generators,
     _unflat,
+    _walk_generators,
     slice_points,
 )
 from weylslice.fields import gf
