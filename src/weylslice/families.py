@@ -2,9 +2,9 @@
 
 Each family builds exact matrices in the catalog's coordinates, carries
 the claimed solution components of the sheet intersection, and decides
-membership by rank and minimal-polynomial conditions only (never by
-root-finding in extension fields: eigenvalue pairs l, 1/l enter through
-their trace mu = l + 1/l, which lives in the base field).
+membership by the group test, then rank and minimal-polynomial conditions
+(never by root-finding in extension fields: eigenvalue pairs l, 1/l enter
+through mu = l + 1/l, a base-field eigenvalue of X + X^-1).
 
 Every family also answers the sampling questions about its own chart
 through the `SliceFamily` protocol: `is_matrix` (False for the E6/E7
@@ -36,8 +36,8 @@ from .linalg import (
 from .matgroups import GroupContext
 from .sheetcat import (
     SheetDescriptor,
+    _is_scalar,
     _rank_shift,
-    _cubic_mu_candidate,
     _solve_deg2,
     catalog_sheet,
     catalog_w_S,
@@ -114,23 +114,37 @@ class SliceFamily:
         raise TypeError("transitivity check covers the big-cell families")
 
 
-def _square_zero_or_mu(field, X, r, r_text, unipotent, semisimple, failure):
-    """Membership shared by the C and D families: X = +-(1 + N) with N of
-    rank r and N^2 = 0, or X + X^-1 = mu with mu != +-2.
+def _form_sum(ctx: GroupContext, field, X):
+    """Y = X + X^-1 as rows if X passes the group test, else None.  As
+    lam^2 = 1, (X - lam)^2 = X(Y - 2 lam) and X^2 - mu X + 1 = X(Y - mu),
+    with X invertible: same ranks, same kernels."""
+    inv = ctx.group_inverse(field, X)
+    return inv and [list(map(field.add, r, s)) for r, s in zip(X, inv)]
 
-    X must not be scalar, as `_solve_deg2` requires: the chart points of
-    C S2, D S and D R, their Gamma-conjugates and their sign twists all
-    have a nonzero off-diagonal block."""
-    for lam in (field.one, field.neg(field.one)):
-        if (_rank_shift(field, X, lam, at_most=r) == r
-                and _rank_shift(field, X, lam, 2, at_most=0) == 0):
+
+def _off_group(ctx: GroupContext) -> MembershipResult:
+    return MembershipResult(
+        False, f"X is not in {ctx.label.split('-')[0]}_{ctx.size}")
+
+
+def _square_zero_or_mu(ctx, field, X, r, r_text, unipotent, semisimple,
+                       failure):
+    """Membership shared by the C and D families: X in the group, and
+    X = lam(1 + N) with N of rank r and N^2 = 0, or X + X^-1 = mu with
+    mu != +-2.  By `_form_sum` both need Y = X + X^-1 scalar: N^2 = 0 is
+    Y = 2 lam, and X^2 - mu X + 1 = 0 is Y = mu."""
+    Y = _form_sum(ctx, field, X)
+    if Y is None:
+        return _off_group(ctx)
+    if _is_scalar(field, Y):
+        mu, two = Y[0][0], field.of(2)
+        if mu != two and mu != field.neg(two):
+            return MembershipResult(True, "X + X^-1 = mu with mu != +-2",
+                                    semisimple)
+        lam = field.one if mu == two else field.neg(field.one)
+        if _rank_shift(field, X, lam, at_most=r) == r:
             return MembershipResult(
                 True, f"rk(X-({lam}))={r_text} and square zero", unipotent)
-    got = _solve_deg2(field, X, mat_mul(field, X, X))
-    if (got is not None and got[1] == field.one
-            and got[0] != field.of(2) and got[0] != field.of(-2)):
-        return MembershipResult(True, "X + X^-1 = mu with mu != +-2",
-                                semisimple)
     return MembershipResult(False, failure)
 
 
@@ -231,16 +245,15 @@ class BFamilyS(SliceFamily):
     def membership(self, field, X) -> MembershipResult:
         """Semisimple, unipotent or twisted unipotent member of the sheet.
 
-        X^2 is the only matrix product.  Semisimple: (X - 1)(X^2 - mu X + 1)
-        = 0 with mu != +-2 and rk(X - 1) = 2n.  As mu != 2, t - 1 and
-        t^2 - mu t + 1 are coprime, so ker(X - 1) = im(X^2 - mu X + 1) and
-        rk(X - 1) = 2n is rk(X^2 - mu X + 1) = 1, a rank bounded at 1.  mu
-        is the one value the cubic identity allows, read off one entry
-        (`_cubic_mu_candidate`).  Once Q = X^2 - mu X + 1 has rank 1, it is
-        u w^T for any nonzero column u of Q, so the identity (X - 1)Q = 0
-        is (X - 1)u = 0: one matrix-vector product, valid over every field
-        and in every characteristic.  Unipotent (or twisted by -1):
-        rk((X -+ 1)^2) = 1.
+        X must lie in SO_{2n+1}; the Gram product of that test is the only
+        matrix product, and gives Y = X + X^-1 (`_form_sum`).  Semisimple:
+        (X - 1)(X^2 - mu X + 1) = X(X - 1)(Y - mu) = 0, mu != +-2 and
+        rk(X - 1) = 2n.  As t - 1 and t^2 - mu t + 1 are then coprime,
+        ker(X - 1) = im(Y - mu): rk(X - 1) = 2n is rk(Y - mu) = 1, and mu
+        is the one value (X - 1)Y = mu (X - 1) allows at the first nonzero
+        entry of X - 1 (one dot product).  Y - mu = u w^T for its first
+        nonzero column u, so (X - 1)(Y - mu) = 0 is (X - 1)u = 0.
+        Unipotent (or twisted by -1): rk((X -+ 1)^2) = rk(Y -+ 2) = 1.
 
         At most one branch holds, so the cheaper semisimple test can run
         first.  With mu != +-2 the cubic is squarefree, so X is
@@ -248,24 +261,26 @@ class BFamilyS(SliceFamily):
         multiplicity 2n: for +1 that contradicts rk(X - 1) = 2n, and for -1
         it makes -1 a root of t^2 - mu t + 1, that is mu = -2.
         """
+        Y = _form_sum(self.ctx, field, X)
+        if Y is None:
+            return _off_group(self.ctx)
         one = field.one
         u0 = field.of(self.sign)
-        Xsq = mat_mul(field, X, X)
-        mu = _cubic_mu_candidate(field, X, Xsq)
-        if mu is not None and mu != field.of(2) and mu != field.of(-2):
-            quad = scalar_shift(field, [field.sub_scaled(r2, mu, r) for
-                                        r2, r in zip(Xsq, X)], field.neg(one))
-            if (mat_rank(field, quad, at_most=1) == 1
-                    and _fixes_a_column(field, X, quad)):
-                return MembershipResult(
-                    True, "semisimple with eigenvalue trace mu",
-                    "semisimple O_lambda member")
+        k = scalar_shift(field, X, one)
+        i, j = next(((i, j) for i, row in enumerate(k) for j, x in
+                     enumerate(row) if not field.is_zero(x)), (0, 0))
+        if not field.is_zero(k[i][j]):
+            mu = field.div(field.dot(k[i], [row[j] for row in Y]), k[i][j])
+            if mu != field.of(2) and mu != field.of(-2):
+                quad = scalar_shift(field, Y, mu)
+                if (mat_rank(field, quad, at_most=1) == 1
+                        and _fixes_a_column(field, X, quad)):
+                    return MembershipResult(
+                        True, "semisimple with eigenvalue trace mu",
+                        "semisimple O_lambda member")
         for lam in (one, field.neg(one)):
-            # (X - lam)^2 = X^2 - 2 lam X + 1, as lam^2 = 1
-            two_lam = field.add(lam, lam)
-            sq = scalar_shift(field, [field.sub_scaled(r2, two_lam, r) for
-                                      r2, r in zip(Xsq, X)], field.neg(one))
-            if mat_rank(field, sq, at_most=1) == 1:
+            if mat_rank(field, scalar_shift(field, Y, field.add(lam, lam)),
+                        at_most=1) == 1:
                 if lam == u0:
                     t = ("unipotent (3,2^(n-2),1^2) member" if self.sign == 1
                          else "rho-twisted unipotent member")
@@ -442,19 +457,21 @@ class TwoFlipFamily(SliceFamily):
             field, self._torus_part(field, eps, eta, c), coeffs)
 
     def _torus_part(self, field, eps: int, eta: int, c) -> Matrix:
-        """wdot t(eps, eta, c), negated for the central twist -1."""
-        tvals = [field.of(eps), field.of(eta)] + [c] * (self.n - 2)
-        out = mat_mul(field, self.representative(field),
-                      self.ctx.torus(field, tvals))
-        if self.central < 0:
-            out = tuple(tuple(field.neg(x) for x in row) for row in out)
-        return out
+        """wdot t(eps, eta, c), negated for the central twist -1: the
+        columns of wdot scaled by the diagonal of t, with no product."""
+        t = self.ctx.torus(field, [field.of(eps), field.of(eta)]
+                           + [c] * (self.n - 2))
+        z = field.of(self.central)
+        scale = [field.mul(z, t[j][j]) for j in range(len(t))]
+        return tuple(tuple(map(field.mul, row, scale))
+                     for row in self.representative(field))
 
     def _times_root_elements(self, field, out, coeffs) -> Matrix:
-        """out times x_r(c) for the flip roots r in order, skipping c = 0."""
+        """out times x_r(c) for the flip roots r in order, skipping c = 0,
+        by column operations (`GroupContext.times_root_element`)."""
         for r, cf in zip(self.roots, coeffs):
             if not field.is_zero(cf):
-                out = mat_mul(field, out, self.ctx.root_element(field, r, cf))
+                out = self.ctx.times_root_element(field, out, r, cf)
         return out
 
     def components(self):
@@ -491,9 +508,13 @@ class TwoFlipFamily(SliceFamily):
         return point
 
     def membership(self, field, X) -> MembershipResult:
+        """rk(X - z) = 2 in the group; unipotent when X + X^-1 = 2z."""
+        Y = _form_sum(self.ctx, field, X)
+        if Y is None:
+            return _off_group(self.ctx)
         z = field.of(self.central)
         if _rank_shift(field, X, z, at_most=2) == 2:
-            if _rank_shift(field, X, z, 2, at_most=0) == 0:
+            if _is_scalar(field, Y) and Y[0][0] == field.add(z, z):
                 t = "unipotent member" + (" (times -1)" if self.central < 0 else "")
             else:
                 t = "semisimple or mixed member"
@@ -570,7 +591,8 @@ class CFamilyS2(SliceFamily):
 
     def membership(self, field, X) -> MembershipResult:
         return _square_zero_or_mu(
-            field, X, self.n, "n", "unipotent (2^n) member up to sign",
+            self.ctx, field, X, self.n, "n",
+            "unipotent (2^n) member up to sign",
             "semisimple O_lambda member", "no S2 membership condition holds")
 
     def ambient(self, field, rng):
@@ -634,7 +656,7 @@ class DFamilyS(SliceFamily):
 
     def membership(self, field, X) -> MembershipResult:
         return _square_zero_or_mu(
-            field, X, self.n, "n",
+            self.ctx, field, X, self.n, "n",
             "very even unipotent (2^n) member up to sign",
             "semisimple member", "no S membership condition holds")
 
@@ -726,7 +748,7 @@ class DFamilyR(SliceFamily):
 
     def membership(self, field, X) -> MembershipResult:
         return _square_zero_or_mu(
-            field, X, self.n - 1, "n-1",
+            self.ctx, field, X, self.n - 1, "n-1",
             "unipotent (2^(n-1),1^2) member up to sign",
             "semisimple member", "no R membership condition holds")
 
@@ -834,6 +856,8 @@ class AFamily(SliceFamily):
         return self.point(field, a, b, zeta)
 
     def membership(self, field, X) -> MembershipResult:
+        if not self.ctx.in_group(field, X):
+            return _off_group(self.ctx)
         n1, m = self.n + 1, self.m
         # unipotent-up-to-scalar branch
         p = field.char

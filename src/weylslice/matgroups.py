@@ -25,6 +25,7 @@ from .linalg import (
     bruhat_permutation,
     det,
     identity,
+    inverse,
     kernel,
     mat_mul,
     rank,
@@ -197,6 +198,18 @@ class GroupContext:
                 m[i][j] = cc if s > 0 else field.neg(cc)
         return tuple(tuple(r) for r in m)
 
+    def times_root_element(self, field, m: Matrix, root: Vector, c) -> Matrix:
+        """m x_root(c) by column operations: the entry v of x_root(c) at
+        each (i, j) of X and X^2 adds v times column i of m to column j."""
+        x = self.root_element(field, root, c)
+        ops = [(i, j, x[i][j]) for terms in self._root_terms[tuple(root)]
+               for i, j, _ in terms]
+        out = [list(row) for row in m]
+        for new, row in zip(out, m):
+            for i, j, v in ops:
+                new[j] = field.add(new[j], field.mul(v, row[i]))
+        return tuple(map(tuple, out))
+
     @cached_property
     def _lift_coefficients(self) -> tuple[Fraction, ...]:
         """-2 / a(H) for each simple root a, H = [X_a, X_{-a}] for the root
@@ -224,27 +237,28 @@ class GroupContext:
 
     def weyl_representative(self, field, w: WeylElement) -> Matrix:
         """Monomial lift of w: the product over a reduced word of
-        x_a(1) x_{-a}(c) x_a(1), c from `_lift_coefficients`."""
+        x_a(1) x_{-a}(c) x_a(1), c from `_lift_coefficients`, as column
+        operations (`times_root_element`)."""
         out = identity(field, self.size)
         sys = self.system
         for i in w.reduced_word():
             a = sys.simple_roots[i]
             na = sys.roots[sys.neg[sys.index[a]]]
-            xa = self.root_element(field, a, field.one)
-            s = mat_mul(field, mat_mul(field, xa, self.root_element(
-                field, na, field.of(self._lift_coefficients[i]))), xa)
-            out = mat_mul(field, out, s)
+            c = field.of(self._lift_coefficients[i])
+            for root, coeff in ((a, field.one), (na, c), (a, field.one)):
+                out = self.times_root_element(field, out, root, coeff)
         return out
 
     # -- predicates --------------------------------------------------------
 
     def in_group(self, field, g: Matrix) -> bool:
+        """N x N, g^T J g = J for a form J (one product: J g signs and
+        permutes the rows of g), and det g = 1 (SL, SO) or nonzero (GL)."""
         N = self.size
         if len(g) != N or any(len(row) != N for row in g):
             return False
         j = self.form(field)
         if j is not None:
-            # J g permutes and signs the rows of g, so g^T J g is one product
             jg = [g[col] if sign > 0 else [field.neg(x) for x in g[col]]
                   for col, sign in self._signed_form]
             if mat_mul(field, transpose(g), jg) != j:
@@ -253,6 +267,19 @@ class GroupContext:
             return True
         d = det(field, g)
         return d == field.one if self._det_one else not field.is_zero(d)
+
+    def group_inverse(self, field, g: Matrix) -> Optional[Matrix]:
+        """g^-1 when `in_group` holds, else None.  With a form J,
+        g^-1 = J^-1 g^T J, read off g with no elimination: row k of J is s_k
+        at column col(k), col is an involution and J^-1 = +-J, so entry
+        (a, b) is s_a s_b g[col(b)][col(a)].  SL/GL use `linalg.inverse`."""
+        if not self.in_group(field, g):
+            return None
+        form = self._signed_form
+        if form is None:
+            return inverse(field, g)
+        return tuple(tuple(g[cb][ca] if sa == sb else field.neg(g[cb][ca])
+                           for cb, sb in form) for ca, sa in form)
 
     # -- Bruhat decoding ----------------------------------------------------
 

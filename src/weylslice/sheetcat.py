@@ -499,40 +499,23 @@ def _solve_deg2(field, g, gsq):
     return None
 
 
-def _cubic_mu_candidate(field, g, gsq):
-    """The one mu that (g - 1)(g^2 - mu*g + 1) = 0 allows, or None when
-    g^2 = g; `gsq` is g^2.  The identity is not checked.
-
-    The identity reads (g - 1)(g^2 + 1) = mu (g^2 - g).  At the first
-    nonzero entry (i, j) of g^2 - g, in row-major order, mu is the ratio
-    of the two sides; (g^3)_ij is row i of g^2 dotted with column j of g,
-    so no matrix product is needed.
-    """
-    sub, is_zero = field.sub, field.is_zero
-    for i, (r2, r) in enumerate(zip(gsq, g)):
-        for j, (x2, x) in enumerate(zip(r2, r)):
-            k = sub(x2, x)
-            if not is_zero(k):
-                g3 = field.dot(r2, [row[j] for row in g])
-                lhs = field.add(sub(g3, x2), x)
-                return field.div(sub(lhs, field.one) if i == j else lhs, k)
-    return None
-
-
 def _solve_cubic_mu(field, g, gsq):
     """mu with (g - 1)(g^2 - mu*g + 1) = 0, or None; `gsq` is g^2.
 
-    mu is `_cubic_mu_candidate`'s; one product, g^3 = g^2 g, then checks
-    the whole identity (g - 1)(g^2 + 1) = mu (g^2 - g), whose sides are
-    g^3 - g^2 + g - 1 and g^2 - g.
+    The identity reads (g - 1)(g^2 + 1) = mu (g^2 - g), whose sides are
+    g^3 - g^2 + g - 1 and g^2 - g.  mu is their ratio at the first nonzero
+    entry of g^2 - g (None when g^2 = g); one product, g^3 = g^2 g, then
+    checks the whole identity.
     """
-    mu = _cubic_mu_candidate(field, g, gsq)
-    if mu is None:
-        return None
     one = field.one
     kg = [field.sub_scaled(r2, one, r) for r2, r in zip(gsq, g)]
+    ij = next(((i, j) for i, row in enumerate(kg) for j, x in enumerate(row)
+               if not field.is_zero(x)), None)
+    if ij is None:
+        return None
     lhs = scalar_shift(field, [field.sub_scaled(r3, one, r) for r3, r
                                in zip(mat_mul(field, gsq, g), kg)], one)
+    mu = field.div(lhs[ij[0]][ij[1]], kg[ij[0]][ij[1]])
     return mu if all(field.is_zero(x) for lr, kr in zip(lhs, kg)
                      for x in field.sub_scaled(lr, mu, kr)) else None
 

@@ -20,6 +20,7 @@ from weylslice.families import (
 )
 from weylslice.fields import QQ, QQI, gf
 from weylslice.linalg import (
+    det,
     identity,
     inverse,
     mat_mul,
@@ -252,15 +253,54 @@ def _unipotent(parts):
     return tuple(map(tuple, rows))
 
 
+def _eps(n, *terms):
+    """sum of s e_i over the (i, s) terms, as a length-n vector."""
+    v = [0] * n
+    for i, s in terms:
+        v[i] += s
+    return tuple(v)
+
+
+def _root_product(ctx, field, roots):
+    """x_r(1) multiplied out over `roots` in order."""
+    out = identity(field, ctx.size)
+    for r in roots:
+        out = mat_mul(field, out, ctx.root_element(field, r, field.one))
+    return out
+
+
 def test_square_zero_branch_needs_both_ranks():
-    # (3,2,2,1) has rk(X - 1) = 4 like (2,2,2,2), but (X - 1)^2 != 0
     fam = DFamilyS(4)
-    assert fam.membership(F, _unipotent((2, 2, 2, 2))).member
-    assert not fam.membership(F, _unipotent((3, 2, 2, 1))).member
     famR = DFamilyR(5)
-    assert famR.membership(F, _unipotent((2, 2, 2, 2, 1, 1))).member
-    assert not famR.membership(F, _unipotent((3, 2, 2, 1, 1, 1))).member
-    assert not famR.membership(F, _unipotent((2, 2, 2, 2, 2))).member
+    # the Jordan matrices 1 + N do not preserve the SO_2n form, so each is
+    # rejected by the group test; (2^5) is not an orthogonal partition
+    for f, parts in ((fam, (2, 2, 2, 2)), (fam, (3, 2, 2, 1)),
+                     (famR, (2, 2, 2, 2, 1, 1)), (famR, (3, 2, 2, 1, 1, 1)),
+                     (famR, (2, 2, 2, 2, 2))):
+        X = _unipotent(parts)
+        assert not f.ctx.in_group(F, X)
+        assert f.membership(F, X) == MembershipResult(
+            False, f"X is not in SO_{2 * f.n}")
+    # in the group, (3,2,2,1) has rk(X - 1) = 4 like (2,2,2,2), but
+    # (X - 1)^2 != 0; likewise (3,2,2,1^3) against (2^4,1^2)
+    d4 = [_eps(4, (0, 1), (1, 1)), _eps(4, (2, 1), (3, 1))]
+    d4_3 = [_eps(4, (2, 1), (3, -1)), _eps(4, (2, 1), (3, 1)),
+            _eps(4, (0, 1), (1, -1))]
+    d5 = [_eps(5, (0, 1), (1, 1)), _eps(5, (2, 1), (3, 1))]
+    d5_3 = [_eps(5, (3, 1), (4, -1)), _eps(5, (3, 1), (4, 1)),
+            _eps(5, (0, 1), (1, -1))]
+    for f, roots, parts, member in (
+            (fam, d4, (2, 2, 2, 2), True),
+            (fam, d4_3, (3, 2, 2, 1), False),
+            (famR, d5, (2, 2, 2, 2, 1, 1), True),
+            (famR, d5_3, (3, 2, 2, 1, 1, 1), False)):
+        X = _root_product(f.ctx, F, roots)
+        assert unipotent_partition(F, X) == parts
+        assert rank(F, scalar_shift(F, X, F.one)) == 4
+        minus = tuple(tuple(F.neg(x) for x in row) for row in X)
+        for Z in (X, minus):
+            assert f.ctx.in_group(F, Z)
+            assert f.membership(F, Z).member is member, (parts, Z is X)
 
 
 def test_a_family():
@@ -269,8 +309,6 @@ def test_a_family():
     for comp in fam.components():
         X = comp.point(F, (F.of(5), F.of(7)))
         assert fam.membership(F, X).member
-        from weylslice.linalg import det
-
         assert det(F, X) == F.of(5**4 % 1009)
     # b = +-a collapses to the unipotent member z*(2^2)
     X = fam.components()[0].point(F, (F.of(5), F.of(5)))
@@ -381,7 +419,10 @@ def test_b_s_kernel_of_x_minus_1_is_image_of_quadratic(n):
 
 def _membership_unipotent_first(fam, field, X):
     """BFamilyS.membership with the unipotent branches first, on
-    products and full ranks, and mu from the whole cubic identity."""
+    products and full ranks, and mu from the whole cubic identity, after
+    the group test."""
+    if not fam.ctx.in_group(field, X):
+        return MembershipResult(False, f"X is not in SO_{2 * fam.n + 1}")
     one = field.one
     for lam in (one, field.neg(one)):
         sh = scalar_shift(field, X, lam)
@@ -470,7 +511,9 @@ def test_b_s_membership_matches_the_reference_over_small_fields(q):
         for X in _b_s_point_kinds(fam, field, rng, 6 if n < 4 else 3):
             got = fam.membership(field, X)
             assert got == _membership_unipotent_first(fam, field, X), (n, X)
-            kinds.add(got.member_type)
+            if fam.ctx.in_group(field, X):
+                kinds.add(got.member_type)
+    # semisimple and unipotent members and non-members all occur in the group
     assert {None, "semisimple O_lambda member"} <= kinds
     assert any(t and "unipotent" in t for t in kinds)
 
@@ -478,7 +521,10 @@ def test_b_s_membership_matches_the_reference_over_small_fields(q):
 def test_b_s_rank_one_quadratic_off_the_cubic_is_rejected():
     # X = diag(l, 1/l, ..., l, 1/l, c) with c != 1: mu = l + 1/l from entry
     # (0, 0) leaves X^2 - mu X + 1 of rank 1, yet (X - 1)(X^2 - mu X + 1)
-    # is nonzero, so only the cubic identity rejects X
+    # is nonzero.  X is off SO_{2n+1}, and the group test rejects it.  In
+    # the group, rank one already forces the cubic: X fixes some v != 0, so
+    # (Y - mu)v = (2 - mu)v spans im(Y - mu), which X then fixes; the
+    # `_fixes_a_column` check stays
     for q, lam, c in ((1009, 5, 7), (13, 2, 3)):
         field = gf(q)
         for n in (2, 3):
@@ -489,12 +535,14 @@ def test_b_s_rank_one_quadratic_off_the_cubic_is_rejected():
             mu = field.add(diag[0], diag[1])
             quad = poly_eval_matrix(field, (field.one, field.neg(mu), field.one), X)
             assert rank(field, quad) == 1
+            assert not fam.ctx.in_group(field, X)
             got = fam.membership(field, X)
             assert not got.member
             assert got == _membership_unipotent_first(fam, field, X)
 
 
-def test_b_s_membership_makes_one_product(monkeypatch):
+def _count_products(monkeypatch):
+    """A list that gains one entry per `PrimeField.mat_mul` call."""
     from weylslice.fields import PrimeField
 
     calls = []
@@ -505,6 +553,18 @@ def test_b_s_membership_makes_one_product(monkeypatch):
         return product(self, a, b)
 
     monkeypatch.setattr(PrimeField, "mat_mul", counted)
+    return calls
+
+
+FORM_SHEETS = [("C", 3, "S2"), ("C", 4, "S2"), ("D", 4, "S"),
+               ("D", 4, "thetaS"), ("D", 5, "R"), ("D", 5, "thetaR"),
+               ("B", 3, "Sprime"), ("C", 3, "S1"), ("C", 3, "-S1"),
+               ("D", 4, "Sprime")]
+
+
+def test_b_s_membership_makes_one_product(monkeypatch):
+    # the one product is the Gram product of the group test
+    calls = _count_products(monkeypatch)
     rng = random.Random(3)
     seen = set()
     for n in (2, 3, 4):
@@ -521,6 +581,93 @@ def test_b_s_membership_makes_one_product(monkeypatch):
                     "unipotent (3,2^(n-2),1^2) member",
                     "unipotent (3,2^(n-1)) member",
                     "rho-twisted unipotent member"}
+    # C S2, D S/R and the rank-two flip families likewise
+    for t, n, label in FORM_SHEETS:
+        fam = family_for(t, n, label)
+        points = [comp.point(F, c) for comp in fam.components()
+                  for c in fam.sample_coords(F, rng, 4)]
+        points += [fam.ambient(F, rng) for _ in range(4)]
+        seen = set()
+        for X in points:
+            if X is None:
+                continue
+            calls.clear()
+            seen.add(fam.membership(F, X).member_type)
+            assert len(calls) == 1, (t, n, label)
+        assert None in seen and len(seen) > 1, (t, n, label, seen)
+
+
+def test_flip_points_and_gamma_conjugates_make_no_product(monkeypatch):
+    import weylslice.linalg as linalg_module
+    import weylslice.sliceverify as sliceverify_module
+    from weylslice.sliceverify import (_conjugate_by_diagonal,
+                                       gamma_group_elements,
+                                       gamma_stability_check,
+                                       gamma_transitivity_check)
+
+    fam = family_for("C", 3, "S2")
+    x = fam.components()[1].point(F, F.of(7))
+    gammas = gamma_group_elements(fam, F)[::9]
+    want = [mat_mul(F, mat_mul(F, g, x), inverse(F, g)) for g in gammas]
+    calls = _count_products(monkeypatch)
+    assert [_conjugate_by_diagonal(F, g, x) for g in gammas] == want
+    for t, n, label in FORM_SHEETS[-4:]:
+        # a fresh family builds its x-free factor on the first point too
+        comp = family_for(t, n, label).components()[0]
+        for c in (F.of(5), F.zero):
+            comp.point(F, c)
+    assert not calls
+
+    def forbidden(field, a):
+        raise AssertionError("a Gamma_w check called inverse")
+
+    monkeypatch.setattr(linalg_module, "inverse", forbidden)
+    monkeypatch.setattr(sliceverify_module, "inverse", forbidden,
+                        raising=False)
+    for t, n, label in [("B", 2, "S"), ("C", 3, "S2"), ("D", 4, "S")]:
+        d = next(d for d in sheet_catalog(t, n) if d.label == label)
+        assert gamma_stability_check(d, samples=4)["passed"]
+        assert gamma_transitivity_check(t, n, label)["passed"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_b_s_rejects_matrices_off_the_group(n):
+    # -X has det -1, so it is off SO_{2n+1}; without the group test,
+    # rk((-X + 1)^2) = rk((X - 1)^2) = 1 made -X of a unipotent point a
+    # (twisted) unipotent member
+    fam = family_for("B", n, "S")
+    off = MembershipResult(False, f"X is not in SO_{2 * n + 1}")
+    rng = random.Random(n)
+    for a in (F.zero, F.of(5)):
+        X = fam.components()[0].point(F, a)
+        assert fam.membership(F, X).member
+        minus = tuple(tuple(F.neg(x) for x in row) for row in X)
+        assert det(F, minus) == F.neg(F.one)
+        assert fam.membership(F, minus) == off
+        m = [list(row) for row in X]
+        i, j = rng.randrange(2 * n + 1), rng.randrange(2 * n + 1)
+        m[i][j] = F.add(m[i][j], F.one)
+        assert fam.membership(F, tuple(map(tuple, m))) == off
+
+
+@pytest.mark.parametrize("q", [1009, 13])
+def test_chart_and_component_points_lie_in_the_group(q):
+    # membership rejects whatever lies off G, so the off-locus half of a
+    # certificate tests the sheet conditions only while the ambient chart
+    # points lie in G
+    field = gf(q)
+    rng = random.Random(q)
+    for t, n in ALL_MATRIX_SHEETS + [("A", 3), ("A", 4)]:
+        for d in sheet_catalog(t, n):
+            fam = build_family(d)
+            points = [fam.ambient(field, rng) for _ in range(8)]
+            for comp in fam.components():
+                for c in fam.sample_coords(field, rng, 2):
+                    points.append(comp.point(field, c))
+            points = [X for X in points if X is not None]
+            assert len(points) > 8, (t, n, d.label)
+            for X in points:
+                assert fam.ctx.in_group(field, X), (t, n, d.label, X)
 
 
 @pytest.mark.parametrize("q", [1009, 13])

@@ -28,6 +28,56 @@ def test_root_elements_in_group(label, rank):
             ctx.root_element(F, r, 5)
 
 
+@pytest.mark.parametrize("label,rank", [("SO-odd", 2), ("SO-odd", 4),
+                                        ("SO-even", 3), ("SO-even", 4),
+                                        ("Sp", 2), ("Sp", 3)])
+def test_group_inverse_is_the_signed_transpose(label, rank):
+    ctx = GroupContext(label, rank)
+    F, N = gf(1009), ctx.size
+    rng = random.Random(rank)
+    # a reflection: -1 in odd dimension, the swap u_n <-> w_n in even
+    if label == "SO-odd":
+        flip = tuple(tuple(F.neg(x) for x in row) for row in identity(F, N))
+    else:
+        perm = list(range(N))
+        perm[rank - 1], perm[N - 1] = N - 1, rank - 1
+        flip = tuple(tuple(F.of(perm[i] == j) for j in range(N))
+                     for i in range(N))
+    for _ in range(4):
+        g = ctx.torus(F, [F.of(rng.randrange(1, 1009))
+                          for _ in range(ctx.torus_rank)])
+        for _ in range(10):
+            r, c = rng.choice(ctx.system.roots), F.of(rng.randrange(1009))
+            moved = ctx.times_root_element(F, g, r, c)
+            g = mat_mul(F, g, ctx.root_element(F, r, c))
+            assert moved == g
+        assert ctx.group_inverse(F, g) == inverse(F, g)
+        bumped = [list(row) for row in g]
+        i, j = rng.randrange(N), rng.randrange(N)
+        bumped[i][j] = F.add(bumped[i][j], F.one)
+        assert ctx.group_inverse(F, tuple(map(tuple, bumped))) is None
+        if label != "Sp":  # an alternating form forces det 1
+            reflected = mat_mul(F, flip, g)
+            assert det(F, reflected) == F.neg(F.one)
+            assert mat_mul(F, mat_mul(F, transpose(reflected), ctx.form(F)),
+                           reflected) == ctx.form(F)
+            assert ctx.group_inverse(F, reflected) is None
+
+
+def test_group_inverse_without_a_form():
+    F = gf(7)
+    for label in ("SL", "GL"):
+        ctx = GroupContext(label, 2)
+        g = mat_mul(F, ctx.torus(F, [3, 5, F.inv(15)]),
+                    ctx.root_element(F, ctx.system.roots[0], 4))
+        assert ctx.group_inverse(F, g) == inverse(F, g)
+        assert ctx.group_inverse(F, identity(F, 2)) is None
+    assert GroupContext("SL", 2).group_inverse(
+        F, GroupContext("GL", 2).torus(F, [2, 1, 1])) is None
+    assert GroupContext("GL", 2).group_inverse(
+        F, ((1, 2, 0), (2, 4, 0), (0, 0, 1))) is None
+
+
 @pytest.mark.parametrize("label,rank", [("SL", 2), ("GL", 2), ("Sp", 2),
                                         ("SO-odd", 2), ("SO-even", 3)])
 def test_non_roots_raise_value_error(label, rank):

@@ -36,6 +36,36 @@ def test_certify_small_sheets():
         assert cert.count_matches
 
 
+def test_certify_rejects_a_claimed_point_off_the_group(monkeypatch):
+    # one component hands out -X, which has det -1 and so lies off SO_5;
+    # membership starts with the group test and names the group
+    import dataclasses
+
+    from weylslice.families import BFamilyS
+
+    components = BFamilyS.components
+
+    def negated_second(self):
+        comps = components(self)
+        inner = comps[1].point
+
+        def point(field, a):
+            return tuple(tuple(field.neg(x) for x in row)
+                         for row in inner(field, a))
+
+        comps[1] = dataclasses.replace(comps[1], point=point)
+        return comps
+
+    monkeypatch.setattr(BFamilyS, "components", negated_second)
+    cert = certify_components(_descriptor("B", 2, "S"), n_in=6, n_out=4,
+                              seed=3)
+    label = BFamilyS(2).components()[1].label
+    assert not cert.passed and len(cert.failures) == 6
+    for failure in cert.failures:
+        assert failure.startswith(f"claimed point rejected on {label} at ")
+        assert failure.endswith(": X is not in SO_5")
+
+
 def test_certificate_transcript_shape():
     cert = certify_components(_descriptor("C", 3, "S2"), n_in=4, n_out=4)
     tr = cert.transcript()
