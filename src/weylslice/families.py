@@ -1,25 +1,26 @@
 """Parametrized slice families wdot_S T^{w_S} U^{w_S} per catalog sheet.
 
-Each family builds exact matrices in the catalog's coordinates, carries
-the claimed solution components of the sheet intersection, and decides
-membership by the group test, then rank and minimal-polynomial conditions
-(never by root-finding in extension fields: eigenvalue pairs l, 1/l enter
-through mu = l + 1/l, a base-field eigenvalue of X + X^-1).
-
-Every family also answers the sampling questions about its own chart
-through the `SliceFamily` protocol: `is_matrix` (False for the E6/E7
-tuple families), `sample_coords(field, rng, count)` (component
-coordinates, special values first), `ambient(field, rng)` (a random chart
-point, or None when the draw lands on a claimed component) and
-`transitivity_points(field, mu)` (the slice points at trace mu, or None
-without the needed square root).  `ambient` tests "on a claimed
-component" in closed form on its chart parameters and never consults
-`membership`: the off-locus check would be vacuous if it did.
+A family is its sheet's `SheetDescriptor` plus a chart.  The one
+`SliceFamily` constructor reads n, the label and, for a matrix family, the
+`GroupContext` off the descriptor (w = w_S on first use); `build_family`
+finds the class in one family table keyed by (type, label).  A subclass is
+only its chart: exact matrices (tuples for E6/E7) in the catalog's
+coordinates, one claimed component per entry s of `signs()`, labelled
+`label_format.format(*s)`, with the class's `coordinate` and `coord_arity`
+and the points `_component_point(*s)`; and membership by the group test,
+then rank and minimal-polynomial conditions (never by root-finding in
+extension fields: eigenvalue pairs l, 1/l enter through mu = l + 1/l, a
+base-field eigenvalue of X + X^-1).  It also answers the sampling questions:
+`is_matrix`, `sample_coords(field, rng, count)` (special values first),
+`ambient(field, rng)` (a random chart point, or None on a claimed
+component, decided in closed form: a check by `membership` would make the
+off-locus samples vacuous) and `transitivity_points(field, mu)`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Sequence
@@ -27,9 +28,11 @@ from typing import Callable, Optional, Sequence
 from .fields import PrimeField
 from .linalg import (
     Matrix,
+    charpoly,
     fsum,
     identity,
     mat_mul,
+    poly_eval,
     rank as mat_rank,
     scalar_shift,
 )
@@ -40,7 +43,6 @@ from .sheetcat import (
     _rank_shift,
     _solve_deg2,
     catalog_sheet,
-    catalog_w_S,
 )
 
 
@@ -95,10 +97,36 @@ def _uniform(field, rng):
     return field.of(rng.randrange(field.order))
 
 
+_GROUPS = {"A": "GL", "B": "SO-odd", "C": "Sp", "D": "SO-even"}
+
+
 class SliceFamily:
-    """The sampling protocol every slice family answers for its chart."""
+    """A catalog sheet's slice family: its descriptor plus a chart.
+
+    A subclass gives the chart: `signs()`, `label_format`, `coordinate`,
+    `coord_arity` and `_component_point` make its components, and
+    `membership` and the sampling methods below answer for its points."""
 
     is_matrix = True
+    coord_arity = 1
+
+    def __init__(self, descriptor: SheetDescriptor):
+        self.descriptor = descriptor
+        self.n = descriptor.rank
+        self.label = descriptor.label
+        if self.is_matrix:
+            self.ctx = GroupContext(_GROUPS[descriptor.group_type], self.n)
+
+    @cached_property
+    def w(self):
+        """w_S, on first use: the E6/E7 families need no root system."""
+        return self.descriptor.w_S()
+
+    def components(self):
+        """The claimed components, one per entry s of `signs()`."""
+        return [Component(self.label_format.format(*s), self.coordinate,
+                          self._component_point(*s), self.coord_arity)
+                for s in self.signs()]
 
     def sample_coords(self, field, rng, count):
         """Deterministic stream of component coordinates, special values first."""
@@ -180,11 +208,12 @@ def _unitriangular_inverse_t(field, U) -> Matrix:
 class BFamilyS(SliceFamily):
     """SO_{2n+1} slice family X(E, M, Q, v) over the big cell."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.ctx = GroupContext("SO-odd", n)
-        self.w = catalog_w_S("B", n, "S")
-        self.sign = -1 if n % 2 else 1  # (-1)^n
+    label_format = "e={} eta={}"
+    coordinate = "a in k (mu = 2(-1)^n - a^2/2)"
+
+    def __init__(self, descriptor: SheetDescriptor):
+        super().__init__(descriptor)
+        self.sign = -1 if self.n % 2 else 1  # (-1)^n
 
     def representative(self, field) -> Matrix:
         n, N = self.n, 2 * self.n + 1
@@ -229,18 +258,23 @@ class BFamilyS(SliceFamily):
             X[1 + n + i][0] = field.neg(EQv[i])
         return tuple(tuple(r) for r in X)
 
-    def components(self):
-        out = []
-        n = self.n
-        for e in product((1, -1), repeat=n):
-            for eta in product((1, -1), repeat=n - 1):
-                eta_full = (1,) + eta
-                out.append(Component(
-                    label=f"e={e} eta={eta_full}",
-                    coordinate="a in k (mu = 2(-1)^n - a^2/2)",
-                    point=_b_component_point(self, e, eta_full),
-                ))
-        return out
+    def signs(self):
+        """(e, eta) with eta_1 = 1."""
+        return [(e, (1,) + eta) for e in product((1, -1), repeat=self.n)
+                for eta in product((1, -1), repeat=self.n - 1)]
+
+    def _component_point(self, e, eta):
+        """The point of component (e, eta) at a, C0 + a C1 + a^2 C2, with
+        the coefficient matrices built once per field (`_b_coefficients`)."""
+        coeffs = {}
+
+        def point(field, a):
+            c = coeffs.get(field)
+            if c is None:
+                c = coeffs[field] = _b_coefficients(self, field, e, eta)
+            return _quadratic_point(field, c, a)
+
+        return point
 
     def membership(self, field, X) -> MembershipResult:
         """Semisimple, unipotent or twisted unipotent member of the sheet.
@@ -309,20 +343,6 @@ class BFamilyS(SliceFamily):
             return None
         return [comp.point(field, aa) for comp in self.components()
                 for aa in {a, field.neg(a)}]
-
-
-def _b_component_point(fam: BFamilyS, e, eta):
-    """The point of component (e, eta) at a, C0 + a C1 + a^2 C2, with the
-    coefficient matrices built once per field (`_b_coefficients`)."""
-    coeffs = {}
-
-    def point(field, a):
-        c = coeffs.get(field)
-        if c is None:
-            c = coeffs[field] = _b_coefficients(fam, field, e, eta)
-        return _quadratic_point(field, c, a)
-
-    return point
 
 
 def _b_coefficients(fam: BFamilyS, field, e, eta):
@@ -410,14 +430,13 @@ class TwoFlipFamily(SliceFamily):
     is rk(X - zI) = 2 for the sheet's central twist z.
     """
 
-    def __init__(self, group_type: str, n: int, label: str):
-        self.group_type = group_type
-        self.n = n
-        self.label = label
-        self.ctx = GroupContext(
-            {"B": "SO-odd", "C": "Sp", "D": "SO-even"}[group_type], n)
-        self.w = catalog_w_S(group_type, n, label)
-        self.central = -1 if label == "-S1" else 1
+    label_format = "eps={} eta={}"
+    coordinate = "x in k"
+
+    def __init__(self, descriptor: SheetDescriptor):
+        super().__init__(descriptor)
+        group_type = descriptor.group_type
+        self.central = -1 if self.label == "-S1" else 1
         sys = self.ctx.system
 
         def eps(i, j=None, sj=1):
@@ -439,15 +458,15 @@ class TwoFlipFamily(SliceFamily):
         """The displayed block-swap representative on the (1,2)-coordinates."""
         n, N = self.n, self.ctx.size
         m = [list(r) for r in identity(field, N)]
-        off = 1 if self.group_type == "B" else 0
+        t = self.descriptor.group_type
+        off = 1 if t == "B" else 0
         for i in range(2):
             ui = off + i
             wi = off + n + i
             m[ui][ui] = field.zero
             m[wi][wi] = field.zero
             m[ui][wi] = field.one
-            m[wi][ui] = (field.neg(field.one) if self.group_type == "C"
-                         else field.one)
+            m[wi][ui] = field.neg(field.one) if t == "C" else field.one
         return tuple(tuple(r) for r in m)
 
     def point(self, field, eps: int, eta: int, c, coeffs: Sequence) -> Matrix:
@@ -474,28 +493,22 @@ class TwoFlipFamily(SliceFamily):
                 out = self.ctx.times_root_element(field, out, r, cf)
         return out
 
-    def components(self):
-        out = []
-        for eps in (1, -1):
-            for eta in (1, -1):
-                out.append(Component(
-                    label=f"eps={eps} eta={eta}",
-                    coordinate="x in k",
-                    point=self._component_point(eps, eta),
-                ))
-        return out
+    def signs(self):
+        """(eps, eta)."""
+        return list(product((1, -1), repeat=2))
 
     def _component_point(self, eps, eta):
         """`point` at c = 1 on the solution line through x; wdot t(eps, eta, 1)
         does not depend on x, so each field builds it once."""
         heads = {}
+        symplectic = self.descriptor.group_type == "C"
 
         def point(field, x):
             head = heads.get(field)
             if head is None:
                 head = heads[field] = self._torus_part(field, eps, eta,
                                                        field.one)
-            if self.group_type == "C":
+            if symplectic:
                 # coefficients (p, eta*p, -2eps, -2eta) on the solution line
                 coeffs = [x, field.mul(field.of(eta), x),
                           field.of(-2 * eps), field.of(-2 * eta)]
@@ -535,10 +548,8 @@ class TwoFlipFamily(SliceFamily):
 class CFamilyS2(SliceFamily):
     """Sp_2n family x(E, V, X) = [[0, E V^-T], [-EV, -EVX]]."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.ctx = GroupContext("Sp", n)
-        self.w = catalog_w_S("C", n, "S2")
+    label_format = "e={}"
+    coordinate = "mu = l + 1/l in k"
 
     def representative(self, field) -> Matrix:
         n, N = self.n, 2 * self.n
@@ -571,15 +582,8 @@ class CFamilyS2(SliceFamily):
                 out[n + i][n + j] = field.neg(EVX[i][j])
         return tuple(tuple(r) for r in out)
 
-    def components(self):
-        out = []
-        for e in product((1, -1), repeat=self.n):
-            out.append(Component(
-                label=f"e={e}",
-                coordinate="mu = l + 1/l in k",
-                point=self._component_point(e),
-            ))
-        return out
+    def signs(self):
+        return [(e,) for e in product((1, -1), repeat=self.n)]
 
     def _component_point(self, e):
         def point(field, mu):
@@ -615,14 +619,12 @@ class CFamilyS2(SliceFamily):
 class DFamilyS(SliceFamily):
     """SO_2n family x(E, D) = [[0, E],[E, D]] in 2x2 sign blocks, n = 2h."""
 
-    def __init__(self, n: int, label: str = "S"):
-        if n % 2:
-            raise ValueError("DFamilyS needs even rank")
-        self.n = n
-        self.h = n // 2
-        self.label = label
-        self.ctx = GroupContext("SO-even", n)
-        self.w = catalog_w_S("D", n, label)
+    label_format = "e={}"
+    coordinate = "mu = l + 1/l in k"
+
+    def __init__(self, descriptor: SheetDescriptor):
+        super().__init__(descriptor)
+        self.h = self.n // 2
 
     def representative(self, field) -> Matrix:
         return self.point(field, (1,) * self.h, [field.zero] * self.h)
@@ -635,15 +637,8 @@ class DFamilyS(SliceFamily):
             out = _theta_swap(field, out, self.n)
         return out
 
-    def components(self):
-        out = []
-        for e in product((1, -1), repeat=self.h):
-            out.append(Component(
-                label=f"e={e}",
-                coordinate="mu = l + 1/l in k",
-                point=self._component_point(e),
-            ))
-        return out
+    def signs(self):
+        return [(e,) for e in product((1, -1), repeat=self.h)]
 
     def _component_point(self, e):
         def point(field, mu):
@@ -703,14 +698,12 @@ def _theta_swap(field, m: Matrix, n: int) -> Matrix:
 class DFamilyR(SliceFamily):
     """SO_2n family for odd n: the even-rank family plus a (zeta, 1/zeta) leg."""
 
-    def __init__(self, n: int, label: str = "R"):
-        if n % 2 == 0:
-            raise ValueError("DFamilyR needs odd rank")
-        self.n = n
-        self.h = (n - 1) // 2
-        self.label = label
-        self.ctx = GroupContext("SO-even", n)
-        self.w = catalog_w_S("D", n, label)
+    label_format = "e={}"
+    coordinate = "zeta in k^* (mu = zeta + 1/zeta)"
+
+    def __init__(self, descriptor: SheetDescriptor):
+        super().__init__(descriptor)
+        self.h = (self.n - 1) // 2
 
     def representative(self, field) -> Matrix:
         return self.point(field, (1,) * self.h, [field.zero] * self.h,
@@ -726,15 +719,8 @@ class DFamilyR(SliceFamily):
             out = _theta_swap(field, out, self.n)
         return out
 
-    def components(self):
-        out = []
-        for e in product((1, -1), repeat=self.h):
-            out.append(Component(
-                label=f"e={e}",
-                coordinate="zeta in k^* (mu = zeta + 1/zeta)",
-                point=self._component_point(e),
-            ))
-        return out
+    def signs(self):
+        return [(e,) for e in product((1, -1), repeat=self.h)]
 
     def _component_point(self, e):
         def point(field, zeta):
@@ -774,15 +760,16 @@ class DFamilyR(SliceFamily):
 # ---------------------------------------------------------------------------
 
 class AFamily(SliceFamily):
-    """GL_{n+1} family over the m-th sheet, in the 3-block antidiagonal shape."""
+    """GL_{n+1} family over the m-th sheet, in the 3-block antidiagonal
+    shape; the one family made from (n, m), as it looks its sheet up."""
+
+    label_format = "signs={}"
+    coordinate = "(a, b) in k^* x k^*"
+    coord_arity = 2
 
     def __init__(self, n: int, m: int):
-        if not 1 <= m <= (n + 1) // 2:
-            raise ValueError("need 1 <= m <= (n+1)/2")
-        self.n = n
+        super().__init__(catalog_sheet("A", n, f"S_{m}"))
         self.m = m
-        self.ctx = GroupContext("GL", n)
-        self.w = catalog_w_S("A", n, f"S_{m}")
 
     def representative(self, field) -> Matrix:
         n1, m = self.n + 1, self.m
@@ -811,16 +798,8 @@ class AFamily(SliceFamily):
         wd = self.representative(field)
         return mat_mul(field, wd, tuple(tuple(r) for r in tu))
 
-    def components(self):
-        out = []
-        for signs in product((1, -1), repeat=self.m - 1):
-            out.append(Component(
-                label=f"signs={(1,) + signs}",
-                coordinate="(a, b) in k^* x k^*",
-                point=self._component_point((1,) + signs),
-                coord_arity=2,
-            ))
-        return out
+    def signs(self):
+        return [((1,) + s,) for s in product((1, -1), repeat=self.m - 1)]
 
     def _component_point(self, signs):
         def point(field, ab):
@@ -866,8 +845,6 @@ class AFamily(SliceFamily):
             tr = fsum(field, (X[i][i] for i in range(n1)))
             cands.append(field.div(tr, field.of(n1)))
         else:
-            from .linalg import charpoly, poly_eval
-
             cp = charpoly(field, X)
             cands.extend(z for z in field.elements()
                          if field.is_zero(poly_eval(field, cp, z)))
@@ -923,19 +900,13 @@ class ETuplePoint:
 class E6Family(SliceFamily):
     """Root-datum family: torus coordinates (h1,h3,h4,h5,h6) and (c_beta, c_gamma)."""
 
-    rank = 6
     is_matrix = False
+    label_format = "eps={}"
+    coordinate = "(a, d) with d^2 = a^3, a != 0"
+    coord_arity = 2
 
-    def components(self):
-        return [
-            Component(
-                label=f"eps={eps}",
-                coordinate="(a, d) with d^2 = a^3, a != 0",
-                point=self._component_point(eps),
-                coord_arity=2,
-            )
-            for eps in (1, -1)
-        ]
+    def signs(self):
+        return [(1,), (-1,)]
 
     def _component_point(self, eps):
         def point(field, ad):
@@ -1003,18 +974,12 @@ class E6Family(SliceFamily):
 class E7Family(SliceFamily):
     """Root-datum family: torus coordinates (h2,h3,h5,h7) and three coefficients."""
 
-    rank = 7
     is_matrix = False
+    label_format = "(eps,eta,theta)={}"
+    coordinate = "mu = a + 1/a in k"
 
-    def components(self):
-        out = []
-        for signs in product((1, -1), repeat=3):
-            out.append(Component(
-                label=f"(eps,eta,theta)={signs}",
-                coordinate="mu = a + 1/a in k",
-                point=self._component_point(signs),
-            ))
-        return out
+    def signs(self):
+        return [(s,) for s in product((1, -1), repeat=3)]
 
     def _component_point(self, signs):
         eps, eta, theta = signs
@@ -1061,29 +1026,25 @@ class E7Family(SliceFamily):
 # registry
 # ---------------------------------------------------------------------------
 
-def build_family(descriptor: SheetDescriptor):
+# the family table; its key is (type, label) with E's rank in its type (E6
+# and E7 are two families) and A's m cut from its label (one for every S_m)
+_FAMILIES = {
+    ("A", "S"): lambda d: AFamily(d.rank, int(d.label[2:])),
+    ("B", "S"): BFamilyS, ("C", "S2"): CFamilyS2,
+    ("D", "S"): DFamilyS, ("D", "thetaS"): DFamilyS,
+    ("D", "R"): DFamilyR, ("D", "thetaR"): DFamilyR,
+    ("E6", "S"): E6Family, ("E7", "S"): E7Family,
+    **dict.fromkeys([("B", "Sprime"), ("C", "S1"), ("C", "-S1"),
+                     ("D", "Sprime")], TwoFlipFamily),
+}
+
+
+def build_family(descriptor: SheetDescriptor) -> SliceFamily:
     t, n, label = descriptor.group_type, descriptor.rank, descriptor.label
-    if t == "B" and label == "S":
-        return BFamilyS(n)
-    if t == "B" and label == "Sprime":
-        return TwoFlipFamily("B", n, label)
-    if t == "C" and label in ("S1", "-S1"):
-        return TwoFlipFamily("C", n, label)
-    if t == "C" and label == "S2":
-        return CFamilyS2(n)
-    if t == "D" and label in ("S", "thetaS"):
-        return DFamilyS(n, label)
-    if t == "D" and label in ("R", "thetaR"):
-        return DFamilyR(n, label)
-    if t == "D" and label == "Sprime":
-        return TwoFlipFamily("D", n, label)
-    if t == "A":
-        return AFamily(n, int(label.split("_")[1]))
-    if t == "E" and n == 6:
-        return E6Family()
-    if t == "E" and n == 7:
-        return E7Family()
-    raise ValueError(f"no slice family for {t}{n} {label}")
+    make = _FAMILIES.get((f"E{n}" if t == "E" else t, label.split("_")[0]))
+    if make is None:
+        raise ValueError(f"no slice family for {t}{n} {label}")
+    return make(descriptor)
 
 
 def family_for(group_type: str, rank: int, label: str):

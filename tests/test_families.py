@@ -11,6 +11,8 @@ from weylslice.families import (
     CFamilyS2,
     DFamilyR,
     DFamilyS,
+    E6Family,
+    E7Family,
     ETuplePoint,
     ExtensionRequired,
     MembershipResult,
@@ -29,6 +31,7 @@ from weylslice.linalg import (
     scalar_shift,
     unipotent_partition,
 )
+import weylslice.sheetcat as sheetcat
 from weylslice.sheetcat import _solve_cubic_mu, sheet_catalog
 
 F = gf(1009)
@@ -163,10 +166,8 @@ def test_b_s_family_branches():
 
 
 def test_b_s_needs_fourth_root():
-    from weylslice.families import _b_component_point
-
     fam = family_for("B", 2, "S")
-    point = _b_component_point(fam, (-1, 1), (1, 1))
+    point = fam._component_point((-1, 1), (1, 1))
     with pytest.raises(ExtensionRequired):
         point(F7, F7.of(1))  # F_7 has no primitive 4th root of 1
 
@@ -270,8 +271,8 @@ def _root_product(ctx, field, roots):
 
 
 def test_square_zero_branch_needs_both_ranks():
-    fam = DFamilyS(4)
-    famR = DFamilyR(5)
+    fam = family_for("D", 4, "S")
+    famR = family_for("D", 5, "R")
     # the Jordan matrices 1 + N do not preserve the SO_2n form, so each is
     # rejected by the group test; (2^5) is not an orthogonal partition
     for f, parts in ((fam, (2, 2, 2, 2)), (fam, (3, 2, 2, 1)),
@@ -698,3 +699,100 @@ def test_unitriangular_inverse_transpose(field):
             for j in range(n)) for i in range(n))
         assert _unitriangular_inverse_t(field, U) == inverse(
             field, tuple(zip(*U)))
+
+
+CATALOG_RANKS = [("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
+                 ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("D", 6), ("D", 7),
+                 ("E", 6), ("E", 7)]
+
+# (label, coordinate, arity) of every component, for one sheet per class
+PINNED_COMPONENTS = {
+    ("A", 3, "S_2"): (AFamily, [
+        ("signs=(1, 1)", "(a, b) in k^* x k^*", 2),
+        ("signs=(1, -1)", "(a, b) in k^* x k^*", 2),
+    ]),
+    ("B", 2, "S"): (BFamilyS, [
+        ("e=(1, 1) eta=(1, 1)", "a in k (mu = 2(-1)^n - a^2/2)", 1),
+        ("e=(1, 1) eta=(1, -1)", "a in k (mu = 2(-1)^n - a^2/2)", 1),
+        ("e=(1, -1) eta=(1, 1)", "a in k (mu = 2(-1)^n - a^2/2)", 1),
+        ("e=(1, -1) eta=(1, -1)", "a in k (mu = 2(-1)^n - a^2/2)", 1),
+        ("e=(-1, 1) eta=(1, 1)", "a in k (mu = 2(-1)^n - a^2/2)", 1),
+        ("e=(-1, 1) eta=(1, -1)", "a in k (mu = 2(-1)^n - a^2/2)", 1),
+        ("e=(-1, -1) eta=(1, 1)", "a in k (mu = 2(-1)^n - a^2/2)", 1),
+        ("e=(-1, -1) eta=(1, -1)", "a in k (mu = 2(-1)^n - a^2/2)", 1),
+    ]),
+    ("B", 2, "Sprime"): (TwoFlipFamily, [
+        ("eps=1 eta=1", "x in k", 1),
+        ("eps=1 eta=-1", "x in k", 1),
+        ("eps=-1 eta=1", "x in k", 1),
+        ("eps=-1 eta=-1", "x in k", 1),
+    ]),
+    ("C", 3, "S2"): (CFamilyS2, [
+        ("e=(1, 1, 1)", "mu = l + 1/l in k", 1),
+        ("e=(1, 1, -1)", "mu = l + 1/l in k", 1),
+        ("e=(1, -1, 1)", "mu = l + 1/l in k", 1),
+        ("e=(1, -1, -1)", "mu = l + 1/l in k", 1),
+        ("e=(-1, 1, 1)", "mu = l + 1/l in k", 1),
+        ("e=(-1, 1, -1)", "mu = l + 1/l in k", 1),
+        ("e=(-1, -1, 1)", "mu = l + 1/l in k", 1),
+        ("e=(-1, -1, -1)", "mu = l + 1/l in k", 1),
+    ]),
+    ("D", 4, "S"): (DFamilyS, [
+        ("e=(1, 1)", "mu = l + 1/l in k", 1),
+        ("e=(1, -1)", "mu = l + 1/l in k", 1),
+        ("e=(-1, 1)", "mu = l + 1/l in k", 1),
+        ("e=(-1, -1)", "mu = l + 1/l in k", 1),
+    ]),
+    ("D", 5, "R"): (DFamilyR, [
+        ("e=(1, 1)", "zeta in k^* (mu = zeta + 1/zeta)", 1),
+        ("e=(1, -1)", "zeta in k^* (mu = zeta + 1/zeta)", 1),
+        ("e=(-1, 1)", "zeta in k^* (mu = zeta + 1/zeta)", 1),
+        ("e=(-1, -1)", "zeta in k^* (mu = zeta + 1/zeta)", 1),
+    ]),
+    ("E", 6, "S"): (E6Family, [
+        ("eps=1", "(a, d) with d^2 = a^3, a != 0", 2),
+        ("eps=-1", "(a, d) with d^2 = a^3, a != 0", 2),
+    ]),
+    ("E", 7, "S"): (E7Family, [
+        ("(eps,eta,theta)=(1, 1, 1)", "mu = a + 1/a in k", 1),
+        ("(eps,eta,theta)=(1, 1, -1)", "mu = a + 1/a in k", 1),
+        ("(eps,eta,theta)=(1, -1, 1)", "mu = a + 1/a in k", 1),
+        ("(eps,eta,theta)=(1, -1, -1)", "mu = a + 1/a in k", 1),
+        ("(eps,eta,theta)=(-1, 1, 1)", "mu = a + 1/a in k", 1),
+        ("(eps,eta,theta)=(-1, 1, -1)", "mu = a + 1/a in k", 1),
+        ("(eps,eta,theta)=(-1, -1, 1)", "mu = a + 1/a in k", 1),
+        ("(eps,eta,theta)=(-1, -1, -1)", "mu = a + 1/a in k", 1),
+    ]),
+}
+
+
+def test_family_is_its_descriptor_plus_a_chart(monkeypatch):
+    groups = {"A": "GL", "B": "SO-odd", "C": "Sp", "D": "SO-even"}
+    calls = []
+    catalog = sheetcat.sheet_catalog
+    monkeypatch.setattr(sheetcat, "sheet_catalog",
+                        lambda *args: calls.append(args) or catalog(*args))
+    sheets = [d for t, n in CATALOG_RANKS for d in catalog(t, n)]
+    assert len(sheets) == 33
+    for d in sheets:
+        calls.clear()
+        fam = build_family(d)
+        # the catalog is read again only by AFamily(n, m), which looks its
+        # own descriptor up, and in w_S for a theta twist's partner
+        assert len(calls) == (d.group_type == "A")
+        assert fam.descriptor == d
+        assert (fam.descriptor is d) == (d.group_type != "A")
+        calls.clear()
+        w = fam.w
+        assert len(calls) == d.label.startswith("theta")
+        assert w == d.w_S()
+        if fam.is_matrix:
+            assert fam.ctx.label == groups[d.group_type]
+        key = (d.group_type, d.rank, d.label)
+        if key in PINNED_COMPONENTS:
+            cls, pinned = PINNED_COMPONENTS[key]
+            assert type(fam) is cls
+            assert [(c.label, c.coordinate, c.coord_arity)
+                    for c in fam.components()] == pinned
+    assert {cls for cls, _ in PINNED_COMPONENTS.values()} == {
+        type(build_family(d)) for d in sheets}

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import cubic_mu_by_products
-from weylslice.families import BFamilyS
+from weylslice.families import AFamily, family_for
 from weylslice.fforacle import conjugacy_classes, enumerate_group
 from weylslice.fields import gf
 from weylslice.linalg import inverse, mat_mul
@@ -117,21 +117,20 @@ def test_theta_check_rejects_untwisted_pi():
 
 
 def test_uncatalogued_label_raises():
-    from weylslice.families import family_for
-
     for t, n, label in [("C", 2, "S2"), ("B", 3, "S2"), ("A", 3, "S_3"),
                         ("D", 5, "thetaS"), ("E", 8, "S")]:
         with pytest.raises(CatalogError):
             catalog_w_S(t, n, label)
         with pytest.raises(CatalogError):
             family_for(t, n, label)
+    for m in (0, 3):
+        with pytest.raises(ValueError):
+            AFamily(3, m)
 
 
 def test_dimension_formula_cross_module():
     """dim of each member class equals l(w_S) + rk(1 - w_S), at one point
     of every component of the 13 criterion-1 matrix sheets and of D5 R."""
-    from weylslice.families import family_for
-
     F = gf(1009)
     cases = [
         ("B", 2, "S", 0), ("B", 2, "Sprime", 3), ("B", 3, "S", 5),
@@ -219,7 +218,7 @@ def test_solve_cubic_mu_matches_product_formula():
                   for _ in range(n)) for n in (5, 9) for _ in range(10)]
     # B S slice points, whose cubic has a root mu
     for n in (2, 4):
-        fam = BFamilyS(n)
+        fam = family_for("B", n, "S")
         mats += [c.point(F, F.of(a)) for c in fam.components()[:3]
                  for a in (1, 5, 77)]
     so5 = enumerate_group("SO-odd", 2, 3)

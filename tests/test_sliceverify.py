@@ -41,7 +41,7 @@ def test_certify_rejects_a_claimed_point_off_the_group(monkeypatch):
     # membership starts with the group test and names the group
     import dataclasses
 
-    from weylslice.families import BFamilyS
+    from weylslice.families import BFamilyS, family_for
 
     components = BFamilyS.components
 
@@ -59,11 +59,26 @@ def test_certify_rejects_a_claimed_point_off_the_group(monkeypatch):
     monkeypatch.setattr(BFamilyS, "components", negated_second)
     cert = certify_components(_descriptor("B", 2, "S"), n_in=6, n_out=4,
                               seed=3)
-    label = BFamilyS(2).components()[1].label
+    label = family_for("B", 2, "S").components()[1].label
     assert not cert.passed and len(cert.failures) == 6
     for failure in cert.failures:
         assert failure.startswith(f"claimed point rejected on {label} at ")
         assert failure.endswith(": X is not in SO_5")
+
+
+def test_certify_decodes_accepted_points_without_a_second_group_test(
+        monkeypatch):
+    # membership has accepted each decoded point by the group test, so the
+    # cell decode skips the checked `bruhat_word`
+    from weylslice.matgroups import GroupContext
+
+    def checked_decode(self, field, g):
+        raise AssertionError("bruhat_word repeats the group test")
+
+    monkeypatch.setattr(GroupContext, "bruhat_word", checked_decode)
+    cert = certify_components(_descriptor("B", 2, "S"), n_in=6, n_out=4,
+                              seed=3)
+    assert cert.passed, cert.failures
 
 
 def test_certificate_transcript_shape():
@@ -122,7 +137,8 @@ def test_random_ambient_gives_up_after_claimed_draws():
             return None
 
     with pytest.raises(RuntimeError, match="off-locus"):
-        _random_ambient(AlwaysClaimed(), F, random.Random(0))
+        _random_ambient(AlwaysClaimed(_descriptor("B", 2, "S")), F,
+                        random.Random(0))
 
 
 def test_equation_chain_all_signs_n2():
