@@ -2,20 +2,19 @@
 
 Enumerates SL2/SL3/Sp4/SO5 over small fields by generator closure, expands
 conjugacy classes, decodes Bruhat cells, and replays the dimension formula
-and slice-orbit claims pointwise.  Group elements are flat tuples; every
-orbit of matrices (expanded classes, B(F_q)-orbits, Gamma_w-orbits) is
-`rootsys.closure` under a generator step, every orbit on the indices of an
-enumerated group (its classes and B-cosets) is `_orbits` under index
-tables, and the group itself is the same breadth-first walk, written out
-so that it hashes each product once and records where each element first
-appears.  A step x -> [a x b for each pair (a, b)] (right
-products x g, conjugates g x g^-1, slice moves x x_a(c)) is one sparse
-function, compiled by `_compile_step` once per (field, size, pairs) and
-kept for the process, so a closure step is one call that costs the pairs'
-nonzero terms, not two n^3 products per pair.  It is built by
-`eval` of a source made of int literals, indices into x and the names
-`add`, `mul` and `C` (the field's operations and coefficients), with no
-builtins in reach, so it can do nothing but field arithmetic on x.
+and slice-orbit claims pointwise.  Group elements are flat tuples.  The
+group, its expanded classes and its B(F_q)-orbits are each one run of a
+breadth-first walk (the orbit algorithm of Holt-Eick-O'Brien, *Handbook of
+Computational Group Theory*, ch. 4), compiled by `_compile_walk` once per
+(field, size, pairs) and kept for the process: per element it unpacks x
+once, forms each a x b inline from the pairs' nonzero terms, not two n^3
+products, and looks each product up once.  Gamma_w-orbits and slice points
+use the step x -> [a x b for each pair (a, b)] of `_compile_step`, and
+every orbit on the indices of an enumerated group (its classes and
+B-cosets) is `_orbits` under index tables.  Steps and walks are built from
+a source made of int literals, local names and `add`, `mul` and `C` (the
+field's operations and coefficients), and a walk's BudgetError, with no
+builtins in reach, so they can do nothing but field arithmetic on x.
 
 Each orbit runs over the fewest generators it needs: the positive simple
 root elements x_a(1) (x_a(c) for every unit c over F_{p^k}), one monomial
@@ -30,18 +29,18 @@ Sp4.  The torus generators (`_torus_generators`, one per slot) are used
 only through tables: with the positive simple root elements they
 generate B = T U, whose left products give the cosets Bx.
 
-An enumerated group (`OracleGroup`) holds its elements by index.  The
-enumeration records each right product x g of a walk generator as an
-index and the Schreier tree of first appearances, so x_d = x_a g_j for
-each element but the identity.  Left multiplication by any group element
-g is then the table g x_d = (g x_a) g_j, read along the tree from the
-index of g with no further matrix product, and conjugation by a walk
-generator is x g -> g x, so classes are closures over ints.  Bruhat cells
-are read per left coset: B.BwB = BwB, so each coset Bx lies in one cell,
-and the cosets are the closures of the `left` tables of the generators
-that lie in B.  One member of each is decoded (a second one as a check)
-and its cell is kept for every member, in a list aligned with the
-elements.
+An enumerated group (`OracleGroup`) holds its elements by index, in the
+walk's order.  The enumeration records each right product x g of a walk
+generator as an index and the Schreier tree of first appearances, so
+x_d = x_a g_j for each element but the identity.  Left multiplication by
+any group element g is then the table g x_d = (g x_a) g_j, read along the
+tree from the index of g with no further matrix product, and conjugation
+by a walk generator is x g -> g x, so classes are closures over ints.
+Bruhat cells are read per left coset: B.BwB = BwB, so each coset Bx lies
+in one cell, and the cosets are the closures of the `left` tables of the
+generators that lie in B.  One member of each is decoded (a second one as
+a check) and its cell is kept for every member as a small int aligned
+with the elements, so classes read their cells by index.
 Enumerated elements are products of generators of the group, and the
 members of an `expand_class` orbit are conjugates of a checked rep by such
 products, so their decoding skips `GroupContext.in_group`, which would cost
@@ -96,18 +95,19 @@ def _unflat(flat: tuple, n: int) -> Matrix:
     return tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
 
 
-@lru_cache(maxsize=None)
-def _compile_step(field, n: int, pairs: tuple):
-    """The orbit step x -> [a x b for (a, b) in pairs] on flat n x n tuples,
-    one function compiled once per (field, n, pairs) for the process.
+def _products(field, n: int, pairs: tuple, src: str) -> tuple:
+    """(exprs, namespace): the tuple expression of a x b for each pair
+    (a, b), over flat n x n sources spelled `src.format(s)` for entry s of
+    x, and all the names they use: no builtins, the field's `add` and `mul`
+    and the coefficients `C`.
 
     Entry (i, j) of a x b is the sum of a[i][k] b[l][j] x[k][l] over the
     nonzero a[i][k] and b[l][j]: each source x[k][l] occurs once, and the
     product of two nonzero field elements is nonzero, so nothing is merged
-    or dropped.  A lone term with coefficient 1 is `x[s]` itself.  Otherwise
-    over F_p an entry is `(c*x[s] + ...) % p` with integer literals (a c of
-    1 omitted); over any other field it nests the field's `add` and `mul`
-    over coefficients `C`.
+    or dropped.  A lone term with coefficient 1 is the source itself.
+    Otherwise over F_p an entry is `(c*x + ...) % p` with integer literals
+    (a c of 1 omitted); over any other field it nests `add` and `mul` over
+    coefficients `C`.
     """
     prime, one = isinstance(field, PrimeField), field.one
     coeffs, products = [], []
@@ -115,41 +115,90 @@ def _compile_step(field, n: int, pairs: tuple):
         entries = []
         for i in range(n):
             for j in range(n):
-                terms = [(field.mul(a[i * n + k], b[l * n + j]), k * n + l)
+                terms = [(field.mul(a[i * n + k], b[l * n + j]),
+                          src.format(k * n + l))
                          for k in range(n) if not field.is_zero(a[i * n + k])
                          for l in range(n) if not field.is_zero(b[l * n + j])]
                 if len(terms) == 1 and terms[0][0] == one:
-                    entries.append(f"x[{terms[0][1]}]")
+                    entries.append(terms[0][1])
                 elif prime:
-                    total = " + ".join(f"x[{s}]" if c == 1 else f"{c}*x[{s}]"
-                                       for c, s in terms)
+                    total = " + ".join(x if c == 1 else f"{c}*{x}"
+                                       for c, x in terms)
                     entries.append(f"({total}) % {field.p}")
                 else:
                     expr = None
-                    for c, s in terms:
+                    for c, x in terms:
                         coeffs.append(c)
-                        term = f"mul(C[{len(coeffs) - 1}], x[{s}])"
+                        term = f"mul(C[{len(coeffs) - 1}], {x})"
                         expr = term if expr is None else f"add({expr}, {term})"
                     entries.append(expr)
         products.append(f"({', '.join(entries)},)")
-    return eval(f"lambda x: [{', '.join(products)}]",
-                {"__builtins__": {}, "add": field.add, "mul": field.mul,
-                 "C": tuple(coeffs)})
+    return products, {"__builtins__": {}, "add": field.add, "mul": field.mul,
+                      "C": tuple(coeffs)}
 
 
 @lru_cache(maxsize=None)
+def _compile_step(field, n: int, pairs: tuple):
+    """The orbit step x -> [a x b for (a, b) in pairs] on flat n x n tuples,
+    one function compiled once per (field, n, pairs) for the process, from
+    the expressions of `_products` over x[s]."""
+    products, namespace = _products(field, n, pairs, "x[{}]")
+    return eval(f"lambda x: [{', '.join(products)}]", namespace)
+
+
+@lru_cache(maxsize=None)
+def _compile_walk(field, n: int, pairs: tuple, record: bool):
+    """The breadth-first orbit under x -> a x b, (a, b) in pairs, as one
+    function compiled once per (field, n, pairs, record) for the process.
+
+    `walk(orbit, found, count, budget, ...)` reads `orbit` as it grows, in
+    the order of `rootsys.closure`: it unpacks each x into locals x0, x1,
+    ..., forms each product from the expressions of `_products`, looks it
+    up once in `found` and, when it is new, gives it the index `count` and
+    appends it to `orbit`.  BudgetError is raised once `count` exceeds
+    `budget`, checked after each element.  With `record`, the arguments
+    `products, tree` also get the index of the j-th product of element a
+    at a * len(pairs) + j of the preallocated array, and (a, j) for each
+    new element.  The source holds only int literals, local names and the
+    names of `_products` and BudgetError.
+    """
+    exprs, namespace = _products(field, n, pairs, "x{}")
+    namespace["BudgetError"] = BudgetError
+    body = []
+    for j, y in enumerate(exprs):
+        body += [f"y = {y}", "i = setdefault(y, count)",
+                 *([f"products[p + {j}] = i"] if record else []),
+                 "if i == count:", " append(y)",
+                 *([f" branch((a, {j}))"] if record else []), " count += 1"]
+    body += ["if count > budget:", " raise BudgetError(budget)"]
+    if record:
+        body += ["a += 1", f"p += {len(pairs)}"]
+    exec("\n".join([
+        f"def walk(orbit, found, count, budget{', products, tree' * record}):",
+        " append, setdefault = orbit.append, found.setdefault",
+        *([" branch, a, p = tree.append, 0, 0"] if record else []),
+        " for x in orbit:", f"  {''.join(f'x{s}, ' for s in range(n * n))}= x",
+        *(f"  {line}" for line in body), " return orbit"]), namespace)
+    return namespace.pop("walk")
+
+
+@lru_cache(maxsize=None)
+def _conjugation_pairs(field, n: int, gens: tuple) -> tuple:
+    """The pairs (g, g^-1) for g in gens, flat; the inverses are taken once."""
+    return tuple((g, _flat(inverse(field, _unflat(g, n)))) for g in gens)
+
+
 def _conjugation(field, n: int, gens: tuple):
-    """The orbit step x -> [g x g^-1 for g in gens] on flat n x n matrices;
-    the inverses are taken only when the step is first built."""
-    return _compile_step(field, n, tuple(
-        (g, _flat(inverse(field, _unflat(g, n)))) for g in gens))
+    """The orbit step x -> [g x g^-1 for g in gens] on flat n x n matrices."""
+    return _compile_step(field, n, _conjugation_pairs(field, n, gens))
 
 
 @dataclass
 class OracleGroup:
     """An enumerated group, its elements by index.
 
-    `elements` is sorted and `index` maps each element to its position.
+    `elements` are in the order the enumeration walk first reaches them,
+    from the identity, and `index` maps each element to its position.
     `generators` are `_generators(ctx, field)`: the walk generators of
     `_walk_generators` (the positive simple root elements, the lift of w0
     and, for SO, one torus generator), then the other torus generators.
@@ -169,10 +218,16 @@ class OracleGroup:
     index: dict = dc_field(repr=False)
     left: tuple = dc_field(repr=False)
     conj: tuple = dc_field(repr=False)
-    _cells: Optional[list] = dc_field(default=None, init=False, repr=False)
+    _cells: Optional[tuple] = dc_field(default=None, init=False, repr=False)
 
     def cells(self) -> list:
-        """The Bruhat cell of every element, aligned with `elements`.
+        """The Bruhat cell of every element, aligned with `elements`."""
+        kinds, ids = self._cell_ids()
+        return [kinds[k] for k in ids]
+
+    def _cell_ids(self) -> tuple:
+        """(kinds, ids): the distinct Bruhat cells, and the position in
+        `kinds` of the cell of every element, aligned with `elements`.
 
         Walks the left cosets Bx (`_coset_cells` over the generators in B)
         and decodes one member of each by `GroupContext._cell`, without the
@@ -185,14 +240,14 @@ class OracleGroup:
         """
         if self._cells is None:
             ctx, field = self.ctx, self.field
-            cells = _coset_cells(self, _borel_generators(self))
-            for w in dict.fromkeys(cells):
+            kinds, ids = _coset_cells(self, _borel_generators(self))
+            for w in kinds:
                 wdot = ctx.weyl_representative(field, w)
                 if ctx.bruhat_word(field, wdot) != w:
                     raise AssertionError(
                         f"representative of {w.reduced_word()} decodes to "
                         "another cell")
-            self._cells = cells
+            self._cells = kinds, ids
         return self._cells
 
 
@@ -210,8 +265,10 @@ def _borel_generators(group: OracleGroup) -> list[int]:
             if ctx.borel_torus(field, _unflat(g, n)) is not None]
 
 
-def _coset_cells(group: OracleGroup, ks) -> list:
-    """The Bruhat cell of every element, one decoding per left coset.
+def _coset_cells(group: OracleGroup, ks) -> tuple:
+    """The Bruhat cell of every element, one decoding per left coset, as
+    `OracleGroup._cell_ids`: the distinct cells `kinds` and, aligned with
+    the elements, the position `ids` of each one's cell in `kinds`.
 
     The cosets are the closures of the `left[k]` tables over the generator
     indices `ks`; when those generators generate B they are the cosets Bx,
@@ -221,7 +278,7 @@ def _coset_cells(group: OracleGroup, ks) -> list:
     """
     ctx, field, n, elements = group.ctx, group.field, group.size, group.elements
     b_order = _borel_order(group)
-    cells = [None] * group.order
+    kinds, ids = {}, array("i", [0]) * group.order
     for coset in _orbits([group.left[k] for k in ks], group.order):
         x = elements[coset[0]]
         if len(coset) != b_order:
@@ -230,15 +287,16 @@ def _coset_cells(group: OracleGroup, ks) -> list:
         w = ctx._cell(field, _unflat(x, n))
         if ctx._cell(field, _unflat(elements[coset[-1]], n)) != w:
             raise AssertionError(f"coset of {x} meets two Bruhat cells")
+        k = kinds.setdefault(w, len(kinds))
         for j in coset:
-            cells[j] = w
-    return cells
+            ids[j] = k
+    return list(kinds), ids
 
 
 def _orbits(tables, order: int):
     """The orbits of range(order) under the index maps `tables`, each a
-    list in breadth-first order from its least member, in order of that
-    member (`rootsys.closure` over ints, with a flag per index)."""
+    list in breadth-first order from its least index, in order of that
+    index (`rootsys.closure` over ints, with a flag per index)."""
     seen = bytearray(order)
     for i in range(order):
         if seen[i]:
@@ -347,83 +405,65 @@ def enumerate_group(label: str, rank: int, q: int) -> OracleGroup:
     walk = list(dict.fromkeys(_walk_generators(ctx, field)))
     gens = tuple(dict.fromkeys(walk + _torus_generators(ctx, field)))
     ident = _flat(identity(field, ctx.size))
-    products_of = _compile_step(field, ctx.size,
-                                tuple((ident, g) for g in walk))
-    # discovery index of every element and, in generator order, those of
-    # its right products; `elements` grows as it is read, so the walk is
-    # breadth-first in discovery order, and each product is hashed once.
-    # tree[d - 1] = (a, j) when x_d first appears as x_a g_j
-    found = {ident: 0}
-    products = array("i")
-    elements, tree = [ident], []
-    for a, x in enumerate(elements):
-        ys = products_of(x)
-        known = len(found)
-        ids = [found.setdefault(y, len(found)) for y in ys]
-        products.extend(ids)
-        if len(found) > known:
-            if len(found) > expected:  # a wrong step fails fast
-                raise BudgetError(f"orbit exceeded its budget of {expected}")
-            for j, i in enumerate(ids):
-                if i >= known:
-                    elements.append(ys[j])
-                    tree.append((a, j))
+    # products[d * len(walk) + k] is the index of x_d g_k, and
+    # tree[d - 1] = (a, j) when x_d first appears as x_a g_j; the order
+    # bounds the walk, so a wrong step fails before any table is built
+    elements, index = [ident], {ident: 0}
+    products, tree = array("i", [0]) * (expected * len(walk)), []
+    _compile_walk(field, ctx.size, tuple((ident, g) for g in walk), True)(
+        elements, index, 1, expected, products, tree)
     if len(elements) != expected:
         raise AssertionError(
             f"enumerated {len(elements)} elements of {label}{rank}(F_{q}), "
             f"order formula gives {expected}")
-    starts = [found[g] for g in gens]
-    elements.sort()
-    disc = [0] * expected  # sorted index -> discovery index
-    pos = [0] * expected   # discovery index -> sorted index
-    for i, e in enumerate(elements):
-        disc[i] = d = found[e]
-        pos[d] = i
-        found[e] = i       # `found` becomes the element -> index map
-    left, conj = _index_tables(products, len(walk), tree, disc, pos, starts)
+    left, conj = _index_tables(products, len(walk), tree,
+                               [index[g] for g in gens])
     return OracleGroup(
         label=label, rank=rank, q=q, field=field, ctx=ctx, size=ctx.size,
         elements=tuple(elements), generators=gens, order=expected,
-        index=found, left=left, conj=conj)
+        index=index, left=left, conj=conj)
 
 
-def _index_tables(products, walk: int, tree, disc, pos, starts) -> tuple:
+def _index_tables(products, walk: int, tree, starts) -> tuple:
     """The `left` and `conj` tables of `OracleGroup`, by index lookups only.
 
-    In discovery indices, products[d * walk + k] is the index of x_d g_k
-    for the walk generators g_k, k < walk, and every x_d but the identity
-    x_0 first appears as x_a g_j with (a, j) = tree[d - 1] and a < d.  That
-    is a Schreier tree: for any group element g, g x_d = (g x_a) g_j gives
+    products[d * walk + k] is the index of x_d g_k for the walk generators
+    g_k, k < walk, and every x_d but the identity x_0 first appears as
+    x_a g_j with (a, j) = tree[d - 1] and a < d.  That is a Schreier tree:
+    for any group element g, g x_d = (g x_a) g_j gives
     left[d] = products[left[a] * walk + j] from left[0] = the index of g,
     one of `starts`.  With x_r = x_e g_k, g_k x_r g_k^-1 = g_k x_e, so the
     conjugate of x_r is x_{left[e]}.
     """
-    n = len(disc)
     left, conj = [], []
     for k, start in enumerate(starts):
-        lk = [start]
+        lk = array("i", [start])
         for a, j in tree:
             lk.append(products[lk[a] * walk + j])
-        left.append(array("i", [pos[lk[d]] for d in disc]))
+        left.append(lk)
         if k < walk:
-            ck = array("i", [0]) * n
+            ck = array("i", [0]) * len(lk)
             for e, r in enumerate(products[k::walk]):
-                ck[pos[r]] = pos[lk[e]]
+                ck[r] = lk[e]
             conj.append(ck)
     return tuple(left), tuple(conj)
 
 
 @dataclass(frozen=True)
 class ClassData:
+    """A class: `rep` is its least member from `conjugacy_classes`, which
+    also keeps the members' `indices`, and the given rep from `expand_class`."""
     rep: tuple
     elements: frozenset
     size: int
+    indices: Optional[tuple] = dc_field(default=None, compare=False,
+                                        repr=False)
 
 
 def expand_class(ctx: GroupContext, field, rep: Matrix,
                  budget: int = 300_000) -> ClassData:
-    """Full conjugation orbit of `rep` under the group, by closure under
-    conjugation by `_walk_generators` (3 per element for Sp4).
+    """Full conjugation orbit of `rep` under the group, by the compiled walk
+    under conjugation by `_walk_generators` (3 per element for Sp4).
 
     Over F_p the integer entries of `rep` are reduced by `field.of`; over
     F_{p^k} they must already be encoded elements, ints in range(q).
@@ -438,19 +478,22 @@ def expand_class(ctx: GroupContext, field, rep: Matrix,
         rep = tuple(tuple(field.of(x) for x in row) for row in rep)
     if not ctx.in_group(field, rep):
         raise ValueError(f"{rep} is not in {ctx.label}{ctx.rank}")
-    step = _conjugation(field, ctx.size, tuple(_walk_generators(ctx, field)))
-    orbit = closure([_flat(rep)], step, budget)
-    return ClassData(rep=orbit[0], elements=frozenset(orbit), size=len(orbit))
+    n, rep = ctx.size, _flat(rep)
+    pairs = _conjugation_pairs(field, n, tuple(_walk_generators(ctx, field)))
+    orbit = _compile_walk(field, n, pairs, False)([rep], {rep: 0}, 1, budget)
+    return ClassData(rep=rep, elements=frozenset(orbit), size=len(orbit))
 
 
 def conjugacy_classes(group: OracleGroup) -> list[ClassData]:
     """All conjugacy classes, as closures of the `conj` tables of the walk
-    generators, which generate the group; sizes sum to the group order."""
-    elements = group.elements
-    classes = [ClassData(rep=elements[orbit[0]],
-                         elements=frozenset(elements[j] for j in orbit),
-                         size=len(orbit))
-               for orbit in _orbits(group.conj, group.order)]
+    generators, which generate the group, in order of their least members
+    `rep`; sizes sum to the group order."""
+    elements, classes = group.elements, []
+    for orbit in _orbits(group.conj, group.order):
+        members = [elements[j] for j in orbit]
+        classes.append(ClassData(rep=min(members), elements=frozenset(members),
+                                 size=len(orbit), indices=tuple(orbit)))
+    classes.sort(key=lambda c: c.rep)
     total = sum(c.size for c in classes)
     if total != group.order:
         raise AssertionError("classes do not partition the group")
@@ -461,30 +504,22 @@ def conjugacy_classes(group: OracleGroup) -> list[ClassData]:
 
 def _cell_lookup(group_ctx, field):
     """Flat element -> its Bruhat cell, for members of a class from
-    `expand_class` or `conjugacy_classes`: read off `OracleGroup.cells` for
-    an enumerated group (`bruhat_word` for an element outside it), and
-    decoded by `GroupContext._cell` otherwise, without `in_group`, since
-    each member is g rep g^-1 for a checked rep and a product g of group
-    generators."""
-    if not isinstance(group_ctx, OracleGroup):
-        return lambda e: group_ctx._cell(field, _unflat(e, group_ctx.size))
-    ctx, cells, index = group_ctx.ctx, group_ctx.cells(), group_ctx.index
-
-    def cell(e):
-        i = index.get(e)
-        if i is None:  # not one of the enumerated elements
-            return ctx.bruhat_word(field, _unflat(e, ctx.size))
-        return cells[i]
-
-    return cell
+    `expand_class`, decoded by `GroupContext._cell` without `in_group`,
+    since each member is g rep g^-1 for a checked rep and a product g of
+    group generators.  The classes of `conjugacy_classes` are read off
+    `OracleGroup._cell_ids` by index instead."""
+    ctx = group_ctx.ctx if isinstance(group_ctx, OracleGroup) else group_ctx
+    return lambda e: ctx._cell(field, _unflat(e, ctx.size))
 
 
 def cell_partition_check(group: OracleGroup) -> dict:
     """|BwB| = |B| q^{l(w)} for every cell, and the cells partition G."""
-    counts = Counter(group.cells())
+    kinds, ids = group._cell_ids()
+    counts = Counter(ids)
     q, b_order = group.q, _borel_order(group)
     mismatches = []
-    for w, size in counts.items():
+    for k, size in counts.items():
+        w = kinds[k]
         want = b_order * q ** w.length()
         if size != want:
             mismatches.append((w.reduced_word(), size, want))
@@ -509,10 +544,14 @@ def w_of_class(group_ctx, field, cls: ClassData) -> WOfClassReport:
 
     Cells are sorted by (length, reduced word), so ties in length go to the
     larger word and the report does not depend on the frozenset's order.
-    `cls` comes from `expand_class` or `conjugacy_classes` (`_cell_lookup`
-    decodes its members without a membership test)."""
-    ws = sorted(set(map(_cell_lookup(group_ctx, field), cls.elements)),
-                key=lambda w: (w.length(), w.reduced_word()))
+    `cls` comes from `expand_class` (`_cell_lookup` decodes its members
+    without a membership test) or `conjugacy_classes` (read by index)."""
+    if cls.indices is None or not isinstance(group_ctx, OracleGroup):
+        ws = set(map(_cell_lookup(group_ctx, field), cls.elements))
+    else:
+        kinds, ids = group_ctx._cell_ids()
+        ws = [kinds[k] for k in set(map(ids.__getitem__, cls.indices))]
+    ws = sorted(ws, key=lambda w: (w.length(), w.reduced_word()))
     best = ws[-1]
     unique = all(bruhat_leq(w, best) for w in ws)
     return WOfClassReport(w_max=best, incident=ws, unique_max=unique)
@@ -566,6 +605,19 @@ def verify_dimension_formula(group: OracleGroup, cls: ClassData) -> DimensionRep
     )
 
 
+def _borel_conjugators(group: OracleGroup) -> tuple:
+    """The generators in B (torus and positive simple root elements, which
+    generate T(F_q)), then x_a(c) for every positive root a, c as in
+    `_root_generators`."""
+    ctx, field = group.ctx, group.field
+    bgens = [group.generators[k] for k in _borel_generators(group)]
+    coeffs = list(field.units()) if isinstance(field, ExtField) else [field.one]
+    for root in ctx.system.positive_roots:
+        for c in coeffs:
+            bgens.append(_flat(ctx.root_element(field, root, c)))
+    return tuple(dict.fromkeys(bgens))
+
+
 def borel_orbit_report(group: OracleGroup, cls: ClassData,
                        w: WeylElement) -> dict:
     """B(F_q)-conjugation orbits inside the top cell of the class.
@@ -574,23 +626,23 @@ def borel_orbit_report(group: OracleGroup, cls: ClassData,
     into several B(F_q)-orbits; this reports the split and the share of the
     class sitting in the top cell, and never asserts a single orbit.
     """
-    ctx, field, n = group.ctx, group.field, group.size
-    cell = _cell_lookup(group, field)
-    top = frozenset(e for e in cls.elements if cell(e) == w)
+    field, n = group.field, group.size
+    if cls.indices is None:
+        cell = _cell_lookup(group, field)
+        top = frozenset(e for e in cls.elements if cell(e) == w)
+    else:
+        kinds, ids = group._cell_ids()
+        k = kinds.index(w) if w in kinds else -1
+        top = frozenset(group.elements[i] for i in cls.indices if ids[i] == k)
     if not top:
         return {"top_cell_points": 0, "orbit_sizes": [], "top_share": 0.0}
-    # the generators in B (torus and positive simple root elements) already
-    # generate T(F_q); add every positive root subgroup
-    bgens = [group.generators[k] for k in _borel_generators(group)]
-    coeffs = list(field.units()) if isinstance(field, ExtField) else [field.one]
-    for root in ctx.system.positive_roots:
-        for c in coeffs:
-            bgens.append(_flat(ctx.root_element(field, root, c)))
-    step = _conjugation(field, n, tuple(dict.fromkeys(bgens)))
+    walk = _compile_walk(field, n, _conjugation_pairs(
+        field, n, _borel_conjugators(group)), False)
     remaining = set(top)
     sizes = []
     while remaining:
-        orbit = closure([min(remaining)], step, BOREL_ORBIT_BUDGET)
+        x = min(remaining)
+        orbit = walk([x], {x: 0}, 1, BOREL_ORBIT_BUDGET)
         if not top.issuperset(orbit):
             raise AssertionError("B-conjugation left the top cell")
         sizes.append(len(orbit))

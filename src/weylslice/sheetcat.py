@@ -13,6 +13,7 @@ enforced by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .linalg import (
@@ -94,8 +95,13 @@ def _theta_conjugate(system: RootSystem, w: WeylElement) -> WeylElement:
 
 
 def sheet_catalog(group_type: str, rank: int):
-    """All non-trivial sheets of spherical classes for a simple type."""
-    group_type = group_type.upper()
+    """All non-trivial sheets of spherical classes for a simple type, as a
+    new list of descriptors that are built once per process."""
+    return list(_catalog(group_type.upper(), rank))
+
+
+@lru_cache(maxsize=None)
+def _catalog(group_type: str, rank: int) -> list:
     if group_type in ("F", "G") or (group_type == "E" and rank == 8):
         return []
     if group_type == "A":

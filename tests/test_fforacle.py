@@ -15,10 +15,13 @@ from weylslice.fforacle import (
     slice_orbit_check,
     verify_dimension_formula,
     w_of_class,
+    _borel_conjugators,
     _borel_generators,
     _cell_lookup,
     _compile_step,
+    _compile_walk,
     _conjugation,
+    _conjugation_pairs,
     _coset_cells,
     _flat,
     _generators,
@@ -28,7 +31,7 @@ from weylslice.fforacle import (
     slice_points,
 )
 from weylslice.fields import gf
-from weylslice.linalg import inverse, mat_mul
+from weylslice.linalg import identity, inverse, mat_mul
 from weylslice.matgroups import GroupContext
 from weylslice.rootsys import build_root_system, closure, longest_element
 from weylslice.sheetcat import catalog_w_S
@@ -128,8 +131,8 @@ def test_bare_context_cells_match_bruhat_word():
 def test_steps_compile_once_per_process():
     # a second expand_class or slice_orbit_check on the same group and
     # field compiles nothing (the w0 slice has one step per inverted root);
-    # a compiled step reaches only the field's add, mul and coefficients,
-    # with no builtins
+    # a compiled step or walk reaches only the field's add, mul and
+    # coefficients (and a walk BudgetError), with no builtins
     F5 = gf(5)
     sp_rep = GroupContext("Sp", 2).torus(F5, [2, 1])
     w0 = longest_element(build_root_system("C", 2), range(2))
@@ -137,13 +140,21 @@ def test_steps_compile_once_per_process():
     expand_class(GroupContext("Sp", 2), F5, sp_rep)
     slice_orbit_check("Sp", 2, 3, rep22, w0)
     misses = _compile_step.cache_info().misses
+    walk_misses = _compile_walk.cache_info().misses
     assert expand_class(GroupContext("Sp", 2), F5, sp_rep).size > 1
     assert slice_orbit_check("Sp", 2, 3, rep22, w0).passed
     assert _compile_step.cache_info().misses == misses
+    assert _compile_walk.cache_info().misses == walk_misses
     for field in (F5, gf(25)):
-        step = _compile_step(field, 2, (((1, 1, 0, 1), (1, 0, 2, 1)),))
+        pairs = (((1, 1, 0, 1), (1, 0, 2, 1)),)
+        step = _compile_step(field, 2, pairs)
         assert step.__globals__.keys() == {"__builtins__", "add", "mul", "C"}
         assert step.__globals__["__builtins__"] == {}
+        for record in (False, True):
+            walk = _compile_walk(field, 2, pairs, record)
+            assert walk.__globals__.keys() == {"__builtins__", "add", "mul",
+                                               "C", "BudgetError"}
+            assert walk.__globals__["__builtins__"] == {}
 
 
 def test_dimension_formula_sl2_f5():
@@ -184,6 +195,35 @@ def test_expand_class_budget():
     assert expand_class(g.ctx, g.field, ((1, 1), (0, 1))).size == 12
     with pytest.raises(BudgetError):
         expand_class(g.ctx, g.field, ((1, 1), (0, 1)), budget=5)
+
+
+@pytest.mark.parametrize("label,rank,q,rep", [
+    ("SL", 1, 5, ((1, 1), (0, 1))),
+    ("Sp", 2, 3, ((1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1)))])
+def test_expand_class_budget_bounds_the_orbit_size(label, rank, q, rep):
+    # the budget is checked after each element: an orbit of `size` elements
+    # fits a budget of size and not of size - 1
+    ctx, F = GroupContext(label, rank), gf(q)
+    size = expand_class(ctx, F, rep).size
+    assert expand_class(ctx, F, rep, budget=size).size == size
+    with pytest.raises(BudgetError):
+        expand_class(ctx, F, rep, budget=size - 1)
+
+
+def test_wrong_walk_generator_stops_the_enumeration_before_its_tables(
+        monkeypatch):
+    # with diag(2, 1), det 2, among the walk generators the walk would run
+    # on into GL2(F_5); the order formula bounds it, before any table
+    walk_generators = fforacle._walk_generators
+
+    def no_tables(*args):
+        raise AssertionError("tables built for a wrong enumeration")
+
+    monkeypatch.setattr(fforacle, "_walk_generators",
+                        lambda ctx, F: walk_generators(ctx, F) + [(2, 0, 0, 1)])
+    monkeypatch.setattr(fforacle, "_index_tables", no_tables)
+    with pytest.raises(BudgetError):
+        enumerate_group.__wrapped__("SL", 1, 5)
 
 
 def test_expand_class_reduces_and_checks_rep():
@@ -368,16 +408,25 @@ TABLE_GROUPS = [("SL", 1, 3), ("SL", 1, 5), ("SL", 1, 7), ("SL", 2, 3),
 
 @pytest.mark.parametrize("label,rank,q", TABLE_GROUPS)
 def test_index_tables_match_products(label, rank, q):
-    # left tables of every generator, torus included, and conjugation
-    # tables of the walk generators against products from linalg, and the
-    # decoded cells against the public bruhat_word
+    # the elements in the walk's order: the identity, then each a right
+    # product of an earlier one by a walk generator; left tables of every
+    # generator, torus included, and conjugation tables of the walk
+    # generators against products from linalg, and the decoded cells
+    # against the public bruhat_word
     g = enumerate_group(label, rank, q)
     F, n, els = g.field, g.size, g.elements
-    assert list(els) == sorted(els) and len(els) == g.order
+    assert len(set(els)) == len(els) == g.order
+    assert els[0] == _flat(identity(F, n))
+    assert len(g.index) == g.order
     assert all(g.index[e] == i for i, e in enumerate(els))
     walk = len(g.conj)
     assert g.generators == _generators(g.ctx, F)
     assert g.generators[:walk] == tuple(_walk_generators(g.ctx, F))
+    # x = y g for a walk generator g and an earlier y: y = x g^-1
+    inverses = [inverse(F, _unflat(gen, n)) for gen in g.generators[:walk]]
+    for i, x in enumerate(els[1:], 1):
+        assert any(g.index[_flat(mat_mul(F, _unflat(x, n), gi))] < i
+                   for gi in inverses)
     assert len(g.left) == len(g.generators) > walk
     for k, gen in enumerate(g.generators):
         gm = _unflat(gen, n)
@@ -407,7 +456,8 @@ def test_coset_cells_need_generators_of_b(label, rank, q):
                        if i % (n + 1))]
     unipotent = [k for k in ks if k not in diagonal]
     assert diagonal and len(unipotent) == rank  # x_a(1), a simple, over F_p
-    assert _coset_cells(g, ks) == g.cells()
+    kinds, ids = _coset_cells(g, ks)
+    assert [kinds[k] for k in ids] == g.cells()
     for subset in (diagonal, unipotent):
         with pytest.raises(AssertionError):
             _coset_cells(g, subset)
@@ -423,24 +473,31 @@ WALK_PRODUCTS = [("SL", 1, 3, 24 * 2), ("SL", 1, 5, 120 * 2),
 @pytest.mark.parametrize("label,rank,q,products", WALK_PRODUCTS)
 def test_enumeration_walks_the_walk_generators(label, rank, q, products,
                                                monkeypatch):
-    # one compiled step call per element, one product per walk generator;
-    # SL and Sp walk no torus generator, SO exactly one
-    compile_step, counts = fforacle._compile_step, []
+    # one walk, which records one product index per element and walk
+    # generator, each generator's a permutation of the elements, and one
+    # Schreier entry (a, j), x_d = x_a g_j with a < d, per element but the
+    # identity; SL and Sp walk no torus generator, SO exactly one
+    compile_walk, calls = fforacle._compile_walk, []
 
-    def counting(field, n, pairs):
-        step = compile_step(field, n, pairs)
+    def recording(field, n, pairs, record):
+        walk = compile_walk(field, n, pairs, record)
 
-        def counted(x):
-            ys = step(x)
-            counts.append(len(ys))
-            return ys
-        return counted
+        def recorded(*args):
+            calls.append((len(pairs), record, args))
+            return walk(*args)
+        return recorded
 
-    monkeypatch.setattr(fforacle, "_compile_step", counting)
+    monkeypatch.setattr(fforacle, "_compile_walk", recording)
     g = enumerate_group.__wrapped__(label, rank, q)
     walk = g.generators[:len(g.conj)]
-    assert len(counts) == g.order and sum(counts) == products
-    assert products == g.order * len(walk)
+    [(width, record, (_, _, _, _, ids, tree))] = calls
+    assert record and width == len(walk)
+    assert len(ids) == products == g.order * len(walk)
+    for k in range(width):
+        assert sorted(ids[k::width]) == list(range(g.order))
+    assert len(tree) == g.order - 1
+    assert all(a < d and ids[a * width + j] == d
+               for d, (a, j) in enumerate(tree, 1))
     torus = [gen for gen in walk if not _off_diagonal(gen, g.size)]
     assert len(torus) == (label == "SO-odd")
     assert len(walk) == rank + 1 + len(torus)
@@ -448,7 +505,7 @@ def test_enumeration_walks_the_walk_generators(label, rank, q, products,
 
 @pytest.mark.parametrize("label,rank,q", [("Sp", 2, 3), ("SO-odd", 2, 3)])
 def test_coset_cells_match_bruhat_word_on_sample(label, rank, q):
-    # a fixed stride through the sorted elements, at least 500 of them
+    # a fixed stride through the enumerated elements, at least 500 of them
     g = enumerate_group(label, rank, q)
     stride = g.order // 500
     sample = range(0, g.order, stride)
@@ -460,6 +517,7 @@ def test_coset_cells_match_bruhat_word_on_sample(label, rank, q):
 
 
 def test_conjugacy_classes_match_conjugation_by_every_element():
+    # the classes come in order of their least members
     g = enumerate_group("SL", 1, 5)
     F, n = g.field, g.size
     mats = [_unflat(e, n) for e in g.elements]
@@ -472,6 +530,7 @@ def test_conjugacy_classes_match_conjugation_by_every_element():
                         for h, hi in pairs)
         want.append(cls)
         covered |= cls
+    want.sort(key=min)
     got = conjugacy_classes(g)
     assert [c.elements for c in got] == want
     assert [c.rep for c in got] == [min(c) for c in want]
@@ -534,6 +593,34 @@ def test_expand_class_matches_enumerated_classes(label, rank, q):
         got = expand_class(g.ctx, g.field, _unflat(rep, g.size))
         assert got.elements == c.elements and got.size == c.size
     assert q != 9 or len(classes) == 13
+
+
+@pytest.mark.parametrize("label,rank,q", CRITERION_2_GROUPS + [("SL", 1, 9)])
+def test_compiled_walk_lists_the_closure_under_the_step(label, rank, q):
+    # from the rep of every class, the walk of expand_class lists exactly
+    # what rootsys.closure lists under the compiled step, in the same
+    # order; over F_9 the products go through the field's add, mul and C
+    g = enumerate_group(label, rank, q)
+    F, n = g.field, g.size
+    gens = tuple(_walk_generators(g.ctx, F))
+    walk = _compile_walk(F, n, _conjugation_pairs(F, n, gens), False)
+    step = _conjugation(F, n, gens)
+    for c in conjugacy_classes(g):
+        assert walk([c.rep], {c.rep: 0}, 1, c.size) == closure([c.rep], step)
+
+
+@pytest.mark.parametrize("label,rank,q", [("Sp", 2, 3), ("SL", 1, 9)])
+def test_compiled_walk_lists_the_closure_of_a_borel_orbit(label, rank, q):
+    # the B(F_q)-orbit of the greatest element of the largest class, under
+    # the conjugators of borel_orbit_report
+    g = enumerate_group(label, rank, q)
+    F, n = g.field, g.size
+    x = max(max(conjugacy_classes(g), key=lambda c: c.size).elements)
+    gens = _borel_conjugators(g)
+    walk = _compile_walk(F, n, _conjugation_pairs(F, n, gens), False)
+    orbit = walk([x], {x: 0}, 1, g.order)
+    assert len(orbit) > 1
+    assert orbit == closure([x], _conjugation(F, n, gens))
 
 
 def test_expand_class_over_extension_takes_encoded_entries():

@@ -57,6 +57,20 @@ def test_hypothesis_bounds():
         sheet_catalog("D", 3)
 
 
+def test_catalog_descriptors_are_built_once():
+    # each call returns a new list of the same descriptors, whatever the
+    # case of the type; a rank outside the catalog raises on every call
+    first, second = sheet_catalog("D", 5), sheet_catalog("d", 5)
+    assert first is not second and len(first) == len(second) > 0
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    assert sheet_catalog("D", 5) == second
+    assert catalog_sheet("D", 5, "R") in second
+    for _ in range(2):
+        with pytest.raises(CatalogError):
+            sheet_catalog("B", 1)
+
+
 def test_w_S_invariants():
     """Every catalog w_S: involution, fixes Pi pointwise, Bruhat-maximal."""
     for t, n in [("A", 3), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
