@@ -151,15 +151,17 @@ def _compile_walk(field, n: int, pairs: tuple, record: bool):
     """The breadth-first orbit under x -> a x b, (a, b) in pairs, as one
     function compiled once per (field, n, pairs, record) for the process.
 
-    `walk(orbit, found, count, budget, ...)` reads `orbit` as it grows, in
-    the order of `rootsys.closure`: it unpacks each x into locals x0, x1,
-    ..., forms each product from the expressions of `_products`, looks it
-    up once in `found` and, when it is new, gives it the index `count` and
-    appends it to `orbit`.  BudgetError is raised once `count` exceeds
-    `budget`, checked after each element.  With `record`, the arguments
-    `products, tree` also get the index of the j-th product of element a
-    at a * len(pairs) + j of the preallocated array, and (a, j) for each
-    new element.  The source holds only int literals, local names and the
+    `walk(orbit, found, count, budget, ...)` reads `orbit`, of `count`
+    elements, as it grows, in the order of `rootsys.closure`: it unpacks
+    each x into locals x0, x1, ..., forms each product from `_products`,
+    looks it up once in the dict `found` of the elements so far and appends
+    it when new.  BudgetError is raised once `count` exceeds `budget`,
+    checked after each element.  Without `record` each element maps to
+    itself, and as every product is a new tuple, `setdefault(y, y) is y`
+    holds exactly when y is new.  With `record` each maps to its index, and
+    the j-th product of element a has its index stored at a * len(pairs)
+    + j of the preallocated array `products` and, when new, (a, j) appended
+    to `tree`.  The source holds only int literals, local names and the
     names of `_products` and BudgetError.
     """
     exprs, namespace = _products(field, n, pairs, "x{}")
@@ -167,9 +169,10 @@ def _compile_walk(field, n: int, pairs: tuple, record: bool):
     body = []
     for j, y in enumerate(exprs):
         body += [f"y = {y}", "i = setdefault(y, count)",
-                 *([f"products[p + {j}] = i"] if record else []),
-                 "if i == count:", " append(y)",
-                 *([f" branch((a, {j}))"] if record else []), " count += 1"]
+                 f"products[p + {j}] = i", "if i == count:", " append(y)",
+                 f" branch((a, {j}))", " count += 1"] if record else [
+                 f"y = {y}", "if setdefault(y, y) is y:", " append(y)",
+                 " count += 1"]
     body += ["if count > budget:", " raise BudgetError(budget)"]
     if record:
         body += ["a += 1", f"p += {len(pairs)}"]
@@ -266,9 +269,7 @@ def _borel_generators(group: OracleGroup) -> list[int]:
 
 
 def _coset_cells(group: OracleGroup, ks) -> tuple:
-    """The Bruhat cell of every element, one decoding per left coset, as
-    `OracleGroup._cell_ids`: the distinct cells `kinds` and, aligned with
-    the elements, the position `ids` of each one's cell in `kinds`.
+    """`OracleGroup._cell_ids`, one decoding per left coset.
 
     The cosets are the closures of the `left[k]` tables over the generator
     indices `ks`; when those generators generate B they are the cosets Bx,
@@ -452,7 +453,8 @@ def _index_tables(products, walk: int, tree, starts) -> tuple:
 @dataclass(frozen=True)
 class ClassData:
     """A class: `rep` is its least member from `conjugacy_classes`, which
-    also keeps the members' `indices`, and the given rep from `expand_class`."""
+    also keeps the members' `indices`, and the given rep from
+    `expand_class`."""
     rep: tuple
     elements: frozenset
     size: int
@@ -480,7 +482,7 @@ def expand_class(ctx: GroupContext, field, rep: Matrix,
         raise ValueError(f"{rep} is not in {ctx.label}{ctx.rank}")
     n, rep = ctx.size, _flat(rep)
     pairs = _conjugation_pairs(field, n, tuple(_walk_generators(ctx, field)))
-    orbit = _compile_walk(field, n, pairs, False)([rep], {rep: 0}, 1, budget)
+    orbit = _compile_walk(field, n, pairs, False)([rep], {rep: rep}, 1, budget)
     return ClassData(rep=rep, elements=frozenset(orbit), size=len(orbit))
 
 
@@ -642,7 +644,7 @@ def borel_orbit_report(group: OracleGroup, cls: ClassData,
     sizes = []
     while remaining:
         x = min(remaining)
-        orbit = walk([x], {x: 0}, 1, BOREL_ORBIT_BUDGET)
+        orbit = walk([x], {x: x}, 1, BOREL_ORBIT_BUDGET)
         if not top.issuperset(orbit):
             raise AssertionError("B-conjugation left the top cell")
         sizes.append(len(orbit))
