@@ -12,11 +12,14 @@ eliminations: ``dot(xs, ys)`` (the sum of the products),
 ``sub_scaled(xs, f, ys)`` (the list ``[x - f*y]``), ``mat_mul(a, b)``,
 ``rref(a, max_pivots)`` and ``det(a)``.  F_p computes the first two on
 plain ints and reduces once per entry, multiplies matrices on packed
-rows, and eliminates on plain ints (`PrimeField`); every other field
-multiplies rows by columns with its own ``dot`` and eliminates with the
-shared bodies of `_FieldOps` on its own scalar operations.  The other
-fields skip the zero terms, whose Fraction, polynomial or table products
-are what the skipping saves.
+rows, and eliminates on plain ints (`PrimeField`).  Q multiplies and
+eliminates on cleared numerators (`Rationals`): integer dot products
+with one ``Fraction`` per entry, fraction-free Gauss-Jordan whose rows
+and pivots are the shared body's, and Bareiss's determinant.  Every
+other field multiplies rows by columns with its own ``dot`` and
+eliminates with the shared bodies of `_FieldOps` on its own scalar
+operations.  Its ``dot`` and ``sub_scaled`` skip the zero terms, whose
+Fraction, polynomial or table products are what the skipping saves.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from operator import mul as _int_mul
 from typing import Iterable, Optional
 
@@ -101,6 +105,15 @@ class _FieldOps:
         return out
 
 
+def _cleared(xs) -> tuple[int, list[int]]:
+    """(d, [d x for x in xs]) for d the lcm of the denominators of the
+    rationals xs (ints or Fractions): the numerators over one denominator."""
+    d = lcm(*[x.denominator for x in xs])
+    if d == 1:
+        return 1, [x.numerator for x in xs]
+    return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
 class Rationals(_FieldOps):
     """Field operations on arbitrary-precision rationals."""
 
@@ -141,6 +154,97 @@ class Rationals(_FieldOps):
 
     def sub_scaled(self, xs, f, ys) -> list:
         return [x - f * y if y else x for x, y in zip(xs, ys)]
+
+    def mat_mul(self, a, b):
+        """Rows of a by columns of b on cleared numerators: row i of a is
+        (integer row)/d_i and column j of b is (integer column)/e_j, so
+        entry (i, j) is one integer dot product over d_i e_j."""
+        cols = [_cleared(c) for c in zip(*b)]
+        out = []
+        for ra in a:
+            d, ints = _cleared(ra)
+            out.append(tuple([Fraction(sum(map(_int_mul, ints, cb)), d * e)
+                              for e, cb in cols]))
+        return tuple(out)
+
+    def rref(self, a, max_pivots: int | None = None):
+        """`_FieldOps.rref` on integer rows, with the same rows and pivots.
+
+        Row i is held as an integer vector v_i and a denominator s_i with
+        row i = v_i / s_i.  Clearing column c with pivot row r, whose
+        entry there is p, gives row i - (v_i[c] / p) row r, that is
+        (p v_i - v_i[c] v_r) / (p s_i); the content shared by the new
+        vector and denominator is divided out.  The rows are the
+        reference's, found by the same search and swaps, so only the
+        `Fraction` entries built at the end are new: a pivot row divided
+        by its pivot, every other row by its denominator.
+        """
+        m, dens = [], []
+        for row in a:
+            d, ints = _cleared(row)
+            m.append(ints)
+            dens.append(d)
+        rows = len(m)
+        cols = len(m[0]) if rows else 0
+        pivots: list[int] = []
+        for c in range(cols):
+            r = len(pivots)
+            if r == rows or r == max_pivots:
+                break
+            for piv in range(r, rows):
+                if m[piv][c]:
+                    break
+            else:
+                continue
+            m[piv], m[r] = m[r], m[piv]
+            dens[piv], dens[r] = dens[r], dens[piv]
+            prow = m[r]
+            p = prow[c]
+            for i, ri in enumerate(m):
+                f = ri[c]
+                if f and i != r:
+                    new = [p * y - f * z for y, z in zip(ri, prow)]
+                    s = p * dens[i]
+                    g = gcd(s, *new)
+                    m[i] = [y // g for y in new]
+                    dens[i] = s // g
+            pivots.append(c)
+            if not any(map(any, m[r + 1:])):
+                break
+        out = [[Fraction(y, row[c]) for y in row]
+               for row, c in zip(m, pivots)]
+        out += [[Fraction(y, s) for y in row]
+                for row, s in zip(m[len(pivots):], dens[len(pivots):])]
+        return out, pivots
+
+    def det(self, a):
+        """The determinant by Bareiss's fraction-free elimination (Math.
+        Comp. 22, 1968) on the rows cleared of their denominators: each
+        step divides exactly by the previous pivot, so the entries stay
+        minors of the integer matrix, whose determinant is the last
+        pivot; det(a) is that over the product of the denominators."""
+        m, den = [], 1
+        for row in a:
+            d, ints = _cleared(row)
+            m.append(ints)
+            den *= d
+        if not m:
+            return self.one
+        sign, prev = 1, 1
+        while len(m) > 1:
+            for piv, row in enumerate(m):
+                if row[0]:
+                    break
+            else:
+                return self.zero
+            if piv:
+                m[piv] = m[0]
+                sign = -sign
+            p, tail = row[0], row[1:]
+            m = [[(p * y - r[0] * z) // prev for y, z in zip(r[1:], tail)]
+                 for r in m[1:]]
+            prev = p
+        return Fraction(sign * m[0][0], den)
 
     def elements(self) -> Iterable:
         raise TypeError("the rational field is infinite")

@@ -1,12 +1,13 @@
 """Dense exact matrices over a field-ops object.
 
 Matrices are immutable tuples of tuples.  Every product is the field's
-own ``field.mat_mul`` (packed rows over F_p, rows by columns with
-``field.dot`` elsewhere), every other row update goes through
-``field.sub_scaled``, and the eliminations are the field's own
-``field.rref`` and ``field.det``: the shared Gauss-Jordan and elimination
-bodies of `fields._FieldOps`, which F_p replaces by the same eliminations
-on plain ints.  So each routine here has one code path for every field.
+own ``field.mat_mul`` (packed rows over F_p, integer numerators over Q,
+rows by columns with ``field.dot`` elsewhere), every other row update
+goes through ``field.sub_scaled``, and the eliminations are the field's
+own ``field.rref`` and ``field.det``: the shared Gauss-Jordan and
+elimination bodies of `fields._FieldOps`, which F_p and Q replace by the
+same eliminations on plain ints.  So each routine here has one code path
+for every field.
 Every elimination (rank over any field, inverses, and the exact solver
 `solve` / `kernel` the rest of the package uses over Q) goes through
 `rref`; a rank compared with a fixed value passes that bound as

@@ -5,25 +5,30 @@ the Gram matrix of the simple roots (an integer matrix for every type),
 the formula s_b(c) = c - (2 c^T G b / b^T G b) b gives every reflection
 and pairing.  A simple reflection s_i changes only c_i, by a sum over
 column i of the Cartan matrix; that one step generates the roots and
-the orbit of rho that counts |W|.  Root sums are read from a table built once per system on
-first use.  The coordinates in the standard orthonormal models, tuples
-of ``Fraction``, are derived once and fix the order of the roots.  A
-Weyl element is the permutation it induces on the root indices
-(Casselman, "Machine calculations in Weyl groups", 1994), built by
-`RootSystem.element`.  Products are index composition; lengths and
-descents are lookups on the permutation, and reduced words, Bruhat order
-and parabolic longest elements are computed from them.  On ambient
-vectors an element acts by one cached rational matrix.
+the orbit of rho that counts |W|.  Root sums are read from a table built
+once per system on first use.  The coordinates in the standard
+orthonormal models, tuples of ``Fraction``, are derived once and fix
+the order of the roots.  Each is a `Root`, a tuple that stores its hash,
+so looking a root up by its coordinates hashes no ``Fraction``; every
+query also takes an equal plain tuple.  A Weyl element is the
+permutation it induces on the root indices (Casselman, "Machine
+calculations in Weyl groups", 1994), built by `RootSystem.element`.
+Products are index composition; lengths and descents are lookups on the
+permutation, and reduced words, Bruhat order and parabolic longest
+elements are computed from them.  On ambient vectors an element acts by
+one cached rational matrix, and rank(1 - w) is a rank over Q of the
+integer matrix of w.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul as _mul
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .fields import QQ
-from .linalg import inverse, mat_mul, rank as _rank
+from .fields import QQ, _cleared
+from .linalg import inverse, kernel, mat_mul, rank as _rank
 
 Vector = tuple[Fraction, ...]
 
@@ -91,12 +96,26 @@ def closure(seeds: Iterable[Hashable],
     return list(seen)
 
 
+class Root(tuple):
+    """A root's ambient coordinates: a tuple of ``Fraction`` that computes
+    its hash once.  Equality, hash, order, ``repr`` and JSON are those of
+    the plain tuple, so an equal plain tuple finds it in any dict or set."""
+
+    def __new__(cls, coords: Iterable[Fraction]):
+        self = super().__new__(cls, coords)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
 def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def _dot(c: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(c, v))
+    return sum(map(_mul, c, v))
 
 
 def _reflect(c: Sequence[int], b: Sequence[int],
@@ -150,7 +169,6 @@ class RootSystem:
         self.rank = rank
         simples, dim = _simple_roots(label, rank)
         self.dim = dim
-        self.simple_roots: tuple[Vector, ...] = tuple(simples)
         #: twice the Gram matrix of the simple roots, an integer matrix
         self._gram2 = tuple(tuple(int(2 * dot(a, b)) for b in simples)
                             for a in simples)
@@ -174,16 +192,18 @@ class RootSystem:
                                    for a in simples)
         twice = tuple(zip(*self._twice_simple))
         by_coords = sorted((tuple(_dot(c, t) for t in twice), c) for c in coeffs)
-        self.roots: tuple[Vector, ...] = tuple(
-            tuple(Fraction(x, 2) for x in r) for r, _ in by_coords)
+        self.roots: tuple[Root, ...] = tuple(
+            Root(Fraction(x, 2) for x in r) for r, _ in by_coords)
         self._coeffs = tuple(c for _, c in by_coords)
         #: root -> its position in `roots`
         self.index = {r: i for i, r in enumerate(self.roots)}
         self._positive = tuple(all(x >= 0 for x in c) for c in self._coeffs)
-        self.positive_roots: tuple[Vector, ...] = tuple(
+        self.positive_roots: tuple[Root, ...] = tuple(
             r for r, pos in zip(self.roots, self._positive) if pos)
         self._coroots = tuple(self._coroot(c) for c in self._coeffs)
         self._simple_index = tuple(self.index[a] for a in simples)
+        self.simple_roots: tuple[Root, ...] = tuple(
+            self.roots[k] for k in self._simple_index)
         self._identity = WeylElement(self, tuple(range(len(self.roots))))
         self._by_coeffs = {c: k for k, c in enumerate(self._coeffs)}
         #: neg[k] is the index of -roots[k]
@@ -253,6 +273,21 @@ class RootSystem:
         negs = [self.neg[s] for s in pos]
         return sorted(k for k in pos
                       if not any(table[k][n] in pos for n in negs))
+
+    @cached_property
+    def _complement(self) -> tuple[tuple[int, ...], ...]:
+        """An integer basis of the orthogonal complement of the root span:
+        empty unless dim > rank (A_n, E6, E7, G2)."""
+        return tuple(tuple(_cleared(z)[1])
+                     for z in kernel(QQ, self._twice_simple))
+
+    def in_span(self, v: Vector) -> bool:
+        """Whether the ambient vector v lies in the span of the roots: its
+        cleared numerators are orthogonal to `_complement`."""
+        if not self._complement:
+            return True
+        u = _cleared(v)[1]
+        return not any(_dot(z, u) for z in self._complement)
 
     # -- basic queries ---------------------------------------------------
 
@@ -355,8 +390,8 @@ class WeylElement:
                            for k in sys._simple_index)))
 
     def mul(self, other: "WeylElement") -> "WeylElement":
-        p = self.perm
-        return WeylElement(self.system, tuple(p[k] for k in other.perm))
+        return WeylElement(self.system,
+                           tuple(map(self.perm.__getitem__, other.perm)))
 
     def is_identity(self) -> bool:
         return self.perm == self.system._identity.perm
@@ -475,12 +510,11 @@ def w0_wPi(system: RootSystem, pi: Iterable[int]) -> WeylElement:
 
 
 def minus_one_rank(w: WeylElement) -> int:
-    """rank(1 - w) on the reflection representation, exactly."""
-    frac = tuple(
-        tuple(Fraction(int(i == j) - x) for j, x in enumerate(row))
-        for i, row in enumerate(w.matrix)
-    )
-    return _rank(QQ, frac)
+    """rank(1 - w) on the reflection representation, exactly: the rank
+    over Q of the integer matrix 1 - `w.matrix`."""
+    return _rank(QQ, tuple(
+        tuple(int(i == j) - x for j, x in enumerate(row))
+        for i, row in enumerate(w.matrix)))
 
 
 def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:

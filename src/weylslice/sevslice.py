@@ -7,18 +7,19 @@ by w fall back to a freely chosen positive system on Psi.  With respect
 to the result, w has maximal length in its conjugacy class.  The rule
 runs on integers: each v_i becomes its pairings with the simple roots,
 scaled by a positive integer, and a root pairs with it through its
-integer simple-root coefficients.
+integer simple-root coefficients.  `EigenBasisChoice` checks its basis
+on the same pairings, against the integer matrix of w, and keeps them
+for `positive_system`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 from typing import Optional
 
-from .fields import QQ
+from .fields import QQ, _cleared
 from .linalg import kernel, rank
-from .rootsys import RootSystem, Vector, WeylElement, conjugacy_class
+from .rootsys import RootSystem, Vector, WeylElement, _dot, conjugacy_class
 
 
 class DegenerateBasisError(ValueError):
@@ -43,16 +44,34 @@ class EigenBasisChoice:
     w: WeylElement
     basis: tuple[Vector, ...]
     psi_positive: Optional[frozenset[Vector]] = None
+    #: `_integer_pairings` of each basis vector, in basis order
+    _pairings: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.w.is_involution():
+        """Checks the basis on integers.  w acts as the identity off the
+        root span, so w v = -v holds iff v lies in the span and
+        (alpha_i, w v) = -(alpha_i, v) for every simple root.  For the
+        involution w, (alpha_i, w v) = (w alpha_i, v) = sum_j M[j][i]
+        (alpha_j, v) with M = `w.matrix`, so on the integer pairings t of
+        v the test is t M = -t.  The pairing map is injective on the span,
+        and each t is v's pairings times a positive integer, so the basis
+        is independent iff the t are."""
+        w = self.w
+        if not w.is_involution():
             raise ValueError("w must be an involution")
+        system = w.system
+        cols = tuple(zip(*w.matrix))
+        pairings = []
         for v in self.basis:
-            img = self.w.apply_vector(v)
-            if img != tuple(-x for x in v):
+            t = _integer_pairings(system, v)
+            if (len(v) != system.dim or not system.in_span(v)
+                    or any(_dot(t, c) != -x for c, x in zip(cols, t))):
                 raise ValueError(f"basis vector {v} is not in the (-1)-eigenspace")
-        if rank(QQ, self.basis) != len(self.basis):
+            pairings.append(t)
+        if rank(QQ, pairings) != len(pairings):
             raise ValueError("basis vectors are linearly dependent")
+        object.__setattr__(self, "_pairings", tuple(pairings))
 
 
 @dataclass(frozen=True)
@@ -61,13 +80,15 @@ class PositiveSystem:
 
     system: RootSystem
     positive: frozenset[Vector]
-    #: the root indices of `positive`
-    _indices: frozenset[int] = field(init=False, repr=False, compare=False)
+    #: the root indices of `positive`, read off it when not given
+    _indices: Optional[frozenset[int]] = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        index = self.system.index
-        object.__setattr__(self, "_indices",
-                           frozenset(index[r] for r in self.positive))
+        if self._indices is None:
+            index = self.system.index
+            object.__setattr__(self, "_indices",
+                               frozenset(index[r] for r in self.positive))
 
     def length_of(self, w: WeylElement) -> int:
         pos, perm = self._indices, w.perm
@@ -105,10 +126,8 @@ def fixed_roots(w: WeylElement) -> list[Vector]:
 def _integer_pairings(system: RootSystem, v: Vector) -> tuple[int, ...]:
     """The pairings (alpha_i, v) with the simple roots times L = 2 D, D the
     lcm of the denominators of v: the integers t_i = (2 alpha_i, D v)."""
-    d = lcm(*(x.denominator for x in v))
-    u = [x.numerator * (d // x.denominator) for x in v]
-    return tuple(sum(a * b for a, b in zip(t, u))
-                 for t in system._twice_simple)
+    u = _cleared(v)[1]
+    return tuple(_dot(t, u) for t in system._twice_simple)
 
 
 def positive_system(choice: EigenBasisChoice) -> PositiveSystem:
@@ -116,12 +135,13 @@ def positive_system(choice: EigenBasisChoice) -> PositiveSystem:
 
     A root beta = sum_i c_i alpha_i pairs with v as (beta, v) = sum_i c_i
     (alpha_i, v).  Each basis vector is replaced by its integer pairings
-    t_i = L (alpha_i, v) with the simple roots (`_integer_pairings`), so the
-    rule reads the integer sum_i c_i t_i = L (beta, v).  Since L > 0, that
-    integer is zero exactly when (beta, v) is, and has the same sign
-    otherwise: every positive set, DegenerateBasisError and AssertionError
-    is the one the rational pairings give.  L depends on v only, so each
-    basis vector may have its own.
+    t_i = L (alpha_i, v) with the simple roots (`_integer_pairings`, kept
+    on the choice), so the rule reads the integer sum_i c_i t_i =
+    L (beta, v).  Since L > 0, that integer is zero exactly when (beta, v)
+    is, and has the same sign otherwise: every positive set,
+    DegenerateBasisError and AssertionError is the one the rational
+    pairings give.  L depends on v only, so each basis vector may have
+    its own.
     """
     w = choice.w
     system = w.system
@@ -132,22 +152,24 @@ def positive_system(choice: EigenBasisChoice) -> PositiveSystem:
         if psi_pos | {system.neg[k] for k in psi_pos} != psi:
             raise ValueError("psi_positive must pick one of each +- pair in Psi")
     else:
-        psi_pos = {k for k in psi if system.is_positive_root(system.roots[k])}
+        psi_pos = {k for k in psi if system._positive[k]}
     positive = set(psi_pos)
     # i maximal first
-    pairings = [_integer_pairings(system, v) for v in reversed(choice.basis)]
+    pairings = choice._pairings[::-1]
     for k, c in enumerate(system._coeffs):
         if k in psi:
             continue
         for t in pairings:
-            val = sum(x * y for x, y in zip(c, t))
+            val = _dot(c, t)
             if val:
                 break
         else:
             raise DegenerateBasisError(system.roots[k])
         if val > 0:
             positive.add(k)
-    out = PositiveSystem(system, frozenset(system.roots[k] for k in positive))
+    roots = system.roots
+    out = PositiveSystem(system, frozenset([roots[k] for k in positive]),
+                         frozenset(positive))
     out.validate()
     # the defining property: the unfixed positives are exactly those inverted
     bad = [system.roots[k] for k in positive - psi if w.perm[k] in positive]

@@ -172,7 +172,12 @@ def _conjugate_by_diagonal(field, t, x):
 
 def gamma_stability_check(descriptor, field=None, seed: int = 0,
                           samples: int = 6) -> dict:
-    """Conjugating certified points by Gamma_w generators keeps membership."""
+    """Conjugating certified points by Gamma_w generators keeps membership.
+
+    An accepted conjugate lies in the group (membership starts with the
+    group test), so its cell is decoded by `GroupContext._cell`, as in
+    `certify_components`; a rejected one is recorded and not decoded.
+    """
     if field is None:
         field = gf(VERIFICATION_PRIME)
     fam = build_family(descriptor)
@@ -198,7 +203,7 @@ def gamma_stability_check(descriptor, field=None, seed: int = 0,
             if not res.member:
                 failures.append(
                     f"{comp.label}: Gamma conjugate left the sheet: {res.reason}")
-            if fam.ctx.bruhat_word(field, gx) != fam.w:
+            elif fam.ctx._cell(field, gx) != fam.w:
                 failures.append(f"{comp.label}: Gamma conjugate left the cell")
     return {"checked": checked, "failures": failures,
             "gamma_order": len(gammas), "passed": not failures}
@@ -225,7 +230,7 @@ def gamma_transitivity_check(group_type: str, rank: int, label: str,
     for g in gammas:
         orbit.add(_conjugate_by_diagonal(field, g, base))
     missing = [p for p in points if p not in orbit]
-    extra = [p for p in orbit if p not in set(points)]
+    extra = orbit.difference(points)
     return {
         "points": len(points),
         "gamma_order": len(gammas),

@@ -22,7 +22,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .rootsys import RootSystem, WeylElement, dot
+from .fields import QQ
+from .rootsys import RootSystem, WeylElement
 
 IntMatrix = list[list[int]]
 
@@ -204,10 +205,8 @@ class TorusData:
         return action
 
     def to_ambient(self, coords: Sequence[int]) -> tuple[Fraction, ...]:
-        out = tuple(Fraction(0) for _ in range(self.system.dim))
-        for c, b in zip(coords, self.basis):
-            out = tuple(x + Fraction(c) * y for x, y in zip(out, b))
-        return out
+        """sum_j coords[j] basis[j], one row-by-matrix product over Q."""
+        return QQ.mat_mul((tuple(coords),), self.basis)[0]
 
     def __repr__(self):
         return (f"TorusData({self.system.label}{self.system.rank}, "
@@ -235,9 +234,10 @@ def _int_mat_mul(a, b):
 
 def _cocharacter_basis(system: RootSystem, isogeny: str):
     if isogeny == "sc":
-        return [
-            tuple(2 * x / dot(a, a) for x in a) for a in system.simple_roots
-        ]
+        # (alpha_i, alpha_i) is half the diagonal entry of the doubled Gram
+        g = system._gram2
+        return [tuple(4 * x / g[i][i] for x in a)
+                for i, a in enumerate(system.simple_roots)]
     if isogeny == "ad":
         # fundamental coweights: (alpha_i, pi_j) = delta_ij within the span
         return list(system.dual_basis)

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -621,3 +622,68 @@ def test_prime_elimination_reads_unreduced_entries(p, data):
     want, want_pivots = _FieldOps.rref(F, reduced)
     assert pivots == want_pivots
     assert [[x % p for x in r] for r in got] == want
+
+
+def _q_entry(rng, size):
+    """0 (int or Fraction) a third of the time, else an int or a Fraction
+    with numerator and denominator up to `size`."""
+    k = rng.random()
+    if k < 0.33:
+        return rng.choice((0, Fraction(0)))
+    if k < 0.55:
+        return rng.randint(-size, size)
+    return Fraction(rng.randint(-size, size), rng.randint(1, size))
+
+
+def _q_matrix(rng, rows, cols, size=9, rank_at_most=None):
+    """A random rows x cols matrix over Q; with `rank_at_most` = k the
+    product of rows x k and k x cols factors (all zeros for k = 0), and
+    sometimes a zeroed row and column."""
+    if rank_at_most is None:
+        m = [[_q_entry(rng, size) for _ in range(cols)] for _ in range(rows)]
+    else:
+        k = rank_at_most
+        a = [[_q_entry(rng, size) for _ in range(k)] for _ in range(rows)]
+        b = [[_q_entry(rng, size) for _ in range(cols)] for _ in range(k)]
+        m = [[sum((x * b[t][j] for t, x in enumerate(row)), 0)
+              for j in range(cols)] for row in a]
+    if rows and cols and rng.random() < 0.3:
+        i, j = rng.randrange(rows), rng.randrange(cols)
+        m[i] = [0] * cols
+        for row in m:
+            row[j] = Fraction(0)
+    return tuple(map(tuple, m))
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_kernel_matches_field_ops_reference(seed):
+    # products and eliminations on cleared numerators give the reference's
+    # matrices, rows, pivots and determinants, every entry a Fraction
+    rng = random.Random(seed)
+    size = (9, 9, 40, 10**6)[seed]
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)] + [
+        (rng.randint(1, 7), rng.randint(1, 7)) for _ in range(30)]
+    for rows, cols in shapes:
+        low = rng.randint(0, max(0, min(rows, cols) - 1))
+        for a in (_q_matrix(rng, rows, cols, size),
+                  _q_matrix(rng, rows, cols, size, rank_at_most=low)):
+            for max_pivots in [None] + list(range(cols + 1)):
+                got = QQ.rref(a, max_pivots)
+                assert got == _FieldOps.rref(QQ, a, max_pivots)
+                assert _all_fractions(got[0])
+            for inner in (0, 1, 4):
+                b = _q_matrix(rng, cols, inner, size)
+                got = QQ.mat_mul(a, b)
+                assert got == _FieldOps.mat_mul(QQ, a, b)
+                assert _all_fractions(got)
+        for sq in (_q_matrix(rng, rows, rows, size),
+                   _q_matrix(rng, rows, rows, size, rank_at_most=low)):
+            got = QQ.det(sq)
+            assert got == _FieldOps.det(QQ, sq) and type(got) is Fraction
+        if rows:
+            assert QQ.det(_q_matrix(rng, rows, rows, size,
+                                    rank_at_most=rows - 1)) == 0

@@ -387,3 +387,44 @@ def test_subsystem_highest_root_matches_gram_solve(label, n, sub_roots):
     assert len(perp) == sub_roots
     assert subsystem_highest_root(rs, perp) == _gram_solve_highest_root(rs, perp)
     assert subsystem_highest_root(rs, rs.roots) == rs.highest_root()
+
+
+ALL_TYPES = [("A", 1), ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2),
+             ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
+
+
+@pytest.mark.parametrize("label,n", ALL_TYPES)
+def test_roots_answer_as_the_equal_plain_tuple(label, n):
+    # a root of `roots` and the plain tuple of new, equal Fractions are
+    # the same key everywhere; E6, E7, E8 and F4 have half-integer
+    # coordinates
+    import json
+
+    rs = build_root_system(label, n)
+    plains = [tuple(Fraction(x.numerator, x.denominator) for x in r)
+              for r in rs.roots]
+    assert all(type(p) is tuple for p in plains)
+    assert all(a is rs.roots[rs.index[a]] for a in rs.simple_roots)
+    assert all(a is rs.roots[rs.index[a]] for a in rs.positive_roots)
+    refl = [rs.simple_reflection(i) for i in range(n)]
+    for k, (r, p) in enumerate(zip(rs.roots, plains)):
+        assert type(r) is not tuple and isinstance(r, tuple)
+        assert r == p and p == r and not r != p
+        assert hash(r) == hash(p)
+        assert repr(r) == repr(p) and str(r) == str(p)
+        assert json.dumps(r, default=str) == json.dumps(p, default=str)
+        assert rs.index[r] == rs.index[p] == k
+        assert rs.coefficients(r) == rs.coefficients(p)
+        assert rs.is_positive_root(r) == rs.is_positive_root(p)
+        assert rs.reflection(r) == rs.reflection(p)
+        for w in refl:
+            assert w.apply_root(p) is w.apply_root(r)
+        for a in rs.simple_roots:
+            assert rs.pair(r, a) == rs.pair(p, a)
+            assert rs.pair(a, r) == rs.pair(a, p)
+    # order, and with it the iteration order of sets and dicts
+    assert sorted(rs.roots) == sorted(plains)
+    assert [rs.index[x] for x in set(rs.roots)] == [
+        rs.index[x] for x in set(plains)]
+    assert [a < b for a in rs.roots[:9] for b in rs.roots] == [
+        a < b for a in plains[:9] for b in plains]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylslice.fields import QQ
-from weylslice.linalg import rank
+from weylslice.linalg import kernel, rank
 from weylslice.rootsys import (
     build_root_system,
     dot,
@@ -256,3 +256,79 @@ def test_root_index_tables(label, n):
     # a, b positive is no longer positive
     with pytest.raises(AssertionError, match="not closed"):
         PositiveSystem(rs, (std.positive - {theta}) | {minus_theta}).validate()
+
+
+def test_eigenbasis_choice_keeps_its_integer_pairings():
+    from weylslice.sevslice import _integer_pairings
+
+    for label, n in [("A", 3), ("B", 3), ("E", 6)]:
+        rs = build_root_system(label, n)
+        w = longest_element(rs, range(n))
+        base = minus_one_eigenbasis(w)
+        choice = EigenBasisChoice(w, base)
+        assert choice._pairings == tuple(
+            _integer_pairings(rs, v) for v in base)
+        assert choice == EigenBasisChoice(w, base)
+
+
+def test_eigenbasis_choice_rejects_vectors_off_the_root_span():
+    # w is the identity off the span, so such a vector is no (-1)-vector;
+    # its pairings with the roots vanish, so only the span test sees it
+    a3 = build_root_system("A", 3)
+    w0 = longest_element(a3, range(3))
+    ones = _vec(1, 1, 1, 1)
+    with pytest.raises(ValueError, match="eigenspace"):
+        EigenBasisChoice(w0, (ones,))
+    good = minus_one_eigenbasis(w0)
+    with pytest.raises(ValueError, match="eigenspace"):
+        EigenBasisChoice(w0, (tuple(x + y for x, y in zip(good[0], ones)),))
+    e6 = build_root_system("E", 6)
+    w = longest_element(e6, range(6))
+    # the kernel of the simple roots: two vectors orthogonal to every root
+    perp = kernel(QQ, e6.simple_roots)
+    assert len(perp) == 2
+    assert all(dot(z, r) == 0 for z in perp for r in e6.roots)
+    good = minus_one_eigenbasis(w)
+    for z in perp:
+        with pytest.raises(ValueError, match="eigenspace"):
+            EigenBasisChoice(w, (z,))
+        with pytest.raises(ValueError, match="eigenspace"):
+            EigenBasisChoice(w, (tuple(x + Fraction(1, 3) * y
+                                       for x, y in zip(good[0], z)),)
+                             + good[1:])
+    EigenBasisChoice(w, good)
+
+
+def test_eigenbasis_choice_rejects_plus_one_vectors_and_dependence():
+    for label, n in [("A", 3), ("B", 3), ("D", 4), ("E", 6)]:
+        rs = build_root_system(label, n)
+        for cls in (involution_conjugacy_classes(rs) if label != "E"
+                    else [(longest_element(rs, range(n)),)]):
+            w = cls[0]
+            good = minus_one_eigenbasis(w)
+            EigenBasisChoice(w, good)
+            # a fixed root, and a fixed root added to a (-1)-vector
+            for r in fixed_roots(w)[:2]:
+                with pytest.raises(ValueError, match="eigenspace"):
+                    EigenBasisChoice(w, (r,))
+                with pytest.raises(ValueError, match="eigenspace"):
+                    EigenBasisChoice(w, (tuple(
+                        x + y for x, y in zip(good[0], r)),))
+            # a root r with w r != +-r: r + w r is fixed and nonzero
+            for r in rs.roots:
+                if w.apply_root(r) not in (r, tuple(-x for x in r)):
+                    with pytest.raises(ValueError, match="eigenspace"):
+                        EigenBasisChoice(w, (tuple(
+                            x + y for x, y in zip(r, w.apply_root(r))),))
+                    break
+            # dependent: a repeated vector, and a sum of two basis vectors
+            with pytest.raises(ValueError, match="dependent"):
+                EigenBasisChoice(w, good + (tuple(2 * x for x in good[0]),))
+            if len(good) > 1:
+                with pytest.raises(ValueError, match="dependent"):
+                    EigenBasisChoice(w, (good[0], good[1], tuple(
+                        x - Fraction(1, 2) * y
+                        for x, y in zip(good[0], good[1]))))
+    with pytest.raises(ValueError, match="eigenspace"):
+        EigenBasisChoice(longest_element(build_root_system("B", 2), range(2)),
+                         (_vec(1, 0, 0),))

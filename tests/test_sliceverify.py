@@ -129,6 +129,55 @@ def test_gamma_stability_and_transitivity():
             gamma_stability_check(_descriptor("E", rank, "S"))
 
 
+def _no_bruhat_word(monkeypatch):
+    """Make `GroupContext.bruhat_word` fail and count `_cell` calls."""
+    from weylslice.matgroups import GroupContext
+
+    def checked_decode(self, field, g):
+        raise AssertionError("bruhat_word repeats the group test")
+
+    decodes = []
+    cell = GroupContext._cell
+
+    def counted_cell(self, field, g):
+        decodes.append(g)
+        return cell(self, field, g)
+
+    monkeypatch.setattr(GroupContext, "bruhat_word", checked_decode)
+    monkeypatch.setattr(GroupContext, "_cell", counted_cell)
+    return decodes
+
+
+def test_gamma_stability_decodes_each_accepted_conjugate_once(monkeypatch):
+    decodes = _no_bruhat_word(monkeypatch)
+    for label in ("S", "Sprime"):
+        decodes.clear()
+        rep = gamma_stability_check(_descriptor("B", 2, label), samples=4)
+        assert rep["passed"] and rep["checked"] == len(decodes) > 0
+
+
+def test_gamma_stability_records_a_conjugate_off_the_group(monkeypatch):
+    # the conjugation hands out -(t X t^-1), which has det -1 and so lies
+    # off SO_5: each one is a failure of membership, and none is decoded
+    import weylslice.sliceverify as sv
+
+    conjugate = sv._conjugate_by_diagonal
+
+    def negated(field, t, x):
+        return tuple(tuple(field.neg(y) for y in row)
+                     for row in conjugate(field, t, x))
+
+    honest = gamma_stability_check(_descriptor("B", 2, "S"), samples=4)
+    decodes = _no_bruhat_word(monkeypatch)
+    monkeypatch.setattr(sv, "_conjugate_by_diagonal", negated)
+    rep = gamma_stability_check(_descriptor("B", 2, "S"), samples=4)
+    assert not rep["passed"] and not decodes
+    assert rep["checked"] == honest["checked"] == len(rep["failures"]) > 0
+    for failure in rep["failures"]:
+        assert failure.endswith(
+            ": Gamma conjugate left the sheet: X is not in SO_5"), failure
+
+
 def test_random_ambient_gives_up_after_claimed_draws():
     from weylslice.sliceverify import _random_ambient
 
