@@ -13,10 +13,10 @@ eliminations: ``dot(xs, ys)`` (the sum of the products),
 ``rref(a, max_pivots)`` and ``det(a)``.  F_p computes the first two on
 plain ints and reduces once per entry, multiplies matrices on packed
 rows, and eliminates on plain ints (`PrimeField`).  Q multiplies and
-eliminates on cleared numerators (`Rationals`): integer dot products
-with one ``Fraction`` per entry, fraction-free Gauss-Jordan whose rows
-and pivots are the shared body's, and Bareiss's determinant.  Every
-other field multiplies rows by columns with its own ``dot`` and
+row-reduces on cleared numerators (`Rationals`): integer dot products
+with one ``Fraction`` per entry, and fraction-free Gauss-Jordan whose
+rows and pivots are the shared body's; its ``det`` is the shared body.
+Every other field multiplies rows by columns with its own ``dot`` and
 eliminates with the shared bodies of `_FieldOps` on its own scalar
 operations.  Its ``dot`` and ``sub_scaled`` skip the zero terms, whose
 Fraction, polynomial or table products are what the skipping saves.
@@ -216,35 +216,6 @@ class Rationals(_FieldOps):
         out += [[Fraction(y, s) for y in row]
                 for row, s in zip(m[len(pivots):], dens[len(pivots):])]
         return out, pivots
-
-    def det(self, a):
-        """The determinant by Bareiss's fraction-free elimination (Math.
-        Comp. 22, 1968) on the rows cleared of their denominators: each
-        step divides exactly by the previous pivot, so the entries stay
-        minors of the integer matrix, whose determinant is the last
-        pivot; det(a) is that over the product of the denominators."""
-        m, den = [], 1
-        for row in a:
-            d, ints = _cleared(row)
-            m.append(ints)
-            den *= d
-        if not m:
-            return self.one
-        sign, prev = 1, 1
-        while len(m) > 1:
-            for piv, row in enumerate(m):
-                if row[0]:
-                    break
-            else:
-                return self.zero
-            if piv:
-                m[piv] = m[0]
-                sign = -sign
-            p, tail = row[0], row[1:]
-            m = [[(p * y - r[0] * z) // prev for y, z in zip(r[1:], tail)]
-                 for r in m[1:]]
-            prev = p
-        return Fraction(sign * m[0][0], den)
 
     def elements(self) -> Iterable:
         raise TypeError("the rational field is infinite")

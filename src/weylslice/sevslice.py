@@ -80,15 +80,13 @@ class PositiveSystem:
 
     system: RootSystem
     positive: frozenset[Vector]
-    #: the root indices of `positive`, read off it when not given
-    _indices: Optional[frozenset[int]] = field(
-        default=None, repr=False, compare=False)
+    #: the root indices of `positive`
+    _indices: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._indices is None:
-            index = self.system.index
-            object.__setattr__(self, "_indices",
-                               frozenset(index[r] for r in self.positive))
+        index = self.system.index
+        object.__setattr__(self, "_indices",
+                           frozenset(index[r] for r in self.positive))
 
     def length_of(self, w: WeylElement) -> int:
         pos, perm = self._indices, w.perm
@@ -168,8 +166,7 @@ def positive_system(choice: EigenBasisChoice) -> PositiveSystem:
         if val > 0:
             positive.add(k)
     roots = system.roots
-    out = PositiveSystem(system, frozenset([roots[k] for k in positive]),
-                         frozenset(positive))
+    out = PositiveSystem(system, frozenset([roots[k] for k in positive]))
     out.validate()
     # the defining property: the unfixed positives are exactly those inverted
     bad = [system.roots[k] for k in positive - psi if w.perm[k] in positive]
