@@ -20,7 +20,7 @@ off-locus samples vacuous) and `transitivity_points(field, mu)`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Sequence
@@ -117,7 +117,7 @@ class SliceFamily:
         if self.is_matrix:
             self.ctx = GroupContext(_GROUPS[descriptor.group_type], self.n)
 
-    @cached_property
+    @property
     def w(self):
         """w_S, on first use: the E6/E7 families need no root system."""
         return self.descriptor.w_S()
@@ -266,15 +266,11 @@ class BFamilyS(SliceFamily):
     def _component_point(self, e, eta):
         """The point of component (e, eta) at a, C0 + a C1 + a^2 C2, with
         the coefficient matrices built once per field (`_b_coefficients`)."""
-        coeffs = {}
+        @cache
+        def coefficients(field):
+            return _b_coefficients(self, field, e, eta)
 
-        def point(field, a):
-            c = coeffs.get(field)
-            if c is None:
-                c = coeffs[field] = _b_coefficients(self, field, e, eta)
-            return _quadratic_point(field, c, a)
-
-        return point
+        return lambda field, a: _quadratic_point(field, coefficients(field), a)
 
     def membership(self, field, X) -> MembershipResult:
         """Semisimple, unipotent or twisted unipotent member of the sheet.
@@ -500,14 +496,13 @@ class TwoFlipFamily(SliceFamily):
     def _component_point(self, eps, eta):
         """`point` at c = 1 on the solution line through x; wdot t(eps, eta, 1)
         does not depend on x, so each field builds it once."""
-        heads = {}
         symplectic = self.descriptor.group_type == "C"
 
+        @cache
+        def head(field):
+            return self._torus_part(field, eps, eta, field.one)
+
         def point(field, x):
-            head = heads.get(field)
-            if head is None:
-                head = heads[field] = self._torus_part(field, eps, eta,
-                                                       field.one)
             if symplectic:
                 # coefficients (p, eta*p, -2eps, -2eta) on the solution line
                 coeffs = [x, field.mul(field.of(eta), x),
@@ -516,7 +511,7 @@ class TwoFlipFamily(SliceFamily):
                 # q = -eta*p, short-root coefficients vanish
                 q = field.mul(field.of(-eta), x)
                 coeffs = [x, q] + [field.zero] * (self.n_unip - 2)
-            return self._times_root_elements(field, head, coeffs)
+            return self._times_root_elements(field, head(field), coeffs)
 
         return point
 

@@ -18,16 +18,13 @@ builtins in reach, so they can do nothing but field arithmetic on x.
 
 Each orbit runs over the fewest generators it needs: the positive simple
 root elements x_a(1) (x_a(c) for every unit c over F_{p^k}), one monomial
-lift of w0 and, where the group needs one, a torus generator
-(`_walk_generators`).  The lift conjugates U_{a_i} onto U_{-a_pi(i)}, so
-it and the root elements give every root subgroup, and those generate
-G(F_q) for the simply connected SL and Sp (Steinberg) but only Omega, of
-index 2, for SO, where a torus element of non-square spinor norm makes up
-the rest (Taylor).  `expand_class` conjugates by that set and
+lift of w0 and, where the group needs one, a torus generator.
+`_generating_set` builds them once per (group, field), with the reasons
+they generate G(F_q).  `expand_class` conjugates by that set and
 `enumerate_group` walks right products with it: 3 per element of SL3 or
-Sp4.  The torus generators (`_torus_generators`, one per slot) are used
-only through tables: with the positive simple root elements they
-generate B = T U, whose left products give the cosets Bx.
+Sp4.  The other torus generators, one per slot, are used only through
+tables: with the positive simple root elements they generate B = T U,
+whose left products give the cosets Bx.
 
 An enumerated group (`OracleGroup`) holds its elements by index, in the
 walk's order.  The enumeration records each right product x g of a walk
@@ -64,7 +61,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .fields import ExtField, PrimeField, gf
@@ -202,12 +199,12 @@ class OracleGroup:
 
     `elements` are in the order the enumeration walk first reaches them,
     from the identity, and `index` maps each element to its position.
-    `generators` are `_generators(ctx, field)`: the walk generators of
-    `_walk_generators` (the positive simple root elements, the lift of w0
-    and, for SO, one torus generator), then the other torus generators.
-    With g = generators[k] and x = elements[i], `left[k][i]` is the index
-    of g x, and for the walk generators, k < len(conj), `conj[k][i]` is
-    that of g x g^-1.  The Bruhat cells are decoded on first use and kept.
+    `generators` are those of `_generating_set`: the walk generators (the
+    positive simple root elements, the lift of w0 and, for SO, one torus
+    generator), then the other torus generators.  With g = generators[k]
+    and x = elements[i], `left[k][i]` is the index of g x, and for the walk
+    generators, k < len(conj), `conj[k][i]` is that of g x g^-1.  The
+    Bruhat cells are decoded on first use and kept.
     """
     label: str
     rank: int
@@ -221,13 +218,13 @@ class OracleGroup:
     index: dict = dc_field(repr=False)
     left: tuple = dc_field(repr=False)
     conj: tuple = dc_field(repr=False)
-    _cells: Optional[tuple] = dc_field(default=None, init=False, repr=False)
 
     def cells(self) -> list:
         """The Bruhat cell of every element, aligned with `elements`."""
-        kinds, ids = self._cell_ids()
+        kinds, ids = self._cell_ids
         return [kinds[k] for k in ids]
 
+    @cached_property
     def _cell_ids(self) -> tuple:
         """(kinds, ids): the distinct Bruhat cells, and the position in
         `kinds` of the cell of every element, aligned with `elements`.
@@ -241,17 +238,15 @@ class OracleGroup:
         `bruhat_word` and must decode to that cell: the size check in
         `cell_partition_check` cannot tell apart two cells of equal length.
         """
-        if self._cells is None:
-            ctx, field = self.ctx, self.field
-            kinds, ids = _coset_cells(self, _borel_generators(self))
-            for w in kinds:
-                wdot = ctx.weyl_representative(field, w)
-                if ctx.bruhat_word(field, wdot) != w:
-                    raise AssertionError(
-                        f"representative of {w.reduced_word()} decodes to "
-                        "another cell")
-            self._cells = kinds, ids
-        return self._cells
+        ctx, field = self.ctx, self.field
+        kinds, ids = _coset_cells(self, _borel_generators(self))
+        for w in kinds:
+            wdot = ctx.weyl_representative(field, w)
+            if ctx.bruhat_word(field, wdot) != w:
+                raise AssertionError(
+                    f"representative of {w.reduced_word()} decodes to "
+                    "another cell")
+        return kinds, ids
 
 
 def _borel_order(group: OracleGroup) -> int:
@@ -260,12 +255,10 @@ def _borel_order(group: OracleGroup) -> int:
     return (q - 1) ** group.rank * q ** len(group.ctx.system.positive_roots)
 
 
-def _borel_generators(group: OracleGroup) -> list[int]:
-    """Indices k of the generators that lie in the standard Borel: the
-    positive simple root elements and the torus generators."""
-    ctx, field, n = group.ctx, group.field, group.size
-    return [k for k, g in enumerate(group.generators)
-            if ctx.borel_torus(field, _unflat(g, n)) is not None]
+def _borel_generators(group: OracleGroup) -> tuple:
+    """Indices k of the generators that lie in the standard Borel: every
+    one but the lift of w0 (`_generating_set`)."""
+    return _generating_set(group.label, group.rank, group.field)[2]
 
 
 def _coset_cells(group: OracleGroup, ks) -> tuple:
@@ -313,79 +306,65 @@ def _orbits(tables, order: int):
         yield orbit
 
 
-def _root_generators(ctx: GroupContext, field) -> list:
-    """x_a(c) for the simple roots a, with c = 1 over F_p (it generates
-    U_a(F_p)) and every unit over F_{p^k}, then the monomial lift of w0
-    (`weyl_representative`), which lies in N(T) and conjugates U_{a_i} onto
-    U_{w0 a_i} = U_{-a_pi(i)}: together they generate every root subgroup.
+@lru_cache(maxsize=None)
+def _generating_set(label: str, rank: int, field) -> tuple:
+    """(walk, generators, borel) for the group over `field`, flat tuples
+    without repeats, built once per (label, rank, field) for the process.
+
+    `walk` is what `expand_class` conjugates by and `enumerate_group`
+    multiplies by: x_a(c) for the simple roots a, with c = 1 over F_p (it
+    generates U_a(F_p)) and every unit over F_{p^k}; the monomial lift of
+    w0 (`weyl_representative`), which lies in N(T) and conjugates U_{a_i}
+    onto U_{w0 a_i} = U_{-a_pi(i)}, so that with the root elements it
+    gives every root subgroup; and for every group but SL and Sp the first
+    torus generator.  The root subgroups generate G(F_q) for the simply
+    connected SL and Sp (Steinberg, *Lectures on Chevalley Groups*,
+    sections 3 and 6).  For SO they generate Omega, of index 2 in SO(F_q)
+    for odd q; the first torus generator's slot value generates F_q^x, so
+    its spinor norm is a non-square and it lies outside Omega (Taylor,
+    *The Geometry of the Classical Groups*, ch. 11).  For GL the same
+    element has det a generator of F_q^x.
+
+    `generators` (`OracleGroup.generators`) are `walk`, then the other
+    torus generators: a generator u of F_q^x in each epsilon slot, for SL
+    (u, u^-1) in slots k, k + 1 for k < n - 1, since the n-th such
+    element is the inverse of the product of the others.  The torus and
+    the positive simple root elements generate B = T U, so `borel`, the
+    indices of every generator but the lift of w0, give the B-cosets of
+    `_coset_cells`.
     """
-    coeffs = field.units() if isinstance(field, ExtField) else [field.one]
+    ctx = GroupContext(label, rank)
     sys = ctx.system
-    gens = [_flat(ctx.root_element(field, a, c))
-            for a in sys.simple_roots for c in coeffs]
-    w0 = ctx.weyl_representative(field, longest_element(sys, range(sys.rank)))
-    return gens + [_flat(w0)]
-
-
-def _torus_generators(ctx: GroupContext, field) -> list:
-    """One multiplicative generator u of F_q^x in each epsilon slot; for SL
-    (u, u^-1) in slots k, k + 1 for k < n - 1, since the n-th such element
-    is the inverse of the product of the others.  The first has det u for
-    GL and spinor norm u, a non-square, for SO."""
-    units = [u for u in field.elements() if not field.is_zero(u)]
-    gen_unit = None
+    coeffs = field.units() if isinstance(field, ExtField) else [field.one]
+    roots = [_flat(ctx.root_element(field, a, c))
+             for a in sys.simple_roots for c in coeffs]
+    lift = _flat(ctx.weyl_representative(
+        field, longest_element(sys, range(sys.rank))))
+    units = field.units()
     for u in units:
-        seen = set()
-        x = field.one
-        for _ in range(len(units)):
+        x, seen = field.one, set()
+        for _ in units:
             x = field.mul(x, u)
             seen.add(x)
         if len(seen) == len(units):
-            gen_unit = u
             break
-    nvals = ctx.torus_rank
-    gens = []
-    for slot in range(nvals - 1 if ctx.label == "SL" else nvals):
-        vals = [field.one] * nvals
-        vals[slot] = gen_unit
-        if ctx.label == "SL":
-            vals[slot + 1] = field.inv(gen_unit)
-        gens.append(_flat(ctx.torus(field, vals)))
-    return gens
-
-
-def _walk_generators(ctx: GroupContext, field) -> list:
-    """The generators `expand_class` conjugates by and `enumerate_group`
-    multiplies by: `_root_generators`, plus the first torus generator for
-    every group but SL and Sp.
-
-    The root subgroups generate G(F_q) for the simply connected SL and Sp
-    (Steinberg, *Lectures on Chevalley Groups*, sections 3 and 6).  For SO
-    they generate Omega, of index 2 in SO(F_q) for odd q; the first torus
-    generator's slot value generates F_q^x, so its spinor norm is a
-    non-square and it lies outside Omega (Taylor, *The Geometry of the
-    Classical Groups*, ch. 11).  For GL the same element has det a
-    generator of F_q^x.
-    """
-    gens = _root_generators(ctx, field)
-    if ctx.label not in ("SL", "Sp"):
-        gens.append(_torus_generators(ctx, field)[0])
-    return gens
-
-
-def _generators(ctx: GroupContext, field) -> tuple:
-    """`_walk_generators`, then the remaining `_torus_generators`, in the
-    order of `OracleGroup.generators`.  The torus and the positive simple
-    root elements generate B = T U, so their left products give the
-    B-cosets of `_coset_cells`."""
-    return tuple(dict.fromkeys(_walk_generators(ctx, field)
-                               + _torus_generators(ctx, field)))
+    n, torus = ctx.torus_rank, []
+    for slot in range(n - 1 if label == "SL" else n):
+        vals = [field.one] * n
+        vals[slot] = u
+        if label == "SL":
+            vals[slot + 1] = field.inv(u)
+        torus.append(_flat(ctx.torus(field, vals)))
+    walk = tuple(dict.fromkeys(
+        roots + [lift] + ([] if label in ("SL", "Sp") else torus[:1])))
+    gens = tuple(dict.fromkeys(walk + tuple(torus)))
+    return walk, gens, tuple(k for k, g in enumerate(gens) if g != lift)
 
 
 @lru_cache(maxsize=None)
 def enumerate_group(label: str, rank: int, q: int) -> OracleGroup:
     """All F_q points of the group, by closure under right products with
-    the walk generators (`_walk_generators`)."""
+    the walk generators of `_generating_set`."""
     key = (label, rank)
     if key not in ORDER_FORMULAS:
         raise BudgetError(f"{label} rank {rank} is outside the oracle budget")
@@ -403,8 +382,7 @@ def enumerate_group(label: str, rank: int, q: int) -> OracleGroup:
             f"{ENUMERATION_BUDGET}")
     field = gf(q)
     ctx = GroupContext(label, rank)
-    walk = list(dict.fromkeys(_walk_generators(ctx, field)))
-    gens = tuple(dict.fromkeys(walk + _torus_generators(ctx, field)))
+    walk, gens, _ = _generating_set(label, rank, field)
     ident = _flat(identity(field, ctx.size))
     # products[d * len(walk) + k] is the index of x_d g_k, and
     # tree[d - 1] = (a, j) when x_d first appears as x_a g_j; the order
@@ -465,7 +443,8 @@ class ClassData:
 def expand_class(ctx: GroupContext, field, rep: Matrix,
                  budget: int = 300_000) -> ClassData:
     """Full conjugation orbit of `rep` under the group, by the compiled walk
-    under conjugation by `_walk_generators` (3 per element for Sp4).
+    under conjugation by the walk generators of `_generating_set` (3 per
+    element for Sp4).
 
     Over F_p the integer entries of `rep` are reduced by `field.of`; over
     F_{p^k} they must already be encoded elements, ints in range(q).
@@ -481,7 +460,8 @@ def expand_class(ctx: GroupContext, field, rep: Matrix,
     if not ctx.in_group(field, rep):
         raise ValueError(f"{rep} is not in {ctx.label}{ctx.rank}")
     n, rep = ctx.size, _flat(rep)
-    pairs = _conjugation_pairs(field, n, tuple(_walk_generators(ctx, field)))
+    pairs = _conjugation_pairs(
+        field, n, _generating_set(ctx.label, ctx.rank, field)[0])
     orbit = _compile_walk(field, n, pairs, False)([rep], {rep: rep}, 1, budget)
     return ClassData(rep=rep, elements=frozenset(orbit), size=len(orbit))
 
@@ -516,7 +496,7 @@ def _cell_lookup(group_ctx, field):
 
 def cell_partition_check(group: OracleGroup) -> dict:
     """|BwB| = |B| q^{l(w)} for every cell, and the cells partition G."""
-    kinds, ids = group._cell_ids()
+    kinds, ids = group._cell_ids
     counts = Counter(ids)
     q, b_order = group.q, _borel_order(group)
     mismatches = []
@@ -551,7 +531,7 @@ def w_of_class(group_ctx, field, cls: ClassData) -> WOfClassReport:
     if cls.indices is None or not isinstance(group_ctx, OracleGroup):
         ws = set(map(_cell_lookup(group_ctx, field), cls.elements))
     else:
-        kinds, ids = group_ctx._cell_ids()
+        kinds, ids = group_ctx._cell_ids
         ws = [kinds[k] for k in set(map(ids.__getitem__, cls.indices))]
     ws = sorted(ws, key=lambda w: (w.length(), w.reduced_word()))
     best = ws[-1]
@@ -578,7 +558,10 @@ class DimensionReport:
 
 
 def verify_dimension_formula(group: OracleGroup, cls: ClassData) -> DimensionReport:
-    """dim O >= l(w) + rk(1-w) on incident cells, equality iff spherical."""
+    """dim O >= l(w) + rk(1-w) on incident cells, equality iff spherical.
+
+    Raises AssertionError when a class marked spherical carries a dim
+    other than its `class_dimension`."""
     ctx, field = group.ctx, group.field
     rep = _unflat(cls.rep, group.size)
     dim = ctx.class_dimension(field, rep)
@@ -588,6 +571,9 @@ def verify_dimension_formula(group: OracleGroup, cls: ClassData) -> DimensionRep
     w_max = wrep.w_max
     equality = dim == w_max.length() + minus_one_rank(w_max)
     tag = classify_spherical(ctx, field, rep)
+    if tag is not None and tag.dim != dim:
+        raise AssertionError(
+            f"{tag.tag} is marked dim {tag.dim}, class_dimension gives {dim}")
     expected_match = None
     if tag is not None and tag.w_class is not None:
         expected = expected_w_element(ctx.system, tag.w_class)
@@ -610,7 +596,7 @@ def verify_dimension_formula(group: OracleGroup, cls: ClassData) -> DimensionRep
 def _borel_conjugators(group: OracleGroup) -> tuple:
     """The generators in B (torus and positive simple root elements, which
     generate T(F_q)), then x_a(c) for every positive root a, c as in
-    `_root_generators`."""
+    `_generating_set`."""
     ctx, field = group.ctx, group.field
     bgens = [group.generators[k] for k in _borel_generators(group)]
     coeffs = list(field.units()) if isinstance(field, ExtField) else [field.one]
@@ -633,7 +619,7 @@ def borel_orbit_report(group: OracleGroup, cls: ClassData,
         cell = _cell_lookup(group, field)
         top = frozenset(e for e in cls.elements if cell(e) == w)
     else:
-        kinds, ids = group._cell_ids()
+        kinds, ids = group._cell_ids
         k = kinds.index(w) if w in kinds else -1
         top = frozenset(group.elements[i] for i in cls.indices if ids[i] == k)
     if not top:

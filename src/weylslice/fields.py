@@ -28,7 +28,7 @@ import operator
 import sys
 from array import array
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul as _int_mul
 from typing import Iterable, Optional
@@ -752,29 +752,21 @@ class ExtField(_FieldOps):
         return hash(("GF", self.p, self.k))
 
 
-_FIELD_CACHE: dict[int, object] = {}
-
-
+@lru_cache(maxsize=None)
 def gf(q: int):
-    """The finite field with q elements (q = p or p^2, p^3 for small q)."""
-    if q in _FIELD_CACHE:
-        return _FIELD_CACHE[q]
+    """The finite field with q elements (q = p or p^2, p^3 for small q),
+    one object per q for the process."""
     if _is_prime(q):
-        fld = PrimeField(q)
-    else:
-        for p in range(2, q):
-            if _is_prime(p):
-                k, n = 0, q
-                while n % p == 0:
-                    n //= p
-                    k += 1
-                if n == 1 and k >= 2:
-                    fld = ExtField(p, k)
-                    break
-        else:
-            raise ValueError(f"{q} is not a prime power")
-    _FIELD_CACHE[q] = fld
-    return fld
+        return PrimeField(q)
+    for p in range(2, q):
+        if _is_prime(p):
+            k, n = 0, q
+            while n % p == 0:
+                n //= p
+                k += 1
+            if n == 1 and k >= 2:
+                return ExtField(p, k)
+    raise ValueError(f"{q} is not a prime power")
 
 
 # The field the certificates sample over: the smallest prime above 1000

@@ -530,19 +530,14 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     return x.is_identity()
 
 
-_CLASS_CACHE: dict[tuple, tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def conjugacy_class(w: WeylElement) -> tuple[WeylElement, ...]:
-    """The W-conjugacy class of w, by closure under simple conjugations."""
-    key = (w.system.label, w.system.rank, w.perm)
-    if key in _CLASS_CACHE:
-        return _CLASS_CACHE[key]
+    """The W-conjugacy class of w, by closure under simple conjugations,
+    once per element for the process (elements of two systems are never
+    equal)."""
     sys = w.system
     refl = [sys.simple_reflection(i) for i in range(sys.rank)]
-    out = tuple(closure([w], lambda x: [s.mul(x).mul(s) for s in refl]))
-    _CLASS_CACHE[key] = out
-    return out
+    return tuple(closure([w], lambda x: [s.mul(x).mul(s) for s in refl]))
 
 
 def is_bruhat_max_in_class(w: WeylElement) -> bool:

@@ -13,7 +13,7 @@ enforced by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .linalg import (
@@ -53,8 +53,13 @@ class SheetDescriptor:
         return build_root_system(self.group_type, self.rank)
 
     def w_S(self) -> WeylElement:
-        """w0*w_Pi; a theta-twisted sheet's must be the theta-image of its
-        untwisted partner's."""
+        """w0*w_Pi, the same object on every call."""
+        return self._w_S
+
+    @cached_property
+    def _w_S(self) -> WeylElement:
+        """w0*w_Pi on first use; a theta-twisted sheet's must be the
+        theta-image of its untwisted partner's."""
         system = self.weyl_system()
         w = w0_wPi(system, self.pi)
         if self.label in ("thetaS", "thetaR"):

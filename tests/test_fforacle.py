@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -24,10 +25,8 @@ from weylslice.fforacle import (
     _conjugation_pairs,
     _coset_cells,
     _flat,
-    _generators,
-    _root_generators,
+    _generating_set,
     _unflat,
-    _walk_generators,
     slice_points,
 )
 from weylslice.fields import gf
@@ -168,6 +167,23 @@ def test_dimension_formula_sl2_f5():
             assert rep.w_max_word == (0,)
 
 
+def test_dimension_formula_checks_the_marked_dim(monkeypatch):
+    # a marked class whose hand-written dim disagrees with class_dimension
+    # stops the replay, like the oracle's other closed-form guards
+    g = enumerate_group("SL", 1, 5)
+    classes = conjugacy_classes(g)
+    classify = fforacle.classify_spherical
+
+    def wrong_dim(ctx, field, rep):
+        tag = classify(ctx, field, rep)
+        return tag and dataclasses.replace(tag, dim=tag.dim + 1)
+
+    monkeypatch.setattr(fforacle, "classify_spherical", wrong_dim)
+    for c in classes:
+        with pytest.raises(AssertionError, match="marked dim"):
+            verify_dimension_formula(g, c)
+
+
 def test_borel_orbit_report():
     g = enumerate_group("SL", 1, 3)
     cls = [c for c in conjugacy_classes(g) if c.size == 4][0]
@@ -205,14 +221,17 @@ def test_wrong_walk_generator_stops_the_enumeration_before_its_tables(
         monkeypatch):
     # with diag(2, 1), det 2, among the walk generators the walk would run
     # on into GL2(F_5); the order formula bounds it, before any table
-    walk_generators = fforacle._walk_generators
+    generating_set = fforacle._generating_set
 
     def no_tables(*args):
         raise AssertionError("tables built for a wrong enumeration")
 
+    def with_det_two(label, rank, F):
+        walk, gens, borel = generating_set(label, rank, F)
+        return walk + (det_two,), gens + (det_two,), borel
+
     det_two = (2, 0, 0, 1)
-    monkeypatch.setattr(fforacle, "_walk_generators",
-                        lambda ctx, F: walk_generators(ctx, F) + [det_two])
+    monkeypatch.setattr(fforacle, "_generating_set", with_det_two)
     monkeypatch.setattr(fforacle, "_index_tables", no_tables)
     with pytest.raises(BudgetError):
         enumerate_group.__wrapped__("SL", 1, 5)
@@ -239,6 +258,21 @@ def test_slice_orbit_sl2_f5():
     assert r.intersection_size == 2
     assert r.gamma_points == 4  # mu_4 acts transitively
     assert not r.extension_used
+
+
+def test_generating_set_is_built_once_per_group_and_field():
+    # after the first call, a second expand_class or slice_orbit_check on
+    # the same group and field reads the cached generating set
+    a1 = build_root_system("A", 1)
+    s1, rep = a1.simple_reflection(0), ((2, 0), (0, 4))
+    ctx, F7 = GroupContext("SL", 1), gf(7)
+    expand_class(ctx, F7, rep)
+    slice_orbit_check("SL", 1, 7, rep, s1)
+    misses = _generating_set.cache_info().misses
+    assert expand_class(GroupContext("SL", 1), F7, rep).size == 56
+    assert slice_orbit_check("SL", 1, 7, rep, s1).passed
+    assert _generating_set.cache_info().misses == misses
+    assert _generating_set("SL", 1, F7) is _generating_set("SL", 1, F7)
 
 
 def test_slice_orbit_identity_class():
@@ -412,8 +446,9 @@ def test_index_tables_match_products(label, rank, q):
     assert len(g.index) == g.order
     assert all(g.index[e] == i for i, e in enumerate(els))
     walk = len(g.conj)
-    assert g.generators == _generators(g.ctx, F)
-    assert g.generators[:walk] == tuple(_walk_generators(g.ctx, F))
+    walk_gens, gens, _ = _generating_set(label, rank, F)
+    assert g.generators == gens
+    assert g.generators[:walk] == walk_gens
     # x = y g for a walk generator g and an earlier y: y = x g^-1
     inverses = [inverse(F, _unflat(gen, n)) for gen in g.generators[:walk]]
     for i, x in enumerate(els[1:], 1):
@@ -433,6 +468,18 @@ def test_index_tables_match_products(label, rank, q):
     assert len(cells) == g.order
     for e, w in zip(els, cells):
         assert w == g.ctx.bruhat_word(F, _unflat(e, n))
+
+
+@pytest.mark.parametrize("label,rank,q",
+                         TABLE_GROUPS + [("Sp", 2, 3), ("SO-odd", 2, 3)])
+def test_borel_generators_are_the_generators_decoded_in_b(label, rank, q):
+    # every generator but the lift of w0, against the decoding of each
+    # generator by borel_torus
+    g = enumerate_group(label, rank, q)
+    want = [k for k, gen in enumerate(g.generators)
+            if g.ctx.borel_torus(g.field, _unflat(gen, g.size)) is not None]
+    assert list(_borel_generators(g)) == want
+    assert len(want) == len(g.generators) - 1
 
 
 @pytest.mark.parametrize("label,rank,q", [("SL", 1, 3), ("SL", 2, 3)])
@@ -542,7 +589,7 @@ def test_compiled_conjugation_matches_mat_mul(label, rank, q):
     # Gamma_w(F_{q^2}) for w0 (F_q prime; gf(q^4) has no tables)
     ctx, F = GroupContext(label, rank), gf(q)
     n = ctx.size
-    gens = _generators(ctx, F)
+    gens = _generating_set(label, rank, F)[1]
     rng = random.Random(10 * q + rank)
     xs = []
     for _ in range(4):
@@ -594,7 +641,7 @@ def test_compiled_walk_lists_the_closure_under_the_step(label, rank, q):
     # order; over F_9 the products go through the field's add, mul and C
     g = enumerate_group(label, rank, q)
     F, n = g.field, g.size
-    gens = tuple(_walk_generators(g.ctx, F))
+    gens = _generating_set(label, rank, F)[0]
     walk = _compile_walk(F, n, _conjugation_pairs(F, n, gens), False)
     step = _conjugation(F, n, gens)
     for c in conjugacy_classes(g):
@@ -632,8 +679,10 @@ def test_so5_classes_need_the_spinor_norm_generator():
     # without the torus element the steps generate only Omega, of index 2
     # in SO5(F_3), and some class splits into two Omega-classes
     g = enumerate_group("SO-odd", 2, 3)
-    step = _conjugation(g.field, g.size,
-                        tuple(_root_generators(g.ctx, g.field)))
+    walk = _generating_set("SO-odd", 2, g.field)[0]
+    roots_and_lift = tuple(x for x in walk if _off_diagonal(x, g.size))
+    assert len(roots_and_lift) == len(walk) - 1
+    step = _conjugation(g.field, g.size, roots_and_lift)
     split = [c for c in conjugacy_classes(g)
              if len(closure([c.rep], step)) < c.size]
     assert split
@@ -656,7 +705,7 @@ def test_generators_are_simple_root_elements_w0_lift_and_torus(label, rank,
     # monomial lift of w0 and the torus: SL_n has n - 1 torus generators
     ctx, F = GroupContext(label, rank), gf(q)
     n = ctx.size
-    gens = _generators(ctx, F)
+    gens = _generating_set(label, rank, F)[1]
     assert not _negative_simple_root_elements(
         ctx, F, F.units()).intersection(gens)
     monomial = [g for g in gens if _off_diagonal(g, n)

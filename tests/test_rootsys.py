@@ -8,6 +8,7 @@ from weylslice.fields import QQ
 from weylslice.linalg import solve
 from weylslice.rootsys import (
     BudgetError,
+    RootSystem,
     bruhat_leq,
     build_root_system,
     closure,
@@ -226,6 +227,17 @@ def test_bruhat_max_in_class():
     with pytest.raises(ValueError):
         s1, s2 = b2.simple_reflection(0), b2.simple_reflection(1)
         is_bruhat_max_in_class(s1.mul(s2))
+
+
+def test_conjugacy_class_belongs_to_its_own_system():
+    # two instances of B3 are two Weyl groups: the class of the second w0
+    # lists elements of the second, which it is Bruhat-maximal among
+    first, second = RootSystem("B", 3), RootSystem("B", 3)
+    for rs in (first, second):
+        w0 = longest_element(rs, range(3))
+        cls = conjugacy_class(w0)
+        assert cls == (w0,) and all(x.system is rs for x in cls)
+        assert is_bruhat_max_in_class(w0)
 
 
 def test_parabolic_length_identities():

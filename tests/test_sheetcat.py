@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import cubic_mu_by_products
+from weylslice import sheetcat
 from weylslice.families import AFamily, family_for
 from weylslice.fforacle import conjugacy_classes, enumerate_group
 from weylslice.fields import gf
@@ -128,6 +129,18 @@ def test_theta_check_rejects_untwisted_pi():
         wrong = dataclasses.replace(d, pi=catalog_sheet("D", n, "S").pi)
         with pytest.raises(AssertionError, match="theta twist"):
             wrong.w_S()
+
+
+def test_w_s_is_computed_once_per_descriptor(monkeypatch):
+    # the same object on every call; a fresh copy runs the theta check
+    # again, on its own first call
+    d = catalog_sheet("D", 4, "thetaS")
+    assert d.w_S() is d.w_S()
+    monkeypatch.setattr(sheetcat, "_theta_conjugate",
+                        lambda system, w: w.system.identity_element())
+    assert d.w_S() is d.w_S()
+    with pytest.raises(AssertionError, match="theta twist"):
+        dataclasses.replace(d).w_S()
 
 
 def test_uncatalogued_label_raises():
