@@ -221,7 +221,7 @@ def test_wrong_walk_generator_stops_the_enumeration_before_its_tables(
         monkeypatch):
     # with diag(2, 1), det 2, among the walk generators the walk would run
     # on into GL2(F_5); the order formula bounds it, before any table
-    generating_set = fforacle._generating_set
+    generating_set, det_two = fforacle._generating_set, (2, 0, 0, 1)
 
     def no_tables(*args):
         raise AssertionError("tables built for a wrong enumeration")
@@ -230,7 +230,6 @@ def test_wrong_walk_generator_stops_the_enumeration_before_its_tables(
         walk, gens, borel = generating_set(label, rank, F)
         return walk + (det_two,), gens + (det_two,), borel
 
-    det_two = (2, 0, 0, 1)
     monkeypatch.setattr(fforacle, "_generating_set", with_det_two)
     monkeypatch.setattr(fforacle, "_index_tables", no_tables)
     with pytest.raises(BudgetError):
