@@ -48,6 +48,11 @@ Areas:
            (n_in = n_out = 8, seeds 0 and 11): every point drawn through
            sample_coords and comp.point, then every ambient point, with its
            MembershipResult and in_group verdict (or the error it raises)
+  cells    for the matrix sheets of CRITERION1 (a stride of at most 8
+           components, 5 sample coordinates each, seed 0, then 8 ambient
+           points): the bruhat_word of every point and of its conjugates
+           by a stride of 4 Gamma_w elements (or the error it raises), so
+           Bruhat decoding is pinned on 5x5 to 10x10 matrices over F_1009
   groups   for each of GROUP_TYPES: coords, size, flag_order and the form
            over F_1009; every root's root_element at c = 1, 2, -1 over
            F_1009 (c as plain ints) and F_9 (c as field elements); the
@@ -89,7 +94,8 @@ from weylslice.rootsys import (build_root_system, involution_conjugacy_classes,
                                longest_element, orthogonal_subsystem,
                                subsystem_highest_root)
 from weylslice.sheetcat import catalog_w_S, sheet_catalog, smoothness_verdict
-from weylslice.sliceverify import (_random_ambient, certify_components,
+from weylslice.sliceverify import (_conjugate_by_diagonal, _random_ambient,
+                                   certify_components, gamma_group_elements,
                                    gamma_stability_check,
                                    gamma_transitivity_check,
                                    stratum_singularity_witness,
@@ -339,6 +345,30 @@ def membership_records():
                     fam.is_matrix and fam.ctx.in_group(f1009, pt))
 
 
+def cells_records():
+    f1009 = gf(1009)
+    for t, n, label in CRITERION1:
+        fam = build_family(
+            next(x for x in sheet_catalog(t, n) if x.label == label))
+        if not fam.is_matrix:
+            continue
+        rng = random.Random(0)
+        comps = fam.components()
+        points = [_or_error(lambda: comp.point(f1009, coord))
+                  for comp in comps[::max(1, len(comps) // 8)]
+                  for coord in fam.sample_coords(f1009, rng, 5)]
+        points += [_random_ambient(fam, f1009, rng) for _ in range(8)]
+        gammas = gamma_group_elements(fam, f1009)
+        gammas = gammas[::max(1, len(gammas) // 4)]
+        for pt in points:
+            if isinstance(pt, str):
+                yield pt
+                continue
+            for x in [pt] + [_conjugate_by_diagonal(f1009, g, pt)
+                             for g in gammas]:
+                yield _or_error(lambda: fam.ctx.bruhat_word(f1009, x).perm)
+
+
 def groups_records():
     f1009, f9 = gf(1009), gf(9)
     for label, rank in GROUP_TYPES:
@@ -394,6 +424,7 @@ def main():
     print("chain", digest(chain_records()))
     print("certify", digest(certify_records()))
     print("membership", digest(membership_records()))
+    print("cells", digest(cells_records()))
     print("groups", digest(groups_records()))
     print("catalog", digest(catalog_records()))
     for argv in REPORTS:

@@ -147,7 +147,7 @@ def _form_sum(ctx: GroupContext, field, X):
     lam^2 = 1, (X - lam)^2 = X(Y - 2 lam) and X^2 - mu X + 1 = X(Y - mu),
     with X invertible: same ranks, same kernels."""
     inv = ctx.group_inverse(field, X)
-    return inv and [list(map(field.add, r, s)) for r, s in zip(X, inv)]
+    return inv and field.mat_add(X, inv)
 
 
 def _off_group(ctx: GroupContext) -> MembershipResult:

@@ -9,8 +9,9 @@ passed to the matrix routines.  Nothing here ever rounds.
 Besides the scalar operations, each field supplies the vector and
 matrix operations that carry all of `linalg`'s products, row updates and
 eliminations: ``dot(xs, ys)`` (the sum of the products),
-``sub_scaled(xs, f, ys)`` (the list ``[x - f*y]``), ``mat_mul(a, b)``,
-``rref(a, max_pivots)`` and ``det(a)``.  F_p computes the first two on
+``sub_scaled(xs, f, ys)`` (the list ``[x - f*y]``), ``mat_mul(a, b)``
+and ``mat_mul_derived`` (for an a read off b), ``mat_add``, ``rref(a,
+max_pivots)`` and ``det(a)``.  F_p computes the first two and sums on
 plain ints and reduces once per entry, multiplies matrices on packed
 rows, and eliminates on plain ints (`PrimeField`).  Q multiplies and
 row-reduces on cleared numerators (`Rationals`): integer dot products
@@ -45,6 +46,13 @@ class _FieldOps:
         bt = tuple(zip(*b))
         dot = self.dot
         return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
+
+    def mat_mul_derived(self, a, b):
+        """`mat_mul` for an a of copies of b's entries and their `neg`s."""
+        return self.mat_mul(a, b)
+
+    def mat_add(self, a, b):
+        return tuple(tuple(map(self.add, r, s)) for r, s in zip(a, b))
 
     def rref(self, a,
              max_pivots: int | None = None) -> tuple[list[list], list[int]]:
@@ -481,16 +489,27 @@ class PrimeField(_FieldOps):
 
     def mat_mul(self, a, b):
         """ab on packed rows of b; see the class docstring for the bound."""
+        if a and b and b[0] and (a is b or _in_range(a, self.p)):
+            return self.mat_mul_derived(a, b)
+        return super().mat_mul(a, b)
+
+    def mat_mul_derived(self, a, b):
+        """`mat_mul` scanning b alone: such an a is in range(p) if b is."""
         p = self.p
         if not (a and b and b[0] and len(b) <= self._slot_terms
-                and _in_range(a, p) and (b is a or _in_range(b, p))):
+                and _in_range(b, p)):
             return super().mat_mul(a, b)
-        order, width = sys.byteorder, 8 * len(b[0])
+        n, order = len(b[0]), sys.byteorder
         packs = [int.from_bytes(array("Q", row), order) for row in b]
-        return tuple(
-            tuple([x % p for x in array(
-                "Q", sum(map(_int_mul, ra, packs)).to_bytes(width, order))])
-            for ra in a)
+        flat = [x % p for x in array("Q", b"".join([
+            sum(map(_int_mul, ra, packs)).to_bytes(8 * n, order)
+            for ra in a]))]
+        return tuple([tuple(flat[i:i + n]) for i in range(0, len(flat), n)])
+
+    def mat_add(self, a, b):
+        p = self.p
+        return tuple([tuple([(x + y) % p for x, y in zip(r, s)])
+                      for r, s in zip(a, b)])
 
     def rref(self, a, max_pivots: int | None = None):
         """`_FieldOps.rref` on ints: the same pivots, and the same rows up

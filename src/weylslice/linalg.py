@@ -15,16 +15,20 @@ Every elimination (rank over any field, inverses, and the exact solver
 polynomials use the division-free Berkowitz algorithm so they are valid
 over any field, including small characteristic.  Polynomials are
 low-first coefficient tuples; the ``poly_*`` helpers are also the
-arithmetic of K(t).
+arithmetic of K(t).  Bruhat decoding (`bruhat_permutation`) pivots each
+column on its lowest nonzero entry in a row not yet used and clears the
+unused rows above it, with row operations only.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 Matrix = tuple[tuple[object, ...], ...]
 
 
+@lru_cache(maxsize=64)
 def identity(field, n: int) -> Matrix:
     zeros = (field.zero,) * (n - 1)
     return tuple(zeros[:i] + (field.one,) + zeros[i:] for i in range(n))
@@ -290,9 +294,13 @@ def bruhat_permutation(field, g: Matrix) -> tuple[int, ...]:
     """The permutation w with g in B w B, B upper triangular in GL_n.
 
     Returns w as a tuple: column j of the permutation matrix has its 1 in
-    row w[j].  Decoded by the rank-pattern sweep: for each column, pivot
-    on the lowest surviving nonzero entry, then clear its row and column
-    with upper-triangular row/column operations.
+    row w[j].  Decoded column by column: pivot on the lowest nonzero entry
+    in a row not yet used, then clear the rows above it in that column
+    with upper-triangular row operations.  No column operation is needed:
+    clearing the pivot row to the right would only rewrite a used row,
+    and no later column reads one, since every unused row is already 0 in
+    the columns processed so far.  For the same reason a row update
+    starts right of the pivot column.
     """
     n = len(g)
     m = [list(r) for r in g]
@@ -308,16 +316,9 @@ def bruhat_permutation(field, g: Matrix) -> tuple[int, ...]:
             raise ZeroDivisionError("matrix is singular")
         perm[j] = piv
         used_rows.add(piv)
-        inv = field.inv(m[piv][j])
-        # clear the pivot column upward (row ops from above are upper-tri B)
+        inv, tail = field.inv(m[piv][j]), m[piv][j + 1:]
         for i in range(piv):
             if i not in used_rows and not field.is_zero(m[i][j]):
-                m[i] = field.sub_scaled(m[i], field.mul(inv, m[i][j]), m[piv])
-        # clear the pivot row rightward (column ops to the right)
-        for jj in range(j + 1, n):
-            if not field.is_zero(m[piv][jj]):
-                f = field.mul(inv, m[piv][jj])
-                for i in range(n):
-                    m[i][jj] = field.sub(m[i][jj], field.mul(f, m[i][j]))
+                m[i][j + 1:] = field.sub_scaled(
+                    m[i][j + 1:], field.mul(inv, m[i][j]), tail)
     return tuple(perm)
-

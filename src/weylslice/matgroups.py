@@ -7,7 +7,8 @@ root type, coordinate kinds and form, and every structure routine derives
 from it: u_i has weight e_i, w_i weight -e_i and z weight 0; the root
 subgroup x_a(c) = 1 + cX + (c^2/2)X^2 has X = E_ab on a coordinate pair
 of weight difference a, plus the entry the form adds; a class dimension
-is the rank of ad_g on a Lie-algebra basis cached per field.  Monomial
+is the rank of ad_g on a Lie-algebra basis cached per field; the group
+test is `group_inverse`, g^-1 = J^-1 g^T J checked by one product.  Monomial
 Weyl representatives come from reduced words, and Bruhat decoding runs
 against the standard Borel, upper triangular in u_1..u_n, z, w_n..w_1.
 """
@@ -79,6 +80,10 @@ class GroupContext:
         # True: det must be 1, False: nonzero, None: no det test, since an
         # alternating form forces det 1
         self._det_one = None if w_sign == -1 else det_one
+        # (row, column, sign is +) of g read by each entry of J^-1 g^T J
+        self._inverse_reads = None if w_sign is None else tuple(
+            tuple((cb, ca, sa == sb) for cb, sb in self._signed_form)
+            for ca, sa in self._signed_form)
         self._forms: dict = {}
         self._lie_bases: dict = {}
         self._root_terms = self._root_matrices()
@@ -183,32 +188,33 @@ class GroupContext:
     def root_element(self, field, root: Vector, c) -> Matrix:
         """The one-parameter root subgroup element x_root(c); ValueError if
         `root` is not a root of the group."""
+        m = [list(r) for r in identity(field, self.size)]
+        for i, j, v in self._root_entries(field, root, c):
+            m[i][j] = v
+        return tuple(tuple(r) for r in m)
+
+    def times_root_element(self, field, m: Matrix, root: Vector, c) -> Matrix:
+        """m x_root(c) by column operations: the entry v of x_root(c) at
+        each (i, j) of X and X^2 adds v times column i of m to column j."""
+        ops = self._root_entries(field, root, c)
+        out = [list(row) for row in m]
+        for new, row in zip(out, m):
+            for i, j, v in ops:
+                new[j] = field.add(new[j], field.mul(v, row[i]))
+        return tuple(map(tuple, out))
+
+    def _root_entries(self, field, root: Vector, c) -> list:
+        """(i, j, v) for the entries of x_root(c) off the diagonal: +-c on
+        X and +-c^2/2 on X^2; ValueError if `root` is not a root."""
         # Fraction(k) hashes and compares like k, so a root given with
         # Fraction entries finds its integer key; nothing else does
         terms = self._root_terms.get(tuple(root))
         if terms is None:
             raise ValueError(f"{root} is not a root of {self.label}")
         x, square = terms
-        m = [list(r) for r in identity(field, self.size)]
-        for i, j, s in x:
-            m[i][j] = c if s > 0 else field.neg(c)
-        if square:
-            cc = field.mul(field.mul(c, c), field.inv(field.of(2)))
-            for i, j, s in square:
-                m[i][j] = cc if s > 0 else field.neg(cc)
-        return tuple(tuple(r) for r in m)
-
-    def times_root_element(self, field, m: Matrix, root: Vector, c) -> Matrix:
-        """m x_root(c) by column operations: the entry v of x_root(c) at
-        each (i, j) of X and X^2 adds v times column i of m to column j."""
-        x = self.root_element(field, root, c)
-        ops = [(i, j, x[i][j]) for terms in self._root_terms[tuple(root)]
-               for i, j, _ in terms]
-        out = [list(row) for row in m]
-        for new, row in zip(out, m):
-            for i, j, v in ops:
-                new[j] = field.add(new[j], field.mul(v, row[i]))
-        return tuple(map(tuple, out))
+        cc = square and field.mul(field.mul(c, c), field.inv(field.of(2)))
+        return [(i, j, v if s > 0 else field.neg(v))
+                for v, t in ((c, x), (cc, square)) for i, j, s in t]
 
     @cached_property
     def _lift_coefficients(self) -> tuple[Fraction, ...]:
@@ -252,34 +258,36 @@ class GroupContext:
     # -- predicates --------------------------------------------------------
 
     def in_group(self, field, g: Matrix) -> bool:
-        """N x N, g^T J g = J for a form J (one product: J g signs and
-        permutes the rows of g), and det g = 1 (SL, SO) or nonzero (GL)."""
+        """Whether g lies in the group: `group_inverse` with a form, else
+        N x N with det 1 (SL) or nonzero (GL)."""
+        if self._signed_form is not None:
+            return self.group_inverse(field, g) is not None
         N = self.size
         if len(g) != N or any(len(row) != N for row in g):
             return False
-        j = self.form(field)
-        if j is not None:
-            jg = [g[col] if sign > 0 else [field.neg(x) for x in g[col]]
-                  for col, sign in self._signed_form]
-            if mat_mul(field, transpose(g), jg) != j:
-                return False
-        if self._det_one is None:
-            return True
         d = det(field, g)
         return d == field.one if self._det_one else not field.is_zero(d)
 
     def group_inverse(self, field, g: Matrix) -> Optional[Matrix]:
-        """g^-1 when `in_group` holds, else None.  With a form J,
-        g^-1 = J^-1 g^T J, read off g with no elimination: row k of J is s_k
-        at column col(k), col is an involution and J^-1 = +-J, so entry
-        (a, b) is s_a s_b g[col(b)][col(a)].  SL/GL use `linalg.inverse`."""
-        if not self.in_group(field, g):
+        """g^-1 when g lies in the group, else None: the one group test.
+        With a form J, h = J^-1 g^T J is read off g: row k of J is s_k at
+        column col(k), col is an involution and J^-1 = +-J, so h[a][b] =
+        s_a s_b g[col(b)][col(a)].  g^T J g = J is h g = 1, one product
+        (`mat_mul_derived`: F_p scans only g), then det g = 1 for SO (Sp's
+        alternating form forces it).  SL/GL: `in_group`, `linalg.inverse`."""
+        if self._signed_form is None:
+            return inverse(field, g) if self.in_group(field, g) else None
+        N = self.size
+        if len(g) != N or any(len(row) != N for row in g):
             return None
-        form = self._signed_form
-        if form is None:
-            return inverse(field, g)
-        return tuple(tuple(g[cb][ca] if sa == sb else field.neg(g[cb][ca])
-                           for cb, sb in form) for ca, sa in form)
+        neg = field.neg
+        h = tuple([tuple([g[i][j] if plus else neg(g[i][j])
+                          for i, j, plus in row])
+                   for row in self._inverse_reads])
+        if field.mat_mul_derived(h, g) != identity(field, N) or (
+                self._det_one and det(field, g) != field.one):
+            return None
+        return h
 
     # -- Bruhat decoding ----------------------------------------------------
 

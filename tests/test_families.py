@@ -543,17 +543,23 @@ def test_b_s_rank_one_quadratic_off_the_cubic_is_rejected():
 
 
 def _count_products(monkeypatch):
-    """A list that gains one entry per `PrimeField.mat_mul` call."""
+    """A list that gains the name of each `PrimeField` product entry point
+    called: `mat_mul_derived` for the group test's one product, and
+    `mat_mul` (which may go on through `mat_mul_derived`) for any other."""
     from weylslice.fields import PrimeField
 
     calls = []
-    product = PrimeField.mat_mul
 
-    def counted(self, a, b):
-        calls.append(1)
-        return product(self, a, b)
+    def counting(name):
+        product = getattr(PrimeField, name)
 
-    monkeypatch.setattr(PrimeField, "mat_mul", counted)
+        def counted(self, a, b):
+            calls.append(name)
+            return product(self, a, b)
+        return counted
+
+    for name in ("mat_mul", "mat_mul_derived"):
+        monkeypatch.setattr(PrimeField, name, counting(name))
     return calls
 
 
@@ -564,7 +570,7 @@ FORM_SHEETS = [("C", 3, "S2"), ("C", 4, "S2"), ("D", 4, "S"),
 
 
 def test_b_s_membership_makes_one_product(monkeypatch):
-    # the one product is the Gram product of the group test
+    # the one product is h X = 1 of the group test, h = J^-1 X^T J
     calls = _count_products(monkeypatch)
     rng = random.Random(3)
     seen = set()
@@ -577,7 +583,7 @@ def test_b_s_membership_makes_one_product(monkeypatch):
         for X in points:
             calls.clear()
             seen.add(fam.membership(F, X).member_type)
-            assert len(calls) == 1
+            assert calls == ["mat_mul_derived"]
     assert seen == {"semisimple O_lambda member", None,
                     "unipotent (3,2^(n-2),1^2) member",
                     "unipotent (3,2^(n-1)) member",
@@ -594,7 +600,7 @@ def test_b_s_membership_makes_one_product(monkeypatch):
                 continue
             calls.clear()
             seen.add(fam.membership(F, X).member_type)
-            assert len(calls) == 1, (t, n, label)
+            assert calls == ["mat_mul_derived"], (t, n, label)
         assert None in seen and len(seen) > 1, (t, n, label, seen)
 
 

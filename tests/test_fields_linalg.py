@@ -457,6 +457,10 @@ def test_mat_mul_matches_rows_by_columns(field, data):
 
     a, b = matrix(rows, inner), matrix(inner, cols)
     assert mat_mul(field, a, b) == _rows_by_columns(field, a, b)
+    # a holds field elements, as mat_mul_derived requires of an a read off b
+    assert field.mat_mul_derived(a, b) == _rows_by_columns(field, a, b)
+    assert field.mat_add(a, a) == tuple(tuple(field.add(x, x) for x in r)
+                                        for r in a)
 
 
 @pytest.mark.parametrize("p", [2, 3, 1009, 65521])
@@ -482,6 +486,7 @@ def test_mat_mul_reduces_unreduced_and_negative_entries(p, data):
     assert mat_mul(F, ua, tb) == want
     assert mat_mul(F, ta, ub) == want
     assert mat_mul(F, ua, ub) == want
+    assert F.mat_mul_derived(ta, tb) == F.mat_mul_derived(ta, ub) == want
     assert mat_mul(F, ((-1,) * inner,), tb) == _rows_by_columns(
         F, ((p - 1,) * inner,), tb)
     # a square times itself is checked once for range(p), and still falls

@@ -10,8 +10,12 @@ and tests/golden/parity_digests.txt holds the lines of
 
 for its sub-second areas (weyl, sevslice, torus, oracle, groups,
 catalog), for slice and expand, which run slice_orbit_check and
-expand_class (about 0.2 s each), and for membership, the certify sample
-streams point by point (about 1.6 s).  tests/golden/oracle_f3_classes.json
+expand_class (about 0.2 s each), for membership, the certify sample
+streams point by point (about 1.6 s), and for cells, bruhat_word of
+sample and ambient points of the criterion-1 sheets and of their
+Gamma_w-conjugates (5x5 to 10x10 over F_1009, about 0.3 s), which pins
+the decoder beyond the oracle's small groups.
+tests/golden/oracle_f3_classes.json
 holds the class structure of Sp4(F_3) and SO5(F_3), which the oracle
 digest area (SL groups only) does not cover.  Updating any of them is a
 change to a check: do it in the change that alters the output, and say

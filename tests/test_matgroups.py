@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 
+from weylslice.fforacle import enumerate_group
 from weylslice.fields import QQ, gf
-from weylslice.linalg import (det, identity, inverse, mat_mul, transpose,
-                              unipotent_partition)
+from weylslice.linalg import (bruhat_permutation, det, identity, inverse,
+                              mat_mul, transpose, unipotent_partition)
 from weylslice.matgroups import GroupContext
 from weylslice.rootsys import (build_root_system,
                                involution_conjugacy_classes, longest_element)
@@ -89,9 +90,12 @@ def test_non_roots_raise_value_error(label, rank):
            (Fraction(1, 2), Fraction(-1, 2)) + (0,) * (n - 2)]
     bad += {"Sp": [e1], "SO-odd": [(2,) + e1[1:], e1 + (0,)],
             "SO-even": [(2,) + e1[1:], e1]}.get(label, [])
+    F = gf(7)
     for vec in bad:
         with pytest.raises(ValueError):
-            ctx.root_element(gf(7), vec, 1)
+            ctx.root_element(F, vec, 1)
+        with pytest.raises(ValueError):
+            ctx.times_root_element(F, identity(F, ctx.size), vec, 1)
 
 
 @pytest.mark.parametrize("label,rank", CONTEXTS)
@@ -418,3 +422,131 @@ def test_in_group_det_rule(label, rank, dets, monkeypatch):
     assert ctx.in_group(F, scaled) == (label == "GL")
     singular = ((0,) * ctx.size,) + identity(F, ctx.size)[1:]
     assert not ctx.in_group(F, singular)
+
+
+def _group_test_cases(ctx, F, g, rng):
+    """g with one entry bumped, negated (det -1 in odd dimension), with a
+    row zeroed, and, over a prime field, with entries shifted by +-p."""
+    N, i, j = ctx.size, rng.randrange(ctx.size), rng.randrange(ctx.size)
+    bumped = tuple(tuple(F.add(x, F.one) if (a, b) == (i, j) else x
+                         for b, x in enumerate(row))
+                   for a, row in enumerate(g))
+    negated = tuple(tuple(map(F.neg, row)) for row in g)
+    zeroed = tuple((F.zero,) * N if a == i else row
+                   for a, row in enumerate(g))
+    cases = [g, bumped, negated, zeroed]
+    if F.order == F.char:
+        p = F.char
+        cases += [tuple(tuple(x + p if (a + b) % 2 else x - p
+                              for b, x in enumerate(row)) for a, row in
+                        enumerate(m)) for m in (g, bumped, negated)]
+    return cases
+
+
+def _shapes(g):
+    """g with a row dropped, with a column dropped, and both."""
+    return [g[1:], tuple(row[1:] for row in g),
+            tuple(row[1:] for row in g[1:])]
+
+
+@pytest.mark.parametrize("label,rank,q", [
+    ("Sp", 2, 3), ("SO-odd", 2, 3), ("Sp", 2, 9), ("SO-odd", 2, 9),
+    ("SO-even", 3, 9), ("Sp", 3, 1009), ("SO-odd", 3, 1009),
+    ("SO-even", 4, 1009)])
+def test_group_test_matches_the_explicit_reference(label, rank, q):
+    # in_group and group_inverse against g^T J g = J by two products, the
+    # det rule and an elimination: on F_3 a stride of the enumerated
+    # group, elsewhere random products of root elements and a torus
+    ctx, F, rng = GroupContext(label, rank), gf(q), random.Random(q + rank)
+    if q == 3:
+        group = enumerate_group(label, rank, q)
+        elements = [tuple(tuple(x[i * ctx.size:(i + 1) * ctx.size])
+                          for i in range(ctx.size))
+                    for x in group.elements[::1297]]
+    else:
+        elements = []
+        for _ in range(12):
+            g = ctx.torus(F, [rng.choice(list(F.units()))
+                              for _ in range(ctx.torus_rank)])
+            for _ in range(6):
+                g = ctx.times_root_element(F, g, rng.choice(ctx.system.roots),
+                                           rng.choice(list(F.elements())))
+            elements.append(g)
+    verdicts = set()
+    for g in elements:
+        for m in _group_test_cases(ctx, F, g, rng) + _shapes(g):
+            member = _explicit_in_group(ctx, F, m)
+            verdicts.add(member)
+            assert ctx.in_group(F, m) == member
+            got = ctx.group_inverse(F, m)
+            if not member:
+                assert got is None
+                continue
+            # an unreduced g gives an unreduced g^-1: compare mod p
+            assert tuple(tuple(F.of(x) if F.order == F.char else x
+                               for x in row) for row in got) == inverse(F, m)
+    assert verdicts == {True, False}
+
+
+def _column_sweep_permutation(p, g):
+    """`linalg.bruhat_permutation` with its former column sweep, on ints
+    mod p: after each pivot, the pivot row is cleared rightward by column
+    operations.  The reference the sweep-free decoder must match."""
+    n = len(g)
+    m = [list(r) for r in g]
+    perm, used = [], set()
+    for j in range(n):
+        piv = next((i for i in reversed(range(n))
+                    if i not in used and m[i][j] % p), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        perm.append(piv)
+        used.add(piv)
+        prow = m[piv]
+        inv = pow(prow[j], -1, p)
+        for i in range(piv):
+            if i not in used and m[i][j] % p:
+                f = inv * m[i][j]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], prow)]
+        for jj in range(j + 1, n):
+            if prow[jj] % p:
+                f = inv * prow[jj]
+                for row in m:
+                    if row[j] % p:
+                        row[jj] = (row[jj] - f * row[j]) % p
+    return tuple(perm)
+
+
+def test_bruhat_permutation_matches_the_column_sweep():
+    # every element of SL3(F_3), Sp4(F_3) and SO5(F_3), flag-ordered as
+    # GroupContext._cell reads them
+    from operator import itemgetter
+
+    for label, rank in (("SL", 2), ("Sp", 2), ("SO-odd", 2)):
+        group = enumerate_group(label, rank, 3)
+        order, n = group.ctx.flag_order, group.ctx.size
+        rows = [itemgetter(*[order[i] * n + order[j] for j in range(n)])
+                for i in range(n)]
+        for x in group.elements:
+            g = [r(x) for r in rows]
+            assert bruhat_permutation(group.field, g) == \
+                _column_sweep_permutation(3, g)
+    # random matrices, many singular (both decoders raise on those)
+    rng = random.Random(9)
+    raised = 0
+    for p, sizes in ((3, range(1, 6)), (1009, range(1, 10))):
+        F = gf(p)
+        for n in sizes:
+            for _ in range(30):
+                g = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                if rng.random() < 0.4 and n > 1:  # a repeated row
+                    g[rng.randrange(n)] = list(g[rng.randrange(n)])
+                try:
+                    want = _column_sweep_permutation(p, g)
+                except ZeroDivisionError:
+                    raised += 1
+                    with pytest.raises(ZeroDivisionError):
+                        bruhat_permutation(F, g)
+                    continue
+                assert bruhat_permutation(F, g) == want
+    assert raised > 50
