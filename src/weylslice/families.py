@@ -275,8 +275,8 @@ class BFamilyS(SliceFamily):
     def membership(self, field, X) -> MembershipResult:
         """Semisimple, unipotent or twisted unipotent member of the sheet.
 
-        X must lie in SO_{2n+1}; the Gram product of that test is the only
-        matrix product, and gives Y = X + X^-1 (`_form_sum`).  Semisimple:
+        X must lie in SO_{2n+1}; that test's h X = 1 is the only matrix
+        product, and h = X^-1 gives Y = X + X^-1 (`_form_sum`).  Semisimple:
         (X - 1)(X^2 - mu X + 1) = X(X - 1)(Y - mu) = 0, mu != +-2 and
         rk(X - 1) = 2n.  As t - 1 and t^2 - mu t + 1 are then coprime,
         ker(X - 1) = im(Y - mu): rk(X - 1) = 2n is rk(Y - mu) = 1, and mu

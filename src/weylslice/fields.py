@@ -52,6 +52,7 @@ class _FieldOps:
         return self.mat_mul(a, b)
 
     def mat_add(self, a, b):
+        """a + b, entry by entry."""
         return tuple(tuple(map(self.add, r, s)) for r, s in zip(a, b))
 
     def rref(self, a,
