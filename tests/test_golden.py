@@ -16,8 +16,9 @@ sample and ambient points of the criterion-1 sheets and of their
 Gamma_w-conjugates (5x5 to 10x10 over F_1009, about 0.3 s), which pins
 the decoder beyond the oracle's small groups.
 tests/golden/oracle_f3_classes.json
-holds the class structure of Sp4(F_3) and SO5(F_3), which the oracle
-digest area (SL groups only) does not cover.  Updating any of them is a
+holds the class structure of Sp4(F_3) and SO5(F_3) and the spherical tag
+of each class, which the oracle digest area (SL groups only) does not
+cover.  Updating any of them is a
 change to a check: do it in the change that alters the output, and say
 which claims or areas changed and why.
 """
@@ -29,6 +30,7 @@ from pathlib import Path
 from weylslice.fforacle import (cell_partition_check, conjugacy_classes,
                                 enumerate_group)
 from weylslice.reportcli import main
+from weylslice.sheetcat import classify_spherical
 
 GOLDEN = Path(__file__).parent / "golden" / "all_seed1.jsonl"
 DIGESTS = Path(__file__).parent / "golden" / "parity_digests.txt"
@@ -65,8 +67,8 @@ def test_parity_digest_areas_match_golden():
 
 def test_sp4_so5_f3_classes_match_golden():
     # per group: (rep, size) of every class in the order conjugacy_classes
-    # lists them, cell_partition_check, and the size of every Bruhat cell
-    # by reduced word
+    # lists them, cell_partition_check, the size of every Bruhat cell by
+    # reduced word, and per class its classify_spherical tag (or None)
     for key, want in json.loads(ORACLE_CLASSES.read_text()).items():
         label, rank, q = key.rsplit("-", 2)
         group = enumerate_group(label, int(rank), int(q))
@@ -78,3 +80,10 @@ def test_sp4_so5_f3_classes_match_golden():
             word = ",".join(map(str, w.reduced_word()))
             sizes[word] = sizes.get(word, 0) + 1
         assert sizes == want["cell_sizes"], key
+        n = group.size
+        tags = []
+        for c in conjugacy_classes(group):
+            rep = tuple(c.rep[i:i + n] for i in range(0, n * n, n))
+            t = classify_spherical(group.ctx, group.field, rep)
+            tags.append(t and [t.tag, t.dim, t.sheet, t.w_class])
+        assert tags == want["tags"], key
