@@ -32,18 +32,13 @@ from .linalg import (
     fsum,
     identity,
     mat_mul,
+    mat_pow,
     poly_eval,
     rank as mat_rank,
     scalar_shift,
 )
 from .matgroups import GroupContext
-from .sheetcat import (
-    SheetDescriptor,
-    _is_scalar,
-    _rank_shift,
-    _solve_deg2,
-    catalog_sheet,
-)
+from .sheetcat import SheetDescriptor, catalog_sheet
 
 
 class ExtensionRequired(ValueError):
@@ -140,6 +135,46 @@ class SliceFamily:
 
     def transitivity_points(self, field, mu):
         raise TypeError("transitivity check covers the big-cell families")
+
+
+def _is_scalar(field, g):
+    n = len(g)
+    z = g[0][0]
+    return all(g[i][j] == (z if i == j else field.zero)
+               for i in range(n) for j in range(n))
+
+
+def _rank_shift(field, g, c, power=1, at_most=None):
+    """rank((g - c)^power), bounded by `at_most` as in `linalg.rank`."""
+    m = scalar_shift(field, g, c)
+    return mat_rank(field, m if power == 1 else mat_pow(field, m, power),
+                    at_most)
+
+
+def _solve_deg2(field, g, gsq):
+    """(s, p) with g^2 - s*g + p*I = 0, or None; `gsq` is g^2.
+
+    g must not be scalar (a scalar g gives None).  Then (s, p) is unique,
+    and s is read off one nonzero off-diagonal entry of g, or, for diagonal
+    g, is the sum of two distinct diagonal entries.  The minimal polynomial
+    is x^2 - mu x + 1, i.e. g + g^-1 = mu, exactly when p = 1 and s = mu.
+    """
+    n = len(g)
+    ij = next(((i, j) for i in range(n) for j in range(n)
+               if i != j and not field.is_zero(g[i][j])), None)
+    if ij is not None:
+        s = field.div(gsq[ij[0]][ij[1]], g[ij[0]][ij[1]])
+    else:
+        j = next((j for j in range(1, n) if g[j][j] != g[0][0]), None)
+        if j is None:
+            return None
+        s = field.add(g[0][0], g[j][j])
+    p = field.sub(field.mul(s, g[0][0]), gsq[0][0])
+    if all(gsq[i][j] == field.sub(field.mul(s, g[i][j]),
+                                  p if i == j else field.zero)
+           for i in range(n) for j in range(n)):
+        return s, p
+    return None
 
 
 def _form_sum(ctx: GroupContext, field, X):
@@ -516,13 +551,18 @@ class TwoFlipFamily(SliceFamily):
         return point
 
     def membership(self, field, X) -> MembershipResult:
-        """rk(X - z) = 2 in the group; unipotent when X + X^-1 = 2z."""
+        """rk(X - z) = 2 in the group; unipotent exactly when X - z is
+        nilpotent, i.e. rk(Y - 2z) = rk (X - z)^2 <= 1 (eigenvalues other
+        than z come as l, 1/l or as -z, of even multiplicity in Sp, SO).
+        Nilpotent X - z has tr(Y - 2z) = 0, a cheap test that goes first."""
         Y = _form_sum(self.ctx, field, X)
         if Y is None:
             return _off_group(self.ctx)
         z = field.of(self.central)
         if _rank_shift(field, X, z, at_most=2) == 2:
-            if _is_scalar(field, Y) and Y[0][0] == field.add(z, z):
+            zz, tr = field.add(z, z), fsum(field, (r[i] for i, r in enumerate(Y)))
+            if (tr == field.mul(field.of(len(Y)), zz)
+                    and _rank_shift(field, Y, zz, at_most=1) <= 1):
                 t = "unipotent member" + (" (times -1)" if self.central < 0 else "")
             else:
                 t = "semisimple or mixed member"

@@ -47,8 +47,10 @@ a product (and for SO a determinant) per element to re-prove membership;
 Shared with the code under test: the `matgroups` constructors, Bruhat
 decoding (`linalg.bruhat_permutation`), the Borel reader
 `borel_torus` and the (T_w)deg points `anti_fixed_points` (which also list
-`gamma_elements`), the Weyl-group combinatorics, and `linalg` `inverse`,
-`mat_mul`, `charpoly` and `rank` (class dimensions).  Closed forms guard
+`gamma_elements`), the Weyl-group combinatorics, `linalg` `inverse`,
+`mat_mul` and `rank` (class dimensions), and `class_type` (spherical marks,
+and the class of an F_{q^2} slice point: equal types there mean conjugate
+over the closure; Springer-Steinberg 1970, IV.2).  Closed forms guard
 the oracle itself: enumeration must hit the order formula, the classes
 must partition the group, every coset Bx must have |B| elements and two of
 its members must decode to the same cell, every cell must have
@@ -65,8 +67,7 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 from .fields import ExtField, PrimeField, gf
-from .linalg import (Matrix, charpoly, identity, inverse, mat_mul,
-                     poly_eval_matrix, squarefree_part)
+from .linalg import Matrix, class_type, identity, inverse, mat_mul
 from .matgroups import GroupContext, is_w_fixed
 from .rootsys import (BudgetError, WeylElement, bruhat_leq, closure,
                       conjugacy_class as weyl_class, longest_element,
@@ -702,7 +703,7 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
     `wdot` defaults to the reduced-word representative; pass the catalog's
     displayed representative to probe the slice in its native coordinates.
     `proposals` may carry candidate slice points over F_{q^2} (as matrices
-    over gf(q*q)); they are verified structurally and by invariants when
+    over gf(q*q)); they are verified structurally and by `class_type` when
     the rational intersection is empty.  Gamma points escalate to the
     quadratic extension when needed; base-field entries embed into the
     extension as constant digits, so comparisons stay exact.
@@ -774,7 +775,7 @@ def _nonempty_over_extension(ctx: GroupContext, field, cls: ClassData,
 
     Finds a class element in wdot T U form and normalizes it into
     wdot T^w U, over F_q and then over the quadratic extension; the
-    result is certified at the invariant level (`_invariants_match`).
+    result must have the rep's `class_type` over F_{q^2}.
     """
     q = field.order
     wdot_inv = inverse(field, wdot)
@@ -792,8 +793,8 @@ def _nonempty_over_extension(ctx: GroupContext, field, cls: ClassData,
     # base-field matrices embed entrywise (constant digits)
     ext = gf(q * q)
     x_new = normalize_to_fixed_torus(ctx, ext, candidate, w, wdot).normalized
-    if x_new is not None and _invariants_match(
-            field, _unflat(cls.rep, ctx.size), ext, x_new):
+    if x_new is not None and (class_type(ext, _unflat(cls.rep, ctx.size))
+                              == class_type(ext, x_new)):
         return True, (f"intersection empty over F_{q}; slice point with "
                       f"matching invariants found over F_{q * q} "
                       "(rational-point caveat, not a refutation)")
@@ -804,34 +805,21 @@ def _nonempty_over_extension(ctx: GroupContext, field, cls: ClassData,
 def _verify_extension_proposals(ctx: GroupContext, field, cls: ClassData,
                                 w: WeylElement, wdot: Matrix,
                                 proposals) -> tuple[bool, str]:
-    """Check caller-proposed F_{q^2} slice points structurally and by invariants."""
+    """Check caller-proposed F_{q^2} slice points structurally and by type."""
     q = field.order
     ext = gf(q * q)
     wdot_inv = inverse(ext, wdot)
     sp = w.signed_permutation()
-    rep = _unflat(cls.rep, ctx.size)
+    rep_type = class_type(ext, _unflat(cls.rep, ctx.size))
     for y in proposals:
         t_coords = ctx.borel_torus(ext, mat_mul(ext, wdot_inv, y))
         if (t_coords is not None and is_w_fixed(ext, sp, t_coords)
-                and _invariants_match(field, rep, ext, y)):
+                and class_type(ext, y) == rep_type):
             return True, (f"intersection empty over F_{q}; proposed slice "
                           f"point over F_{q * q} verified structurally and "
                           "by invariants (rational-point caveat)")
     return False, (f"intersection empty over F_{q} and no extension "
                    "proposal verified")
-
-
-def _invariants_match(field, rep: Matrix, ext, y: Matrix) -> bool:
-    """Whether y over `ext` has the characteristic polynomial of `rep` and
-    is killed by its squarefree part exactly when `rep` is."""
-    cp_rep = tuple(charpoly(field, rep))
-    if tuple(charpoly(ext, y)) != cp_rep:
-        return False
-    sf = squarefree_part(field, cp_rep)
-    return (all(ext.is_zero(v) for row in poly_eval_matrix(ext, sf, y)
-                for v in row)
-            == all(field.is_zero(v) for row in poly_eval_matrix(field, sf, rep)
-                   for v in row))
 
 
 def _orbit_count(points, step) -> int:

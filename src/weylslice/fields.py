@@ -31,7 +31,7 @@ from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import mul as _int_mul
+from operator import index as _index, mul as _int_mul
 from typing import Iterable, Optional
 
 from .linalg import fsum, poly_add, poly_divmod, poly_gcd, poly_mul
@@ -430,7 +430,8 @@ class PrimeField(_FieldOps):
     packed product needs k (p-1)^2 < 2^64 for inner dimension k (true for
     p = 1009 up to k = 1.8e13, false for p = 2^61 - 1 at every k).  Other
     shapes and entries outside range(p) take the rows-by-columns product
-    with `dot`, which gives the same matrix.
+    with `dot`, which gives the same matrix.  Both refuse a non-int entry
+    (TypeError), at no cost per product.
 
     `rref` and `det` are the `_FieldOps` eliminations on ints: a pivot is
     found by ``x % p``, inverted by ``pow(x, -1, p)``, and the rows are
@@ -482,7 +483,7 @@ class PrimeField(_FieldOps):
         return a % self.p == 0
 
     def dot(self, xs, ys) -> int:
-        return sum(map(_int_mul, xs, ys)) % self.p
+        return _index(sum(map(_int_mul, xs, ys))) % self.p
 
     def sub_scaled(self, xs, f, ys) -> list:
         p = self.p
@@ -501,10 +502,13 @@ class PrimeField(_FieldOps):
                 and _in_range(b, p)):
             return super().mat_mul(a, b)
         n, order = len(b[0]), sys.byteorder
-        packs = [int.from_bytes(array("Q", row), order) for row in b]
-        flat = [x % p for x in array("Q", b"".join([
-            sum(map(_int_mul, ra, packs)).to_bytes(8 * n, order)
-            for ra in a]))]
+        try:
+            packs = [int.from_bytes(array("Q", row), order) for row in b]
+            flat = [x % p for x in array("Q", b"".join([
+                int.to_bytes(sum(map(_int_mul, ra, packs)), 8 * n, order)
+                for ra in a]))]
+        except TypeError:
+            raise TypeError(f"{self!r} matrix entries must be ints") from None
         return tuple([tuple(flat[i:i + n]) for i in range(0, len(flat), n)])
 
     def mat_add(self, a, b):

@@ -14,15 +14,18 @@ Every elimination (rank over any field, inverses, and the exact solver
 `at_most`, and the elimination stops one pivot past it.  Characteristic
 polynomials use the division-free Berkowitz algorithm so they are valid
 over any field, including small characteristic.  Polynomials are
-low-first coefficient tuples; the ``poly_*`` helpers are also the
-arithmetic of K(t).  Bruhat decoding (`bruhat_permutation`) pivots each
-column on its lowest nonzero entry in a row not yet used and clears the
-unused rows above it, with row operations only.
+low-first coefficient tuples; the ``poly_*`` helpers are also the arithmetic
+of K(t).  The one class invariant is `class_type`: the irreducible factors of
+the characteristic polynomial over F_q (`poly_factor`), each with its Jordan
+partition.  Bruhat decoding (`bruhat_permutation`) pivots each column on its
+lowest nonzero entry in a row not yet used and clears the unused rows above
+it, with row operations only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 from typing import Sequence
 
 Matrix = tuple[tuple[object, ...], ...]
@@ -32,11 +35,6 @@ Matrix = tuple[tuple[object, ...], ...]
 def identity(field, n: int) -> Matrix:
     zeros = (field.zero,) * (n - 1)
     return tuple(zeros[:i] + (field.one,) + zeros[i:] for i in range(n))
-
-
-def zero_matrix(field, n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    return tuple(tuple(field.zero for _ in range(m)) for _ in range(n))
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -160,23 +158,19 @@ def charpoly(field, a: Matrix) -> tuple:
     # degree first.
     poly = [field.one, field.neg(a[0][0])]
     for k in range(1, n):
-        akk = a[k][k]
         row = a[k][:k]          # R: 1 x k
-        col = [a[i][k] for i in range(k)]  # C: k x 1
-        sub = [r[:k] for r in a[:k]]       # A_k: k x k
-        # Toeplitz column: [1, -akk, -R C, -R A C, -R A^2 C, ...]
-        toep = [field.one, field.neg(akk)]
-        vec = col
-        for _ in range(k):
-            toep.append(field.neg(field.dot(row, vec)))
-            vec = [field.dot(r, vec) for r in sub]
+        vecs = [[a[i][k] for i in range(k)]]  # C: k x 1
+        sub = [r[:k] for r in a[:k]]          # A_k: k x k
+        for _ in range(k - 1):
+            vecs.append([field.dot(r, vecs[-1]) for r in sub])
+        # Toeplitz column: [1, -akk, -R C, -R A C, ..., -R A^(k-1) C]
+        toep = [field.one, field.neg(a[k][k])] + [
+            field.neg(field.dot(row, v)) for v in vecs]
         new = [field.zero] * (k + 2)
-        for i, t in enumerate(toep[: k + 2]):
-            if field.is_zero(t):
-                continue
-            for j, c in enumerate(poly):
-                if i + j < k + 2:
-                    new[i + j] = field.add(new[i + j], field.mul(t, c))
+        for i, t in enumerate(toep):
+            if not field.is_zero(t):
+                new[i:i + k + 1] = field.sub_scaled(new[i:i + k + 1],
+                                                    field.neg(t), poly)
         poly = new
     return tuple(reversed(poly))
 
@@ -219,15 +213,16 @@ def poly_divmod(field, num, den):
     den = poly_trim(field, den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    quot = [field.zero] * max(0, len(num) - len(den) + 1)
+    n = len(den)
+    quot = [field.zero] * max(0, len(num) - n + 1)
     inv_lead = field.inv(den[-1])
-    while len(num) >= len(den):
-        shift = len(num) - len(den)
-        factor = field.mul(num[-1], inv_lead)
-        quot[shift] = factor
-        num[shift:] = field.sub_scaled(num[shift:], factor, den)
-        num = list(poly_trim(field, num))
-    return tuple(quot), tuple(num)
+    for shift in range(len(quot) - 1, -1, -1):
+        factor = field.mul(num[shift + n - 1], inv_lead)
+        if not field.is_zero(factor):
+            quot[shift] = factor
+            num[shift:shift + n] = field.sub_scaled(num[shift:shift + n],
+                                                    factor, den)
+    return tuple(quot), poly_trim(field, num[:n - 1])
 
 
 def poly_gcd(field, a, b):
@@ -241,53 +236,135 @@ def poly_gcd(field, a, b):
     return a
 
 
-def poly_derivative(field, coeffs):
-    return poly_trim(field, tuple(
-        field.mul(field.of(i), c) for i, c in enumerate(coeffs) if i >= 1))
-
-
-def squarefree_part(field, coeffs):
-    """The radical of a polynomial (inseparable factors handled by gcd loop)."""
-    coeffs = poly_trim(field, coeffs)
-    d = poly_derivative(field, coeffs)
-    if not d:
-        return coeffs  # p-th power or constant; callers only need a divisor
-    g = poly_gcd(field, coeffs, d)
-    q, r = poly_divmod(field, coeffs, g)
-    if r:
-        raise AssertionError("gcd does not divide")
-    return poly_trim(field, q)
-
-
 def poly_eval_matrix(field, coeffs, a: Matrix) -> Matrix:
-    n = len(a)
-    acc = zero_matrix(field, n)
-    for c in reversed(coeffs):
-        acc = mat_mul(field, acc, a)
-        acc = tuple(
-            tuple(field.add(acc[i][j], c) if i == j else acc[i][j]
-                  for j in range(n)) for i in range(n))
+    """`coeffs` (degree >= 1) at the matrix a, by Horner from c_d a + c_(d-1)."""
+    acc = scalar_shift(field, [[field.mul(coeffs[-1], x) for x in row]
+                               for row in a], field.neg(coeffs[-2]))
+    for c in reversed(coeffs[:-2]):
+        acc = scalar_shift(field, mat_mul(field, acc, a), field.neg(c))
     return acc
 
 
+def _poly_powmod(field, a, e: int, m):
+    """a^e mod m, by binary powering."""
+    out = (field.one,)
+    if len(a) >= len(m):
+        a = poly_divmod(field, a, m)[1]
+    while e:
+        if e & 1:
+            out = poly_divmod(field, poly_mul(field, out, a), m)[1]
+        e >>= 1
+        if e:
+            a = poly_divmod(field, poly_mul(field, a, a), m)[1]
+    return out
+
+
+def poly_factor(field, f) -> list[tuple[tuple, int]]:
+    """The monic irreducible factors of a monic f over a finite field F_q,
+    with multiplicities, by degree and then by coefficients.  The linear
+    ones come from the roots, by evaluation at each element.  Then for
+    d = 2, 3, ..., gcd(f, x^(q^d) - x) is the product of the factors of
+    degree d left in f (`_split_equal_degree` splits it), until 2d > deg f
+    and what is left is irreducible."""
+    q = field.order
+    if not q:
+        raise ValueError("poly_factor needs a finite field")
+    f, out = poly_trim(field, f), []
+    for z in field.elements():
+        if len(f) == 1:
+            break
+        m, (quo, rem) = 0, _deflate(field, f, z)
+        while field.is_zero(rem):
+            f, m = quo, m + 1
+            quo, rem = _deflate(field, f, z)
+        if m:
+            out.append(((field.neg(z), field.one), m))
+    x, minus_x = (field.zero, field.one), (field.zero, field.neg(field.one))
+    d, h = 1, x  # h = x^(q^d) mod f once d > 1
+    while 2 * (d + 1) < len(f):
+        d += 1
+        h = _poly_powmod(field, h, q * q if d == 2 else q, f)
+        for p in _split_equal_degree(
+                field, poly_gcd(field, f, poly_add(field, h, minus_x)), d):
+            m, (quo, rem) = 0, poly_divmod(field, f, p)
+            while not rem:
+                f, m = quo, m + 1
+                quo, rem = poly_divmod(field, f, p)
+            out.append((p, m))
+            h = poly_divmod(field, h, f)[1]
+    if len(f) > 1:
+        out.append((f, 1))
+    return sorted(out, key=lambda pm: (len(pm[0]), pm[0]))
+
+
+def _deflate(field, f, z):
+    """The quotient and the remainder f(z) of f by x - z, by Horner."""
+    acc, quo = field.zero, []
+    for c in reversed(f):
+        acc = field.add(field.mul(acc, z), c)
+        quo.append(acc)
+    return tuple(reversed(quo[:-1])), quo[-1]
+
+
+def _split_equal_degree(field, g, d: int) -> list[tuple]:
+    """The factors, sorted, of a monic squarefree g whose irreducible
+    factors all have degree d, by Cantor-Zassenhaus (*Math. Comp.* 36,
+    1981): gcd(g, a^((q^d - 1)/2) - 1) keeps the factors at which a is a
+    nonzero square, for trial a = x, x + 1, ... in the order of their
+    base-q codes; some a of degree < deg g separates two factors (Chinese
+    remainder theorem).  Odd characteristic only."""
+    if len(g) - 1 <= d:
+        return [g] if len(g) > 1 else []
+    if field.char == 2:
+        raise NotImplementedError(
+            "equal-degree splitting in characteristic 2")
+    q, minus_one = field.order, (field.neg(field.one),)
+    e = (q ** d - 1) // 2
+    for code in count(q):
+        a = []
+        while code:
+            code, digit = divmod(code, q)
+            a.append(digit)
+        h = poly_gcd(field, g, poly_add(field, _poly_powmod(field, a, e, g),
+                                        minus_one))
+        if 1 < len(h) < len(g):
+            return sorted(_split_equal_degree(field, h, d)
+                          + _split_equal_degree(
+                              field, poly_divmod(field, g, h)[0], d))
+
+
+def class_type(field, g: Matrix) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
+    """The type of g over a finite field F_q: each monic irreducible factor
+    p of its characteristic polynomial (as `poly_factor` lists them) with
+    the Jordan partition of g at p.  Two matrices over F_q are conjugate in
+    GL_n(F_q) exactly when their types agree (Green, *Trans. AMS* 80, 1955).
+
+    g has (r_(k-1) - r_k) / deg p blocks of size >= k at p, r_k the rank of
+    p(g)^k; the ranks stop once the rest of p's multiplicity is forced: a
+    single unit, or all of it in the one block still growing."""
+    n, out = len(g), []
+    for p, m in poly_factor(field, charpoly(field, g)):
+        d, at_least, prev, power, pg = len(p) - 1, [], n, None, None
+        while m:
+            if m == 1 or at_least and at_least[-1] == 1:
+                at_least += [1] * m
+                break
+            pg = pg or poly_eval_matrix(field, p, g)
+            power = pg if power is None else mat_mul(field, power, pg)
+            r = rank(field, power)
+            at_least.append((prev - r) // d)
+            prev, m = r, m - at_least[-1]
+        out.append((p, tuple(sum(1 for c in at_least if c >= j)
+                             for j in range(1, at_least[0] + 1))))
+    return tuple(out)
+
+
 def unipotent_partition(field, u: Matrix) -> tuple[int, ...]:
-    """Jordan partition of a unipotent matrix from ranks of (u-1)^k."""
-    n = len(u)
-    nil = scalar_shift(field, u, field.one)
-    if rank(field, mat_pow(field, nil, n)) != 0:
+    """Jordan partition of a unipotent matrix: its type at x - 1."""
+    (p, parts), *rest = class_type(field, u)
+    if rest or p != (field.neg(field.one), field.one):
         raise ValueError("matrix is not unipotent")
-    ranks = [n]
-    power = identity(field, n)
-    while ranks[-1] > 0:
-        power = mat_mul(field, power, nil)
-        ranks.append(rank(field, power))
-    # conjugate partition parts: lambda'_k = r_{k-1} - r_k
-    conj = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    parts: list[int] = []
-    for k, c in enumerate(conj):
-        width = c - (conj[k + 1] if k + 1 < len(conj) else 0)
-        parts.extend([k + 1] * width)
-    return tuple(sorted(parts, reverse=True))
+    return parts
 
 
 def bruhat_permutation(field, g: Matrix) -> tuple[int, ...]:

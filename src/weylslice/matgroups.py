@@ -212,6 +212,7 @@ class GroupContext:
         if terms is None:
             raise ValueError(f"{root} is not a root of {self.label}")
         x, square = terms
+        c = field.mul(field.one, c)  # reduced, as every entry is
         cc = square and field.mul(field.mul(c, c), field.inv(field.of(2)))
         return [(i, j, v if s > 0 else field.neg(v))
                 for v, t in ((c, x), (cc, square)) for i, j, s in t]

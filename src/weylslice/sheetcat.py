@@ -3,11 +3,12 @@
 Everything here is citable data: which sheets of spherical classes exist,
 their simple-root subsets Pi, expected component structure of the slice
 intersection, smoothness verdicts, and the spherical-class marking used by
-the finite-group oracle.  Each `SheetDescriptor` is the one source of its
-sheet's data: its Weyl element w_S = w0*w_Pi is read from its Pi, for every
-type, and `catalog_sheet` finds a descriptor by label.  The catalog is
-literal data, not re-derived; consistency with the other modules is
-enforced by tests.
+the finite-group oracle, a table from the shape of a class (its
+`linalg.class_type` over the closure) to its tag.  Each `SheetDescriptor`
+is the one source of its sheet's data: its Weyl element w_S = w0*w_Pi is
+read from its Pi, for every type, and `catalog_sheet` finds a descriptor
+by label.  The catalog is literal data, not re-derived; consistency with
+the other modules is enforced by tests.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .linalg import (
-    mat_mul,
-    mat_pow,
-    rank as mat_rank,
-    scalar_shift,
-)
+from .linalg import class_type
 from .matgroups import GroupContext
 from .rootsys import (
     RootSystem,
@@ -390,179 +386,72 @@ class SphericalTag:
     w_class: Optional[str]        # "w0" | "long-root-reflection" | "identity"
 
 
-def _is_scalar(field, g):
-    n = len(g)
-    z = g[0][0]
-    return all(g[i][j] == (z if i == j else field.zero)
-               for i in range(n) for j in range(n))
+# A class's shape: per eigenvalue over the closure its Jordan partition, off
+# `class_type`, marked + or - at +1 or -1 and o elsewhere (unmarked for SL);
+# Sp4 up to g ~ -g.  A shape not listed is not spherical.
+_B2, _LONG = "B2-sheet", "long-root-reflection"
+_SHAPES = {
+    ("SL", 1): [
+        ("(1,1)", "central", 0, None, "identity"),
+        ("(2)", "unipotent(2) up to centre", 2, "S_1", "w0"),
+        ("(1) (1)", "regular semisimple", 2, "S_1", "w0"),
+    ],
+    ("SL", 2): [
+        ("(1,1,1)", "central", 0, None, "identity"),
+        ("(2,1)", "unipotent(2,1) up to centre", 4, "S_1", "w0"),
+        ("(1,1) (1)", "semisimple, two eigenvalues", 4, "S_1", "w0"),
+    ],
+    ("Sp", 2): [
+        ("+(1,1,1,1)", "central", 0, None, "identity"),
+        ("+(2,1,1)", "transvection (2,1^2) up to centre", 4, None, _LONG),
+        ("+(2,2)", "unipotent (2^2) up to centre", 6, _B2, "w0"),
+        ("+(1,1) -(1,1)", "involution diag(-1,-1,1,1)", 4, None, None),
+        ("o(1,1) o(1,1)", "semisimple (l,l,1/l,1/l)", 6, _B2, "w0"),
+        ("+(1,1) o(1) o(1)", "semisimple (1,1,l,1/l) up to centre", 6, _B2, "w0"),
+        ("+(2) -(1,1)", "mixed sigma * x_beta(1) up to centre", 6, _B2, "w0"),
+    ],
+    ("SO-odd", 2): [
+        ("+(1,1,1,1,1)", "identity", 0, None, "identity"),
+        ("+(2,2,1)", "unipotent (2^2,1)", 4, None, _LONG),
+        ("+(3,1,1)", "unipotent (3,1^2)", 6, "S and Sprime", "w0"),
+        ("+(1) -(1,1,1,1)", "involution rho (1,-1^4)", 4, None, None),
+        ("+(1,1,1) -(1,1)", "involution (1^3,-1^2)", 6, "Sprime", "w0"),
+        ("+(1) o(1,1) o(1,1)", "semisimple (1,l^2,1/l^2)", 6, "S", "w0"),
+        ("+(1,1,1) o(1) o(1)", "semisimple (1^3,l,1/l)", 6, "Sprime", "w0"),
+        ("+(1) -(2,2)", "mixed rho * (2^2)", 6, "S", "w0"),
+    ],
+}
 
 
-def _rank_shift(field, g, c, power=1, at_most=None):
-    """rank((g - c)^power), bounded by `at_most` as in `linalg.rank`."""
-    m = scalar_shift(field, g, c)
-    return mat_rank(field, m if power == 1 else mat_pow(field, m, power),
-                    at_most)
+def _shape(label: str, tokens) -> str:
+    """The tokens sorted and joined; for Sp the lesser of g's and -g's."""
+    shape = " ".join(sorted(tokens))
+    if label == "Sp":
+        flipped = shape.translate(str.maketrans("+-", "-+"))
+        shape = min(shape, " ".join(sorted(flipped.split())))
+    return shape
+
+
+_SPHERICAL = {group: {_shape(group[0], shape.split()): SphericalTag(*tag)
+                      for shape, *tag in rows}
+              for group, rows in _SHAPES.items()}
 
 
 def classify_spherical(ctx: GroupContext, field, g) -> Optional[SphericalTag]:
-    """Spherical marking of a conjugacy class member, by exact invariants.
-
-    Returns None for non-spherical classes.  Only the oracle groups
-    (SL2, SL3, Sp4, SO5) are catalogued.
-    """
-    key = (ctx.label, ctx.rank)
-    if key == ("SL", 1):
-        return _classify_sl2(field, g)
-    if key == ("SL", 2):
-        return _classify_sl3(field, g)
-    if key == ("Sp", 2):
-        return _classify_sp4(ctx, field, g)
-    if key == ("SO-odd", 2):
-        return _classify_so5(ctx, field, g)
-    raise CatalogError(f"no spherical marking for {ctx.label} rank {ctx.rank}")
-
-
-def _classify_sl2(field, g):
-    if _is_scalar(field, g):
-        return SphericalTag("central", 0, None, "identity")
-    for z in (field.one, field.neg(field.one)):
-        if _rank_shift(field, g, z) == 1 and _rank_shift(field, g, z, 2) == 0:
-            return SphericalTag("unipotent(2) up to centre", 2, "S_1", "w0")
-    return SphericalTag("regular semisimple", 2, "S_1", "w0")
-
-
-def _classify_sl3(field, g):
-    if _is_scalar(field, g):
-        return SphericalTag("central", 0, None, "identity")
-    for z in field.elements():
-        if field.is_zero(z):
-            continue
-        if _rank_shift(field, g, z) == 1:
-            if _rank_shift(field, g, z, 2) == 0:
-                return SphericalTag(
-                    "unipotent(2,1) up to centre", 4, "S_1", "w0")
-            return SphericalTag("semisimple, two eigenvalues", 4, "S_1", "w0")
-    # a non-scalar g with (g - a)(g - b) = 0, a != b nonzero, has an
-    # eigenvalue z in {a, b} of multiplicity 2, so rk(g - z) = 1 above
-    return None
-
-
-def _classify_sp4(ctx, field, g):
-    one, none_ = field.one, field.neg(field.one)
-    if _is_scalar(field, g):
-        return SphericalTag("central", 0, None, "identity")
-    for z in (one, none_):
-        r1 = _rank_shift(field, g, z)
-        r2 = _rank_shift(field, g, z, 2)
-        if r1 == 1 and r2 == 0:
-            return SphericalTag("transvection (2,1^2) up to centre", 4, None,
-                                "long-root-reflection")
-        if r1 == 2 and r2 == 0:
-            return SphericalTag("unipotent (2^2) up to centre", 6, "B2-sheet",
-                                "w0")
-    gsq = mat_mul(field, g, g)
-    if _is_scalar(field, gsq) and gsq[0][0] == one:
-        return SphericalTag("involution diag(-1,-1,1,1)", 4, None, None)
-    # g + g^-1 = mu: the minimal polynomial is x^2 - mu x + 1
-    got = _solve_deg2(field, g, gsq)
-    if (got is not None and got[1] == one
-            and got[0] != field.of(2) and got[0] != field.of(-2)):
-        return SphericalTag("semisimple (l,l,1/l,1/l)", 6, "B2-sheet", "w0")
-    # semisimple (1,1,l,1/l) up to the centre:
-    # (g -+ 1)(g^2 - mu g + 1) = 0 with mu != +-2
-    for h in (g, tuple(tuple(field.neg(x) for x in row) for row in g)):
-        mu = _solve_cubic_mu(field, h, gsq)  # (-g)^2 = g^2
-        if mu is not None and mu != field.of(2) and mu != field.of(-2):
-            return SphericalTag("semisimple (1,1,l,1/l) up to centre", 6,
-                                "B2-sheet", "w0")
-    # mixed: g^2 a transvection and charpoly (x^2-1)^2
-    hr1 = _rank_shift(field, gsq, one)
-    hr2 = _rank_shift(field, gsq, one, 2)
-    if hr1 == 1 and hr2 == 0:
-        return SphericalTag("mixed sigma * x_beta(1) up to centre", 6,
-                            "B2-sheet", "w0")
-    return None
-
-
-def _solve_deg2(field, g, gsq):
-    """(s, p) with g^2 - s*g + p*I = 0, or None; `gsq` is g^2.
-
-    g must not be scalar (a scalar g gives None).  Then (s, p) is unique,
-    and s is read off one nonzero off-diagonal entry of g, or, for diagonal
-    g, is the sum of two distinct diagonal entries.  The minimal polynomial
-    is x^2 - mu x + 1, i.e. g + g^-1 = mu, exactly when p = 1 and s = mu.
-    """
-    n = len(g)
-    ij = next(((i, j) for i in range(n) for j in range(n)
-               if i != j and not field.is_zero(g[i][j])), None)
-    if ij is not None:
-        s = field.div(gsq[ij[0]][ij[1]], g[ij[0]][ij[1]])
-    else:
-        j = next((j for j in range(1, n) if g[j][j] != g[0][0]), None)
-        if j is None:
-            return None
-        s = field.add(g[0][0], g[j][j])
-    p = field.sub(field.mul(s, g[0][0]), gsq[0][0])
-    if all(gsq[i][j] == field.sub(field.mul(s, g[i][j]),
-                                  p if i == j else field.zero)
-           for i in range(n) for j in range(n)):
-        return s, p
-    return None
-
-
-def _solve_cubic_mu(field, g, gsq):
-    """mu with (g - 1)(g^2 - mu*g + 1) = 0, or None; `gsq` is g^2.
-
-    The identity reads (g - 1)(g^2 + 1) = mu (g^2 - g), whose sides are
-    g^3 - g^2 + g - 1 and g^2 - g.  mu is their ratio at the first nonzero
-    entry of g^2 - g (None when g^2 = g); one product, g^3 = g^2 g, then
-    checks the whole identity.
-    """
-    one = field.one
-    kg = [field.sub_scaled(r2, one, r) for r2, r in zip(gsq, g)]
-    ij = next(((i, j) for i, row in enumerate(kg) for j, x in enumerate(row)
-               if not field.is_zero(x)), None)
-    if ij is None:
-        return None
-    lhs = scalar_shift(field, [field.sub_scaled(r3, one, r) for r3, r
-                               in zip(mat_mul(field, gsq, g), kg)], one)
-    mu = field.div(lhs[ij[0]][ij[1]], kg[ij[0]][ij[1]])
-    return mu if all(field.is_zero(x) for lr, kr in zip(lhs, kg)
-                     for x in field.sub_scaled(lr, mu, kr)) else None
-
-
-def _classify_so5(ctx, field, g):
-    one = field.one
-    if _is_scalar(field, g):
-        return SphericalTag("identity", 0, None, "identity")
-    r1 = _rank_shift(field, g, one)
-    r1_2 = _rank_shift(field, g, one, 2)
-    r1_3 = _rank_shift(field, g, one, 3)
-    if r1 == 2 and r1_2 == 0:
-        return SphericalTag("unipotent (2^2,1)", 4, None,
-                            "long-root-reflection")
-    if r1 == 2 and r1_2 == 1 and r1_3 == 0:
-        return SphericalTag("unipotent (3,1^2)", 6, "S and Sprime", "w0")
-    gsq = mat_mul(field, g, g)
-    if _is_scalar(field, gsq) and gsq[0][0] == one:
-        if r1 == 4:
-            return SphericalTag("involution rho (1,-1^4)", 4, None, None)
-        if r1 == 2:
-            return SphericalTag("involution (1^3,-1^2)", 6, "Sprime", "w0")
-        return None
-    mu = _solve_cubic_mu(field, g, gsq)
-    if mu is not None and mu != field.of(2) and mu != field.of(-2):
-        # semisimple iff the minimal polynomial is (x-1)(x^2-mu x+1)
-        if r1 == 4:
-            return SphericalTag("semisimple (1,l^2,1/l^2)", 6, "S", "w0")
-        if r1 == 2:
-            return SphericalTag("semisimple (1^3,l,1/l)", 6, "Sprime", "w0")
-        return None
-    hr1 = _rank_shift(field, gsq, one)
-    hr2 = _rank_shift(field, gsq, one, 2)
-    if r1 == 4 and hr1 == 2 and hr2 == 0:
-        return SphericalTag("mixed rho * (2^2)", 6, "S", "w0")
-    return None
+    """Spherical marking of a conjugacy class member: the tag of its
+    shape, or None for a non-spherical class.  Only the oracle groups
+    (SL2, SL3, Sp4, SO5) are catalogued."""
+    tags = _SPHERICAL.get((ctx.label, ctx.rank))
+    if tags is None:
+        raise CatalogError(f"no spherical marking for {ctx.label} rank {ctx.rank}")
+    signs = {field.neg(field.one): "-", field.one: "+"}
+    tokens = []
+    for p, parts in class_type(field, g):
+        d = len(p) - 1
+        mark = "o" if d > 1 else signs.get(field.neg(p[0]), "o")
+        tokens += [("" if ctx.label == "SL" else mark)
+                   + f"({','.join(map(str, parts))})"] * d
+    return tags.get(_shape(ctx.label, tokens))
 
 
 def expected_w_element(system: RootSystem, w_class: str) -> WeylElement:

@@ -22,6 +22,7 @@ from weylslice.families import (
 )
 from weylslice.fields import QQ, QQI, gf
 from weylslice.linalg import (
+    class_type,
     det,
     identity,
     inverse,
@@ -32,7 +33,7 @@ from weylslice.linalg import (
     unipotent_partition,
 )
 import weylslice.sheetcat as sheetcat
-from weylslice.sheetcat import _solve_cubic_mu, sheet_catalog
+from weylslice.sheetcat import sheet_catalog
 
 F = gf(1009)
 F7 = gf(7)
@@ -409,7 +410,7 @@ def test_b_s_kernel_of_x_minus_1_is_image_of_quadratic(n):
     N = 2 * n + 1
     checked = 0
     for X in _b_s_points(fam, random.Random(n)):
-        mu = _solve_cubic_mu(F, X, mat_mul(F, X, X))
+        mu = cubic_mu_by_products(F, X)
         if mu is None or mu == F.of(2):
             continue
         quad = poly_eval_matrix(F, (F.one, F.neg(mu), F.one), X)
@@ -602,6 +603,34 @@ def test_b_s_membership_makes_one_product(monkeypatch):
             seen.add(fam.membership(F, X).member_type)
             assert calls == ["mat_mul_derived"], (t, n, label)
         assert None in seen and len(seen) > 1, (t, n, label, seen)
+
+
+FLIP_SHEETS = [("B", 2, "Sprime"), ("B", 3, "Sprime"), ("D", 4, "Sprime"),
+               ("C", 3, "S1"), ("C", 3, "-S1")]
+
+
+@pytest.mark.parametrize("t,n,label", FLIP_SHEETS)
+def test_flip_membership_calls_unipotent_exactly_the_nilpotent_x_minus_z(
+        t, n, label):
+    # the labels against class_type: a member is "unipotent" exactly when
+    # its only eigenvalue is the central twist z; on the B and D sheets the
+    # coordinates +-2 give (3,1^k) unipotents, X + X^-1 not scalar
+    fam = family_for(t, n, label)
+    z, rng = F.of(fam.central), random.Random(n)
+    partitions = set()
+    for comp in fam.components():
+        for c in fam.sample_coords(F, rng, 6):
+            X = comp.point(F, c)
+            got = fam.membership(F, X)
+            (p, parts), *rest = class_type(F, X)
+            nilpotent = not rest and p == (F.neg(z), F.one)
+            assert got.member
+            assert ("unipotent" in got.member_type) == nilpotent, (c, parts)
+            if nilpotent:
+                partitions.add(parts)
+    N = fam.ctx.size
+    want = (3,) + (1,) * (N - 3) if t != "C" else (2, 2) + (1,) * (N - 4)
+    assert want in partitions
 
 
 def test_flip_points_and_gamma_conjugates_make_no_product(monkeypatch):

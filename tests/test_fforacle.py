@@ -27,10 +27,11 @@ from weylslice.fforacle import (
     _flat,
     _generating_set,
     _unflat,
+    _verify_extension_proposals,
     slice_points,
 )
 from weylslice.fields import gf
-from weylslice.linalg import identity, inverse, mat_mul
+from weylslice.linalg import class_type, identity, inverse, mat_mul
 from weylslice.matgroups import GroupContext
 from weylslice.rootsys import build_root_system, closure, longest_element
 from weylslice.sheetcat import catalog_w_S
@@ -182,6 +183,49 @@ def test_dimension_formula_checks_the_marked_dim(monkeypatch):
     for c in classes:
         with pytest.raises(AssertionError, match="marked dim"):
             verify_dimension_formula(g, c)
+
+
+CRITERION2_GROUPS = [("SL", 1, 3), ("SL", 1, 5), ("SL", 2, 3),
+                     ("Sp", 2, 3), ("SO-odd", 2, 3)]
+
+
+@pytest.mark.parametrize("label,rank,q", CRITERION2_GROUPS)
+def test_class_type_is_constant_on_each_class(label, rank, q):
+    # a stride of at most 6 members of every class has the rep's type
+    group = enumerate_group(label, rank, q)
+    n, checked = group.size, 0
+    for c in conjugacy_classes(group):
+        members = sorted(c.elements)
+        want = class_type(group.field, _unflat(c.rep, n))
+        for e in members[::max(1, len(members) // 6)]:
+            assert class_type(group.field, _unflat(e, n)) == want, (label, c.rep)
+            checked += 1
+    assert checked >= len(conjugacy_classes(group))
+
+
+def test_transvection_and_2_2_unipotent_have_different_types():
+    # Sp4(F_5): the transvection x_beta(1) and the (2^2) unipotent share
+    # the characteristic polynomial (x - 1)^4 and the minimal polynomial
+    # (x - 1)^2, so only the Jordan partitions tell them apart
+    F, sp = gf(5), GroupContext("Sp", 2)
+    beta = sp.system.highest_root()
+    transvection = sp.root_element(F, beta, 1)
+    unip22 = mat_mul(F, transvection, sp.root_element(F, (0, 2), 1))
+    assert class_type(F, transvection) == (((4, 1), (2, 1, 1)),)
+    assert class_type(F, unip22) == (((4, 1), (2, 2)),)
+    # y = sdot t u for the reflection s in beta, t = (1, 4) in T^s and u
+    # the product of x_a(c) over the positive roots, c = (1, 0, 0, 2): a
+    # (2^2) unipotent that passes the structural check for s, so only the
+    # type check keeps it out of the transvection class
+    s = sp.system.reflection(beta)
+    wdot = sp.weyl_representative(F, s)
+    y = ((0, 0, 4, 0), (0, 1, 0, 1), (1, 0, 2, 0), (0, 0, 0, 1))
+    assert class_type(F, y) == class_type(F, unip22)
+    own, _ = _verify_extension_proposals(
+        sp, F, expand_class(sp, F, unip22), s, wdot, [y])
+    other, _ = _verify_extension_proposals(
+        sp, F, expand_class(sp, F, transvection), s, wdot, [y])
+    assert own and not other
 
 
 def test_borel_orbit_report():

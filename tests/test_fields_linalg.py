@@ -11,6 +11,7 @@ from weylslice.fields import (QQ, QQI, ExtField, PrimeField, RationalFunctions,
 from weylslice.linalg import (
     bruhat_permutation,
     charpoly,
+    class_type,
     det,
     identity,
     inverse,
@@ -21,10 +22,11 @@ from weylslice.linalg import (
     poly_divmod,
     poly_eval,
     poly_gcd,
+    poly_factor,
     poly_mul,
+    poly_trim,
     rank,
     solve,
-    squarefree_part,
     unipotent_partition,
 )
 
@@ -206,14 +208,117 @@ def test_polynomial_helpers():
     assert poly_eval(F, q, 6) == 0
     g = poly_gcd(F, (6, 0, 1), (1, 1))  # gcd(x^2-1, x+1) = x+1
     assert poly_eval(F, g, 6) == 0 and len(g) == 2
-    # squarefree part of (x-1)^2(x-2)
-    from weylslice.linalg import poly_trim
+    # (x-1)^2 (x-2) = x^3 - 4x^2 + 5x - 2: its factors, with multiplicities
+    assert poly_factor(F, (5, 5, 3, 1)) == [((5, 1), 1), ((6, 1), 2)]
 
-    pol = (5, 5, 3, 1)  # hmm: compute (x-1)^2 (x-2) = x^3 -4x^2 +5x -2 mod 7
-    pol = (5, 5, 3, 1)
-    sf = squarefree_part(F, pol)
-    assert poly_eval(F, sf, 1) == 0 and poly_eval(F, sf, 2) == 0
-    assert len(sf) == 3  # degree 2
+
+def _powmod(F, a, e, m):
+    """a^e mod m, by the bits of e from the top."""
+    out = (F.one,)
+    for bit in bin(e)[2:]:
+        out = poly_divmod(F, poly_mul(F, out, out), m)[1]
+        if bit == "1":
+            out = poly_divmod(F, poly_mul(F, out, a), m)[1]
+    return out
+
+
+def _frobenius_fixed(F, p, k):
+    """x^(q^k) - x mod p, by k q-th powers of x."""
+    h = (F.zero, F.one)
+    for _ in range(k):
+        h = _powmod(F, h, F.order, p)
+    return poly_add(F, h, (F.zero, F.neg(F.one)))
+
+
+def _is_irreducible(F, p):
+    """Rabin's test: p of degree d divides x^(q^d) - x and is prime to
+    x^(q^(d/r)) - x for every prime r dividing d."""
+    d = len(p) - 1
+    if poly_divmod(F, _frobenius_fixed(F, p, d), p)[1]:
+        return False
+    primes = [r for r in range(2, d + 1)
+              if d % r == 0 and all(r % s for s in range(2, r))]
+    return all(len(poly_gcd(F, p, _frobenius_fixed(F, p, d // r))) == 1
+               for r in primes)
+
+
+def _random_monic(F, rng, degree):
+    return tuple(rng.randrange(F.order) for _ in range(degree)) + (F.one,)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 25, 1009])
+def test_poly_factor_multiplies_back_to_irreducible_factors(q):
+    F, rng = gf(q), random.Random(q)
+    polys = [_random_monic(F, rng, rng.randint(1, 7)) for _ in range(25)]
+    # products with repeated factors
+    for _ in range(15):
+        parts = [_random_monic(F, rng, rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 3))]
+        f = (F.one,)
+        for part in parts + parts[:rng.randint(0, len(parts))]:
+            f = poly_mul(F, f, part)
+        polys.append(f)
+    for f in polys:
+        try:
+            factors = poly_factor(F, f)
+        except NotImplementedError:
+            # characteristic 2 does not split two irreducibles of one
+            # degree >= 2
+            assert F.char == 2 and _two_of_one_degree_above_one(F, f), f
+            continue
+        back = (F.one,)
+        for p, m in factors:
+            assert m >= 1 and p[-1] == F.one and _is_irreducible(F, p), (f, p)
+            for _ in range(m):
+                back = poly_mul(F, back, p)
+        assert back == poly_trim(F, f)
+        assert [p for p, _ in factors] == sorted(
+            {p for p, _ in factors}, key=lambda p: (len(p), p))
+
+
+def _two_of_one_degree_above_one(F, f):
+    """Whether two distinct monic irreducibles of one degree 2 or 3 divide
+    f (by search: at these degrees irreducible means without roots)."""
+    for d in (2, 3):
+        found = 0
+        for code in range(F.order ** d):
+            p = tuple((code // F.order ** i) % F.order for i in range(d))
+            p += (F.one,)
+            if (not any(F.is_zero(poly_eval(F, p, z)) for z in F.elements())
+                    and not poly_divmod(F, f, p)[1]):
+                found += 1
+        if found >= 2:
+            return True
+    return False
+
+
+def test_class_type_reads_partitions_per_factor():
+    F = gf(7)
+    # x - 1 with partition (2), x - 3 with (1, 1), x^2 + 1 (irreducible
+    # mod 7) with (1): the type lists each factor once, by degree
+    g = ((1, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 3, 0, 0, 0),
+         (0, 0, 0, 3, 0, 0), (0, 0, 0, 0, 0, 6), (0, 0, 0, 0, 1, 0))
+    assert class_type(F, g) == (((4, 1), (1, 1)), ((6, 1), (2,)),
+                                ((1, 0, 1), (1,)))
+    # two companion blocks C of x^2 + 1: (1, 1) at it; [[C, I], [0, C]],
+    # one Jordan block of size 2 over it: (2,)
+    two_blocks = ((0, 6, 0, 0), (1, 0, 0, 0), (0, 0, 0, 6), (0, 0, 1, 0))
+    jordan = ((0, 6, 1, 0), (1, 0, 0, 1), (0, 0, 0, 6), (0, 0, 1, 0))
+    assert class_type(F, two_blocks) == (((1, 0, 1), (1, 1)),)
+    assert class_type(F, jordan) == (((1, 0, 1), (2,)),)
+
+
+def test_prime_field_kernels_refuse_non_int_entries():
+    F = gf(7)
+    with pytest.raises(TypeError, match="must be ints"):
+        F.mat_mul(((Fraction(1, 2),),), ((1,),))
+    with pytest.raises(TypeError, match="must be ints"):
+        F.mat_mul(((1,),), ((Fraction(1, 2),),))
+    with pytest.raises(TypeError, match="as an integer"):
+        F.dot([Fraction(1, 2)], [1])
+    with pytest.raises(TypeError, match="as an integer"):
+        F.dot([1, 2], [3, 0.5])
+    assert F.mat_mul(((8, -1),), ((1,), (1,))) == ((0,),)
 
 
 QQIT = RationalFunctions(QQI)

@@ -29,6 +29,23 @@ def test_root_elements_in_group(label, rank):
             ctx.root_element(F, r, 5)
 
 
+@pytest.mark.parametrize("label,rank", CONTEXTS)
+def test_root_elements_hold_c_reduced(label, rank):
+    # an int c is stored as the element it names, so x_r(-1) = x_r(p - 1),
+    # and over F_9 (elements already) x_r(c) is the column-operation
+    # product I x_r(c), which reduces every entry
+    ctx = GroupContext(label, rank)
+    F, F9 = gf(1009), gf(9)
+    for r in ctx.system.roots:
+        for c in (-1, -5, 1010):
+            x = ctx.root_element(F, r, c)
+            assert x == ctx.root_element(F, r, c % 1009)
+            assert all(0 <= v < 1009 for row in x for v in row)
+        for c in F9.elements():
+            assert ctx.root_element(F9, r, c) == ctx.times_root_element(
+                F9, identity(F9, ctx.size), r, c)
+
+
 @pytest.mark.parametrize("label,rank", [("SO-odd", 2), ("SO-odd", 4),
                                         ("SO-even", 3), ("SO-even", 4),
                                         ("Sp", 2), ("Sp", 3)])

@@ -3,10 +3,8 @@ import random
 
 import pytest
 
-from conftest import cubic_mu_by_products
 from weylslice import sheetcat
-from weylslice.families import AFamily, family_for
-from weylslice.fforacle import conjugacy_classes, enumerate_group
+from weylslice.families import AFamily, _is_scalar, _solve_deg2, family_for
 from weylslice.fields import gf
 from weylslice.linalg import inverse, mat_mul
 from weylslice.matgroups import GroupContext
@@ -17,9 +15,6 @@ from weylslice.rootsys import (
 )
 from weylslice.sheetcat import (
     CatalogError,
-    _is_scalar,
-    _solve_cubic_mu,
-    _solve_deg2,
     SphericalTag,
     catalog_sheet,
     catalog_w_S,
@@ -236,27 +231,6 @@ def test_catalog_report_strings():
     for d in sheet_catalog("B", 3):
         assert d.semisimple_members
         assert d.unipotent_members
-
-
-def test_solve_cubic_mu_matches_product_formula():
-    F = gf(1009)
-    rnd = random.Random(0)
-    mats = [tuple(tuple(rnd.randrange(1009) for _ in range(n))
-                  for _ in range(n)) for n in (5, 9) for _ in range(10)]
-    # B S slice points, whose cubic has a root mu
-    for n in (2, 4):
-        fam = family_for("B", n, "S")
-        mats += [c.point(F, F.of(a)) for c in fam.components()[:3]
-                 for a in (1, 5, 77)]
-    so5 = enumerate_group("SO-odd", 2, 3)
-    reps = [(so5.field, tuple(c.rep[i:i + 5] for i in range(0, 25, 5)))
-            for c in conjugacy_classes(so5)]
-    found = 0
-    for field, g in [(F, m) for m in mats] + reps:
-        mu = cubic_mu_by_products(field, g)
-        assert _solve_cubic_mu(field, g, mat_mul(field, g, g)) == mu
-        found += mu is not None
-    assert found >= 18
 
 
 def test_solve_deg2_matches_brute_force():
