@@ -10,7 +10,9 @@ coordinates, one claimed component per entry s of `signs()`, labelled
 and the points `_component_point(*s)`; and membership by the group test,
 then rank and minimal-polynomial conditions (never by root-finding in
 extension fields: eigenvalue pairs l, 1/l enter through mu = l + 1/l, a
-base-field eigenvalue of X + X^-1).  It also answers the sampling questions:
+base-field eigenvalue of X + X^-1); type A, good in every characteristic,
+reads the class type of X over F_q (`linalg.class_type`) instead.  It
+also answers the sampling questions:
 `is_matrix`, `sample_coords(field, rng, count)` (special values first),
 `ambient(field, rng)` (a random chart point, or None on a claimed
 component, decided in closed form: a check by `membership` would make the
@@ -28,12 +30,10 @@ from typing import Callable, Optional, Sequence
 from .fields import PrimeField
 from .linalg import (
     Matrix,
-    charpoly,
+    class_type,
     fsum,
     identity,
     mat_mul,
-    mat_pow,
-    poly_eval,
     rank as mat_rank,
     scalar_shift,
 )
@@ -144,37 +144,9 @@ def _is_scalar(field, g):
                for i in range(n) for j in range(n))
 
 
-def _rank_shift(field, g, c, power=1, at_most=None):
-    """rank((g - c)^power), bounded by `at_most` as in `linalg.rank`."""
-    m = scalar_shift(field, g, c)
-    return mat_rank(field, m if power == 1 else mat_pow(field, m, power),
-                    at_most)
-
-
-def _solve_deg2(field, g, gsq):
-    """(s, p) with g^2 - s*g + p*I = 0, or None; `gsq` is g^2.
-
-    g must not be scalar (a scalar g gives None).  Then (s, p) is unique,
-    and s is read off one nonzero off-diagonal entry of g, or, for diagonal
-    g, is the sum of two distinct diagonal entries.  The minimal polynomial
-    is x^2 - mu x + 1, i.e. g + g^-1 = mu, exactly when p = 1 and s = mu.
-    """
-    n = len(g)
-    ij = next(((i, j) for i in range(n) for j in range(n)
-               if i != j and not field.is_zero(g[i][j])), None)
-    if ij is not None:
-        s = field.div(gsq[ij[0]][ij[1]], g[ij[0]][ij[1]])
-    else:
-        j = next((j for j in range(1, n) if g[j][j] != g[0][0]), None)
-        if j is None:
-            return None
-        s = field.add(g[0][0], g[j][j])
-    p = field.sub(field.mul(s, g[0][0]), gsq[0][0])
-    if all(gsq[i][j] == field.sub(field.mul(s, g[i][j]),
-                                  p if i == j else field.zero)
-           for i in range(n) for j in range(n)):
-        return s, p
-    return None
+def _rank_shift(field, g, c, at_most=None):
+    """rank(g - c), bounded by `at_most` as in `linalg.rank`."""
+    return mat_rank(field, scalar_shift(field, g, c), at_most)
 
 
 def _form_sum(ctx: GroupContext, field, X):
@@ -251,13 +223,7 @@ class BFamilyS(SliceFamily):
         self.sign = -1 if self.n % 2 else 1  # (-1)^n
 
     def representative(self, field) -> Matrix:
-        n, N = self.n, 2 * self.n + 1
-        m = [[field.zero] * N for _ in range(N)]
-        m[0][0] = field.of(self.sign)
-        for i in range(n):
-            m[1 + i][1 + n + i] = field.one
-            m[1 + n + i][1 + i] = field.one
-        return tuple(tuple(r) for r in m)
+        return self.point(field, (1,) * self.n, [field.zero] * self.n, {}, {})
 
     def point(self, field, e: Sequence[int], v: Sequence, q_upper, a_upper) -> Matrix:
         """X from sign vector e, vector v, strict-upper Q and skew A data."""
@@ -587,12 +553,7 @@ class CFamilyS2(SliceFamily):
     coordinate = "mu = l + 1/l in k"
 
     def representative(self, field) -> Matrix:
-        n, N = self.n, 2 * self.n
-        m = [[field.zero] * N for _ in range(N)]
-        for i in range(n):
-            m[i][n + i] = field.one
-            m[n + i][i] = field.neg(field.one)
-        return tuple(tuple(r) for r in m)
+        return self.point(field, (1,) * self.n, {}, {})
 
     def point(self, field, e: Sequence[int], v_upper, x_sym) -> Matrix:
         n = self.n
@@ -863,60 +824,36 @@ class AFamily(SliceFamily):
                             and field.mul(a[c], zeta[c]) == base
                             for c in range(self.m))
         # the components are the signed copies of (a_1, zeta_1) on the
-        # curve b^2 + a_1 zeta_1 b + a_1^2 = 0
-        if signed_copies and field.is_zero(field.add(
-                field.mul(b, b), field.add(field.mul(base, b), a0_sq))):
+        # curve b^2 + a_1 zeta_1 b + a_1^2 = 0; for n + 1 = 2m the point
+        # does not read b, and every (a_1, zeta_1) has a b on the curve
+        # over the closure
+        if signed_copies and (self.n + 1 == 2 * self.m or field.is_zero(
+                field.add(field.mul(b, b),
+                          field.add(field.mul(base, b), a0_sq)))):
             return None
         return self.point(field, a, b, zeta)
 
     def membership(self, field, X) -> MembershipResult:
+        """By the class type of X over F_q: X = z(1 + N) with N of rank m
+        and square zero, or X semisimple with two eigenvalues of
+        multiplicities m and n + 1 - m, a conjugate pair when they lie
+        outside F_q."""
         if not self.ctx.in_group(field, X):
             return _off_group(self.ctx)
         n1, m = self.n + 1, self.m
-        # unipotent-up-to-scalar branch
-        p = field.char
-        cands = []
-        if p == 0 or n1 % p != 0:
-            tr = fsum(field, (X[i][i] for i in range(n1)))
-            cands.append(field.div(tr, field.of(n1)))
-        else:
-            cp = charpoly(field, X)
-            cands.extend(z for z in field.elements()
-                         if field.is_zero(poly_eval(field, cp, z)))
-        for z in cands:
-            if field.is_zero(z):
-                continue
-            if (_rank_shift(field, X, z, at_most=m) == m
-                    and _rank_shift(field, X, z, 2, at_most=0) == 0):
-                return MembershipResult(
-                    True, f"X = z*(unipotent (2^{m},1^{n1 - 2 * m}))",
-                    "unipotent member up to scalar")
-        # semisimple branch: minimal polynomial x^2 - s*x + p0
-        got = _solve_deg2(field, X, mat_mul(field, X, X))
-        if got is not None:
-            s, p0 = got
-            disc = field.sub(field.mul(s, s),
-                             field.mul(field.of(4), p0))
-            if not field.is_zero(disc) and not field.is_zero(p0):
-                sq = field.sqrt(disc)
-                if sq is None:
-                    # conjugate eigenvalue pair: multiplicities match, need n1 = 2m
-                    if n1 == 2 * m:
-                        return MembershipResult(
-                            True, "semisimple, conjugate eigenvalue pair",
-                            "semisimple member (non-split)")
-                    return MembershipResult(
-                        False, "conjugate pair forces equal multiplicities")
-                half = field.inv(field.of(2))
-                lam = field.mul(half, field.add(s, sq))
-                mult = n1 - mat_rank(field, scalar_shift(field, X, lam))
-                if mult in (m, n1 - m):
-                    return MembershipResult(
-                        True, "semisimple, multiplicities (n+1-m, m)",
-                        "semisimple member")
-                return MembershipResult(
-                    False, f"semisimple but multiplicity {mult} not in "
-                           f"{{{m}, {n1 - m}}}")
+        kind = tuple((len(p) - 1, parts) for p, parts in class_type(field, X))
+        if kind == ((1, (2,) * m + (1,) * (n1 - 2 * m)),):
+            return MembershipResult(
+                True, f"X = z*(unipotent (2^{m},1^{n1 - 2 * m}))",
+                "unipotent member up to scalar")
+        if sorted(kind) == sorted([(1, (1,) * m), (1, (1,) * (n1 - m))]):
+            return MembershipResult(
+                True, "semisimple, multiplicities (n+1-m, m)",
+                "semisimple member")
+        if n1 == 2 * m and kind == ((2, (1,) * m),):
+            return MembershipResult(
+                True, "semisimple, conjugate eigenvalue pair",
+                "semisimple member (non-split)")
         return MembershipResult(False, "no S_m membership condition holds")
 
 

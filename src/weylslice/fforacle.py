@@ -69,7 +69,7 @@ from typing import Optional
 from .fields import ExtField, PrimeField, gf
 from .linalg import Matrix, class_type, identity, inverse, mat_mul
 from .matgroups import GroupContext, is_w_fixed
-from .rootsys import (BudgetError, WeylElement, bruhat_leq, closure,
+from .rootsys import (BudgetError, WeylElement, bruhat_leq,
                       conjugacy_class as weyl_class, longest_element,
                       minus_one_rank)
 from .sheetcat import classify_spherical, expected_w_element
@@ -730,18 +730,19 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
         extension_used = geometric_nonempty
     gammas = ctx.gamma_elements(field, w)
     closed = True
-    orbits_base = None
+    transitive = len(inter) <= 1
     if gammas:
+        # Gamma_w(F_q) is the whole group, 1 included: one conjugation
+        # pass from a point is its orbit
         step = _conjugation(field, ctx.size,
                             tuple(_flat(g) for g in gammas))
         inter_set = set(inter)
         closed = all(y in inter_set for x in inter for y in step(x))
-        orbits_base = _orbit_count(inter, step)
+        transitive = transitive or inter_set <= set(step(inter[0]))
     else:
         extension_used = True
         caveats.append(
             f"Gamma_w has no 4th root of 1 over F_{q}; escalated to F_{q * q}")
-    transitive = orbits_base == 1 or len(inter) <= 1
     if not transitive:
         # relate all points through extension-field Gamma elements
         ext = gf(q * q)
@@ -820,19 +821,6 @@ def _verify_extension_proposals(ctx: GroupContext, field, cls: ClassData,
                           "by invariants (rational-point caveat)")
     return False, (f"intersection empty over F_{q} and no extension "
                    "proposal verified")
-
-
-def _orbit_count(points, step) -> int:
-    """Number of classes of `points` under the moves of `step` that stay
-    inside `points`."""
-    unassigned = set(points)
-    orbits = 0
-    while unassigned:
-        unassigned.difference_update(closure(
-            [min(unassigned)],
-            lambda z: [y for y in step(z) if y in unassigned]))
-        orbits += 1
-    return orbits
 
 
 @dataclass

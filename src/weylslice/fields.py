@@ -4,7 +4,9 @@ small finite fields.
 Field elements are plain Python values (``Fraction`` for the rationals,
 pairs of Fractions for Q(i), canonical ``(num, den)`` coefficient tuples
 for K(t), ints in ``range(q)`` for F_q) and every field is an ops object
-passed to the matrix routines.  Nothing here ever rounds.
+passed to the matrix routines.  Nothing here ever rounds.  F_{p^k} is
+F_p[x] modulo the lexicographically first monic irreducible of degree k,
+which `linalg.poly_factor` recognizes.
 
 Besides the scalar operations, each field supplies the vector and
 matrix operations that carry all of `linalg`'s products, row updates and
@@ -34,7 +36,8 @@ from math import gcd, lcm
 from operator import index as _index, mul as _int_mul
 from typing import Iterable, Optional
 
-from .linalg import fsum, poly_add, poly_divmod, poly_gcd, poly_mul
+from .linalg import (fsum, poly_add, poly_divmod, poly_factor, poly_gcd,
+                     poly_mul)
 
 
 class _FieldOps:
@@ -608,33 +611,17 @@ class PrimeField(_FieldOps):
 
 
 def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically first monic irreducible of degree k over F_p.
+    """Lexicographically first monic irreducible of degree k over F_p, by
+    `poly_factor`.
 
     Returned as low-to-high coefficients of the non-leading part, i.e. the
     polynomial is x^k + sum(c[i] x^i).
     """
-
-    def is_irreducible(coeffs):
-        # Degree <= 3: irreducible over F_p iff no roots in F_p.
-        if k > 3:
-            raise ValueError("extension degree > 3 not supported")
-        for x in range(p):
-            val = pow(x, k, p)
-            for i, c in enumerate(coeffs):
-                val = (val + c * pow(x, i, p)) % p
-            if val == 0:
-                return False
-        return True
-
-    total = p**k
-    for code in range(total):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        if is_irreducible(tuple(coeffs)):
-            return tuple(coeffs)
+    field = PrimeField(p)
+    for code in range(p**k):
+        coeffs = tuple((code // p**i) % p for i in range(k))
+        if poly_factor(field, coeffs + (1,)) == [(coeffs + (1,), 1)]:
+            return coeffs
     raise RuntimeError("no irreducible polynomial found")
 
 
@@ -778,8 +765,8 @@ class ExtField(_FieldOps):
 
 @lru_cache(maxsize=None)
 def gf(q: int):
-    """The finite field with q elements (q = p or p^2, p^3 for small q),
-    one object per q for the process."""
+    """The finite field with q elements (q = p, or p^k up to 128), one
+    object per q for the process."""
     if _is_prime(q):
         return PrimeField(q)
     for p in range(2, q):

@@ -16,10 +16,11 @@ polynomials use the division-free Berkowitz algorithm so they are valid
 over any field, including small characteristic.  Polynomials are
 low-first coefficient tuples; the ``poly_*`` helpers are also the arithmetic
 of K(t).  The one class invariant is `class_type`: the irreducible factors of
-the characteristic polynomial over F_q (`poly_factor`), each with its Jordan
-partition.  Bruhat decoding (`bruhat_permutation`) pivots each column on its
-lowest nonzero entry in a row not yet used and clears the unused rows above
-it, with row operations only.
+the characteristic polynomial over F_q (`poly_factor`, in every
+characteristic), each with its Jordan partition.  Bruhat decoding
+(`bruhat_permutation`) pivots each column on its lowest nonzero entry in a
+row not yet used and clears the unused rows above it, with row operations
+only.
 """
 
 from __future__ import annotations
@@ -312,21 +313,27 @@ def _split_equal_degree(field, g, d: int) -> list[tuple]:
     1981): gcd(g, a^((q^d - 1)/2) - 1) keeps the factors at which a is a
     nonzero square, for trial a = x, x + 1, ... in the order of their
     base-q codes; some a of degree < deg g separates two factors (Chinese
-    remainder theorem).  Odd characteristic only."""
+    remainder theorem).  For q = 2^k the test is the trace map instead:
+    gcd(g, a + a^2 + ... + a^(2^(kd - 1))) keeps the factors at which a
+    has trace 0 over F_2 (von zur Gathen-Gerhard, *Modern Computer
+    Algebra*, ch. 14)."""
     if len(g) - 1 <= d:
         return [g] if len(g) > 1 else []
-    if field.char == 2:
-        raise NotImplementedError(
-            "equal-degree splitting in characteristic 2")
     q, minus_one = field.order, (field.neg(field.one),)
-    e = (q ** d - 1) // 2
     for code in count(q):
         a = []
         while code:
             code, digit = divmod(code, q)
             a.append(digit)
-        h = poly_gcd(field, g, poly_add(field, _poly_powmod(field, a, e, g),
-                                        minus_one))
+        if field.char == 2:
+            test = power = poly_divmod(field, a, g)[1]
+            for _ in range((q.bit_length() - 1) * d - 1):
+                power = _poly_powmod(field, power, 2, g)
+                test = poly_add(field, test, power)
+        else:
+            test = poly_add(field, _poly_powmod(field, a, (q ** d - 1) // 2,
+                                                g), minus_one)
+        h = poly_gcd(field, g, test)
         if 1 < len(h) < len(g):
             return sorted(_split_equal_degree(field, h, d)
                           + _split_equal_degree(

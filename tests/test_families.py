@@ -22,11 +22,15 @@ from weylslice.families import (
 )
 from weylslice.fields import QQ, QQI, gf
 from weylslice.linalg import (
+    charpoly,
     class_type,
     det,
+    fsum,
     identity,
     inverse,
     mat_mul,
+    mat_pow,
+    poly_eval,
     poly_eval_matrix,
     rank,
     scalar_shift,
@@ -323,6 +327,201 @@ def test_a_family():
     sl_like = AFamily(3, 1)
     wrong = sl_like.point(F, [F.of(2)], F.of(3), [F.of(0)])
     assert not sl_like.membership(F, wrong).member
+
+
+def _solve_deg2(field, g, gsq):
+    """(s, p) with g^2 - s*g + p*I = 0, or None; `gsq` is g^2 and g is not
+    scalar.  s is read off one nonzero off-diagonal entry of g, or, for
+    diagonal g, is the sum of two distinct diagonal entries."""
+    n = len(g)
+    ij = next(((i, j) for i in range(n) for j in range(n)
+               if i != j and not field.is_zero(g[i][j])), None)
+    if ij is not None:
+        s = field.div(gsq[ij[0]][ij[1]], g[ij[0]][ij[1]])
+    else:
+        j = next((j for j in range(1, n) if g[j][j] != g[0][0]), None)
+        if j is None:
+            return None
+        s = field.add(g[0][0], g[j][j])
+    p = field.sub(field.mul(s, g[0][0]), gsq[0][0])
+    if all(gsq[i][j] == field.sub(field.mul(s, g[i][j]),
+                                  p if i == j else field.zero)
+           for i in range(n) for j in range(n)):
+        return s, p
+    return None
+
+
+def _a_membership_reference(fam, field, X):
+    """AFamily.membership by its own minimal-polynomial solver, in odd
+    characteristic: X = z(1 + N) for z the trace over n + 1 (or a root of
+    the charpoly when p divides n + 1), else x^2 - s x + p0 from
+    `_solve_deg2` and the multiplicity of one eigenvalue."""
+    if not fam.ctx.in_group(field, X):
+        return MembershipResult(False, f"X is not in GL_{fam.n + 1}")
+    n1, m = fam.n + 1, fam.m
+    if n1 % field.char:
+        cands = [field.div(fsum(field, (X[i][i] for i in range(n1))),
+                           field.of(n1))]
+    else:
+        cands = [z for z in field.elements()
+                 if field.is_zero(poly_eval(field, charpoly(field, X), z))]
+    for z in cands:
+        sh = scalar_shift(field, X, z)
+        if (not field.is_zero(z) and rank(field, sh) == m
+                and rank(field, mat_pow(field, sh, 2)) == 0):
+            return MembershipResult(
+                True, f"X = z*(unipotent (2^{m},1^{n1 - 2 * m}))",
+                "unipotent member up to scalar")
+    got = _solve_deg2(field, X, mat_mul(field, X, X))
+    if got is not None:
+        s, p0 = got
+        disc = field.sub(field.mul(s, s), field.mul(field.of(4), p0))
+        if not field.is_zero(disc) and not field.is_zero(p0):
+            sq = field.sqrt(disc)
+            if sq is None:
+                if n1 == 2 * m:
+                    return MembershipResult(
+                        True, "semisimple, conjugate eigenvalue pair",
+                        "semisimple member (non-split)")
+                return MembershipResult(False, "unequal conjugate pair")
+            lam = field.mul(field.inv(field.of(2)), field.add(s, sq))
+            if n1 - rank(field, scalar_shift(field, X, lam)) in (m, n1 - m):
+                return MembershipResult(
+                    True, "semisimple, multiplicities (n+1-m, m)",
+                    "semisimple member")
+    return MembershipResult(False, "no S_m membership condition holds")
+
+
+def _conjugate(field, rng, D):
+    """P D P^-1 for a random invertible P."""
+    n = len(D)
+    while True:
+        P = tuple(tuple(rng.randrange(field.order) for _ in range(n))
+                  for _ in range(n))
+        try:
+            return mat_mul(field, mat_mul(field, P, D), inverse(field, P))
+        except ZeroDivisionError:
+            continue
+
+
+def _block_diag(field, blocks):
+    n = sum(len(b) for b in blocks)
+    out, at = [[field.zero] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return tuple(map(tuple, out))
+
+
+def _a_points(fam, field, rng):
+    """Chart points (b = a among them), ambient points, random matrices,
+    and random conjugates of z(1 + N) with N^2 = 0 of every rank, of
+    diag(l, .., l, k, .., k) at every split and of equal companion blocks
+    of an irreducible quadratic."""
+    n1, q = fam.n + 1, field.order
+
+    def unit():
+        return 1 + rng.randrange(q - 1)
+
+    points = []
+    for comp in fam.components():
+        a = unit()
+        points += [comp.point(field, (a, a))]
+        points += [comp.point(field, (unit(), unit())) for _ in range(2)]
+    points += [X for X in (fam.ambient(field, rng) for _ in range(4)) if X]
+    points += [tuple(tuple(rng.randrange(q) for _ in range(n1))
+                     for _ in range(n1)) for _ in range(4)]
+    z = unit()
+    for r in range(n1 // 2 + 1):
+        jordan = [((z, 1), (0, z))] * r + [((z,),)] * (n1 - 2 * r)
+        points.append(_conjugate(field, rng, _block_diag(field, jordan)))
+    lam, kap = unit(), unit()
+    for k in range(1, n1):
+        points.append(_conjugate(field, rng, _block_diag(
+            field, [((lam,),)] * k + [((kap,),)] * (n1 - k))))
+    if n1 % 2 == 0:
+        s, p0 = next((s, p0) for s in field.elements() for p0 in field.units()
+                     if field.sqrt(field.sub(field.mul(s, s), field.mul(
+                         field.of(4), p0))) is None)
+        companion = ((field.zero, field.neg(p0)), (field.one, s))
+        points.append(_conjugate(field, rng, _block_diag(
+            field, [companion] * (n1 // 2))))
+    return points
+
+
+def _assert_matches_the_reference(fam, field, X):
+    """Membership agrees with the reference: the verdict and member type
+    everywhere, and the reason too for a member.  Returns the type."""
+    got, want = fam.membership(field, X), _a_membership_reference(
+        fam, field, X)
+    assert (got.member, got.member_type) == (
+        want.member, want.member_type), (fam.n, fam.m, X)
+    assert not got.member or got == want
+    return got.member_type
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 13, 1009])
+def test_a_membership_matches_the_reference(q):
+    field, rng = gf(q), random.Random(q)
+    kinds = set()
+    for n in (3, 4, 5):
+        for m in range(1, (n + 1) // 2 + 1):
+            fam = AFamily(n, m)
+            for X in _a_points(fam, field, rng):
+                kinds.add(_assert_matches_the_reference(fam, field, X))
+    assert kinds == {None, "unipotent member up to scalar",
+                     "semisimple member", "semisimple member (non-split)"}
+
+
+def test_a_membership_matches_the_reference_on_small_matrices():
+    # random matrices over F_7, conjugates of diag(a, a, b, b), a diagonal
+    # matrix and two companion blocks of the irreducible x^2 - 3x + 1
+    rnd = random.Random(1)
+
+    def rand(n):
+        return tuple(tuple(rnd.randrange(7) for _ in range(n))
+                     for _ in range(n))
+
+    mats = [rand(n) for n in (2, 3, 4) for _ in range(20)]
+    for _ in range(20):
+        a, b = rnd.randrange(7), rnd.randrange(7)
+        mats.append(_conjugate(F7, rnd, tuple(
+            tuple((a if i < 2 else b) * (i == j) for j in range(4))
+            for i in range(4))))
+    mats += [((1, 0, 0), (0, 2, 0), (0, 0, 1)),
+             ((0, 6, 0, 0), (1, 3, 0, 0), (0, 0, 0, 6), (0, 0, 1, 3))]
+    members = 0
+    for X in mats:
+        for m in range(1, len(X) // 2 + 1):
+            members += bool(_assert_matches_the_reference(
+                AFamily(len(X) - 1, m), F7, X))
+    assert members >= 20
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_every_claimed_a_point_in_characteristic_2_is_a_member(q):
+    field = gf(q)
+    for n, m in ((2, 1), (3, 1), (3, 2)):
+        fam = AFamily(n, m)
+        for comp in fam.components():
+            for a in field.units():
+                for b in field.units():
+                    X = comp.point(field, (a, b))
+                    assert fam.membership(field, X).member, (n, m, a, b)
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_a_ambient_points_are_not_members(q):
+    # for n + 1 = 2m the chart point does not read b, so a signed copy of
+    # (a_1, zeta_1) is on a claimed component whatever b was drawn
+    field, rng = gf(q), random.Random(q)
+    for n in (3, 4, 5):
+        for m in range(1, (n + 1) // 2 + 1):
+            fam = AFamily(n, m)
+            for _ in range(100):
+                X = fam.ambient(field, rng)
+                assert X is None or not fam.membership(field, X).member
 
 
 def test_e6_family_tuples():

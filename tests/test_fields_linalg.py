@@ -71,20 +71,30 @@ def test_fourth_roots():
 
 
 def test_extension_field_is_a_field():
-    F9 = gf(9)
-    assert isinstance(F9, ExtField)
-    elems = list(F9.elements())
-    assert len(elems) == 9
-    for a in elems:
-        for b in elems:
-            assert F9.mul(a, b) == F9.mul(b, a)
-        if a != 0:
-            assert F9.mul(a, F9.inv(a)) == F9.one
-    # the prime subfield embeds as constants
-    assert F9.add(1, 2) == 0
+    for q in (9, 16, 81):
+        F = gf(q)
+        assert isinstance(F, ExtField)
+        elems = list(F.elements())
+        assert len(elems) == q
+        for a in elems:
+            for b in elems:
+                assert F.mul(a, b) == F.mul(b, a)
+                assert F.mul(a, F.add(b, 1)) == F.add(F.mul(a, b), a)
+            if a != 0:
+                assert F.mul(a, F.inv(a)) == F.one
+        # the prime subfield embeds as constants
+        assert F.add(1, F.p - 1) == 0
     # F4 works in characteristic 2
     F4 = gf(4)
     assert len(list(F4.elements())) == 4
+
+
+def test_extension_moduli_are_the_first_irreducibles():
+    # x^k + sum c_i x^i, lexicographically first in (c_0, ..., c_(k-1)) read
+    # as base-p digits; the tables of every extension field rest on these
+    assert {q: gf(q).modulus for q in (4, 8, 9, 25, 27, 49)} == {
+        4: (1, 1), 8: (1, 1, 0), 9: (1, 0), 25: (2, 0), 27: (1, 2, 0),
+        49: (1, 0)}
 
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
@@ -246,7 +256,7 @@ def _random_monic(F, rng, degree):
     return tuple(rng.randrange(F.order) for _ in range(degree)) + (F.one,)
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 25, 1009])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 1009])
 def test_poly_factor_multiplies_back_to_irreducible_factors(q):
     F, rng = gf(q), random.Random(q)
     polys = [_random_monic(F, rng, rng.randint(1, 7)) for _ in range(25)]
@@ -258,14 +268,15 @@ def test_poly_factor_multiplies_back_to_irreducible_factors(q):
         for part in parts + parts[:rng.randint(0, len(parts))]:
             f = poly_mul(F, f, part)
         polys.append(f)
+    # two distinct irreducibles of one degree in characteristic 2: the
+    # quadratics x^2 + ax + 1 (a = 2, 3) over F_4, and x^3 + x + 1 and
+    # x^3 + x^2 + 1 over F_2
+    if q == 4:
+        polys.append(poly_mul(F, (1, 2, 1), (1, 3, 1)))
+    if q == 2:
+        polys.append(poly_mul(F, (1, 1, 0, 1), (1, 0, 1, 1)))
     for f in polys:
-        try:
-            factors = poly_factor(F, f)
-        except NotImplementedError:
-            # characteristic 2 does not split two irreducibles of one
-            # degree >= 2
-            assert F.char == 2 and _two_of_one_degree_above_one(F, f), f
-            continue
+        factors = poly_factor(F, f)
         back = (F.one,)
         for p, m in factors:
             assert m >= 1 and p[-1] == F.one and _is_irreducible(F, p), (f, p)
@@ -274,22 +285,6 @@ def test_poly_factor_multiplies_back_to_irreducible_factors(q):
         assert back == poly_trim(F, f)
         assert [p for p, _ in factors] == sorted(
             {p for p, _ in factors}, key=lambda p: (len(p), p))
-
-
-def _two_of_one_degree_above_one(F, f):
-    """Whether two distinct monic irreducibles of one degree 2 or 3 divide
-    f (by search: at these degrees irreducible means without roots)."""
-    for d in (2, 3):
-        found = 0
-        for code in range(F.order ** d):
-            p = tuple((code // F.order ** i) % F.order for i in range(d))
-            p += (F.one,)
-            if (not any(F.is_zero(poly_eval(F, p, z)) for z in F.elements())
-                    and not poly_divmod(F, f, p)[1]):
-                found += 1
-        if found >= 2:
-            return True
-    return False
 
 
 def test_class_type_reads_partitions_per_factor():

@@ -1,12 +1,10 @@
 import dataclasses
-import random
 
 import pytest
 
 from weylslice import sheetcat
-from weylslice.families import AFamily, _is_scalar, _solve_deg2, family_for
+from weylslice.families import AFamily, family_for
 from weylslice.fields import gf
-from weylslice.linalg import inverse, mat_mul
 from weylslice.matgroups import GroupContext
 from weylslice.rootsys import (
     build_root_system,
@@ -231,44 +229,3 @@ def test_catalog_report_strings():
     for d in sheet_catalog("B", 3):
         assert d.semisimple_members
         assert d.unipotent_members
-
-
-def test_solve_deg2_matches_brute_force():
-    F = gf(7)
-    rnd = random.Random(1)
-
-    def rand(n):
-        return tuple(tuple(rnd.randrange(7) for _ in range(n)) for _ in range(n))
-
-    mats = [rand(n) for n in (2, 3, 4) for _ in range(20)]
-    # conjugates of diag(a, a, b, b): minimal polynomial (x - a)(x - b)
-    for _ in range(20):
-        a, b, P = rnd.randrange(7), rnd.randrange(7), rand(4)
-        try:
-            Pinv = inverse(F, P)
-        except ZeroDivisionError:
-            continue
-        d = tuple(tuple((a if i < 2 else b) * (i == j) for j in range(4))
-                  for i in range(4))
-        mats.append(mat_mul(F, mat_mul(F, P, d), Pinv))
-    # diagonal, and two companion blocks of the irreducible x^2 - 3x + 1
-    mats += [((1, 0, 0), (0, 2, 0), (0, 0, 1)),
-             ((0, 6, 0, 0), (1, 3, 0, 0), (0, 0, 0, 6), (0, 0, 1, 3))]
-    found = 0
-    for g in mats:
-        if _is_scalar(F, g):
-            continue
-        n, gsq = len(g), mat_mul(F, g, g)
-        want = [(s, p) for s in range(7) for p in range(7)
-                if all(gsq[i][j] == (s * g[i][j] - p * (i == j)) % 7
-                       for i in range(n) for j in range(n))]
-        assert len(want) <= 1
-        got = _solve_deg2(F, g, gsq)
-        assert got == (want[0] if want else None)
-        found += bool(want)
-        # p = 1 exactly when g + g^-1 is the scalar s
-        if got is not None and got[1] == 1:
-            ginv = inverse(F, g)
-            assert all((g[i][j] + ginv[i][j]) % 7 == got[0] * (i == j)
-                       for i in range(n) for j in range(n))
-    assert found >= 20
