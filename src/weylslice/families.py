@@ -100,7 +100,7 @@ class SliceFamily:
 
     A subclass gives the chart: `signs()`, `label_format`, `coordinate`,
     `coord_arity` and `_component_point` make its components, and
-    `membership` and the sampling methods below answer for its points."""
+    `membership`, `ambient` and `sample_coords` answer for its points."""
 
     is_matrix = True
     coord_arity = 1
@@ -129,9 +129,6 @@ class SliceFamily:
         while len(out) < count:
             out.append(_uniform(field, rng))
         return out[:count]
-
-    def ambient(self, field, rng):
-        raise TypeError(f"no ambient sampler for {type(self).__name__}")
 
     def transitivity_points(self, field, mu):
         raise TypeError("transitivity check covers the big-cell families")

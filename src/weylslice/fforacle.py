@@ -3,18 +3,20 @@
 Enumerates SL2/SL3/Sp4/SO5 over small fields by generator closure, expands
 conjugacy classes, decodes Bruhat cells, and replays the dimension formula
 and slice-orbit claims pointwise.  Group elements are flat tuples.  The
-group, its expanded classes and its B(F_q)-orbits are each one run of a
-breadth-first walk (the orbit algorithm of Holt-Eick-O'Brien, *Handbook of
-Computational Group Theory*, ch. 4), compiled by `_compile_walk` once per
-(field, size, pairs) and kept for the process: per element it unpacks x
-once, forms each a x b inline from the pairs' nonzero terms, not two n^3
-products, and looks each product up once.  Gamma_w-orbits and slice points
-use the step x -> [a x b for each pair (a, b)] of `_compile_step`, and
-every orbit on the indices of an enumerated group (its classes and
-B-cosets) is `_orbits` under index tables.  Steps and walks are built from
-a source made of int literals, local names and `add`, `mul` and `C` (the
-field's operations and coefficients), and a walk's BudgetError, with no
-builtins in reach, so they can do nothing but field arithmetic on x.
+group and every conjugation orbit (`conjugation_orbits`: a class, the
+B(F_q)-orbits of a top cell, the Gamma_w-orbits of a slice) are each one
+run of a breadth-first walk (the orbit algorithm of Holt-Eick-O'Brien,
+*Handbook of Computational Group Theory*, ch. 4), compiled by
+`_compile_walk` once per (field, size, pairs) and kept for the process:
+per element it unpacks x once, forms each a x b inline from the pairs'
+nonzero terms, not two n^3 products, and looks each product up once.
+Only slice points use the step x -> [a x b for each pair (a, b)] of
+`_compile_step`, and every orbit on the indices of an enumerated group
+(its classes and B-cosets) is `_orbits` under index tables.  Steps and
+walks are built from a source made of int literals, local names and `add`,
+`mul` and `C` (the field's operations and coefficients), and a walk's
+BudgetError, with no builtins in reach, so they can do nothing but field
+arithmetic on x.
 
 Each orbit runs over the fewest generators it needs: the positive simple
 root elements x_a(1) (x_a(c) for every unit c over F_{p^k}), one monomial
@@ -75,6 +77,7 @@ from .rootsys import (BudgetError, WeylElement, bruhat_leq,
 from .sheetcat import classify_spherical, expected_w_element
 
 ENUMERATION_BUDGET = 2_000_000
+CLASS_BUDGET = 300_000  # elements of one `expand_class` orbit
 BOREL_ORBIT_BUDGET = 400_000  # elements of one B(F_q)-orbit in a top cell
 
 ORDER_FORMULAS = {
@@ -189,9 +192,19 @@ def _conjugation_pairs(field, n: int, gens: tuple) -> tuple:
     return tuple((g, _flat(inverse(field, _unflat(g, n)))) for g in gens)
 
 
-def _conjugation(field, n: int, gens: tuple):
-    """The orbit step x -> [g x g^-1 for g in gens] on flat n x n matrices."""
-    return _compile_step(field, n, _conjugation_pairs(field, n, gens))
+def conjugation_orbits(field, n: int, gens: tuple, points, budget: int):
+    """The orbits of the flat n x n `points` under conjugation by the group
+    that `gens` generates, streamed: each one run of the `_compile_walk`
+    walk under the pairs (g, g^-1), from the least point not yet reached,
+    in breadth-first order.  An orbit may leave `points`; BudgetError is
+    raised once one exceeds `budget` elements."""
+    walk = _compile_walk(field, n, _conjugation_pairs(field, n, gens), False)
+    remaining = set(points)
+    while remaining:
+        x = min(remaining)
+        orbit = walk([x], {x: x}, 1, budget)
+        remaining.difference_update(orbit)
+        yield orbit
 
 
 @dataclass
@@ -441,11 +454,10 @@ class ClassData:
                                         repr=False)
 
 
-def expand_class(ctx: GroupContext, field, rep: Matrix,
-                 budget: int = 300_000) -> ClassData:
-    """Full conjugation orbit of `rep` under the group, by the compiled walk
-    under conjugation by the walk generators of `_generating_set` (3 per
-    element for Sp4).
+def expand_class(ctx: GroupContext, field, rep: Matrix) -> ClassData:
+    """Full conjugation orbit of `rep` under the group, from
+    `conjugation_orbits` under the walk generators of `_generating_set` (3
+    per element for Sp4), within `CLASS_BUDGET` elements.
 
     Over F_p the integer entries of `rep` are reduced by `field.of`; over
     F_{p^k} they must already be encoded elements, ints in range(q).
@@ -460,10 +472,10 @@ def expand_class(ctx: GroupContext, field, rep: Matrix,
         rep = tuple(tuple(field.of(x) for x in row) for row in rep)
     if not ctx.in_group(field, rep):
         raise ValueError(f"{rep} is not in {ctx.label}{ctx.rank}")
-    n, rep = ctx.size, _flat(rep)
-    pairs = _conjugation_pairs(
-        field, n, _generating_set(ctx.label, ctx.rank, field)[0])
-    orbit = _compile_walk(field, n, pairs, False)([rep], {rep: rep}, 1, budget)
+    rep = _flat(rep)
+    orbit = next(conjugation_orbits(
+        field, ctx.size, _generating_set(ctx.label, ctx.rank, field)[0],
+        [rep], CLASS_BUDGET))
     return ClassData(rep=rep, elements=frozenset(orbit), size=len(orbit))
 
 
@@ -594,28 +606,17 @@ def verify_dimension_formula(group: OracleGroup, cls: ClassData) -> DimensionRep
     )
 
 
-def _borel_conjugators(group: OracleGroup) -> tuple:
-    """The generators in B (torus and positive simple root elements, which
-    generate T(F_q)), then x_a(c) for every positive root a, c as in
-    `_generating_set`."""
-    ctx, field = group.ctx, group.field
-    bgens = [group.generators[k] for k in _borel_generators(group)]
-    coeffs = list(field.units()) if isinstance(field, ExtField) else [field.one]
-    for root in ctx.system.positive_roots:
-        for c in coeffs:
-            bgens.append(_flat(ctx.root_element(field, root, c)))
-    return tuple(dict.fromkeys(bgens))
-
-
 def borel_orbit_report(group: OracleGroup, cls: ClassData,
                        w: WeylElement) -> dict:
     """B(F_q)-conjugation orbits inside the top cell of the class.
 
     Over a finite field the rational points of the dense B-orbit may split
     into several B(F_q)-orbits; this reports the split and the share of the
-    class sitting in the top cell, and never asserts a single orbit.
+    class sitting in the top cell, and never asserts a single orbit.  The
+    orbits are `conjugation_orbits` under the generators in B, which
+    generate B(F_q) (`_coset_cells` finds |Bx| = |B| on every coset).
     """
-    field, n = group.field, group.size
+    field = group.field
     if cls.indices is None:
         cell = _cell_lookup(group, field)
         top = frozenset(e for e in cls.elements if cell(e) == w)
@@ -625,17 +626,13 @@ def borel_orbit_report(group: OracleGroup, cls: ClassData,
         top = frozenset(group.elements[i] for i in cls.indices if ids[i] == k)
     if not top:
         return {"top_cell_points": 0, "orbit_sizes": [], "top_share": 0.0}
-    walk = _compile_walk(field, n, _conjugation_pairs(
-        field, n, _borel_conjugators(group)), False)
-    remaining = set(top)
+    gens = tuple(group.generators[k] for k in _borel_generators(group))
     sizes = []
-    while remaining:
-        x = min(remaining)
-        orbit = walk([x], {x: x}, 1, BOREL_ORBIT_BUDGET)
+    for orbit in conjugation_orbits(field, group.size, gens, top,
+                                    BOREL_ORBIT_BUDGET):
         if not top.issuperset(orbit):
             raise AssertionError("B-conjugation left the top cell")
         sizes.append(len(orbit))
-        remaining.difference_update(orbit)
     return {
         "top_cell_points": len(top),
         "orbit_sizes": sorted(sizes, reverse=True),
@@ -732,25 +729,24 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
     closed = True
     transitive = len(inter) <= 1
     if gammas:
-        # Gamma_w(F_q) is the whole group, 1 included: one conjugation
-        # pass from a point is its orbit
-        step = _conjugation(field, ctx.size,
-                            tuple(_flat(g) for g in gammas))
-        inter_set = set(inter)
-        closed = all(y in inter_set for x in inter for y in step(x))
-        transitive = transitive or inter_set <= set(step(inter[0]))
+        # the orbits (of at most |Gamma_w| elements) are disjoint and
+        # cover inter, so they lie in it when their sizes sum to |inter|
+        orbits = list(conjugation_orbits(
+            field, ctx.size, tuple(_flat(g) for g in gammas), inter,
+            len(gammas)))
+        closed = sum(map(len, orbits)) == len(inter)
+        transitive = transitive or len(orbits) == 1
     else:
         extension_used = True
         caveats.append(
             f"Gamma_w has no 4th root of 1 over F_{q}; escalated to F_{q * q}")
     if not transitive:
-        # relate all points through extension-field Gamma elements
+        # one Gamma_w(F_{q^2})-orbit through all points; base-field ints
+        # embed as constant digits
         ext = gf(q * q)
-        step2 = _conjugation(ext, ctx.size, tuple(
-            _flat(g) for g in ctx.gamma_elements(ext, w)))
-        # base-field ints embed as constant digits; Gamma_w(F_{q^2}) is the
-        # whole group, so one conjugation pass is the orbit
-        transitive = set(inter) <= set(step2(inter[0]))
+        gammas2 = tuple(_flat(g) for g in ctx.gamma_elements(ext, w))
+        transitive = len(list(conjugation_orbits(
+            ext, ctx.size, gammas2, inter, len(gammas2)))) == 1
         if transitive:
             extension_used = True
             caveats.append("transitivity needed Gamma points over the "

@@ -19,6 +19,7 @@ from typing import Optional
 from .fields import VERIFICATION_PRIME, gf
 from .sheetcat import (
     CatalogError,
+    catalog_sheet,
     sheet_catalog,
     smoothness_verdict,
 )
@@ -117,11 +118,18 @@ def _cmd_verify_slice(config: RunConfig):
         raise SystemExit("verify-slice needs --type and --rank")
     q = config.q or VERIFICATION_PRIME
     field = gf(q)
-    rows = []
-    cat = sheet_catalog(config.group_type, config.rank)
+    t, n, rows = config.group_type.upper(), config.rank, []
+    params = {"type": t, "rank": n, "sheet": config.sheet}
+    try:
+        cat = ([catalog_sheet(t, n, config.sheet)] if config.sheet
+               else sheet_catalog(t, n))
+    except CatalogError as exc:
+        return [_row(f"components:{t}{n}", "fail", params, str(exc),
+                     config.seed)]
+    if not cat:
+        return [_row(f"components:{t}{n}", "caveat", params,
+                     f"the catalog lists no sheets of {t}{n}", config.seed)]
     for d in cat:
-        if config.sheet and d.label != config.sheet:
-            continue
         cert = certify_components(
             d, field=field, n_in=config.n_in, n_out=config.n_out,
             seed=config.seed)

@@ -71,16 +71,15 @@ class BudgetError(ValueError):
 
 
 def closure(seeds: Iterable[Hashable],
-            step: Callable[[Hashable], Iterable[Hashable]],
-            budget: Optional[int] = None) -> list:
+            step: Callable[[Hashable], Iterable[Hashable]]) -> list:
     """Everything reachable from `seeds` under `step`, in breadth-first order.
 
     `step(x)` lists the neighbours of x; repeats (seeds included) are dropped
-    at first sight.  Raises BudgetError once more than `budget` elements
-    are found.  This is the orbit algorithm of Holt-Eick-O'Brien,
-    *Handbook of Computational Group Theory*, ch. 4.
+    at first sight.  Its callers walk finite Weyl groups and their orbits,
+    so it has no budget; the oracle's budgeted walks are `fforacle`'s.
+    This is the orbit algorithm of Holt-Eick-O'Brien, *Handbook of
+    Computational Group Theory*, ch. 4.
     """
-    limit = float("inf") if budget is None else budget
     seen = dict.fromkeys(seeds)
     frontier = list(seen)
     while frontier:
@@ -90,8 +89,6 @@ def closure(seeds: Iterable[Hashable],
                 if y not in seen:
                     seen[y] = None
                     nxt.append(y)
-            if len(seen) > limit:
-                raise BudgetError(f"orbit exceeded its budget of {budget}")
         frontier = nxt
     return list(seen)
 

@@ -27,6 +27,8 @@ from .rootsys import (
 from .sheetcat import SheetDescriptor, catalog_sheet, smoothness_verdict
 from .toruslat import TorusData, gamma_w
 
+GAMMA_SAMPLES = 6  # Gamma_w conjugates per point in `gamma_stability_check`
+
 
 @dataclass
 class ComponentCertificate:
@@ -170,8 +172,7 @@ def _conjugate_by_diagonal(field, t, x):
                        for v, u in zip(row, inv)) for i, row in enumerate(x))
 
 
-def gamma_stability_check(descriptor, field=None, seed: int = 0,
-                          samples: int = 6) -> dict:
+def gamma_stability_check(descriptor, field=None, seed: int = 0) -> dict:
     """Conjugating certified points by Gamma_w generators keeps membership.
 
     An accepted conjugate lies in the group (membership starts with the
@@ -188,7 +189,7 @@ def gamma_stability_check(descriptor, field=None, seed: int = 0,
     comps = fam.components()
     checked = 0
     failures = []
-    for comp in comps[: max(2, samples // 2)]:
+    for comp in comps[: max(2, GAMMA_SAMPLES // 2)]:
         coord = (field.of(rng.randrange(2, field.order))
                  if comp.coord_arity == 1
                  else (_random_unit(field, rng), _random_unit(field, rng)))
@@ -196,7 +197,7 @@ def gamma_stability_check(descriptor, field=None, seed: int = 0,
             x = comp.point(field, coord)
         except ValueError:
             continue
-        for g in gammas[:: max(1, len(gammas) // samples)]:
+        for g in gammas[:: max(1, len(gammas) // GAMMA_SAMPLES)]:
             gx = _conjugate_by_diagonal(field, g, x)
             res = fam.membership(field, gx)
             checked += 1
@@ -356,32 +357,24 @@ class SLRestrictionReport:
 def verify_sl_restriction(n: int, m: int, p: int) -> SLRestrictionReport:
     """det = 1 points of the GL components land on the +-1 curves.
 
-    Over F_p also runs the Jacobian criterion on curve samples and flags the
-    non-reduced case p | gcd(2m, n+1-2m).
+    The points (a, b) come from a grid that does not depend on the curves:
+    over F_p the units at a fixed stride, at most 16 values each; over Q
+    small nonzero rationals, plus the points (t^e2, t^-e1), t = 2..5, of
+    a^e1 b^e2 = 1.  Every grid point whose matrix has det 1 is checked.
+    Over F_p also runs the Jacobian criterion on the grid points on the
+    curves and flags the non-reduced case p | gcd(2m, n+1-2m).
     """
     notes = []
     e1, e2 = 2 * m, n + 1 - 2 * m
     point = family_for("A", n, f"S_{m}").components()[0].point
-    samples = 16
     if p == 0:
-        field = QQ
-        pts = []
-        for k in range(2, 2 + samples):
-            t = Fraction(k)
-            a, b = t**e2 if e2 else Fraction(1), t**-e1
-            # det = a^e1 * b^e2 = t^(e1 e2 - e1 e2) = 1
-            pts.append((a, b))
+        field, values = QQ, [Fraction(k, 2) for k in (-2, 1, 2, 3, -6)]
+        curve_points = [(Fraction(t) ** e2, Fraction(t) ** -e1)
+                        for t in range(2, 6)]
     else:
-        field = gf(p)
-        pts = []
-        for a in field.units():
-            for b in field.units():
-                if pow(a, e1, p) * pow(b, e2, p) % p == 1:
-                    pts.append((field.of(a), field.of(b)))
-                if len(pts) >= samples:
-                    break
-            if len(pts) >= samples:
-                break
+        field, curve_points = gf(p), []
+        values = field.units()[:: -(-(p - 1) // 16)]
+    pts = [(a, b) for a in values for b in values] + curve_points
     checked = 0
     contained = True
     for a, b in pts:
@@ -403,20 +396,11 @@ def verify_sl_restriction(n: int, m: int, p: int) -> SLRestrictionReport:
     smooth = True
     if p > 0:
         f1, f2 = red
-        count = 0
-        for a in field.units():
-            for b in field.units():
-                val = pow(a, f1, p) * pow(b, f2, p) % p
-                if val == 1 or val == p - 1:
-                    da = f1 * pow(a, f1 - 1, p) * pow(b, f2, p) % p
-                    db = f2 * pow(a, f1, p) * pow(b, f2 - 1, p) % p
-                    if da == 0 and db == 0:
-                        smooth = False
-                    count += 1
-                if count >= samples:
-                    break
-            if count >= samples:
-                break
+        for a, b in pts:
+            if pow(a, f1, p) * pow(b, f2, p) % p in (1, p - 1):
+                da = f1 * pow(a, f1 - 1, p) * pow(b, f2, p) % p
+                db = f2 * pow(a, f1, p) * pow(b, f2 - 1, p) % p
+                smooth = smooth and bool(da or db)
     if non_reduced:
         notes.append(
             f"curves are non-reduced (p^{v} divides both exponents); "

@@ -35,7 +35,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> list[int]:
     nonzero diagonal entries by (gcd, lcm) keeps the least and the greatest
     valuation at every prime, so one pass over all pairs leaves the chain.
     """
-    d, _, _ = smith_with_transforms(a)
+    d, _ = smith_with_transforms(a)
     n = min(len(d), len(d[0]) if d else 0)
     diag = [abs(d[i][i]) for i in range(n) if d[i][i]]
     for i in range(len(diag)):
@@ -46,7 +46,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> list[int]:
 
 
 def smith_with_transforms(a: Sequence[Sequence[int]]):
-    """(D, U, V) with U*A*V = D diagonal, U and V unimodular.
+    """(D, V) with U*A*V = D diagonal for some unimodular U, V unimodular.
 
     D's diagonal is not forced into chain order; use smith_normal_form for
     invariant factors.
@@ -54,12 +54,10 @@ def smith_with_transforms(a: Sequence[Sequence[int]]):
     d = [list(map(int, row)) for row in a]
     rows = len(d)
     cols = len(d[0]) if rows else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def row_op(i, j, f):  # row_i -= f*row_j
         d[i] = [x - f * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - f * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, f):  # col_i -= f*col_j
         for r in range(rows):
@@ -69,7 +67,6 @@ def smith_with_transforms(a: Sequence[Sequence[int]]):
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in range(rows):
@@ -107,16 +104,15 @@ def smith_with_transforms(a: Sequence[Sequence[int]]):
             continue  # remainders became new smaller pivots; redo this step
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    return d, u, v
+    return d, v
 
 
 def integer_kernel_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis of the saturated integer kernel {x in Z^n : A x = 0}."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    d, _, v = smith_with_transforms(a)
+    d, v = smith_with_transforms(a)
     n = min(rows, cols)
     ker_cols = [j for j in range(cols) if j >= n or d[j][j] == 0]
     return [[v[i][j] for i in range(cols)] for j in ker_cols]
@@ -274,19 +270,17 @@ def s_w_group(torus: TorusData) -> FiniteAbelianGroupShape:
     return shape
 
 
-def gamma_w(
-    torus: TorusData, characteristic: int = 0
-) -> tuple[FiniteAbelianGroupShape, list[TorsionPoint]]:
+def gamma_w(torus: TorusData) -> tuple[FiniteAbelianGroupShape,
+                                        list[TorsionPoint]]:
     """The group G_w = {t in (T_w)deg : t^2 in T^w} and generating torsion points.
 
     G_w is the preimage of S_w n (T_w)deg under squaring on (T_w)deg.  For
     lambda in ker(1 + w), (1 - w) lambda = 2 lambda = 0 mod 2, so every
     2-torsion point lambda(-1) of (T_w)deg lies in T^w: the preimage is all
     of the 4-torsion, r copies of Z/4 with r = dim (T_w)deg.  Generators
-    come out as cocharacter/root-of-unity pairs.
+    come out as cocharacter/root-of-unity pairs.  In characteristic 2
+    squaring is inseparable and this count does not hold.
     """
-    if characteristic == 2:
-        raise ValueError("squaring is inseparable in characteristic 2")
     one_plus = _int_mat_add(_identity(torus.n), torus.action)
     kernel = integer_kernel_basis(one_plus)
     generators = [

@@ -33,6 +33,19 @@ def test_verify_slice_command(capsys):
     assert "components:C3:S2" in out
 
 
+def test_verify_slice_never_passes_on_zero_claims():
+    # an unknown sheet or a rank outside the catalog is one fail row that
+    # names the CatalogError; a type with an empty catalog is one caveat
+    for rank, sheet, message in [(2, "Nonsense", "no catalog sheet Nonsense"),
+                                 (1, None, "type B requires rank >= 2")]:
+        status, rows = run(RunConfig("verify-slice", group_type="B",
+                                     rank=rank, sheet=sheet))
+        assert status == 1 and len(rows) == 1
+        assert rows[0]["status"] == "fail" and message in rows[0]["detail"]
+    status, rows = run(RunConfig("verify-slice", group_type="F", rank=4))
+    assert status == 0 and [r["status"] for r in rows] == ["caveat"]
+
+
 def test_oracle_command(capsys):
     status = main(["oracle", "--group", "sl2", "--q", "3"])
     out = capsys.readouterr().out

@@ -5,23 +5,23 @@ import pytest
 
 from weylslice import fforacle
 from weylslice.fforacle import (
+    BOREL_ORBIT_BUDGET,
     BudgetError,
     ClassData,
     borel_orbit_report,
     cell_partition_check,
     conjugacy_classes,
+    conjugation_orbits,
     enumerate_group,
     expand_class,
     normalize_to_fixed_torus,
     slice_orbit_check,
     verify_dimension_formula,
     w_of_class,
-    _borel_conjugators,
     _borel_generators,
     _cell_lookup,
     _compile_step,
     _compile_walk,
-    _conjugation,
     _conjugation_pairs,
     _coset_cells,
     _flat,
@@ -30,7 +30,7 @@ from weylslice.fforacle import (
     _verify_extension_proposals,
     slice_points,
 )
-from weylslice.fields import gf
+from weylslice.fields import ExtField, gf
 from weylslice.linalg import class_type, identity, inverse, mat_mul
 from weylslice.matgroups import GroupContext
 from weylslice.rootsys import build_root_system, closure, longest_element
@@ -250,15 +250,17 @@ def test_borel_orbits_of_regular_unipotent_sl2(q):
     assert rep["orbit_sizes"] == [q * (q - 1) // 2]
 
 
-def test_expand_class_budget():
+def test_expand_class_budget(monkeypatch):
     # the budget is checked after each element: the orbit of 12 elements
     # fits a budget of 12 and not one of 11
     g = enumerate_group("SL", 1, 5)
     assert expand_class(g.ctx, g.field, ((1, 1), (0, 1))).size == 12
-    assert expand_class(g.ctx, g.field, ((1, 1), (0, 1)), budget=12).size == 12
+    monkeypatch.setattr(fforacle, "CLASS_BUDGET", 12)
+    assert expand_class(g.ctx, g.field, ((1, 1), (0, 1))).size == 12
     for budget in (5, 11):
+        monkeypatch.setattr(fforacle, "CLASS_BUDGET", budget)
         with pytest.raises(BudgetError):
-            expand_class(g.ctx, g.field, ((1, 1), (0, 1)), budget=budget)
+            expand_class(g.ctx, g.field, ((1, 1), (0, 1)))
 
 
 def test_wrong_walk_generator_stops_the_enumeration_before_its_tables(
@@ -624,12 +626,17 @@ SPARSE_GROUPS = [(label, rank, q) for label, rank in
                  for q in (3, 5)] + [("SL", 1, 4), ("SL", 1, 9)]
 
 
+def _conjugation_step(F, n, gens):
+    """The reference step x -> [g x g^-1 for g in gens], compiled."""
+    return _compile_step(F, n, _conjugation_pairs(F, n, tuple(gens)))
+
+
 @pytest.mark.parametrize("label,rank,q", SPARSE_GROUPS)
 def test_compiled_conjugation_matches_mat_mul(label, rank, q):
-    # the compiled maps against g x g^-1 from linalg, on seeded group
-    # elements: conjugation by the group's generators, by every positive
-    # root element (the B-generators of borel_orbit_report) and by
-    # Gamma_w(F_{q^2}) for w0 (F_q prime; gf(q^4) has no tables)
+    # the compiled steps on the conjugation pairs against g x g^-1 from
+    # linalg, on seeded group elements: conjugation by the group's
+    # generators, by every positive root element and by Gamma_w(F_{q^2})
+    # for w0 (F_q prime; gf(q^4) has no tables)
     ctx, F = GroupContext(label, rank), gf(q)
     n = ctx.size
     gens = _generating_set(label, rank, F)[1]
@@ -650,7 +657,7 @@ def test_compiled_conjugation_matches_mat_mul(label, rank, q):
         assert gammas
         steps.append((ext, gammas))
     for field, gs in steps:
-        step = _conjugation(field, n, tuple(gs))
+        step = _conjugation_step(field, n, gs)
         mats = [(_unflat(g, n), inverse(field, _unflat(g, n))) for g in gs]
         for x in xs:
             xm = _unflat(x, n)
@@ -677,33 +684,77 @@ def test_expand_class_matches_enumerated_classes(label, rank, q):
     assert q != 9 or len(classes) == 13
 
 
+def _positive_root_conjugators(g):
+    """The generators in B, then x_a(c) for every positive root a (c = 1
+    over F_p, every unit over F_{p^k}): a larger set that generates B."""
+    F, ctx = g.field, g.ctx
+    coeffs = F.units() if isinstance(F, ExtField) else [F.one]
+    return tuple(dict.fromkeys(
+        [g.generators[k] for k in _borel_generators(g)]
+        + [_flat(ctx.root_element(F, a, c))
+           for a in ctx.system.positive_roots for c in coeffs]))
+
+
 @pytest.mark.parametrize("label,rank,q", CRITERION_2_GROUPS + [("SL", 1, 9)])
 def test_compiled_walk_lists_the_closure_under_the_step(label, rank, q):
-    # from the rep of every class, the walk of expand_class lists exactly
-    # what rootsys.closure lists under the compiled step, in the same
-    # order; over F_9 the products go through the field's add, mul and C
+    # from all of the group, conjugation_orbits under the walk generators
+    # lists every class, each from its least member and in the order
+    # rootsys.closure lists it under the compiled step; over F_9 the
+    # products go through the field's add, mul and C
     g = enumerate_group(label, rank, q)
     F, n = g.field, g.size
     gens = _generating_set(label, rank, F)[0]
-    walk = _compile_walk(F, n, _conjugation_pairs(F, n, gens), False)
-    step = _conjugation(F, n, gens)
+    step = _conjugation_step(F, n, gens)
+    orbits = list(conjugation_orbits(F, n, gens, g.elements, g.order))
+    assert orbits == [closure([c.rep], step) for c in conjugacy_classes(g)]
+
+
+@pytest.mark.parametrize("label,rank,q", [("SL", 1, 5), ("SL", 2, 3),
+                                          ("Sp", 2, 3), ("SL", 1, 9)])
+def test_conjugation_orbits_leave_the_points(label, rank, q):
+    # from every second member of a class the one orbit is the whole class
+    g = enumerate_group(label, rank, q)
+    gens = _generating_set(label, rank, g.field)[0]
     for c in conjugacy_classes(g):
-        assert walk([c.rep], {c.rep: c.rep}, 1, c.size) == closure([c.rep],
-                                                                   step)
+        half = sorted(c.elements)[::2]
+        (orbit,) = conjugation_orbits(g.field, g.size, gens, half, c.size)
+        assert set(orbit) == c.elements and orbit[0] == c.rep
 
 
 @pytest.mark.parametrize("label,rank,q", [("Sp", 2, 3), ("SL", 1, 9)])
 def test_compiled_walk_lists_the_closure_of_a_borel_orbit(label, rank, q):
-    # the B(F_q)-orbit of the greatest element of the largest class, under
-    # the conjugators of borel_orbit_report
+    # the B(F_q)-orbit of the greatest element of the largest class under
+    # the generators in B, in the order of rootsys.closure under the
+    # compiled step, and as a set the orbit under the larger set
     g = enumerate_group(label, rank, q)
     F, n = g.field, g.size
     x = max(max(conjugacy_classes(g), key=lambda c: c.size).elements)
-    gens = _borel_conjugators(g)
-    walk = _compile_walk(F, n, _conjugation_pairs(F, n, gens), False)
-    orbit = walk([x], {x: x}, 1, g.order)
+    gens = tuple(g.generators[k] for k in _borel_generators(g))
+    (orbit,) = conjugation_orbits(F, n, gens, [x], g.order)
     assert len(orbit) > 1
-    assert orbit == closure([x], _conjugation(F, n, gens))
+    assert orbit == closure([x], _conjugation_step(F, n, gens))
+    assert set(orbit) == set(closure(
+        [x], _conjugation_step(F, n, _positive_root_conjugators(g))))
+
+
+@pytest.mark.parametrize("label,rank,q", [("SL", 1, 5), ("SL", 2, 3),
+                                          ("Sp", 2, 3), ("SO-odd", 2, 3)])
+def test_borel_orbit_report_matches_the_positive_root_conjugators(label, rank,
+                                                                  q):
+    # on the top cell of every class, the B(F_q)-orbits under the
+    # generators in B are those under them and every x_a(c)
+    g = enumerate_group(label, rank, q)
+    kinds, ids = g._cell_ids
+    gens = _positive_root_conjugators(g)
+    for c in conjugacy_classes(g):
+        w = w_of_class(g, g.field, c).w_max
+        top = [g.elements[i] for i in c.indices if kinds[ids[i]] == w]
+        sizes = [len(o) for o in conjugation_orbits(
+            g.field, g.size, gens, top, BOREL_ORBIT_BUDGET)]
+        assert borel_orbit_report(g, c, w) == {
+            "top_cell_points": len(top),
+            "orbit_sizes": sorted(sizes, reverse=True),
+            "top_share": len(top) / c.size}
 
 
 def test_expand_class_over_extension_takes_encoded_entries():
@@ -725,7 +776,7 @@ def test_so5_classes_need_the_spinor_norm_generator():
     walk = _generating_set("SO-odd", 2, g.field)[0]
     roots_and_lift = tuple(x for x in walk if _off_diagonal(x, g.size))
     assert len(roots_and_lift) == len(walk) - 1
-    step = _conjugation(g.field, g.size, roots_and_lift)
+    step = _conjugation_step(g.field, g.size, roots_and_lift)
     split = [c for c in conjugacy_classes(g)
              if len(closure([c.rep], step)) < c.size]
     assert split

@@ -14,7 +14,9 @@ expand_class (about 0.2 s each), for membership, the certify sample
 streams point by point (about 1.6 s), and for cells, bruhat_word of
 sample and ambient points of the criterion-1 sheets and of their
 Gamma_w-conjugates (5x5 to 10x10 over F_1009, about 0.3 s), which pins
-the decoder beyond the oracle's small groups.
+the decoder beyond the oracle's small groups, for roots, the root data
+and Weyl orbits built on rootsys.closure (about 1 s), and for certify,
+the certify_components and gamma_stability_check transcripts (about 3 s).
 tests/golden/oracle_f3_classes.json
 holds the class structure of Sp4(F_3) and SO5(F_3) and the spherical tag
 of each class, which the oracle digest area (SL groups only) does not

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -109,8 +110,8 @@ def test_gamma_group_realization():
 
 
 def test_gamma_stability_and_transitivity():
-    assert gamma_stability_check(_descriptor("C", 3, "S2"), samples=4)["passed"]
-    assert gamma_stability_check(_descriptor("B", 2, "S"), samples=4)["passed"]
+    assert gamma_stability_check(_descriptor("C", 3, "S2"))["passed"]
+    assert gamma_stability_check(_descriptor("B", 2, "S"))["passed"]
     for args in [("B", 2, "S"), ("B", 3, "S"), ("C", 3, "S2"), ("D", 4, "S")]:
         rep = gamma_transitivity_check(*args)
         assert rep["passed"], (args, rep)
@@ -152,7 +153,7 @@ def test_gamma_stability_decodes_each_accepted_conjugate_once(monkeypatch):
     decodes = _no_bruhat_word(monkeypatch)
     for label in ("S", "Sprime"):
         decodes.clear()
-        rep = gamma_stability_check(_descriptor("B", 2, label), samples=4)
+        rep = gamma_stability_check(_descriptor("B", 2, label))
         assert rep["passed"] and rep["checked"] == len(decodes) > 0
 
 
@@ -167,10 +168,10 @@ def test_gamma_stability_records_a_conjugate_off_the_group(monkeypatch):
         return tuple(tuple(field.neg(y) for y in row)
                      for row in conjugate(field, t, x))
 
-    honest = gamma_stability_check(_descriptor("B", 2, "S"), samples=4)
+    honest = gamma_stability_check(_descriptor("B", 2, "S"))
     decodes = _no_bruhat_word(monkeypatch)
     monkeypatch.setattr(sv, "_conjugate_by_diagonal", negated)
-    rep = gamma_stability_check(_descriptor("B", 2, "S"), samples=4)
+    rep = gamma_stability_check(_descriptor("B", 2, "S"))
     assert not rep["passed"] and not decodes
     assert rep["checked"] == honest["checked"] == len(rep["failures"]) > 0
     for failure in rep["failures"]:
@@ -257,6 +258,33 @@ def test_sl_restriction():
     # p coprime to the exponents: reduced and smooth
     rep4 = verify_sl_restriction(4, 1, 3)
     assert not rep4.non_reduced and rep4.smooth_at_samples
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_sl_restriction_detects_points_off_the_curves(monkeypatch, p):
+    # a family whose first row is divided by det has det 1 everywhere, so
+    # its det-1 points include points off a^e1 b^e2 = +-1, which only a
+    # grid that does not start on the curves can reach
+    import weylslice.sliceverify as sv
+    from weylslice.families import family_for
+    from weylslice.linalg import det
+
+    def rescaled(t, n, label):
+        point = family_for(t, n, label).components()[0].point
+
+        def unit_det(field, ab):
+            X = point(field, ab)
+            s = field.inv(det(field, X))
+            return (tuple(field.mul(s, x) for x in X[0]),) + tuple(X[1:])
+
+        return SimpleNamespace(components=lambda: [
+            SimpleNamespace(point=unit_det)])
+
+    monkeypatch.setattr(sv, "family_for", rescaled)
+    rep = verify_sl_restriction(3, 1, p)
+    assert not rep.contained_in_curves and rep.det_points_checked > 4
+    assert any(note.startswith("det-1 point off the curves")
+               for note in rep.notes)
 
 
 def test_witnesses():
