@@ -11,7 +11,10 @@ and the points `_component_point(*s)`; and membership by the group test,
 then rank and minimal-polynomial conditions (never by root-finding in
 extension fields: eigenvalue pairs l, 1/l enter through mu = l + 1/l, a
 base-field eigenvalue of X + X^-1); type A, good in every characteristic,
-reads the class type of X over F_q (`linalg.class_type`) instead.  It
+reads the class type of X over F_q (`linalg.class_type`) instead.  For
+Sp and SO the group test is the form (`GroupContext.form_inverse`): an SO
+branch that accepts X fixes det X = 1 by itself, and det X is taken only
+to word a rejection (`_rejected`).  It
 also answers the sampling questions:
 `is_matrix`, `sample_coords(field, rng, count)` (special values first),
 `ambient(field, rng)` (a random chart point, or None on a claimed
@@ -31,6 +34,7 @@ from .fields import PrimeField
 from .linalg import (
     Matrix,
     class_type,
+    det,
     fsum,
     identity,
     mat_mul,
@@ -147,10 +151,11 @@ def _rank_shift(field, g, c, at_most=None):
 
 
 def _form_sum(ctx: GroupContext, field, X):
-    """Y = X + X^-1 as rows if X passes the group test, else None.  As
-    lam^2 = 1, (X - lam)^2 = X(Y - 2 lam) and X^2 - mu X + 1 = X(Y - mu),
-    with X invertible: same ranks, same kernels."""
-    inv = ctx.group_inverse(field, X)
+    """Y = X + X^-1 as rows if X preserves the group's form, else None
+    (`form_inverse`: no det; see `_rejected`).  As lam^2 = 1,
+    (X - lam)^2 = X(Y - 2 lam) and X^2 - mu X + 1 = X(Y - mu), with X
+    invertible: same ranks, same kernels."""
+    inv = ctx.form_inverse(field, X)
     return inv and field.mat_add(X, inv)
 
 
@@ -159,12 +164,28 @@ def _off_group(ctx: GroupContext) -> MembershipResult:
         False, f"X is not in {ctx.label.split('-')[0]}_{ctx.size}")
 
 
+def _rejected(ctx: GroupContext, field, X, reason: str) -> MembershipResult:
+    """The result for an X that preserves the form but meets no accepting
+    branch: off the group when SO needs det X = 1 and it fails, else
+    `reason`.  The only det of an SO membership: each accepting branch
+    fixes det X = 1 (its docstring says why), by det g = (-1)^{rk(g - 1)}
+    for orthogonal g in odd characteristic (Scherk, Proc. AMS 1, 1950);
+    in characteristic 2, det^2 = 1 forces det = 1."""
+    if ctx._det_one and det(field, X) != field.one:
+        return _off_group(ctx)
+    return MembershipResult(False, reason)
+
+
 def _square_zero_or_mu(ctx, field, X, r, r_text, unipotent, semisimple,
                        failure):
     """Membership shared by the C and D families: X in the group, and
     X = lam(1 + N) with N of rank r and N^2 = 0, or X + X^-1 = mu with
     mu != +-2.  By `_form_sum` both need Y = X + X^-1 scalar: N^2 = 0 is
-    Y = 2 lam, and X^2 - mu X + 1 = 0 is Y = mu."""
+    Y = 2 lam, and X^2 - mu X + 1 = 0 is Y = mu.
+
+    Both branches fix det X = 1 for SO_2n.  Branch mu != +-2: 1 is not a
+    root of t^2 - mu t + 1, so rk(X - 1) = 2n is even.  Square-zero
+    branch: X = lam(1 + N) with N nilpotent, so det X = lam^{2n} = 1."""
     Y = _form_sum(ctx, field, X)
     if Y is None:
         return _off_group(ctx)
@@ -177,7 +198,7 @@ def _square_zero_or_mu(ctx, field, X, r, r_text, unipotent, semisimple,
         if _rank_shift(field, X, lam, at_most=r) == r:
             return MembershipResult(
                 True, f"rk(X-({lam}))={r_text} and square zero", unipotent)
-    return MembershipResult(False, failure)
+    return _rejected(ctx, field, X, failure)
 
 
 def _fixes_a_column(field, X, m) -> bool:
@@ -273,7 +294,7 @@ class BFamilyS(SliceFamily):
     def membership(self, field, X) -> MembershipResult:
         """Semisimple, unipotent or twisted unipotent member of the sheet.
 
-        X must lie in SO_{2n+1}; that test's h X = 1 is the only matrix
+        X must lie in SO_{2n+1}; its form test's h X = 1 is the only matrix
         product, and h = X^-1 gives Y = X + X^-1 (`_form_sum`).  Semisimple:
         (X - 1)(X^2 - mu X + 1) = X(X - 1)(Y - mu) = 0, mu != +-2 and
         rk(X - 1) = 2n.  As t - 1 and t^2 - mu t + 1 are then coprime,
@@ -288,6 +309,12 @@ class BFamilyS(SliceFamily):
         diagonalizable and rk((X -+ 1)^2) = 1 makes +-1 an eigenvalue of
         multiplicity 2n: for +1 that contradicts rk(X - 1) = 2n, and for -1
         it makes -1 a root of t^2 - mu t + 1, that is mu = -2.
+
+        The group test is the form alone (`_rejected` takes det X).  The
+        semisimple branch fixes det X = 1, as rk(X - 1) = 2n is even.  A
+        unipotent branch leaves 2n eigenvalues lam and one more, eps =
+        det X = +-1, so it needs tr X = 2n lam + 1: a reflection has
+        rk((X - 1)^2) = 1 and det -1.
         """
         Y = _form_sum(self.ctx, field, X)
         if Y is None:
@@ -309,6 +336,9 @@ class BFamilyS(SliceFamily):
         for lam in (one, field.neg(one)):
             if mat_rank(field, scalar_shift(field, Y, field.add(lam, lam)),
                         at_most=1) == 1:
+                if fsum(field, (r[i] for i, r in enumerate(X))) != field.add(
+                        field.mul(field.of(2 * self.n), lam), one):
+                    return _off_group(self.ctx)
                 if lam == u0:
                     t = ("unipotent (3,2^(n-2),1^2) member" if self.sign == 1
                          else "rho-twisted unipotent member")
@@ -316,7 +346,8 @@ class BFamilyS(SliceFamily):
                     t = ("unipotent (3,2^(n-1)) member" if lam == field.one
                          else "rho-twisted unipotent member")
                 return MembershipResult(True, f"rk((X-{lam})^2)=1", t)
-        return MembershipResult(False, "no sheet membership condition holds")
+        return _rejected(self.ctx, field, X,
+                         "no sheet membership condition holds")
 
     def ambient(self, field, rng):
         n = self.n
@@ -517,7 +548,11 @@ class TwoFlipFamily(SliceFamily):
         """rk(X - z) = 2 in the group; unipotent exactly when X - z is
         nilpotent, i.e. rk(Y - 2z) = rk (X - z)^2 <= 1 (eigenvalues other
         than z come as l, 1/l or as -z, of even multiplicity in Sp, SO).
-        Nilpotent X - z has tr(Y - 2z) = 0, a cheap test that goes first."""
+        Nilpotent X - z has tr(Y - 2z) = 0, a cheap test that goes first.
+
+        The group test is the form alone (`_rejected` takes det X).  For
+        B and D, z = 1 (z = -1 occurs only for C, in Sp), and rk(X - 1) = 2
+        is even, so an accepted X has det X = 1."""
         Y = _form_sum(self.ctx, field, X)
         if Y is None:
             return _off_group(self.ctx)
@@ -530,8 +565,8 @@ class TwoFlipFamily(SliceFamily):
             else:
                 t = "semisimple or mixed member"
             return MembershipResult(True, f"rk(X - ({self.central}))=2", t)
-        return MembershipResult(
-            False, f"rk(X - ({self.central})) != 2")
+        return _rejected(self.ctx, field, X,
+                         f"rk(X - ({self.central})) != 2")
 
     def ambient(self, field, rng):
         coeffs = [_uniform(field, rng) for _ in range(self.n_unip)]

@@ -49,8 +49,9 @@ a product (and for SO a determinant) per element to re-prove membership;
 Shared with the code under test: the `matgroups` constructors, Bruhat
 decoding (`linalg.bruhat_permutation`), the Borel reader
 `borel_torus` and the (T_w)deg points `anti_fixed_points` (which also list
-`gamma_elements`), the Weyl-group combinatorics, `linalg` `inverse`,
-`mat_mul` and `rank` (class dimensions), and `class_type` (spherical marks,
+`gamma_elements`; `gamma_generators` reads the same basis), the
+Weyl-group combinatorics, `linalg` `inverse`, `mat_mul` and `rank` (class
+dimensions), and `class_type` (spherical marks,
 and the class of an F_{q^2} slice point: equal types there mean conjugate
 over the closure; Springer-Steinberg 1970, IV.2).  Closed forms guard
 the oracle itself: enumeration must hit the order formula, the classes
@@ -730,9 +731,11 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
     transitive = len(inter) <= 1
     if gammas:
         # the orbits (of at most |Gamma_w| elements) are disjoint and
-        # cover inter, so they lie in it when their sizes sum to |inter|
+        # cover inter, so they lie in it when their sizes sum to |inter|;
+        # the walk runs under the generators lambda_k(omega) alone
         orbits = list(conjugation_orbits(
-            field, ctx.size, tuple(_flat(g) for g in gammas), inter,
+            field, ctx.size,
+            tuple(_flat(g) for g in ctx.gamma_generators(field, w)), inter,
             len(gammas)))
         closed = sum(map(len, orbits)) == len(inter)
         transitive = transitive or len(orbits) == 1
@@ -744,9 +747,10 @@ def slice_orbit_check(label: str, rank: int, q: int, rep: Matrix,
         # one Gamma_w(F_{q^2})-orbit through all points; base-field ints
         # embed as constant digits
         ext = gf(q * q)
-        gammas2 = tuple(_flat(g) for g in ctx.gamma_elements(ext, w))
+        gens = tuple(_flat(g) for g in ctx.gamma_generators(ext, w))
         transitive = len(list(conjugation_orbits(
-            ext, ctx.size, gammas2, inter, len(gammas2)))) == 1
+            ext, ctx.size, gens, inter,
+            len(ctx.gamma_elements(ext, w))))) == 1
         if transitive:
             extension_used = True
             caveats.append("transitivity needed Gamma points over the "

@@ -8,7 +8,9 @@ from it: u_i has weight e_i, w_i weight -e_i and z weight 0; the root
 subgroup x_a(c) = 1 + cX + (c^2/2)X^2 has X = E_ab on a coordinate pair
 of weight difference a, plus the entry the form adds; a class dimension
 is the rank of ad_g on a Lie-algebra basis cached per field; the group
-test is `group_inverse`, g^-1 = J^-1 g^T J checked by one product.  Monomial
+test is `group_inverse`: `form_inverse`, g^-1 = J^-1 g^T J checked by one
+product, then det g = 1 for SO (the SO slice memberships test the form
+alone and read det g off the branch that accepts).  Monomial
 Weyl representatives come from reduced words, and Bruhat decoding runs
 against the standard Borel, upper triangular in u_1..u_n, z, w_n..w_1.
 """
@@ -163,6 +165,16 @@ class GroupContext:
         return [self.torus(field, c)
                 for c in self.anti_fixed_points(field, w, fourth_roots)]
 
+    def gamma_generators(self, field, w: WeylElement) -> list[Matrix]:
+        """lambda_k(omega) as diagonal matrices, for the `gamma_w` basis
+        lambda_k and a primitive 4th root of 1 omega; [] if F lacks one.
+        As lambda_k(omega^j) = lambda_k(omega)^j, they generate Gamma_w(F)."""
+        omega = field.fourth_root_of_unity()
+        if omega is None:
+            return []
+        return [self.torus(field, tuple(_power(field, omega, e) for e in vec))
+                for vec in self._gamma_basis(w)]
+
     def anti_fixed_points(self, field, w: WeylElement,
                           values) -> list[tuple]:
         """Sorted epsilon-coordinate tuples of prod_k lambda_k(c_k) over all
@@ -172,18 +184,22 @@ class GroupContext:
         With `values` all units of F these are the F-points of (T_w)deg;
         with the 4th roots of 1, Gamma_w(F).
         """
-        torus = TorusData(self.system, w, "matrix")
-        basis = [g.lattice_coords for g in gamma_w(torus)[1]]
         # lambda_k(c) for every basis vector and value: c^e coordinatewise
         lambdas = [[tuple(_power(field, c, e) for e in vec) for c in values]
-                   for vec in basis]
+                   for vec in self._gamma_basis(w)]
         points = set()
         for choice in product(*lambdas):
-            coords = (field.one,) * torus.n
+            coords = (field.one,) * self.torus_rank
             for lam in choice:
                 coords = tuple(map(field.mul, coords, lam))
             points.add(coords)
         return sorted(points)
+
+    def _gamma_basis(self, w: WeylElement) -> list[tuple]:
+        """The `gamma_w` basis of ker(1 + w) on the matrix lattice, as
+        exponent vectors of the epsilon-coordinates."""
+        torus = TorusData(self.system, w, "matrix")
+        return [g.lattice_coords for g in gamma_w(torus)[1]]
 
     def root_element(self, field, root: Vector, c) -> Matrix:
         """The one-parameter root subgroup element x_root(c); ValueError if
@@ -271,13 +287,22 @@ class GroupContext:
 
     def group_inverse(self, field, g: Matrix) -> Optional[Matrix]:
         """g^-1 when g lies in the group, else None: the one group test.
-        With a form J, h = J^-1 g^T J is read off g: row k of J is s_k at
-        column col(k), col is an involution and J^-1 = +-J, so h[a][b] =
-        s_a s_b g[col(b)][col(a)].  g^T J g = J is h g = 1, one product
-        (`mat_mul_derived`: F_p scans only g), then det g = 1 for SO (Sp's
+        With a form, `form_inverse` and then det g = 1 for SO (Sp's
         alternating form forces it).  SL/GL: `in_group`, `linalg.inverse`."""
         if self._signed_form is None:
             return inverse(field, g) if self.in_group(field, g) else None
+        h = self.form_inverse(field, g)
+        if h is None or (self._det_one and det(field, g) != field.one):
+            return None
+        return h
+
+    def form_inverse(self, field, g: Matrix) -> Optional[Matrix]:
+        """g^-1 when g is N x N and preserves the form J, else None; no
+        det.  h = J^-1 g^T J is read off g: row k of J is s_k at column
+        col(k), col is an involution and J^-1 = +-J, so h[a][b] =
+        s_a s_b g[col(b)][col(a)].  g^T J g = J is h g = 1, one product
+        (`mat_mul_derived`: F_p scans only g).  An SO membership tests this
+        and gets det g from the branch that accepts g."""
         N = self.size
         if len(g) != N or any(len(row) != N for row in g):
             return None
@@ -285,10 +310,7 @@ class GroupContext:
         h = tuple([tuple([g[i][j] if plus else neg(g[i][j])
                           for i, j, plus in row])
                    for row in self._inverse_reads])
-        if field.mat_mul_derived(h, g) != identity(field, N) or (
-                self._det_one and det(field, g) != field.one):
-            return None
-        return h
+        return h if field.mat_mul_derived(h, g) == identity(field, N) else None
 
     # -- Bruhat decoding ----------------------------------------------------
 

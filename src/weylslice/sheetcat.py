@@ -20,6 +20,7 @@ from typing import Optional
 from .linalg import class_type
 from .matgroups import GroupContext
 from .rootsys import (
+    _VALID,
     RootSystem,
     WeylElement,
     build_root_system,
@@ -103,10 +104,8 @@ def sheet_catalog(group_type: str, rank: int):
 
 @lru_cache(maxsize=None)
 def _catalog(group_type: str, rank: int) -> list:
-    if group_type in ("F", "G") or (group_type == "E" and rank == 8):
-        return []
-    if group_type == "A":
-        return _a_catalog(rank)
+    """The catalog of a simple type; CatalogError for a rank the catalog
+    does not cover or a (type, rank) that names no simple type."""
     if group_type == "B":
         if rank < 2:
             raise CatalogError("type B requires rank >= 2")
@@ -120,9 +119,13 @@ def _catalog(group_type: str, rank: int) -> list:
         if rank < 4:
             raise CatalogError("type D requires rank >= 4")
         return _d_catalog(rank)
-    if group_type == "E":
-        return _e_catalog(rank)
-    raise CatalogError(f"unknown type {group_type}")
+    if group_type not in _VALID or not _VALID[group_type](rank):
+        raise CatalogError(
+            f"({group_type}, {rank}) is not a valid simple type")
+    if group_type == "A":
+        return _a_catalog(rank)
+    # E6 and E7 have sheets; E8, F4 and G2 none
+    return _e_catalog(rank) if group_type == "E" else []
 
 
 def _a_catalog(n: int):

@@ -79,9 +79,9 @@ def certify_components(
 ) -> ComponentCertificate:
     """Bidirectional sampling certificate for one sheet's component claim.
 
-    Matrix memberships start with the group test: a claimed point off the
-    group is rejected naming the group, and as the `ambient` points lie in
-    it, their rejection tests the sheet conditions."""
+    Matrix memberships reject a claimed point off the group naming the
+    group, and as the `ambient` points lie in it, their rejection tests
+    the sheet conditions."""
     if field is None:
         field = gf(VERIFICATION_PRIME)
     fam = build_family(descriptor)
@@ -127,7 +127,7 @@ def certify_components(
                 continue
             if matrix_family and cell_budget > 0:
                 cell_budget -= 1
-                # membership accepted pt and starts with the group test
+                # membership accepted pt, so pt lies in the group
                 w_found = fam.ctx._cell(field, pt)
                 if w_found != fam.w:
                     cert.passed = False

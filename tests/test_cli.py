@@ -46,6 +46,25 @@ def test_verify_slice_never_passes_on_zero_claims():
     assert status == 0 and [r["status"] for r in rows] == ["caveat"]
 
 
+def test_invalid_types_and_ranks_fail_where_empty_catalogs_pass(capsys):
+    # a (type, rank) that names no simple type is a CatalogError, so one
+    # fail row, from catalog and verify-slice alike; F4, G2 and E8 keep
+    # their empty catalogs
+    for t, n in [("A", 0), ("E", 5), ("F", 3), ("G", 3)]:
+        assert main(["catalog", "--type", t, "--rank", str(n)]) == 1
+        assert f"catalog:{t}{n}  FAIL" in capsys.readouterr().out
+        status, rows = run(RunConfig("catalog", group_type=t, rank=n))
+        assert status == 1 and [r["status"] for r in rows] == ["fail"]
+        assert "is not a valid simple type" in rows[0]["detail"]
+    status, rows = run(RunConfig("verify-slice", group_type="A", rank=0))
+    assert status == 1 and len(rows) == 1
+    assert rows[0]["claim"] == "components:A0"
+    assert rows[0]["status"] == "fail"
+    assert rows[0]["detail"] == "(A, 0) is not a valid simple type"
+    for t, n in [("F", 4), ("G", 2), ("E", 8)]:
+        assert run(RunConfig("catalog", group_type=t, rank=n)) == (0, [])
+
+
 def test_oracle_command(capsys):
     status = main(["oracle", "--group", "sl2", "--q", "3"])
     out = capsys.readouterr().out

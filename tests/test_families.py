@@ -885,6 +885,102 @@ def test_b_s_rejects_matrices_off_the_group(n):
         assert fam.membership(F, tuple(map(tuple, m))) == off
 
 
+SO_SHEETS = [("B", 2, "S"), ("B", 3, "S"), ("B", 4, "S"),
+             ("B", 2, "Sprime"), ("B", 3, "Sprime"), ("B", 4, "Sprime"),
+             ("D", 4, "S"), ("D", 4, "thetaS"), ("D", 4, "Sprime"),
+             ("D", 5, "Sprime"), ("D", 5, "R"), ("D", 5, "thetaR")]
+
+
+def _so_reflections(ctx, field):
+    """Orthogonal reflections, each of det -1: the swap u_1 <-> w_1 and,
+    for SO_{2n+1}, z -> -z."""
+    N, one = ctx.size, field.one
+    u, w = ctx.coords.index(("u", 0)), ctx.coords.index(("w", 0))
+    perm = list(range(N))
+    perm[u], perm[w] = w, u
+    out = [tuple(tuple(one if perm[i] == j else field.zero for j in range(N))
+                 for i in range(N))]
+    if ("z", 0) in ctx.coords:
+        z = ctx.coords.index(("z", 0))
+        out.append(tuple(tuple((field.neg(one) if i == z else one) if i == j
+                               else field.zero for j in range(N))
+                         for i in range(N)))
+    return out
+
+
+def _membership_det_first(fam, field, X):
+    """`membership` as it read while the group test took det X first
+    (`group_inverse`): B_n S by `_membership_unipotent_first`, which has
+    branches of its own; every other SO family by its own branches, which
+    only det-1 points reach here."""
+    if type(fam) is BFamilyS:
+        return _membership_unipotent_first(fam, field, X)
+    if fam.ctx.group_inverse(field, X) is None:
+        return MembershipResult(False, f"X is not in SO_{fam.ctx.size}")
+    return fam.membership(field, X)
+
+
+@pytest.mark.parametrize("q", [1009, 13])
+@pytest.mark.parametrize("t,n,label", SO_SHEETS)
+def test_so_membership_matches_the_det_first_group_test(t, n, label, q):
+    # the SO memberships test the form and take det X only to word a
+    # rejection; on claimed and ambient points, on X s for a reflection s
+    # (det -1) and on -X for odd N, the results are those of the group test
+    # with det first, and s itself is off the group
+    field, rng = gf(q), random.Random(q + 7 * n)
+    fam = family_for(t, n, label)
+    off = MembershipResult(False, f"X is not in SO_{fam.ctx.size}")
+    comps = rng.sample(fam.components(), min(6, len(fam.components())))
+    base = [comp.point(field, c) for comp in comps
+            for c in fam.sample_coords(field, rng, 3)]
+    base += [X for X in (fam.ambient(field, rng) for _ in range(4))
+             if X is not None]
+    reflections = _so_reflections(fam.ctx, field)
+    points = list(base)
+    for X in base:
+        points += [mat_mul(field, X, s) for s in reflections]
+        if fam.ctx.size % 2:
+            points.append(tuple(tuple(map(field.neg, row)) for row in X))
+    kinds = set()
+    for X in points:
+        got = fam.membership(field, X)
+        assert got == _membership_det_first(fam, field, X), X
+        kinds.add((got.member, got == off))
+    for s in reflections:
+        assert det(field, s) == field.neg(field.one)
+        assert fam.membership(field, s) == off
+    # members, non-members in the group and points off the group all occur
+    assert kinds == {(True, False), (False, False), (False, True)}
+
+
+def test_certify_takes_a_det_only_on_rejected_points(monkeypatch):
+    # one det per rejected point, none per accepted one, and no other det
+    # in a B3 S certificate
+    from weylslice.fields import PrimeField
+    from weylslice.sliceverify import certify_components
+
+    dets, seen = [], []
+    field_det, membership = PrimeField.det, BFamilyS.membership
+
+    def counted_det(self, a):
+        dets.append(len(a))
+        return field_det(self, a)
+
+    def recorded(self, field, X):
+        before = len(dets)
+        got = membership(self, field, X)
+        seen.append((got.member, len(dets) - before))
+        return got
+
+    monkeypatch.setattr(PrimeField, "det", counted_det)
+    monkeypatch.setattr(BFamilyS, "membership", recorded)
+    d = next(d for d in sheet_catalog("B", 3) if d.label == "S")
+    cert = certify_components(d, field=F, n_in=8, n_out=8, seed=6)
+    assert cert.passed
+    assert set(seen) == {(True, 0), (False, 1)}
+    assert len(dets) == sum(not member for member, _ in seen) == 8
+
+
 @pytest.mark.parametrize("q", [1009, 13])
 def test_chart_and_component_points_lie_in_the_group(q):
     # membership rejects whatever lies off G, so the off-locus half of a

@@ -338,6 +338,64 @@ def test_slice_orbit_sp4_f3():
     assert r.nonempty and r.gamma_closed and r.gamma_transitive
 
 
+def _criterion_5_cases():
+    """(ctx, F_q, rep, w, wdot) of the criterion-5 slice orbits: the six
+    Sp4(F_5) reps, and the SL3(F_q) unipotent and semisimple reps."""
+    from weylslice.families import AFamily
+
+    F5, ctx = gf(5), GroupContext("Sp", 2)
+    c2 = ctx.system
+    w0 = longest_element(c2, range(2))
+    long_root, s_long = c2.highest_root(), c2.reflection(c2.highest_root())
+    wd = ((0, 0, 1, 0), (0, 0, 0, 1), (4, 0, 0, 0), (0, 4, 0, 0))
+    x_long = ctx.root_element(F5, long_root, 1)
+    sigma = ctx.torus(F5, [4, 1])
+    cases = [
+        (ctx, F5, ctx.torus(F5, [2, 2]), w0, wd),
+        (ctx, F5, ctx.torus(F5, [2, 1]), w0, wd),
+        (ctx, F5, mat_mul(F5, x_long, ctx.root_element(F5, (0, 2), 1)),
+         w0, wd),
+        (ctx, F5, x_long, s_long, ctx.weyl_representative(F5, s_long)),
+        (ctx, F5, ctx.root_element(F5, long_root, 2), s_long,
+         ctx.weyl_representative(F5, s_long)),
+        (ctx, F5, mat_mul(F5, sigma, x_long), w0, wd),
+    ]
+    sl3, fam = GroupContext("SL", 2), AFamily(2, 1)
+    w_s = catalog_w_S("A", 2, "S_1")
+    for q in (3, 5, 7):
+        Fq = gf(q)
+        a = 2 if q in (3, 5) else 3
+        for rep in (((1, 0, 1), (0, 1, 0), (0, 0, 1)),
+                    ((a, 0, 0), (0, a, 0), (0, 0, pow(a, -2, q)))):
+            cases.append((sl3, Fq, rep, w_s, fam.representative(Fq)))
+    return cases
+
+
+def test_gamma_generators_walk_the_orbits_of_every_element():
+    # on O n S_w of the criterion-5 cases, over F_q (when it has a 4th root
+    # of 1) and over F_{q^2}, the Gamma_w-orbits under the generators
+    # lambda_k(omega) are those under every element of Gamma_w
+    walked = 0
+    for ctx, F, rep, w, wdot in _criterion_5_cases():
+        inter = sorted(expand_class(ctx, F, rep).elements.intersection(
+            slice_points(ctx, F, w, wdot=wdot)))
+        for field in (F, gf(F.order ** 2)):
+            gammas = ctx.gamma_elements(field, w)
+            gens = ctx.gamma_generators(field, w)
+            assert bool(gens) == bool(gammas)
+            if not gammas:
+                continue
+
+            def orbits(by):
+                return [set(o) for o in conjugation_orbits(
+                    field, ctx.size, tuple(_flat(g) for g in by), inter,
+                    len(gammas))]
+
+            assert orbits(gens) == orbits(gammas)
+            walked += len(inter) > 1 and len(gens) < len(gammas)
+    assert walked == 12
+
+
 def test_normalize_to_fixed_torus():
     F5 = gf(5)
     sl2 = GroupContext("SL", 1)

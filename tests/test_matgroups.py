@@ -354,6 +354,34 @@ def test_anti_fixed_points_match_references(label, rank, q):
                 assert det == F.one
 
 
+@pytest.mark.parametrize("q", [5, 7, 9, 13])
+@pytest.mark.parametrize("label,rank", SMALL_CONTEXTS + [("SO-even", 4)])
+def test_gamma_generators_generate_gamma_w(label, rank, q):
+    # one lambda_k(omega) per basis vector; their products are Gamma_w(F)
+    ctx = GroupContext(label, rank)
+    F = gf(q)
+    for w in _involutions(ctx):
+        gens = ctx.gamma_generators(F, w)
+        elements = ctx.gamma_elements(F, w)
+        if not elements:
+            assert gens == []
+            continue
+        assert len(gens) == len(_kernel(ctx, w)[1])
+        def diagonal(g):
+            return tuple(g[i][i] for i in range(ctx.size))
+
+        reached = {diagonal(identity(F, ctx.size))}
+        frontier = list(reached)
+        while frontier:
+            x = frontier.pop()
+            for d in map(diagonal, gens):
+                y = tuple(map(F.mul, x, d))
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        assert reached == set(map(diagonal, elements))
+
+
 @pytest.mark.parametrize("label,rank", CONTEXTS)
 def test_borel_torus(label, rank):
     ctx = GroupContext(label, rank)

@@ -49,6 +49,9 @@ def test_hypothesis_bounds():
         sheet_catalog("B", 1)
     with pytest.raises(CatalogError):
         sheet_catalog("D", 3)
+    for t, n in [("A", 0), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 3)]:
+        with pytest.raises(CatalogError, match="not a valid simple type"):
+            sheet_catalog(t, n)
 
 
 def test_catalog_descriptors_are_built_once():
